@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .apportion import AllocationRecord, Scenario, SystemConfig, format_mask
@@ -89,10 +90,16 @@ class _Reader:
             self.fail(line, "expected integers, got %r" % (toks,))
 
     def floats(self, line: _Line, toks: list[str]) -> list[float]:
-        try:
-            return [float(t) for t in toks]
-        except ValueError:
-            self.fail(line, "expected numbers, got %r" % (toks,))
+        vals = []
+        for t in toks:
+            try:
+                v = float(t)
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                self.fail(line, "expected finite numbers, got %r" % (toks,))
+            vals.append(v)
+        return vals
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -431,9 +438,12 @@ def _config_value(rd: _Reader, line: _Line, key: str, raw: str):
         rd.fail(line, "unknown config key %r" % key)
     kind = _CONFIG_FIELDS[key]
     try:
-        return int(raw) if kind == "int" else float(raw)
+        val = int(raw) if kind == "int" else float(raw)
     except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
         rd.fail(line, "config %s: bad value %r" % (key, raw))
+    return val
 
 
 def read_config(path: str) -> SystemConfig:

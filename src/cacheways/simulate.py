@@ -3,19 +3,29 @@
 Execution is work-based: each phase carries abstract work units and a
 way-time curve, and a process advances at speed work / t(effective ways).
 When an allocation changes mid-phase the remaining work is preserved and the
-remaining duration rescales with the new speed.  Contention is modeled only
-inside a shared way region: active reuse-phase processes split the ways they
-claim, streaming phases see their full region.  Simultaneous events settle in
+remaining duration rescales with the new speed.  Simultaneous events settle in
 (time, pid, kind) order; a rebalancing tick settles after the phase events of
 its instant.
 
-Four policies drive allocation:
-  * comcas        probe-guided: batch placement at arrival, re-apportioning
-                  at every phase change, releases recycled,
-  * unpartitioned the socket is one undivided region,
-  * maxways       every process statically holds its saturation way count,
+A policy only chooses which contiguous way mask each admitted process holds,
+on which socket.  The engine keeps that placement and applies one contention
+rule to every policy, recomputed from per-socket claim counts after each
+event: a streaming phase sees its whole mask; a reuse phase gets the exact
+integer floor of sum(1/k) over the ways of its mask, where k is the number of
+reuse phases holding that way (itself included), and never less than 1.
+
+Four policies choose masks:
+  * comcas        probe-guided: the Apportioner places arrivals in batches,
+                  re-apportions at every phase change and recycles releases;
+                  its CLOS masks are read back after each operation,
+  * unpartitioned every process holds the full socket mask,
+  * maxways       every process statically holds a best-fit window of its
+                  saturation way count,
   * reactive      equal split, then one way moved per fixed-interval tick
                   toward the neediest process (a counter-sampling stand-in).
+                  Every process holds at least 1 way: with more processes
+                  than ways on a socket, each gets 1 way, placed round-robin
+                  in pid order, and sharers split a way by the rule above.
 
 Reports are bit-reproducible for identical inputs.
 """
@@ -70,7 +80,7 @@ class Policy:
     interval_ns: float = 5e8
 
     def __post_init__(self):
-        if self.kind not in ("comcas", "unpartitioned", "maxways", "reactive"):
+        if self.kind not in _POLICIES:
             raise TraceError("unknown policy %r" % (self.kind,))
         if self.interval_ns <= 0:
             raise TraceError("policy interval must be positive")
@@ -91,9 +101,6 @@ class SimReport:
     max_clos_group_size: int
     warnings: list[str]
 
-    def scenario_timeline(self) -> list[tuple[float, str]]:
-        return [(r.time_ns, r.scenario.value) for r in self.records]
-
 
 def validate_mix(mix: MixSpec) -> None:
     if mix.category not in CATEGORIES:
@@ -107,10 +114,12 @@ def validate_mix(mix: MixSpec) -> None:
         seen.add(proc.pid)
         if not proc.phases:
             raise TraceError("mix %r: pid %d has no phases" % (mix.name, proc.pid))
+        if not math.isfinite(proc.start_ns):
+            raise TraceError("mix %r: pid %d start must be finite" % (mix.name, proc.pid))
         for ph in proc.phases:
-            if ph.work <= 0:
+            if not (math.isfinite(ph.work) and ph.work > 0):
                 raise TraceError(
-                    "mix %r: pid %d phase %r work must be positive"
+                    "mix %r: pid %d phase %r work must be positive and finite"
                     % (mix.name, proc.pid, ph.phase_id)
                 )
 
@@ -153,27 +162,23 @@ def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = 1.25) -> float:
     return phase.work / t
 
 
-def effective_ways(width: int, active_members, pid: int) -> int:
-    """Ways a process effectively owns inside one shared region: a lone
-    member or a streaming phase sees the full width; active reuse phases
-    split it evenly (floored, at least 1).
-
-    `active_members` is an iterable of (pid, ReuseClass) for the region's
-    currently executing members, `pid` one of them.
+def effective_ways(mask: int, claims, reuse: bool) -> int:
+    """Ways a phase effectively owns of its `mask` (the contention rule).
+    A streaming phase sees every way of it.  A reuse phase gets the exact
+    floor of sum(1 / claims[w]) over the ways w of its mask, and never less
+    than 1; `claims[w]` counts the reuse phases on the socket holding way w,
+    this one included.
     """
-    members = list(active_members)
-    mine = None
-    reuse_count = 0
-    for qpid, cls in members:
-        if cls is ReuseClass.REUSE:
-            reuse_count += 1
-        if qpid == pid:
-            mine = cls
-    if mine is None:
-        raise TraceError("pid %d is not among the active members" % pid)
-    if len(members) <= 1 or mine is ReuseClass.STREAM:
-        return width
-    return max(1, width // max(1, reuse_count))
+    if not reuse:
+        return mask_width(mask)
+    num, den = 0, 1  # the running sum is num / den
+    for way in range(mask.bit_length()):
+        if mask >> way & 1:
+            k = claims[way]
+            if k < 1:
+                raise TraceError("way %d of mask %#x has no reuse claim" % (way, mask))
+            num, den = num * k + den, den * k
+    return max(1, num // den)
 
 
 def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
@@ -184,269 +189,136 @@ def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# policy drivers
+# placement and policies
 # ---------------------------------------------------------------------------
 
-class _MaskedEff:
-    """Shared contention arithmetic over explicit per-pid masks."""
+class _Placement:
+    """Which socket and which way mask each admitted pid holds."""
 
-    @staticmethod
-    def effective(pid, socket_of, masks, active_class) -> int:
-        mask = masks[pid]
-        if active_class[pid] is ReuseClass.STREAM:
-            return mask_width(mask)
-        sid = socket_of[pid]
-        claims: dict[int, int] = {}
-        for q, qmask in masks.items():
-            if socket_of[q] != sid or active_class[q] is not ReuseClass.REUSE:
-                continue
-            b = qmask
-            while b:
-                low = b & -b
-                bit = low.bit_length() - 1
-                claims[bit] = claims.get(bit, 0) + 1
-                b ^= low
-        share = 0.0
-        b = mask
-        while b:
-            low = b & -b
-            bit = low.bit_length() - 1
-            share += 1.0 / max(1, claims.get(bit, 1))
-            b ^= low
-        return max(1, math.floor(share))
-
-
-class _ComCasDriver:
-    def __init__(self, config: SystemConfig):
-        self.ap = Apportioner(config)
-
-    def admit(self, t, runs):
-        arrivals = [
-            (r.pid, r.alpha, r.max_ways, r.phase.attrs, r.phase.attrs.predicted_time())
-            for r in runs
-        ]
-        self.ap.ipca_batch(t, arrivals)
-
-    def capacity(self):
-        return sum(s.free_cores for s in self.ap.sockets)
-
-    def phase_change(self, t, run):
-        self.ap.pcca(t, run.pid, run.phase.attrs, run.phase.attrs.predicted_time())
-
-    def process_end(self, t, run):
-        self.ap.release_process(t, run.pid)
-
-    def effective(self, run, active_runs):
-        p = self.ap.procs[run.pid]
-        masks = {}
-        socket_of = {}
-        active_class = {}
-        for r in active_runs:
-            q = self.ap.procs[r.pid]
-            masks[r.pid] = self.ap.sockets[q.socket_id].clos[q.clos_id].mask
-            socket_of[r.pid] = q.socket_id
-            active_class[r.pid] = r.phase.attrs.reuse
-        eff = _MaskedEff.effective(run.pid, socket_of, masks, active_class)
-        return min(eff, mask_width(masks[run.pid]))
-
-    def snapshot(self):
-        return self.ap.widths_snapshot()
-
-
-class _UnpartitionedDriver:
     def __init__(self, config: SystemConfig):
         self.config = config
         self.socket_of: dict[int, int] = {}
-        self.active_per_socket: dict[int, list[int]] = {
-            s: [] for s in range(config.sockets)
-        }
+        self.mask_of: dict[int, int] = {}
 
-    def capacity(self):
-        return sum(
-            self.config.cores_per_socket - len(v)
-            for v in self.active_per_socket.values()
-        )
+    def pids_on(self, sid: int) -> list[int]:
+        return sorted(pid for pid, s in self.socket_of.items() if s == sid)
+
+    def free_cores(self, sid: int) -> int:
+        return self.config.cores_per_socket - len(self.pids_on(sid))
+
+    def least_loaded(self) -> int:
+        """The socket with the most free cores, the lowest id on ties."""
+        return max(range(self.config.sockets), key=lambda s: (self.free_cores(s), -s))
+
+
+class _Policy:
+    """Places each arrival on the least-loaded socket with the mask
+    `mask(sid, run)` chooses, and never moves it.  Subclasses choose the mask
+    and may change masks at phase changes, releases and ticks."""
+
+    def __init__(self, place: _Placement):
+        self.place = place
+        self.ways = place.config.ways_per_socket
 
     def admit(self, t, runs):
         for r in runs:
-            sid = max(
-                range(self.config.sockets),
-                key=lambda s: (
-                    self.config.cores_per_socket - len(self.active_per_socket[s]),
-                    -s,
-                ),
-            )
-            self.socket_of[r.pid] = sid
-            self.active_per_socket[sid].append(r.pid)
+            sid = self.place.least_loaded()
+            self.place.mask_of[r.pid] = self.mask(sid, r)
+            self.place.socket_of[r.pid] = sid
 
     def phase_change(self, t, run):
         pass
 
-    def process_end(self, t, run):
-        self.active_per_socket[self.socket_of[run.pid]].remove(run.pid)
+    def release(self, t, run, sid):
+        """`run` has already left the placement; `sid` was its socket."""
 
-    def effective(self, run, active_runs):
-        sid = self.socket_of[run.pid]
-        members = [
-            (r.pid, r.phase.attrs.reuse)
-            for r in active_runs
-            if self.socket_of[r.pid] == sid
-        ]
-        return effective_ways(self.config.ways_per_socket, members, run.pid)
+    def row(self, run):
+        """The width-timeline entry of an admitted run."""
+        return (run.alpha, run.max_ways, mask_width(self.place.mask_of[run.pid]))
 
-    def snapshot(self):
-        out = {}
-        for sid, pids in self.active_per_socket.items():
-            for pid in pids:
-                out[pid] = (0.0, 0, self.config.ways_per_socket)
-        return dict(sorted(out.items()))
+    def log(self):
+        """(records, apportion count, largest CLOS group, warnings)."""
+        return [], 0, 1, []
 
 
-class _MaxWaysStaticDriver:
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.socket_of: dict[int, int] = {}
-        self.masks: dict[int, int] = {}
-        self.alphas: dict[int, float] = {}
-        self.maxw: dict[int, int] = {}
+class _Unpartitioned(_Policy):
+    def mask(self, sid, run):
+        return (1 << self.ways) - 1
 
-    def capacity(self):
-        per = {s: 0 for s in range(self.config.sockets)}
-        for pid, sid in self.socket_of.items():
-            if pid in self.masks:
-                per[sid] += 1
-        return sum(self.config.cores_per_socket - n for n in per.values())
-
-    def _free_cores(self, sid):
-        n = sum(
-            1 for pid, s in self.socket_of.items() if s == sid and pid in self.masks
-        )
-        return self.config.cores_per_socket - n
-
-    def admit(self, t, runs):
-        w_total = self.config.ways_per_socket
-        for r in runs:
-            sid = max(
-                range(self.config.sockets), key=lambda s: (self._free_cores(s), -s)
-            )
-            used = 0
-            for q, m in self.masks.items():
-                if self.socket_of[q] == sid:
-                    used |= m
-            ways = min(r.max_ways, w_total)
-            best = None
-            best_key = None
-            for start in range(w_total - ways + 1):
-                m = ((1 << ways) - 1) << start
-                key = (mask_width(m & used), start)
-                if best_key is None or key < best_key:
-                    best_key, best = key, m
-            self.socket_of[r.pid] = sid
-            self.masks[r.pid] = best
-            self.alphas[r.pid] = r.alpha
-            self.maxw[r.pid] = r.max_ways
-
-    def phase_change(self, t, run):
-        pass
-
-    def process_end(self, t, run):
-        del self.masks[run.pid]
-
-    def effective(self, run, active_runs):
-        masks = {r.pid: self.masks[r.pid] for r in active_runs}
-        socket_of = {r.pid: self.socket_of[r.pid] for r in active_runs}
-        active_class = {r.pid: r.phase.attrs.reuse for r in active_runs}
-        eff = _MaskedEff.effective(run.pid, socket_of, masks, active_class)
-        return min(eff, mask_width(masks[run.pid]))
-
-    def snapshot(self):
-        out = {}
-        for pid in sorted(self.masks):
-            out[pid] = (self.alphas[pid], self.maxw[pid], mask_width(self.masks[pid]))
-        return out
+    def row(self, run):
+        return (0.0, 0, self.ways)
 
 
-class _ReactiveDriver:
+class _MaxWays(_Policy):
+    def mask(self, sid, run):
+        """The window of max_ways ways overlapping the socket's taken ways
+        least, the lowest such window on ties."""
+        used = 0
+        for pid in self.place.pids_on(sid):
+            used |= self.place.mask_of[pid]
+        ways = min(run.max_ways, self.ways)
+        windows = [((1 << ways) - 1) << s for s in range(self.ways - ways + 1)]
+        return min(windows, key=lambda m: mask_width(m & used))
+
+
+class _Reactive(_Policy):
     """Fixed-interval controller: equal split at admission, then one way per
     tick from the least needy donor to the neediest deficient process.  Masks
-    are repacked contiguously (pid order) on every change, so they never
-    overlap; the need proxy alpha * (max_ways - width) stands in for a
-    hardware miss counter."""
+    are repacked contiguously in pid order on every change; the need proxy
+    alpha * (max_ways - width) stands in for a hardware miss counter.
 
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.socket_of: dict[int, int] = {}
+    Every process holds at least 1 way, as CAT requires a nonempty mask.
+    When a socket holds more processes than ways, each gets 1 way and the
+    masks wrap round-robin in pid order (the i-th pid holds way i mod W), so
+    processes sharing a way split it through the contention rule.  Widths
+    then sum past W, no way is free and no donor has 2 ways, so ticks change
+    nothing until releases free a way or an admission re-splits the socket.
+    """
+
+    def __init__(self, place: _Placement):
+        super().__init__(place)
+        self.runs: dict[int, _Run] = {}
         self.widths: dict[int, int] = {}
-        self.masks: dict[int, int] = {}
-        self.alphas: dict[int, float] = {}
-        self.maxw: dict[int, int] = {}
-
-    def capacity(self):
-        per = {s: 0 for s in range(self.config.sockets)}
-        for pid in self.widths:
-            per[self.socket_of[pid]] += 1
-        return sum(self.config.cores_per_socket - n for n in per.values())
-
-    def _free_cores(self, sid):
-        n = sum(1 for pid in self.widths if self.socket_of[pid] == sid)
-        return self.config.cores_per_socket - n
 
     def admit(self, t, runs):
         for r in runs:
-            sid = max(
-                range(self.config.sockets), key=lambda s: (self._free_cores(s), -s)
-            )
-            self.socket_of[r.pid] = sid
-            self.widths[r.pid] = 0
-            self.alphas[r.pid] = r.alpha
-            self.maxw[r.pid] = r.max_ways
-        touched = {self.socket_of[r.pid] for r in runs}
-        for sid in touched:
-            self._equal_split(sid)
+            self.place.socket_of[r.pid] = self.place.least_loaded()
+            self.runs[r.pid] = r
+        for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
+            pids = self.place.pids_on(sid)
+            base, rem = divmod(self.ways, len(pids))
+            for i, pid in enumerate(pids):
+                self.widths[pid] = max(1, base + (1 if i >= len(pids) - rem else 0))
             self._repack(sid)
-
-    def _socket_pids(self, sid):
-        return sorted(pid for pid in self.widths if self.socket_of[pid] == sid)
-
-    def _equal_split(self, sid):
-        pids = self._socket_pids(sid)
-        if not pids:
-            return
-        w = self.config.ways_per_socket
-        base, rem = divmod(w, len(pids))
-        for i, pid in enumerate(pids):
-            self.widths[pid] = base + (1 if i >= len(pids) - rem else 0)
 
     def _repack(self, sid):
         start = 0
-        for pid in self._socket_pids(sid):
+        for pid in self.place.pids_on(sid):
             w = self.widths[pid]
-            self.masks[pid] = ((1 << w) - 1) << start
+            if start + w > self.ways:
+                start = 0
+            self.place.mask_of[pid] = ((1 << w) - 1) << start
             start += w
 
-    def phase_change(self, t, run):
-        pass
-
-    def process_end(self, t, run):
-        sid = self.socket_of[run.pid]
-        del self.widths[run.pid]
-        del self.masks[run.pid]
+    def release(self, t, run, sid):
+        del self.runs[run.pid], self.widths[run.pid]
         self._repack(sid)
 
     def tick(self, t):
-        for sid in range(self.config.sockets):
-            pids = self._socket_pids(sid)
+        for sid in range(self.place.config.sockets):
+            pids = self.place.pids_on(sid)
             if not pids:
                 continue
 
             def proxy(pid):
-                return self.alphas[pid] * max(0, self.maxw[pid] - self.widths[pid])
+                r = self.runs[pid]
+                return r.alpha * max(0, r.max_ways - self.widths[pid])
 
             deficient = [pid for pid in pids if proxy(pid) > 0]
             if not deficient:
                 continue
             recipient = min(deficient, key=lambda pid: (-proxy(pid), pid))
-            free = self.config.ways_per_socket - sum(self.widths[p] for p in pids)
+            free = self.ways - sum(self.widths[p] for p in pids)
             if free >= 1:
                 self.widths[recipient] += 1
             else:
@@ -460,15 +332,52 @@ class _ReactiveDriver:
                 self.widths[recipient] += 1
             self._repack(sid)
 
-    def effective(self, run, active_runs):
-        # repacked masks never overlap, so a process owns its width outright
-        return mask_width(self.masks[run.pid])
 
-    def snapshot(self):
-        out = {}
-        for pid in sorted(self.widths):
-            out[pid] = (self.alphas[pid], self.maxw[pid], self.widths[pid])
-        return out
+class _ComCas(_Policy):
+    """The Apportioner places every arrival and owns its masks; after each
+    operation the placement reads them back."""
+
+    def __init__(self, place: _Placement):
+        super().__init__(place)
+        self.ap = Apportioner(place.config)
+
+    def admit(self, t, runs):
+        self.ap.ipca_batch(t, [
+            (r.pid, r.alpha, r.max_ways, r.phase.attrs, r.phase.attrs.predicted_time())
+            for r in runs
+        ])
+        self._read_back()
+
+    def phase_change(self, t, run):
+        self.ap.pcca(t, run.pid, run.phase.attrs, run.phase.attrs.predicted_time())
+        self._read_back()
+
+    def release(self, t, run, sid):
+        self.ap.release_process(t, run.pid)
+        self._read_back()
+
+    def _read_back(self):
+        for sock in self.ap.sockets:
+            for clos in sock.clos:
+                for pid in clos.members:
+                    self.place.socket_of[pid] = sock.sid
+                    self.place.mask_of[pid] = clos.mask
+
+    def row(self, run):
+        p = self.ap.procs[run.pid]
+        return (p.alpha, p.req_ways, self.ap.granted_ways(run.pid))
+
+    def log(self):
+        ap = self.ap
+        return ap.records, ap.apportion_count, ap.max_clos_group_size, ap.warnings
+
+
+_POLICIES = {
+    "comcas": _ComCas,
+    "unpartitioned": _Unpartitioned,
+    "maxways": _MaxWays,
+    "reactive": _Reactive,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +403,15 @@ class _Run:
         return self.spec.phases[self.phase_idx]
 
 
-def _make_driver(policy: Policy, config: SystemConfig):
-    if policy.kind == "comcas":
-        return _ComCasDriver(config)
-    if policy.kind == "unpartitioned":
-        return _UnpartitionedDriver(config)
-    if policy.kind == "maxways":
-        return _MaxWaysStaticDriver(config)
-    return _ReactiveDriver(config)
-
-
 def run_mix(
     mix: MixSpec, policy: Policy, config: SystemConfig | None = None
 ) -> SimReport:
     """Co-execute the mix under one policy; fully deterministic."""
     validate_mix(mix)
     cfg = mix_config(mix, config)
-    driver = _make_driver(policy, cfg)
+    place = _Placement(cfg)
+    ctl = _POLICIES[policy.kind](place)
+    tick_ns = policy.interval_ns if policy.kind == "reactive" else None
 
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
@@ -525,29 +426,35 @@ def run_mix(
     completions: dict[int, float] = {}
     width_timeline: list[tuple[float, dict]] = []
     now = 0.0
-    tick_no = 0  # completed reactive ticks
+    tick_no = 0  # completed rebalancing ticks
 
     def refresh_speeds():
-        active_runs = [runs[p] for p in sorted(active)]
-        for r in active_runs:
-            eff = driver.effective(r, active_runs)
-            r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)
+        reuse = {pid: runs[pid].phase.attrs.reuse is ReuseClass.REUSE for pid in active}
+        claims = [[0] * cfg.ways_per_socket for _ in range(cfg.sockets)]
+        for pid in active:
+            if reuse[pid]:
+                row, mask = claims[place.socket_of[pid]], place.mask_of[pid]
+                for way in range(mask.bit_length()):
+                    row[way] += mask >> way & 1
+        for pid in active:
+            eff = effective_ways(place.mask_of[pid], claims[place.socket_of[pid]], reuse[pid])
+            runs[pid].speed = phase_speed(runs[pid].phase, eff, cfg.dm_penalty)
 
     def snapshot(t):
-        snap = driver.snapshot()
+        snap = {pid: ctl.row(runs[pid]) for pid in sorted(place.mask_of)}
         if not width_timeline or width_timeline[-1][1] != snap:
             width_timeline.append((t, snap))
 
     def admit(t, pids):
         """Admit in pid order up to capacity; the rest wait for a release."""
         pids = sorted(pids)
-        room = driver.capacity()
+        room = sum(place.free_cores(s) for s in range(cfg.sockets))
         batch, rest = pids[:room], pids[room:]
         if batch:
             for pid in batch:
                 runs[pid].started_at = t
                 runs[pid].work_rem = runs[pid].phase.work
-            driver.admit(t, [runs[pid] for pid in batch])
+            ctl.admit(t, [runs[pid] for pid in batch])
             active.extend(batch)
             active.sort()
         waiting.extend(rest)
@@ -560,8 +467,8 @@ def run_mix(
         cands = list(end_at.values())
         if pending:
             cands.append(pending[0][0])
-        if policy.kind == "reactive" and active:
-            cands.append((tick_no + 1) * policy.interval_ns)
+        if tick_ns and active:
+            cands.append((tick_no + 1) * tick_ns)
         if not cands:
             raise TraceError(
                 "mix %r: waiting processes can never be admitted" % mix.name
@@ -583,21 +490,19 @@ def run_mix(
             if r.phase_idx + 1 < len(r.spec.phases):
                 r.phase_idx += 1
                 r.work_rem = r.phase.work
-                driver.phase_change(now, r)
+                ctl.phase_change(now, r)
             else:
                 active.remove(pid)
                 completions[pid] = now - r.started_at
-                driver.process_end(now, r)
+                sid = place.socket_of.pop(pid)
+                del place.mask_of[pid]
+                ctl.release(now, r, sid)
                 released = True
 
-        # reactive rebalance settles after the phase events of this instant
-        if (
-            policy.kind == "reactive"
-            and active
-            and t >= (tick_no + 1) * policy.interval_ns
-        ):
+        # a rebalancing tick settles after the phase events of this instant
+        if tick_ns and active and t >= (tick_no + 1) * tick_ns:
             tick_no += 1
-            driver.tick(now)
+            ctl.tick(now)
 
         # admissions due now, plus deferred ones once a slot opened
         due = []
@@ -618,20 +523,13 @@ def run_mix(
             if proc.unmixed_ns is not None
             else run_unmixed(proc, cfg)
         )
-
-    if isinstance(driver, _ComCasDriver):
-        records = driver.ap.records
-        apportions = driver.ap.apportion_count
-        max_group = driver.ap.max_clos_group_size
-        warnings = driver.ap.warnings
-    else:
-        records, apportions, max_group, warnings = [], 0, 1, []
+    records, apportions, max_group, warnings = ctl.log()
 
     return SimReport(
         mix_name=mix.name,
         category=mix.category,
         policy=policy.kind,
-        interval_ns=policy.interval_ns if policy.kind == "reactive" else None,
+        interval_ns=tick_ns,
         completions=completions,
         unmixed=unmixed,
         records=records,

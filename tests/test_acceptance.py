@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 
+import cacheways
 from cacheways.apportion import AdmissionRejected, Apportioner, SystemConfig
 from cacheways.formats import read_mix
 from cacheways.loops import (
@@ -441,6 +442,11 @@ def test_c09_sla_and_fairness():
 
 def test_c10_determinism(tmp_path):
     mixpath = os.path.abspath(os.path.join(MIXDIR, "heavy", "h3-triple.mix"))
+    # the child runs in a scratch directory, so a relative PYTHONPATH would
+    # not find the package under test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cacheways.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     logs = []
     for k in range(2):
@@ -450,6 +456,7 @@ def test_c10_determinism(tmp_path):
             [sys.executable, "-m", "cacheways.cli", "simulate", "--mix", mixpath, "--log", "alloc.csv"],
             capture_output=True,
             cwd=str(workdir),
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

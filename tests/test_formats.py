@@ -383,6 +383,32 @@ def test_mix_errors(tmp_path):
         read_mix(write_text(tmp_path, "e.mix", "format-version 1\nblend m light\n"))
 
 
+FINITE_MIX = """format-version 1
+mix m light
+config dm_penalty 1.25
+process 0
+start 0
+phase hot 100 reuse 1024
+point 2 100
+end
+"""
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("start 0", "start nan"),
+    ("phase hot 100 reuse 1024", "phase hot inf reuse 1024"),
+    ("point 2 100", "point 2 nan"),
+    ("config dm_penalty 1.25", "config dm_penalty nan"),
+], ids=["start", "work", "point", "config"])
+def test_mix_rejects_non_finite_numbers(tmp_path, line, bad):
+    lines = FINITE_MIX.splitlines()
+    no = lines.index(line)
+    lines[no] = bad
+    path = write_text(tmp_path, "nf.mix", "\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=r"nf\.mix:%d: " % (no + 1)):
+        read_mix(path)
+
+
 # -- events ----------------------------------------------------------------------
 
 EVENTS_TEXT = """format-version 1

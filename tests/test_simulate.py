@@ -2,6 +2,7 @@
 with power-of-two phase times so the arithmetic is exact in floats."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cacheways.apportion import SystemConfig
 from cacheways.errors import TraceError
@@ -60,20 +61,33 @@ def test_phase_speed_rejects_zero_ways():
 
 
 def test_effective_ways_splits_reuse_only():
-    r = ReuseClass.REUSE
-    s = ReuseClass.STREAM
-    assert effective_ways(11, [(0, r)], 0) == 11
-    assert effective_ways(11, [(0, r), (1, r)], 0) == 5
-    assert effective_ways(11, [(0, r), (1, r), (2, r)], 1) == 3
-    # streams see the full region, and do not dilute the reuse share
-    assert effective_ways(11, [(0, s), (1, r)], 0) == 11
-    assert effective_ways(11, [(0, s), (1, r)], 1) == 11
-    assert effective_ways(1, [(0, r), (1, r), (2, r)], 0) == 1
+    # (mask, reuse claims per way, reuse?, expected effective ways)
+    full11, full6 = (1 << 11) - 1, (1 << 6) - 1
+    cases = [
+        (full11, [1] * 11, True, 11),
+        (full11, [2] * 11, True, 5),
+        (full11, [3] * 11, True, 3),
+        # streams see the full mask, and do not dilute the reuse share
+        (full11, [1] * 11, False, 11),
+        (full11, [0] * 11, False, 11),
+        # never below one way
+        (0x1, [3], True, 1),
+        # exact floors where a float sum of 1/k lands just below the integer
+        (full6, [3] * 6, True, 2),
+        ((1 << 10) - 1, [5] * 10, True, 2),
+        ((1 << 14) - 1, [7] * 14, True, 2),
+        ((1 << 15) - 1, [3] * 15, True, 5),
+        # a partial overlap: one way alone plus three shared by two -> 2.5
+        (0xF0, [0, 0, 0, 0, 1, 2, 2, 2, 0, 0, 0], True, 2),
+    ]
+    for mask, claims, reuse, expected in cases:
+        assert effective_ways(mask, claims, reuse) == expected, (mask, claims, reuse)
 
 
 def test_effective_ways_requires_membership():
+    # a reuse phase is itself a claimant of every way it holds
     with pytest.raises(TraceError):
-        effective_ways(11, [(0, ReuseClass.REUSE)], 7)
+        effective_ways(0x3, [1, 0], True)
 
 
 def test_run_unmixed_sums_full_width_times():
@@ -111,9 +125,13 @@ def test_validate_mix_rejects_empty_and_duplicates():
         validate_mix(mix_of(p, p))
     with pytest.raises(TraceError, match="no phases"):
         validate_mix(mix_of(ProcessSpec(pid=0, phases=())))
-    bad = ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}, work=0.0),))
-    with pytest.raises(TraceError, match="work"):
-        validate_mix(mix_of(bad))
+    for work in (0.0, float("nan"), float("inf")):
+        bad = ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}, work=work),))
+        with pytest.raises(TraceError, match="work"):
+            validate_mix(mix_of(bad))
+    late = ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}),), start_ns=float("nan"))
+    with pytest.raises(TraceError, match="start"):
+        validate_mix(mix_of(late))
 
 
 def test_policy_validation():
@@ -292,6 +310,23 @@ def test_maxways_static_overlap_contention():
     assert rep.records == []
 
 
+@pytest.mark.parametrize("ways, sharers", [(6, 3), (10, 5), (14, 7), (15, 3)])
+def test_maxways_full_mask_sharers_match_unpartitioned(ways, sharers):
+    # every process holds all the ways, so each gets exactly ways // sharers
+    # of them under both policies; t(k) = 1024 at k = ways // sharers, and
+    # one way fewer is slower
+    k = ways // sharers
+    curve = {2: 1024.0} if k == 2 else {2: 2048.0, k: 1024.0}
+    procs = [
+        ProcessSpec(pid=i, phases=(phase("p%d" % i, MIB, curve),), alpha=1.0, max_ways=ways)
+        for i in range(sharers)
+    ]
+    m = mix_of(*procs, sockets=1, ways_per_socket=ways)
+    expected = {i: 1024.0 for i in range(sharers)}
+    assert run_mix(m, Policy("maxways")).completions == expected
+    assert run_mix(m, Policy("unpartitioned")).completions == expected
+
+
 # -- engine: reactive ---------------------------------------------------------
 
 def reactive_mix():
@@ -334,6 +369,20 @@ def test_reactive_release_keeps_widths():
     assert prev == {1: (0.0, 2, 1)}
 
 
+def test_reactive_floor_gives_every_process_one_way():
+    # five processes on three ways: each holds one way, pids 0/3 and 1/4
+    # share theirs, and all run at the one-way penalty t(2) * 1.25 = 500.
+    # They all want more, but no way is free and no donor holds two.
+    procs = [
+        ProcessSpec(pid=i, phases=(phase("p%d" % i, MIB, {2: 400.0}),), alpha=1.0, max_ways=3)
+        for i in range(5)
+    ]
+    m = mix_of(*procs, sockets=1, ways_per_socket=3)
+    rep = run_mix(m, Policy("reactive", interval_ns=100.0))
+    assert rep.completions == {i: 500.0 for i in range(5)}
+    assert rep.width_timeline[0] == (0.0, {i: (1.0, 3, 1) for i in range(5)})
+
+
 # -- determinism --------------------------------------------------------------
 
 @pytest.mark.parametrize("policy", [
@@ -350,3 +399,50 @@ def test_run_mix_deterministic(policy):
     assert a.end_time == b.end_time
     assert a.records == b.records
     assert a.width_timeline == b.width_timeline
+
+
+# -- properties over random mixes ---------------------------------------------
+
+def random_mix(rnd):
+    """Geometries within and beyond core and way capacity, non-increasing
+    curves, staggered starts, derived or explicit sensitivity."""
+    ways = rnd.randint(2, 12)
+    procs = []
+    for pid in range(rnd.randint(1, 40)):
+        phases = []
+        for k in range(rnd.randint(1, 4)):
+            t, curve = float(rnd.randint(64, 4096)), {}
+            for w in range(2, ways + 1):
+                curve[w] = t
+                t = max(1.0, t - rnd.randint(0, 512))
+            reuse = rnd.choice((ReuseClass.REUSE, ReuseClass.STREAM))
+            nbytes = rnd.choice((MIB // 4, MIB, 8 * MIB, 32 * MIB))
+            phases.append(phase("p%d.%d" % (pid, k), nbytes, curve, rnd.choice((0.5, 1.0, 3.0)), reuse))
+        explicit = rnd.random() < 0.5
+        procs.append(ProcessSpec(
+            pid=pid,
+            phases=tuple(phases),
+            start_ns=float(rnd.choice((0, rnd.randint(0, 8000)))),
+            alpha=rnd.uniform(0.0, 3.0) if explicit else None,
+            max_ways=rnd.randint(1, ways) if explicit else None,
+        ))
+    return mix_of(
+        *procs, sockets=rnd.randint(1, 3), cores_per_socket=rnd.randint(1, 14),
+        ways_per_socket=ways,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_every_policy_completes_random_mixes(rnd):
+    m = random_mix(rnd)
+    policies = [Policy(k) for k in ("comcas", "unpartitioned", "maxways")]
+    policies.append(Policy("reactive", interval_ns=rnd.choice((50.0, 700.0, 5e8))))
+    for pol in policies:
+        rep = run_mix(m, pol)
+        assert sorted(rep.completions) == [p.pid for p in m.processes]
+        times = [t for t, _ in rep.width_timeline]
+        assert times == sorted(times)
+        for pid, done in rep.completions.items():
+            assert done >= rep.unmixed[pid] * (1 - 1e-9), (pol.kind, pid)
+        assert run_mix(m, pol) == rep
