@@ -55,6 +55,8 @@ class SystemConfig:
             raise SchemaError("clos_occupancy_threshold must be in (0, 1)")
         if self.sockets < 1 or self.cores_per_socket < 1 or self.clos_per_socket < 1:
             raise SchemaError("socket geometry must be positive")
+        if self.line_size < 1:
+            raise SchemaError("line_size must be >= 1")
 
 
 class Scenario(Enum):

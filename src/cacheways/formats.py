@@ -1,18 +1,31 @@
 """Readers and writers for the on-disk text formats.
 
-Every structured file is line oriented: blank lines and `#` comments are
-skipped, the first meaningful line must be `format-version 1`, and tokens are
-whitespace separated.  Floats are written with %.17g so a write/read round
-trip is value-exact.  The allocation log is plain CSV with a fixed column
-set.
+Every structured file follows one line grammar.  Blank lines and `#`
+comments are skipped, the first meaningful line must be `format-version 1`,
+and every other line is one keyword followed by whitespace-separated
+arguments.  `_KEYWORDS` is the whole grammar: for each keyword, the types of
+its arguments (a name, an int, a finite float, `stream|reuse`, the literal
+`estimated`, possibly a repeated tail) and a usage string for errors.
+
+One reader, `_Reader`, checks every keyword, arity, type and finiteness
+against that table and hands back typed lines with their line numbers; nests,
+curves and attrs share one `opener <name> ... end` block splitter.  Any
+malformed line, a truncated one included, raises SchemaError naming the file
+and line.  The `read_*` functions only assemble objects from typed lines.
+
+The writers render through the same table: ints with %d, reuse classes by
+name and floats with %.17g, so a write/read round trip is value-exact.  The
+allocation log is plain CSV with a fixed column set.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
-from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from .apportion import AllocationRecord, Scenario, SystemConfig, format_mask
 from .errors import SchemaError
@@ -27,79 +40,253 @@ from .loops import (
     ReuseClass,
     Statement,
 )
-from .sensitivity import (
-    ProbeAttributes,
-    WayTimeCurve,
-    compute_alpha,
-    detect_max_ways,
-)
+from .sensitivity import ProbeAttributes, WayTimeCurve, compute_alpha, detect_max_ways
 from .simulate import MixSpec, PhaseSpec, ProcessSpec
 from .timing import TimingModel, TrainingSample
 
 FORMAT_VERSION = 1
 
 ALLOC_LOG_COLUMNS = (
-    "timestamp",
-    "pid",
-    "event",
-    "socket",
-    "clos",
-    "bitmask",
-    "scenario",
-    "satisfied",
+    "timestamp", "pid", "event", "socket", "clos", "bitmask", "scenario", "satisfied",
 )
+_ALLOC_LOG_TYPES = ("float", "int", "name", "int", "int", "mask", "name", "int")
 
 
 def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
-@dataclass
-class _Line:
-    no: int
-    tokens: list[str]
+# ---------------------------------------------------------------------------
+# the grammar
+# ---------------------------------------------------------------------------
+
+def _finite(tok: str) -> float:
+    val = float(tok)
+    if not math.isfinite(val):
+        raise ValueError(tok)
+    return val
+
+
+def _estimated(tok: str) -> str:
+    if tok != "estimated":
+        raise ValueError(tok)
+    return tok
+
+
+# type: (converter raising ValueError on a bad token, renderer, description)
+_TYPES = {
+    "name": (str, str, "a name"),
+    "int": (int, "%d".__mod__, "an integer"),
+    "float": (_finite, fmt_float, "a finite number"),
+    "reuse": (ReuseClass, attrgetter("value"), "stream|reuse"),
+    "estimated": (_estimated, str, "'estimated'"),
+    "mask": (partial(int, base=16), None, "a hex mask"),
+}
+
+# keyword: (argument types, usage).  "[t]" is an optional last argument and
+# "(t ...)..." a group repeated to the end of the line.  A config value has
+# the type of its key's SystemConfig field.
+_KEYWORDS = {
+    "nest": ("name", "name"),
+    "array": ("name int int", "name extent element-size"),
+    "loop": ("name int [estimated]", "index-name bound [estimated]"),
+    "stmt": ("int", "depth"),
+    "access": (
+        "name name int int (name int)...",
+        "array kind element-size const (index coeff)...",
+    ),
+    "access-indirect": ("name name int", "array kind element-size"),
+    "curve": ("name", "name"),
+    "point": ("int float", "ways time"),
+    "attrs": ("name", "phase-id"),
+    "footprint": ("int int int", "bytes lines exact"),
+    "reuse": ("reuse", "stream|reuse"),
+    "alpha": ("float", "value"),
+    "max-ways": ("int", "ways"),
+    "fixed-ns": ("float", "ns"),
+    "timing": ("float float (float)...", "residual c0 [c1 ...]"),
+    "sample": ("float float (float)...", "bounds... observed-time"),
+    "residual": ("float", "value"),
+    "coefficients": ("(float)...", "c0 [c1 ...]"),
+    "config": ("name name", "key value"),
+    "mix": ("name name", "name category"),
+    "process": ("int", "pid"),
+    "start": ("float", "ns"),
+    "unmixed-ns": ("float", "ns"),
+    "phase": ("name float reuse int", "id work stream|reuse footprint-bytes"),
+    "ipca": (
+        "float int float int int reuse float",
+        "t pid alpha max-ways bytes stream|reuse predicted",
+    ),
+    "pcca": ("float int int reuse float", "t pid bytes stream|reuse predicted"),
+    "release": ("float int", "t pid"),
+    "end": ("", "no arguments"),
+}
+
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
+
+_SHAPES: dict = {}
+
+
+def _shape(kw: str, n: int):
+    """(types, converters, renderers) of a `kw` line with n arguments, or
+    None when the grammar does not allow n.  Cached per (kw, n), since the
+    reader asks once per line."""
+    key = (kw, n)
+    if key not in _SHAPES:
+        spec = _KEYWORDS[kw][0]
+        fixed, _, tail = spec.replace("[", "(").partition("(")
+        fixed, tail = fixed.split(), tail.strip(".)]").split()
+        extra = n - len(fixed)
+        reps = extra // len(tail) if tail and extra > 0 else 0
+        if extra == reps * len(tail) and (reps <= 1 or "[" not in spec):
+            types = fixed + tail * reps
+            _SHAPES[key] = (
+                types, [_TYPES[t][0] for t in types], [_TYPES[t][1] for t in types]
+            )
+        else:
+            _SHAPES[key] = None
+    return _SHAPES[key]
+
+
+def _fail(path: str, no: int, msg: str):
+    raise SchemaError("%s:%d: %s" % (path, no, msg))
+
+
+def _value(path: str, no: int, label: str, typ: str, tok: str):
+    """One token converted to `typ`, or a SchemaError at path:no."""
+    try:
+        return _TYPES[typ][0](tok)
+    except ValueError:
+        _fail(path, no, "%s: bad value %r, expected %s" % (label, tok, _TYPES[typ][2]))
+
+
+def _text(path: str) -> str:
+    """The file's text with every line ending made \\n; bytes that are not
+    UTF-8 are a SchemaError at their line."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(path, data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
 
 
 class _Reader:
-    def __init__(self, path: str):
+    """The typed lines of one file after its version line, each a tuple
+    (line number, keyword, converted arguments).  Only `keywords` may
+    appear, and `first`, when given, must open the file."""
+
+    def __init__(self, path: str, keywords, first: str | None = None):
         self.path = path
-        self.lines: list[_Line] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for no, raw in enumerate(fh, start=1):
-                text = raw.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                self.lines.append(_Line(no, text.split()))
-        if not self.lines:
-            raise SchemaError("%s: empty file" % path)
-        first = self.lines[0]
-        if first.tokens != ["format-version", str(FORMAT_VERSION)]:
-            raise SchemaError(
-                "%s:%d: expected 'format-version %d'"
-                % (path, first.no, FORMAT_VERSION)
-            )
-        self.lines = self.lines[1:]
-
-    def fail(self, line: _Line, msg: str):
-        raise SchemaError("%s:%d: %s" % (self.path, line.no, msg))
-
-    def ints(self, line: _Line, toks: list[str]) -> list[int]:
-        try:
-            return [int(t) for t in toks]
-        except ValueError:
-            self.fail(line, "expected integers, got %r" % (toks,))
-
-    def floats(self, line: _Line, toks: list[str]) -> list[float]:
-        vals = []
-        for t in toks:
+        self.lines: list[tuple] = []
+        lines, last = self.lines, 0
+        for no, raw in enumerate(_text(path).split("\n"), start=1):
+            toks = raw.split("#", 1)[0].split()
+            if not toks:
+                continue
+            if not last:
+                if toks != ["format-version", str(FORMAT_VERSION)]:
+                    self.fail(no, "expected 'format-version %d'" % FORMAT_VERSION)
+                last = no
+                continue
+            last = no
+            kw, args = toks[0], toks[1:]
+            if first and not lines:
+                if kw != first:
+                    self.fail(no, "expected: %s %s" % (first, _KEYWORDS[first][1]))
+            elif kw not in keywords:
+                self.fail(no, "unknown keyword %r" % kw)
+            shape = _SHAPES.get((kw, len(args))) or _shape(kw, len(args))
+            if shape is None:
+                self.fail(no, "%s takes %s" % (kw, _KEYWORDS[kw][1]))
             try:
-                v = float(t)
+                vals = [conv(tok) for conv, tok in zip(shape[1], args)]
             except ValueError:
-                v = math.nan
-            if not math.isfinite(v):
-                self.fail(line, "expected finite numbers, got %r" % (toks,))
-            vals.append(v)
-        return vals
+                for typ, tok in zip(shape[0], args):
+                    _value(path, no, kw, typ, tok)
+            if kw == "config":
+                vals[1] = self._setting(no, *vals)
+            lines.append((no, kw, vals))
+        if not last:
+            raise SchemaError("%s: empty file" % path)
+        self.last = last  # number of the last meaningful line
+        if first and not lines:
+            self.fail(last, "expected: %s %s" % (first, _KEYWORDS[first][1]))
+
+    def _setting(self, no: int, key: str, tok: str):
+        """A config value, typed by its key's SystemConfig field."""
+        if key not in _CONFIG_TYPES:
+            self.fail(no, "unknown config key %r" % key)
+        return _value(self.path, no, "config " + key, _CONFIG_TYPES[key], tok)
+
+    def fail(self, no: int, msg: str):
+        _fail(self.path, no, msg)
+
+    def build(self, no: int, what: str, make, *args, **kwargs):
+        """make(...), with any SchemaError it raises pinned to line `no`."""
+        try:
+            return make(*args, **kwargs)
+        except SchemaError as exc:
+            self.fail(no, "%s: %s" % (what, exc))
+
+
+def _blocks(rd: _Reader, opener: str):
+    """Split the lines into `opener <name> ... end` blocks; yields (name,
+    opener line number, body lines, end line number) for each."""
+    head = None
+    for line in rd.lines:
+        no, kw, args = line
+        if kw == opener:
+            if head is not None:
+                rd.fail(no, "previous %s not closed with 'end'" % opener)
+            head, body = (args[0], no), []
+        elif head is None:
+            rd.fail(no, "%s outside a %s block" % (kw, opener))
+        elif kw == "end":
+            yield (*head, body, no)
+            head = None
+        else:
+            body.append(line)
+    if head is not None:
+        rd.fail(head[1], "%s %r not closed with 'end'" % (opener, head[0]))
+
+
+def _render(kw: str, *args) -> str:
+    """One `kw` line, each argument rendered by its type in the grammar."""
+    shape = _shape(kw, len(args))
+    if shape is None:
+        raise SchemaError("cannot write %r with %d values" % (kw, len(args)))
+    return " ".join([kw, *[render(a) for render, a in zip(shape[2], args)]])
+
+
+def _config_lines(settings) -> list[str]:
+    """`config key value` lines, each value rendered by its field's type."""
+    return [
+        "config %s %s" % (key, _TYPES[_CONFIG_TYPES[key]][1](val))
+        for key, val in settings
+    ]
+
+
+def _non_default(config: SystemConfig) -> list[tuple]:
+    """(key, value) of each field that differs from the default, in field order."""
+    default = SystemConfig()
+    return [
+        (key, getattr(config, key))
+        for key in _CONFIG_TYPES
+        if getattr(config, key) != getattr(default, key)
+    ]
+
+
+def _config(rd: _Reader, lines) -> tuple[SystemConfig, dict]:
+    """(config, overrides) from `config` lines.  A repeated key keeps its
+    last value; a value SystemConfig rejects is pinned to its line."""
+    overrides, where = {}, {}
+    for no, _, (key, val) in lines:
+        overrides[key], where[key] = val, no
+    for key, val in overrides.items():
+        rd.build(where[key], "config " + key, SystemConfig, **{key: val})
+    return SystemConfig(**overrides), overrides
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -109,16 +296,6 @@ def _write_lines(path: str, lines: list[str]) -> None:
             fh.write(line + "\n")
 
 
-def _reuse_token(line, rd: _Reader | None, tok: str) -> ReuseClass:
-    if tok == "stream":
-        return ReuseClass.STREAM
-    if tok == "reuse":
-        return ReuseClass.REUSE
-    if rd is not None:
-        rd.fail(line, "reuse class must be stream|reuse, got %r" % tok)
-    raise SchemaError("reuse class must be stream|reuse, got %r" % tok)
-
-
 # ---------------------------------------------------------------------------
 # loop nests
 # ---------------------------------------------------------------------------
@@ -126,116 +303,57 @@ def _reuse_token(line, rd: _Reader | None, tok: str) -> ReuseClass:
 def write_nests(nests, path: str) -> None:
     out = []
     for nest in nests:
-        out.append("nest %s" % nest.name)
+        out.append(_render("nest", nest.name))
         for a in nest.arrays:
-            out.append("array %s %d %d" % (a.name, a.extent, a.element_size))
+            out.append(_render("array", a.name, a.extent, a.element_size))
         for lv in nest.loops:
-            est = " estimated" if lv.upper_bound.estimated else ""
-            out.append("loop %s %d%s" % (lv.index_name, lv.upper_bound.value, est))
+            est = ("estimated",) if lv.upper_bound.estimated else ()
+            out.append(_render("loop", lv.index_name, lv.upper_bound.value, *est))
         for stmt in nest.statements:
-            out.append("stmt %d" % stmt.depth)
+            out.append(_render("stmt", stmt.depth))
             for acc in stmt.accesses:
                 if acc.indirect:
                     out.append(
-                        "access-indirect %s %s %d"
-                        % (acc.array, acc.kind, acc.element_size)
+                        _render("access-indirect", acc.array, acc.kind, acc.element_size)
                     )
                 else:
-                    parts = [
-                        "access",
-                        acc.array,
-                        acc.kind,
-                        str(acc.element_size),
-                        str(acc.subscript.const),
-                    ]
-                    for name, c in acc.subscript.coeffs:
-                        parts += [name, str(c)]
-                    out.append(" ".join(parts))
+                    sub = acc.subscript
+                    pairs = [x for pair in sub.coeffs for x in pair]
+                    out.append(
+                        _render("access", acc.array, acc.kind, acc.element_size,
+                                sub.const, *pairs)
+                    )
         out.append("end")
     _write_lines(path, out)
 
 
 def read_nests(path: str) -> list[LoopNest]:
-    rd = _Reader(path)
+    rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
-    name = None
-    loops: list[LoopLevel] = []
-    stmts: list[Statement] = []
-    arrays: list[ArrayDecl] = []
-    cur_accs: list[MemoryAccess] | None = None
-    cur_depth = 0
-
-    def flush_stmt():
-        nonlocal cur_accs
-        if cur_accs is not None:
-            stmts.append(Statement(tuple(cur_accs), cur_depth))
-            cur_accs = None
-
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw == "nest":
-            if name is not None:
-                rd.fail(line, "previous nest not closed with 'end'")
-            if len(args) != 1:
-                rd.fail(line, "nest takes one name")
-            name = args[0]
-        elif name is None:
-            rd.fail(line, "%r outside a nest" % kw)
-        elif kw == "array":
-            if len(args) != 3:
-                rd.fail(line, "array takes name extent element-size")
-            extent, es = rd.ints(line, args[1:])
-            arrays.append(ArrayDecl(args[0], extent, es))
-        elif kw == "loop":
-            est = False
-            if args and args[-1] == "estimated":
-                est = True
-                args = args[:-1]
-            if len(args) != 2:
-                rd.fail(line, "loop takes index-name bound [estimated]")
-            (bound,) = rd.ints(line, args[1:])
-            loops.append(LoopLevel(args[0], Bound(bound, est)))
-        elif kw == "stmt":
-            flush_stmt()
-            if len(args) != 1:
-                rd.fail(line, "stmt takes a depth")
-            (cur_depth,) = rd.ints(line, args)
-            cur_accs = []
-        elif kw in ("access", "access-indirect"):
-            if cur_accs is None:
-                rd.fail(line, "access outside a stmt")
-            if kw == "access-indirect":
-                if len(args) != 3:
-                    rd.fail(line, "access-indirect takes array kind element-size")
-                (es,) = rd.ints(line, args[2:])
-                cur_accs.append(MemoryAccess(args[0], es, None, args[1]))
+    for name, _, body, end in _blocks(rd, "nest"):
+        loops, stmts, arrays = [], [], []
+        for no, kw, args in body:
+            if kw == "array":
+                arrays.append(ArrayDecl(*args))
+            elif kw == "loop":
+                index, bound, *est = args
+                bound = rd.build(no, "loop " + index, Bound, bound, bool(est))
+                loops.append(LoopLevel(index, bound))
+            elif kw == "stmt":
+                stmts.append(([], args[0]))
+            elif not stmts:
+                rd.fail(no, "%s outside a stmt" % kw)
+            elif kw == "access":
+                array, kind, size, const, *pairs = args
+                sub = Affine(const, tuple(zip(pairs[::2], pairs[1::2])))
+                stmts[-1][0].append(MemoryAccess(array, size, sub, kind))
             else:
-                if len(args) < 4 or len(args) % 2 != 0:
-                    rd.fail(
-                        line,
-                        "access takes array kind element-size const (index coeff)...",
-                    )
-                es, const = rd.ints(line, args[2:4])
-                coeffs = []
-                rest = args[4:]
-                for i in range(0, len(rest), 2):
-                    (c,) = rd.ints(line, [rest[i + 1]])
-                    coeffs.append((rest[i], c))
-                cur_accs.append(
-                    MemoryAccess(args[0], es, Affine(const, tuple(coeffs)), args[1])
-                )
-        elif kw == "end":
-            flush_stmt()
-            if not loops:
-                rd.fail(line, "nest %r has no loops" % name)
-            nests.append(
-                LoopNest(name, tuple(loops), tuple(stmts), tuple(arrays))
-            )
-            name, loops, stmts, arrays = None, [], [], []
-        else:
-            rd.fail(line, "unknown keyword %r" % kw)
-    if name is not None:
-        raise SchemaError("%s: nest %r not closed with 'end'" % (path, name))
+                array, kind, size = args
+                stmts[-1][0].append(MemoryAccess(array, size, None, kind))
+        if not loops:
+            rd.fail(end, "nest %r has no loops" % name)
+        statements = tuple(Statement(tuple(accs), depth) for accs, depth in stmts)
+        nests.append(LoopNest(name, tuple(loops), statements, tuple(arrays)))
     return nests
 
 
@@ -246,48 +364,20 @@ def read_nests(path: str) -> list[LoopNest]:
 def write_curves(curves: dict[str, WayTimeCurve], path: str) -> None:
     out = []
     for name in sorted(curves):
-        out.append("curve %s" % name)
-        for w, t in curves[name].points:
-            out.append("point %d %s" % (w, fmt_float(t)))
+        out.append(_render("curve", name))
+        out += [_render("point", w, t) for w, t in curves[name].points]
         out.append("end")
     _write_lines(path, out)
 
 
 def read_curves(path: str) -> dict[str, WayTimeCurve]:
-    rd = _Reader(path)
+    rd = _Reader(path, {"curve", "point", "end"})
     curves: dict[str, WayTimeCurve] = {}
-    name = None
-    pts: list[tuple[int, float]] = []
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw == "curve":
-            if name is not None:
-                rd.fail(line, "previous curve not closed")
-            if len(args) != 1:
-                rd.fail(line, "curve takes one name")
-            name = args[0]
-            if name in curves:
-                rd.fail(line, "duplicate curve %r" % name)
-        elif kw == "point":
-            if name is None:
-                rd.fail(line, "point outside a curve")
-            if len(args) != 2:
-                rd.fail(line, "point takes ways time")
-            (w,) = rd.ints(line, args[:1])
-            (t,) = rd.floats(line, args[1:])
-            pts.append((w, t))
-        elif kw == "end":
-            if name is None:
-                rd.fail(line, "end outside a curve")
-            try:
-                curves[name] = WayTimeCurve(tuple(sorted(pts)))
-            except SchemaError as exc:
-                rd.fail(line, "curve %r: %s" % (name, exc))
-            name, pts = None, []
-        else:
-            rd.fail(line, "unknown keyword %r" % kw)
-    if name is not None:
-        raise SchemaError("%s: curve %r not closed" % (path, name))
+    for name, no, body, end in _blocks(rd, "curve"):
+        if name in curves:
+            rd.fail(no, "duplicate curve %r" % name)
+        points = tuple(sorted((w, t) for _, _, (w, t) in body))
+        curves[name] = rd.build(end, "curve %r" % name, WayTimeCurve, points)
     return curves
 
 
@@ -300,75 +390,42 @@ def write_attributes(attrs, path: str) -> None:
     items = list(attrs.values()) if isinstance(attrs, dict) else list(attrs)
     out = []
     for a in items:
-        out.append("attrs %s" % a.phase_id)
-        out.append("footprint %d %d %d" % (a.footprint.bytes, a.footprint.lines, int(a.footprint.exact)))
-        out.append("reuse %s" % a.reuse.value)
-        out.append("alpha %s" % fmt_float(a.alpha))
-        out.append("max-ways %d" % a.max_ways)
+        fp = a.footprint
+        out.append(_render("attrs", a.phase_id))
+        out.append(_render("footprint", fp.bytes, fp.lines, fp.exact))
+        out.append(_render("reuse", a.reuse))
+        out.append(_render("alpha", a.alpha))
+        out.append(_render("max-ways", a.max_ways))
         if a.fixed_ns is not None:
-            out.append("fixed-ns %s" % fmt_float(a.fixed_ns))
+            out.append(_render("fixed-ns", a.fixed_ns))
         if a.timing is not None:
-            coefs = " ".join(fmt_float(c) for c in a.timing.coefficients)
-            out.append("timing %s %s" % (fmt_float(a.timing.fit_residual), coefs))
+            out.append(_render("timing", a.timing.fit_residual, *a.timing.coefficients))
         out.append("end")
     _write_lines(path, out)
 
 
 def read_attributes(path: str) -> dict[str, ProbeAttributes]:
-    rd = _Reader(path)
+    keywords = {"attrs", "footprint", "reuse", "alpha", "max-ways", "fixed-ns", "timing", "end"}
+    rd = _Reader(path, keywords)
     result: dict[str, ProbeAttributes] = {}
-    cur: dict | None = None
-
-    def close(line):
-        pid = cur["phase_id"]
-        for key in ("footprint", "reuse", "alpha", "max_ways"):
-            if key not in cur:
-                rd.fail(line, "attrs %r missing %s" % (pid, key.replace("_", "-")))
-        result[pid] = ProbeAttributes(
-            phase_id=pid,
-            footprint=cur["footprint"],
-            reuse=cur["reuse"],
-            alpha=cur["alpha"],
-            max_ways=cur["max_ways"],
-            timing=cur.get("timing"),
-            fixed_ns=cur.get("fixed_ns"),
+    for phase_id, no, body, end in _blocks(rd, "attrs"):
+        if phase_id in result:
+            rd.fail(no, "duplicate attrs %r" % phase_id)
+        got = {kw: args for _, kw, args in body}
+        for kw in ("footprint", "reuse", "alpha", "max-ways"):
+            if kw not in got:
+                rd.fail(end, "attrs %r missing %s" % (phase_id, kw))
+        nbytes, lines, exact = got["footprint"]
+        timing = got.get("timing")
+        result[phase_id] = ProbeAttributes(
+            phase_id=phase_id,
+            footprint=FootprintValue(nbytes, lines, bool(exact)),
+            reuse=got["reuse"][0],
+            alpha=got["alpha"][0],
+            max_ways=got["max-ways"][0],
+            timing=None if timing is None else TimingModel(tuple(timing[1:]), timing[0]),
+            fixed_ns=got.get("fixed-ns", [None])[0],
         )
-
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw == "attrs":
-            if cur is not None:
-                rd.fail(line, "previous attrs not closed")
-            if len(args) != 1:
-                rd.fail(line, "attrs takes one phase id")
-            if args[0] in result:
-                rd.fail(line, "duplicate attrs %r" % args[0])
-            cur = {"phase_id": args[0]}
-        elif cur is None:
-            rd.fail(line, "%r outside an attrs block" % kw)
-        elif kw == "footprint":
-            b, l, ex = rd.ints(line, args)
-            cur["footprint"] = FootprintValue(b, l, bool(ex))
-        elif kw == "reuse":
-            cur["reuse"] = _reuse_token(line, rd, args[0])
-        elif kw == "alpha":
-            (cur["alpha"],) = rd.floats(line, args)
-        elif kw == "max-ways":
-            (cur["max_ways"],) = rd.ints(line, args)
-        elif kw == "fixed-ns":
-            (cur["fixed_ns"],) = rd.floats(line, args)
-        elif kw == "timing":
-            vals = rd.floats(line, args)
-            if len(vals) < 2:
-                rd.fail(line, "timing takes residual c0 [c1 ...]")
-            cur["timing"] = TimingModel(tuple(vals[1:]), vals[0])
-        elif kw == "end":
-            close(line)
-            cur = None
-        else:
-            rd.fail(line, "unknown keyword %r" % kw)
-    if cur is not None:
-        raise SchemaError("%s: attrs %r not closed" % (path, cur["phase_id"]))
     return result
 
 
@@ -377,96 +434,45 @@ def read_attributes(path: str) -> dict[str, ProbeAttributes]:
 # ---------------------------------------------------------------------------
 
 def write_samples(samples, path: str) -> None:
-    out = []
-    for s in samples:
-        toks = [fmt_float(b) for b in s.bounds] + [fmt_float(s.observed_time)]
-        out.append("sample " + " ".join(toks))
-    _write_lines(path, out)
+    _write_lines(path, [_render("sample", *s.bounds, s.observed_time) for s in samples])
 
 
 def read_samples(path: str) -> list[TrainingSample]:
-    rd = _Reader(path)
-    samples = []
-    depth = None
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw != "sample":
-            rd.fail(line, "unknown keyword %r" % kw)
-        if len(args) < 2:
-            rd.fail(line, "sample takes bounds... observed-time")
-        vals = rd.floats(line, args)
-        if depth is None:
-            depth = len(vals) - 1
-        elif len(vals) - 1 != depth:
-            rd.fail(line, "sample arity %d != %d" % (len(vals) - 1, depth))
-        samples.append(TrainingSample(tuple(vals[:-1]), vals[-1]))
+    rd = _Reader(path, {"sample"})
+    samples: list[TrainingSample] = []
+    for no, _, (*bounds, observed) in rd.lines:
+        depth = len(samples[0].bounds) if samples else len(bounds)
+        if len(bounds) != depth:
+            rd.fail(no, "sample arity %d != %d" % (len(bounds), depth))
+        samples.append(TrainingSample(tuple(bounds), observed))
     return samples
 
 
 def write_model(model: TimingModel, path: str) -> None:
-    out = ["residual %s" % fmt_float(model.fit_residual)]
-    out.append("coefficients " + " ".join(fmt_float(c) for c in model.coefficients))
+    out = [_render("residual", model.fit_residual)]
+    out.append(_render("coefficients", *model.coefficients))
     _write_lines(path, out)
 
 
 def read_model(path: str) -> TimingModel:
-    rd = _Reader(path)
-    residual = None
-    coefs = None
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw == "residual":
-            (residual,) = rd.floats(line, args)
-        elif kw == "coefficients":
-            coefs = tuple(rd.floats(line, args))
-        else:
-            rd.fail(line, "unknown keyword %r" % kw)
-    if residual is None or not coefs:
-        raise SchemaError("%s: model needs residual and coefficients" % path)
-    return TimingModel(coefs, residual)
+    rd = _Reader(path, {"residual", "coefficients"})
+    got = {kw: args for _, kw, args in rd.lines}
+    if "residual" not in got or not got.get("coefficients"):
+        rd.fail(rd.last, "model needs residual and coefficients")
+    return TimingModel(tuple(got["coefficients"]), got["residual"][0])
 
 
 # ---------------------------------------------------------------------------
 # config overrides
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
-
-
-def _config_value(rd: _Reader, line: _Line, key: str, raw: str):
-    if key not in _CONFIG_FIELDS:
-        rd.fail(line, "unknown config key %r" % key)
-    kind = _CONFIG_FIELDS[key]
-    try:
-        val = int(raw) if kind == "int" else float(raw)
-    except ValueError:
-        val = math.nan
-    if not math.isfinite(val):
-        rd.fail(line, "config %s: bad value %r" % (key, raw))
-    return val
-
-
 def read_config(path: str) -> SystemConfig:
-    rd = _Reader(path)
-    overrides = {}
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw != "config" or len(args) != 2:
-            rd.fail(line, "expected: config <key> <value>")
-        overrides[args[0]] = _config_value(rd, line, args[0], args[1])
-    return SystemConfig(**overrides)
+    rd = _Reader(path, {"config"})
+    return _config(rd, rd.lines)[0]
 
 
 def write_config(config: SystemConfig, path: str) -> None:
-    out = []
-    default = SystemConfig()
-    for f in dataclasses.fields(SystemConfig):
-        val = getattr(config, f.name)
-        if val == getattr(default, f.name):
-            continue
-        rep = str(val) if f.type == "int" else fmt_float(val)
-        out.append("config %s %s" % (f.name, rep))
-    _write_lines(path, out)
+    _write_lines(path, _config_lines(_non_default(config)))
 
 
 # ---------------------------------------------------------------------------
@@ -474,167 +480,114 @@ def write_config(config: SystemConfig, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def write_mix(mix: MixSpec, path: str) -> None:
-    out = ["mix %s %s" % (mix.name, mix.category)]
-    for key in sorted(mix.config_overrides):
-        val = mix.config_overrides[key]
-        rep = str(val) if isinstance(val, int) else fmt_float(val)
-        out.append("config %s %s" % (key, rep))
+    out = [_render("mix", mix.name, mix.category)]
+    out += _config_lines(sorted(mix.config_overrides.items()))
     for proc in mix.processes:
-        out.append("process %d" % proc.pid)
+        out.append(_render("process", proc.pid))
         if proc.start_ns:
-            out.append("start %s" % fmt_float(proc.start_ns))
-        if proc.alpha is not None:
-            out.append("alpha %s" % fmt_float(proc.alpha))
-        if proc.max_ways is not None:
-            out.append("max-ways %d" % proc.max_ways)
-        if proc.unmixed_ns is not None:
-            out.append("unmixed-ns %s" % fmt_float(proc.unmixed_ns))
+            out.append(_render("start", proc.start_ns))
+        for kw, val in (
+            ("alpha", proc.alpha),
+            ("max-ways", proc.max_ways),
+            ("unmixed-ns", proc.unmixed_ns),
+        ):
+            if val is not None:
+                out.append(_render(kw, val))
         for ph in proc.phases:
-            out.append(
-                "phase %s %s %s %d"
-                % (
-                    ph.phase_id,
-                    fmt_float(ph.work),
-                    ph.attrs.reuse.value,
-                    ph.attrs.footprint.bytes,
-                )
-            )
-            if ph.attrs.fixed_ns is not None:
-                out.append("fixed-ns %s" % fmt_float(ph.attrs.fixed_ns))
-            for w, t in ph.curve.points:
-                out.append("point %d %s" % (w, fmt_float(t)))
+            attrs = ph.attrs
+            nbytes = attrs.footprint.bytes
+            out.append(_render("phase", ph.phase_id, ph.work, attrs.reuse, nbytes))
+            if attrs.fixed_ns is not None:
+                out.append(_render("fixed-ns", attrs.fixed_ns))
+            out += [_render("point", w, t) for w, t in ph.curve.points]
     out.append("end")
     _write_lines(path, out)
+
+
+_MIX_KEYWORDS = frozenset((
+    "config", "process", "start", "alpha", "max-ways", "unmixed-ns",
+    "phase", "fixed-ns", "point", "end",
+))
 
 
 def read_mix(path: str) -> MixSpec:
     """Parse one mix.  Phase-level alpha and max-ways are derived from the
     phase's own curve; a phase without fixed-ns predicts its full-width time.
     """
-    rd = _Reader(path)
-    header = rd.lines[0]
-    if header.tokens[0] != "mix" or len(header.tokens) != 3:
-        rd.fail(header, "expected: mix <name> <category>")
-    name, category = header.tokens[1], header.tokens[2]
-
-    overrides: dict = {}
-    procs: list[ProcessSpec] = []
-    proc: dict | None = None
-    phase: dict | None = None
-    phases: list[dict] = []
+    rd = _Reader(path, _MIX_KEYWORDS, first="mix")
+    lines = iter(rd.lines)
+    _, _, (name, category) = next(lines)
+    settings = []
+    # a process or phase is (line number, args, fields, children)
+    procs: list[tuple] = []
+    proc = phase = None
     closed = False
-
-    def build_phase(ph: dict, cfg: SystemConfig) -> PhaseSpec:
-        try:
-            curve = WayTimeCurve(tuple(sorted(ph["points"])))
-        except SchemaError as exc:
-            raise SchemaError(
-                "%s: phase %r: %s" % (path, ph["phase_id"], exc)
-            ) from exc
-        max_ways = detect_max_ways(curve, cfg.saturation_epsilon)
-        alpha = compute_alpha(curve, max_ways)
-        fixed = ph.get("fixed_ns")
-        if fixed is None:
-            fixed = curve.time_at(cfg.ways_per_socket)
-        nbytes = ph["bytes"]
-        lines = (nbytes + cfg.line_size - 1) // cfg.line_size
-        attrs = ProbeAttributes(
-            phase_id=ph["phase_id"],
-            footprint=FootprintValue(nbytes, lines, True),
-            reuse=ph["reuse"],
-            alpha=alpha,
-            max_ways=max_ways,
-            fixed_ns=fixed,
-        )
-        return PhaseSpec(ph["phase_id"], attrs, ph["work"], curve)
-
-    def flush_phase(line):
-        nonlocal phase
-        if phase is not None:
-            if not phase["points"]:
-                rd.fail(line, "phase %r has no curve points" % phase["phase_id"])
-            phases.append(phase)
-            phase = None
-
-    def flush_proc(line, cfg):
-        nonlocal proc
-        if proc is not None:
-            flush_phase(line)
-            if not phases:
-                rd.fail(line, "process %d has no phases" % proc["pid"])
-            procs.append(
-                ProcessSpec(
-                    pid=proc["pid"],
-                    phases=tuple(build_phase(ph, cfg) for ph in phases),
-                    start_ns=proc.get("start", 0.0),
-                    alpha=proc.get("alpha"),
-                    max_ways=proc.get("max_ways"),
-                    unmixed_ns=proc.get("unmixed_ns"),
-                )
-            )
-            proc = None
-            phases.clear()
-
-    cfg: SystemConfig | None = None  # frozen at the first process line
-    for line in rd.lines[1:]:
-        kw, args = line.tokens[0], line.tokens[1:]
+    for line in lines:
+        no, kw, args = line
         if closed:
-            rd.fail(line, "content after 'end'")
-        if kw == "config":
-            if proc is not None or procs:
-                rd.fail(line, "config lines must precede processes")
-            if len(args) != 2:
-                rd.fail(line, "config takes key value")
-            overrides[args[0]] = _config_value(rd, line, args[0], args[1])
+            rd.fail(no, "content after 'end'")
+        if kw == "point" and phase is not None:
+            phase[3].append((args[0], args[1]))
+        elif kw == "config":
+            if procs:
+                rd.fail(no, "config lines must precede processes")
+            settings.append(line)
         elif kw == "process":
-            if cfg is None:
-                cfg = SystemConfig(**overrides)
-            flush_proc(line, cfg)
-            (pid,) = rd.ints(line, args)
-            proc = {"pid": pid}
+            proc, phase = (no, args, {}, []), None
+            procs.append(proc)
         elif proc is None:
-            rd.fail(line, "%r outside a process" % kw)
-        elif kw == "start":
-            (proc["start"],) = rd.floats(line, args)
-        elif kw == "alpha" and phase is None:
-            (proc["alpha"],) = rd.floats(line, args)
-        elif kw == "max-ways" and phase is None:
-            (proc["max_ways"],) = rd.ints(line, args)
-        elif kw == "unmixed-ns":
-            (proc["unmixed_ns"],) = rd.floats(line, args)
+            rd.fail(no, "%s outside a process" % kw)
         elif kw == "phase":
-            flush_phase(line)
-            if len(args) != 4:
-                rd.fail(line, "phase takes id work stream|reuse footprint-bytes")
-            (work,) = rd.floats(line, args[1:2])
-            (nbytes,) = rd.ints(line, args[3:])
-            phase = {
-                "phase_id": args[0],
-                "work": work,
-                "reuse": _reuse_token(line, rd, args[2]),
-                "bytes": nbytes,
-                "points": [],
-            }
+            phase = (no, args, {}, [])
+            proc[3].append(phase)
+        elif kw in ("point", "fixed-ns") and phase is None:
+            rd.fail(no, "%s outside a phase" % kw)
         elif kw == "fixed-ns":
-            if phase is None:
-                rd.fail(line, "fixed-ns outside a phase")
-            (phase["fixed_ns"],) = rd.floats(line, args)
-        elif kw == "point":
-            if phase is None:
-                rd.fail(line, "point outside a phase")
-            (w,) = rd.ints(line, args[:1])
-            (t,) = rd.floats(line, args[1:])
-            phase["points"].append((w, t))
+            phase[2][kw] = args[0]
         elif kw == "end":
-            if cfg is None:
-                cfg = SystemConfig(**overrides)
-            flush_proc(line, cfg)
             closed = True
+        elif phase is not None and kw in ("alpha", "max-ways"):
+            rd.fail(no, "%s must precede the process's phases" % kw)
         else:
-            rd.fail(line, "unknown keyword %r" % kw)
+            proc[2][kw] = args[0]
     if not closed:
-        raise SchemaError("%s: mix not closed with 'end'" % path)
-    return MixSpec(name, category, tuple(procs), overrides)
+        rd.fail(rd.last, "mix not closed with 'end'")
+    cfg, overrides = _config(rd, settings)
+    return MixSpec(name, category, tuple(_process(rd, p, cfg) for p in procs), overrides)
+
+
+def _process(rd: _Reader, proc: tuple, cfg: SystemConfig) -> ProcessSpec:
+    no, (pid,), fields, phases = proc
+    if not phases:
+        rd.fail(no, "process %d has no phases" % pid)
+    return ProcessSpec(
+        pid=pid,
+        phases=tuple(rd.build(ph[0], "phase %r" % ph[1][0], _phase, ph, cfg) for ph in phases),
+        start_ns=fields.get("start", 0.0),
+        alpha=fields.get("alpha"),
+        max_ways=fields.get("max-ways"),
+        unmixed_ns=fields.get("unmixed-ns"),
+    )
+
+
+def _phase(phase: tuple, cfg: SystemConfig) -> PhaseSpec:
+    _, (phase_id, work, reuse, nbytes), fields, points = phase
+    if not points:
+        raise SchemaError("no curve points")
+    curve = WayTimeCurve(tuple(sorted(points)))
+    max_ways = detect_max_ways(curve, cfg.saturation_epsilon)
+    fixed = fields.get("fixed-ns")
+    if fixed is None:
+        fixed = curve.time_at(cfg.ways_per_socket)
+    attrs = ProbeAttributes(
+        phase_id=phase_id,
+        footprint=FootprintValue(nbytes, -(-nbytes // cfg.line_size), True),
+        reuse=reuse,
+        alpha=compute_alpha(curve, max_ways),
+        max_ways=max_ways,
+        fixed_ns=fixed,
+    )
+    return PhaseSpec(phase_id, attrs, work, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -642,45 +595,18 @@ def read_mix(path: str) -> MixSpec:
 # ---------------------------------------------------------------------------
 
 def write_events(events, path: str, config: SystemConfig | None = None) -> None:
-    out = []
-    if config is not None:
-        default = SystemConfig()
-        for f in dataclasses.fields(SystemConfig):
-            val = getattr(config, f.name)
-            if val != getattr(default, f.name):
-                rep = str(val) if f.type == "int" else fmt_float(val)
-                out.append("config %s %s" % (f.name, rep))
+    out = [] if config is None else _config_lines(_non_default(config))
     for ev in events:
         kind = ev[0]
         if kind == "ipca":
             _, t, pid, alpha, max_ways, attrs, pred = ev
-            out.append(
-                "ipca %s %d %s %d %d %s %s"
-                % (
-                    fmt_float(t),
-                    pid,
-                    fmt_float(alpha),
-                    max_ways,
-                    attrs.footprint.bytes,
-                    attrs.reuse.value,
-                    fmt_float(pred),
-                )
-            )
+            fp, reuse = attrs.footprint.bytes, attrs.reuse
+            out.append(_render("ipca", t, pid, alpha, max_ways, fp, reuse, pred))
         elif kind == "pcca":
             _, t, pid, attrs, pred = ev
-            out.append(
-                "pcca %s %d %d %s %s"
-                % (
-                    fmt_float(t),
-                    pid,
-                    attrs.footprint.bytes,
-                    attrs.reuse.value,
-                    fmt_float(pred),
-                )
-            )
+            out.append(_render("pcca", t, pid, attrs.footprint.bytes, attrs.reuse, pred))
         elif kind == "release":
-            _, t, pid = ev
-            out.append("release %s %d" % (fmt_float(t), pid))
+            out.append(_render(*ev))
         else:
             raise SchemaError("unknown event kind %r" % (kind,))
     _write_lines(path, out)
@@ -688,69 +614,42 @@ def write_events(events, path: str, config: SystemConfig | None = None) -> None:
 
 def read_events(path: str) -> tuple[list[tuple], SystemConfig]:
     """Returns (events, config) ready for `replay_events`."""
-    rd = _Reader(path)
-    overrides: dict = {}
+    rd = _Reader(path, {"config", "ipca", "pcca", "release"})
+    settings = []
+    for line in rd.lines:
+        if line[1] != "config":
+            break
+        settings.append(line)
+    cfg, _ = _config(rd, settings)
     events: list[tuple] = []
     admitted: dict[int, tuple[float, int]] = {}  # pid -> (alpha, max_ways)
     counter = 0
-
-    def mk_attrs(pid, nbytes, reuse, cfg_line):
-        nonlocal counter
+    for no, kw, args in rd.lines[len(settings):]:
+        if kw == "config":
+            rd.fail(no, "config lines must precede events")
+        if kw == "release":
+            events.append((kw, *args))
+            continue
+        if kw == "ipca":
+            t, pid, alpha, max_ways, nbytes, reuse, pred = args
+            admitted[pid] = (alpha, max_ways)
+        else:
+            t, pid, nbytes, reuse, pred = args
+            alpha, max_ways = admitted.get(pid, (0.0, 2))
         counter += 1
-        alpha, max_ways = admitted.get(pid, (0.0, 2))
-        lines = (nbytes + 63) // 64
-        return ProbeAttributes(
+        attrs = ProbeAttributes(
             phase_id="pid%d-ev%d" % (pid, counter),
-            footprint=FootprintValue(nbytes, lines, True),
+            footprint=FootprintValue(nbytes, -(-nbytes // cfg.line_size), True),
             reuse=reuse,
             alpha=alpha,
             max_ways=max_ways,
             fixed_ns=0.0,
         )
-
-    for line in rd.lines:
-        kw, args = line.tokens[0], line.tokens[1:]
-        if kw == "config":
-            if events:
-                rd.fail(line, "config lines must precede events")
-            if len(args) != 2:
-                rd.fail(line, "config takes key value")
-            overrides[args[0]] = _config_value(rd, line, args[0], args[1])
-        elif kw == "ipca":
-            if len(args) != 7:
-                rd.fail(
-                    line,
-                    "ipca takes t pid alpha max-ways bytes stream|reuse predicted",
-                )
-            (t,) = rd.floats(line, args[:1])
-            (pid,) = rd.ints(line, args[1:2])
-            (alpha,) = rd.floats(line, args[2:3])
-            (max_ways,) = rd.ints(line, args[3:4])
-            (nbytes,) = rd.ints(line, args[4:5])
-            reuse = _reuse_token(line, rd, args[5])
-            (pred,) = rd.floats(line, args[6:])
-            admitted[pid] = (alpha, max_ways)
-            events.append(
-                ("ipca", t, pid, alpha, max_ways, mk_attrs(pid, nbytes, reuse, line), pred)
-            )
-        elif kw == "pcca":
-            if len(args) != 5:
-                rd.fail(line, "pcca takes t pid bytes stream|reuse predicted")
-            (t,) = rd.floats(line, args[:1])
-            (pid,) = rd.ints(line, args[1:2])
-            (nbytes,) = rd.ints(line, args[2:3])
-            reuse = _reuse_token(line, rd, args[3])
-            (pred,) = rd.floats(line, args[4:])
-            events.append(("pcca", t, pid, mk_attrs(pid, nbytes, reuse, line), pred))
-        elif kw == "release":
-            if len(args) != 2:
-                rd.fail(line, "release takes t pid")
-            (t,) = rd.floats(line, args[:1])
-            (pid,) = rd.ints(line, args[1:2])
-            events.append(("release", t, pid))
+        if kw == "ipca":
+            events.append((kw, t, pid, alpha, max_ways, attrs, pred))
         else:
-            rd.fail(line, "unknown keyword %r" % kw)
-    return events, SystemConfig(**overrides)
+            events.append((kw, t, pid, attrs, pred))
+    return events, cfg
 
 
 # ---------------------------------------------------------------------------
@@ -762,53 +661,35 @@ def write_alloc_log(records, path: str, config: SystemConfig) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(ALLOC_LOG_COLUMNS)
         for r in records:
-            w.writerow(
-                [
-                    fmt_float(r.time_ns),
-                    r.pid,
-                    r.event,
-                    r.socket,
-                    r.clos,
-                    format_mask(r.bitmask, config.ways_per_socket),
-                    r.scenario.value,
-                    int(r.satisfied),
-                ]
-            )
+            mask = format_mask(r.bitmask, config.ways_per_socket)
+            w.writerow([fmt_float(r.time_ns), r.pid, r.event, r.socket, r.clos, mask,
+                        r.scenario.value, int(r.satisfied)])
 
 
 def read_alloc_log(path: str) -> list[AllocationRecord]:
     """Parse the CSV columns back; the metric-only fields come back zeroed."""
     scen = {s.value: s for s in Scenario}
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    reader = csv.reader(io.StringIO(_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        _fail(path, reader.line_num, str(exc))
     if not rows or tuple(rows[0]) != ALLOC_LOG_COLUMNS:
         raise SchemaError("%s: bad allocation log header" % path)
-    for i, row in enumerate(rows[1:], start=2):
+    for no, row in enumerate(rows[1:], start=2):
         if len(row) != len(ALLOC_LOG_COLUMNS):
-            raise SchemaError("%s:%d: expected %d columns" % (path, i, len(ALLOC_LOG_COLUMNS)))
-        t, pid, event, socket, clos, mask, scenario, satisfied = row
-        if scenario not in scen:
-            raise SchemaError("%s:%d: unknown scenario %r" % (path, i, scenario))
-        try:
-            out.append(
-                AllocationRecord(
-                    time_ns=float(t),
-                    pid=int(pid),
-                    event=event,
-                    socket=int(socket),
-                    clos=int(clos),
-                    bitmask=int(mask, 16),
-                    scenario=scen[scenario],
-                    satisfied=bool(int(satisfied)),
-                    req_ways=0,
-                    granted_ways=0,
-                    alpha=0.0,
-                    changed=False,
-                )
-            )
-        except ValueError as exc:
-            raise SchemaError("%s:%d: %s" % (path, i, exc)) from exc
+            _fail(path, no, "expected %d columns" % len(ALLOC_LOG_COLUMNS))
+        if row[6] not in scen:
+            _fail(path, no, "unknown scenario %r" % row[6])
+        *head, scenario, satisfied = [
+            _value(path, no, col, typ, tok)
+            for col, typ, tok in zip(ALLOC_LOG_COLUMNS, _ALLOC_LOG_TYPES, row)
+        ]
+        out.append(AllocationRecord(
+            *head, scen[scenario], bool(satisfied),
+            req_ways=0, granted_ways=0, alpha=0.0, changed=False,
+        ))
     return out
 
 

@@ -106,6 +106,13 @@ def test_missing_input_file_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_simulate_truncated_line_is_exit_2(tmp_path, capsys):
+    mix = tmp_path / "bare.mix"
+    mix.write_text(MIX_TEXT.replace("process 0\n", "process 0\nstart\n"), encoding="utf-8")
+    assert main(["simulate", "--mix", str(mix)]) == 2
+    assert "bare.mix:5: start takes" in capsys.readouterr().err
+
+
 def test_fit_timing_recovers_exact_model(tmp_path, capsys):
     rng = random.Random(11)
     mk = lambda: [

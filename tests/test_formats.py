@@ -4,7 +4,10 @@ Round-trip laws use object equality: every float is rendered with %.17g, so a
 write followed by a read must reproduce the value bit for bit.
 """
 
+import glob
+import os
 import random
+import re
 
 import pytest
 
@@ -440,6 +443,17 @@ def test_events_pcca_inherits_admission_sensitivity(tmp_path):
     assert attrs.footprint.bytes == 8388608
 
 
+def test_events_footprint_lines_use_config_line_size(tmp_path):
+    body = (
+        "format-version 1\nconfig line_size 128\n"
+        "ipca 0 0 2.5 4 4096 reuse 1000\npcca 5 0 4097 reuse 10\n"
+    )
+    ev, cfg = read_events(write_text(tmp_path, "t.events", body))
+    assert cfg.line_size == 128
+    assert ev[0][5].footprint.lines == 32
+    assert ev[1][3].footprint.lines == 33
+
+
 def test_events_errors(tmp_path):
     with pytest.raises(SchemaError, match="ipca takes"):
         read_events(write_text(tmp_path, "a.ev", "format-version 1\nipca 0 0\n"))
@@ -506,6 +520,11 @@ def test_alloc_log_errors(tmp_path):
                 tmp_path, "d.csv", head + "0,zz,ipca,0,0,0x003,overlapping,1\n"
             )
         )
+    for t in ("nan", "inf"):
+        with pytest.raises(SchemaError, match=r"e\.csv:2: timestamp"):
+            read_alloc_log(
+                write_text(tmp_path, "e.csv", head + t + ",0,ipca,0,0,0x003,overlapping,1\n")
+            )
 
 
 def test_table_csv_renders_floats_round_trip(tmp_path):
@@ -517,3 +536,122 @@ def test_table_csv_renders_floats_round_trip(tmp_path):
     assert float(lines[2].split(",")[0]) == 0.1
     assert float(lines[3].split(",")[0]) == 1 / 3
     assert lines[3].split(",")[1] == "7"
+
+
+# -- malformed lines -------------------------------------------------------------
+
+V = "format-version 1\n"
+MIX_HEAD = V + "mix m light\nprocess 0\n"
+
+# (reader, file text); the error must name the line marked with '>'
+MALFORMED = {
+    "attrs-reuse": (read_attributes, V + "attrs p\nfootprint 1 1 1\n>reuse\nalpha 0\nmax-ways 2\nend"),
+    "attrs-footprint": (read_attributes, V + "attrs p\n>footprint 1 2\nreuse stream\nalpha 0\nmax-ways 2\nend"),
+    "attrs-alpha": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\n>alpha\nmax-ways 2\nend"),
+    "attrs-max-ways": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\n>max-ways\nend"),
+    "mix-start": (read_mix, MIX_HEAD + ">start\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-alpha": (read_mix, MIX_HEAD + ">alpha\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-unmixed-ns": (read_mix, MIX_HEAD + ">unmixed-ns\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns\npoint 2 1\nend"),
+    "mix-process": (read_mix, V + "mix m light\n>process\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-point": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>point 2\nend"),
+    "mix-version-only": (read_mix, ">format-version 1"),
+    "model-residual": (read_model, V + ">residual\ncoefficients 1"),
+    "end-arguments": (read_curves, V + "curve a\npoint 2 1\n>end a"),
+    "mix-config": (read_mix, V + "mix m light\n>config ways_per_socket 1\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "config-file": (read_config, V + "config sockets 1\n>config ways_per_socket 1"),
+    "events-config": (read_events, V + ">config sockets 0\nrelease 0 0"),
+    "events-line-size": (read_events, V + ">config line_size 0\nipca 0 0 0 2 64 reuse 1"),
+    "mix-phase-curve": (read_mix, MIX_HEAD + ">phase p 1 reuse 1\npoint 3 1\nend"),
+}
+
+
+@pytest.mark.parametrize("reader, text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_lines_name_file_and_line(tmp_path, reader, text):
+    no = [ln[:1] for ln in text.split("\n")].index(">") + 1
+    path = write_text(tmp_path, "bad.txt", text.replace(">", "") + "\n")
+    with pytest.raises(SchemaError, match=r"bad\.txt:%d: " % no):
+        reader(path)
+
+
+def test_non_utf8_bytes_name_their_line(tmp_path):
+    p = tmp_path / "c.txt"
+    p.write_bytes(b"format-version 1\r\ncurve a\r\npoint 2 \xff\r\nend\r\n")
+    with pytest.raises(SchemaError, match=r"c\.txt:3: not UTF-8"):
+        read_curves(str(p))
+
+
+# -- mutation fuzz ------------------------------------------------------------------
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FUZZ_TOKENS = (
+    "nan", "inf", "-inf", "x", "-1", "0", "1", "2", "1.5", "end", "reuse",
+    "stream", "estimated", "config", "point", "phase", "process", "mix",
+)
+
+
+def fuzz_inputs(tmp_path):
+    """(reader, text) for every bundled mix and fixture trace, plus nests,
+    curves, attrs, samples and a model written by the package's writers."""
+    out = [(read_mix, p) for p in sorted(glob.glob(os.path.join(ROOT, "mixes", "*", "*.mix")))]
+    out += [(read_events, p) for p in sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.events")))]
+    rng = random.Random(5)
+    curves = {
+        "a": WayTimeCurve.from_dict({2: 300.0, 3: 200.0, 5: 150.0}),
+        "b": WayTimeCurve.from_dict({2: 0.5}),
+    }
+    attrs = [
+        ProbeAttributes("p", FootprintValue(4096, 64, True), ReuseClass.REUSE, 0.5, 4,
+                        TimingModel((1.5, 2.25e-7), 0.25), None),
+        ProbeAttributes("q", FootprintValue(123, 2, False), ReuseClass.STREAM, 0.0, 2, None, 77.7),
+    ]
+    samples = [TrainingSample((10.0, 20.0), 123.456), TrainingSample((1.5, 2.5), 0.25)]
+    for reader, writer, obj in (
+        (read_nests, write_nests, [random_affine_nest(rng, "n%d" % k) for k in range(3)]),
+        (read_curves, write_curves, curves),
+        (read_attributes, write_attributes, attrs),
+        (read_samples, write_samples, samples),
+        (read_model, write_model, TimingModel((3.5, 0.125), 1e-6)),
+    ):
+        path = str(tmp_path / reader.__name__)
+        writer(obj, path)
+        out.append((reader, path))
+    return [(reader, open(p, encoding="utf-8").read()) for reader, p in out]
+
+
+def mutate(rng, text):
+    """Drop, insert or replace one token, or delete or duplicate one line."""
+    lines = text.split("\n")
+    no = rng.choice([i for i, ln in enumerate(lines) if ln.split("#")[0].split()])
+    toks = lines[no].split("#")[0].split()
+    op = rng.randrange(5)
+    if op == 0:
+        del toks[rng.randrange(len(toks))]
+    elif op == 1:
+        toks.insert(rng.randrange(len(toks) + 1), rng.choice(FUZZ_TOKENS))
+    elif op == 2:
+        toks[rng.randrange(len(toks))] = rng.choice(FUZZ_TOKENS)
+    if op == 3:
+        del lines[no]
+    elif op == 4:
+        lines.insert(no, lines[no])
+    else:
+        lines[no] = " ".join(toks)
+    return "\n".join(lines)
+
+
+def test_mutants_parse_or_raise_schema_error_with_line(tmp_path):
+    rng = random.Random(2024)
+    inputs = fuzz_inputs(tmp_path)
+    path = str(tmp_path / "mutant.txt")
+    for k in range(500):
+        reader, text = inputs[k % len(inputs)]
+        mutant = mutate(rng, text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(mutant)
+        try:
+            reader(path)
+        except SchemaError as exc:
+            assert re.match(re.escape(path) + r":\d+: ", str(exc)), (str(exc), mutant)
+        except Exception as exc:
+            pytest.fail("%s raised %r on mutant %d:\n%s" % (reader.__name__, exc, k, mutant))
