@@ -57,6 +57,18 @@ class SystemConfig:
             raise SchemaError("socket geometry must be positive")
         if self.line_size < 1:
             raise SchemaError("line_size must be >= 1")
+        if self.cache_bytes < 1:
+            raise SchemaError("cache_bytes must be >= 1")
+        if self.hysteresis_ways < 0:
+            raise SchemaError("hysteresis_ways must be >= 0")
+        if self.alpha_socket_threshold < 0:
+            raise SchemaError("alpha_socket_threshold must be >= 0")
+        if self.dm_penalty < 1:
+            raise SchemaError("dm_penalty must be >= 1: one way is never faster than two")
+        if self.srd_delta < 0:
+            raise SchemaError("srd_delta must be >= 0")
+        if self.saturation_epsilon <= 0:
+            raise SchemaError("saturation_epsilon must be positive")
 
 
 class Scenario(Enum):

@@ -11,7 +11,6 @@ per-process weights and unmixed-time weights.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import glob
 import math
 import os
@@ -382,6 +381,8 @@ def _cmd_sweep(args) -> int:
     flag_items = tuple(sorted(_flag_overrides(args).items()))
     jobs = [(p, tuple(policies), interval_ns, args.config, flag_items) for p in paths]
     if args.parallel:
+        import concurrent.futures  # deferred: only --parallel pays for it
+
         workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_mix = list(pool.map(_sweep_worker, jobs))

@@ -123,6 +123,25 @@ _KEYWORDS = {
     "end": ("", "no arguments"),
 }
 
+# keyword: the block keywords that open a fresh scope for it.  Each keyword
+# listed appears at most once per scope; with no block keyword, once per file.
+_ONCE_PER = {
+    "start": ("process",),
+    "unmixed-ns": ("process",),
+    "alpha": ("process", "attrs"),
+    "max-ways": ("process", "attrs"),
+    "fixed-ns": ("phase", "attrs"),
+    "footprint": ("attrs",),
+    "reuse": ("attrs",),
+    "timing": ("attrs",),
+    "residual": (),
+    "coefficients": (),
+}
+_SCOPES = {
+    opener: [kw for kw, per in _ONCE_PER.items() if opener in per]
+    for opener in {o for per in _ONCE_PER.values() for o in per}
+}
+
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
 
 _SHAPES: dict = {}
@@ -181,6 +200,7 @@ class _Reader:
         self.path = path
         self.lines: list[tuple] = []
         lines, last = self.lines, 0
+        seen: dict[str, int] = {}  # line of each _ONCE_PER keyword in its scope
         for no, raw in enumerate(_text(path).split("\n"), start=1):
             toks = raw.split("#", 1)[0].split()
             if not toks:
@@ -205,7 +225,14 @@ class _Reader:
             except ValueError:
                 for typ, tok in zip(shape[0], args):
                     _value(path, no, kw, typ, tok)
-            if kw == "config":
+            if kw in _ONCE_PER:
+                if kw in seen:
+                    self.fail(no, "repeated %s; first at line %d" % (kw, seen[kw]))
+                seen[kw] = no
+            elif kw in _SCOPES:
+                for once in _SCOPES[kw]:
+                    seen.pop(once, None)
+            elif kw == "config":
                 vals[1] = self._setting(no, *vals)
             lines.append((no, kw, vals))
         if not last:

@@ -10,14 +10,19 @@ products; the coefficients come from a least-squares fit over training runs.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .errors import AccuracyUndefined, ArityError, FitSingular
 
-RIDGE = 1e-12  # stabilizer on the normal equations, realized via augmentation
+RIDGE = 1e-12  # stabilizer on the normal equations: minimizes |Xc - y|^2 + RIDGE |c|^2
+EPS = sys.float_info.epsilon
+# Full-rank designs converge in a few sweeps; a rank-deficient one can leave
+# rounding noise in a null column that keeps rotating, below the rank cut.
+MAX_SWEEPS = 30
 
 
 def make_features(bounds: Sequence[float]) -> tuple[float, ...]:
@@ -66,18 +71,58 @@ def fit_timing(samples: Sequence[TrainingSample]) -> TimingModel:
             )
         rows.append((1.0,) + make_features(s.bounds))
         y.append(float(s.observed_time))
-    x = np.array(rows, dtype=float)
-    yv = np.array(y, dtype=float)
     ncoef = depth + 1
-    if np.linalg.matrix_rank(x) < ncoef:
+    rank, coef = _ridge_svd(rows, y)
+    if rank < ncoef:
         raise FitSingular(
             "design matrix rank-deficient for %d coefficients" % ncoef
         )
-    aug = np.vstack([x, np.sqrt(RIDGE) * np.eye(ncoef)])
-    target = np.concatenate([yv, np.zeros(ncoef)])
-    coef, *_ = np.linalg.lstsq(aug, target, rcond=None)
-    resid = float(np.sqrt(np.mean((x @ coef - yv) ** 2)))
-    return TimingModel(tuple(float(c) for c in coef), resid)
+    resid = math.sqrt(sum((_dot(r, coef) - t) ** 2 for r, t in zip(rows, y)) / len(y))
+    return TimingModel(tuple(coef), resid)
+
+
+def _dot(a: Sequence[float], b: Sequence[float]) -> float:
+    return sum(map(mul, a, b))
+
+
+def _ridge_svd(rows: list[tuple[float, ...]], y: list[float]) -> tuple[int, list[float]]:
+    """Rank of the M x N matrix X and the ridge solution c, from a one-sided
+    (Hestenes) Jacobi SVD.
+
+    Plane rotations V make the columns w_i of W = XV pairwise orthogonal.
+    The singular values are then |w_i|; the rank counts those above
+    max(sigma) * max(M, N) * eps, the usual numerical-rank cut, and
+    c = sum_i v_i (w_i . y) / (|w_i|^2 + RIDGE).
+    """
+    m, n = len(rows), len(rows[0])
+    w = [list(col) for col in zip(*rows)]
+    v = [[float(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                a, b, g = _dot(w[p], w[p]), _dot(w[q], w[q]), _dot(w[p], w[q])
+                if abs(g) <= EPS * math.sqrt(a * b):
+                    continue
+                rotated = True
+                zeta = (b - a) / (2.0 * g)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                c = 1.0 / math.hypot(1.0, t)
+                s = c * t
+                for cols in (w, v):
+                    cp, cq = cols[p], cols[q]
+                    cols[p] = [c * e - s * f for e, f in zip(cp, cq)]
+                    cols[q] = [s * e + c * f for e, f in zip(cp, cq)]
+        if not rotated:
+            break
+    norms2 = [_dot(col, col) for col in w]
+    cut = math.sqrt(max(norms2)) * max(m, n) * EPS
+    rank = min(m, sum(math.sqrt(x) > cut for x in norms2))
+    coef = [0.0] * n
+    for wi, vi, x in zip(w, v, norms2):
+        k = _dot(wi, y) / (x + RIDGE)
+        coef = [ci + k * e for ci, e in zip(coef, vi)]
+    return rank, coef
 
 
 def predict_phase_time(model: TimingModel, bounds: Sequence[float]) -> float:

@@ -14,7 +14,6 @@ import subprocess
 import sys
 import time
 
-import cacheways
 from cacheways.apportion import AdmissionRejected, Apportioner, SystemConfig
 from cacheways.formats import read_mix
 from cacheways.loops import (
@@ -39,7 +38,7 @@ from oracles import (
     strict_gaps,
     two_statement_nest,
 )
-from support import mk_attrs
+from support import child_env, mk_attrs
 from test_fixtures import fixture_names, replay_fixture
 
 MIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
@@ -442,11 +441,7 @@ def test_c09_sla_and_fairness():
 
 def test_c10_determinism(tmp_path):
     mixpath = os.path.abspath(os.path.join(MIXDIR, "heavy", "h3-triple.mix"))
-    # the child runs in a scratch directory, so a relative PYTHONPATH would
-    # not find the package under test
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cacheways.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = child_env()  # the child runs in a scratch directory
     outputs = []
     logs = []
     for k in range(2):

@@ -2,6 +2,9 @@
 
 import os
 import random
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +22,8 @@ from cacheways.loops import (
 )
 from cacheways.sensitivity import WayTimeCurve
 from cacheways.timing import TrainingSample
+
+from support import child_env
 
 MIX_TEXT = """format-version 1
 mix tiny light
@@ -111,6 +116,13 @@ def test_simulate_truncated_line_is_exit_2(tmp_path, capsys):
     mix.write_text(MIX_TEXT.replace("process 0\n", "process 0\nstart\n"), encoding="utf-8")
     assert main(["simulate", "--mix", str(mix)]) == 2
     assert "bare.mix:5: start takes" in capsys.readouterr().err
+
+
+def test_simulate_bad_config_value_names_config_line(tmp_path, capsys):
+    mix = tmp_path / "eps.mix"
+    mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config saturation_epsilon 0\n"), encoding="utf-8")
+    assert main(["simulate", "--mix", str(mix)]) == 2
+    assert "eps.mix:3: config saturation_epsilon" in capsys.readouterr().err
 
 
 def test_fit_timing_recovers_exact_model(tmp_path, capsys):
@@ -336,6 +348,31 @@ def test_sweep_parallel_matches_sequential(tmp_path):
         a = open(os.path.join(seq, name), "rb").read()
         b = open(os.path.join(par, name), "rb").read()
         assert a == b
+
+
+def test_cli_import_skips_numpy_and_process_pool(tmp_path):
+    code = "import sys, cacheways.cli; print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_parallel_child_matches_serial_on_bundled_mixes(tmp_path):
+    bundled = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
+    root = tmp_path / "mixes"
+    for rel in ("light/l1-pair.mix", "heavy/h1-squeeze.mix"):
+        (root / os.path.dirname(rel)).mkdir(parents=True)
+        shutil.copy(os.path.join(bundled, rel), str(root / rel))
+    for out, extra in (("seq", []), ("par", ["--parallel", "--jobs", "2"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cacheways.cli", "sweep", "--mixes", str(root), "--out", out, *extra],
+            capture_output=True, cwd=str(tmp_path), env=child_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("sweep-mixes.csv", "sweep-categories.csv"):
+        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def test_sweep_empty_dir_is_exit_2(tmp_path, capsys):

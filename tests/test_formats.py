@@ -563,7 +563,21 @@ MALFORMED = {
     "events-config": (read_events, V + ">config sockets 0\nrelease 0 0"),
     "events-line-size": (read_events, V + ">config line_size 0\nipca 0 0 0 2 64 reuse 1"),
     "mix-phase-curve": (read_mix, MIX_HEAD + ">phase p 1 reuse 1\npoint 3 1\nend"),
+    "mix-repeated-start": (read_mix, MIX_HEAD + "start 5\nphase p 1 reuse 1\n>start 9\npoint 2 1\nend"),
+    "mix-repeated-alpha": (read_mix, MIX_HEAD + "alpha 1\n>alpha 2\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-repeated-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\nfixed-ns 1\npoint 2 1\n>fixed-ns 2\nend"),
+    "attrs-repeated-footprint": (read_attributes, V + "attrs p\nfootprint 1 1 1\n>footprint 2 1 1\nreuse stream\nalpha 0\nmax-ways 2\nend"),
+    "attrs-repeated-fixed-ns": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\n>fixed-ns 1\nend"),
+    "model-repeated-coefficients": (read_model, V + "residual 0\ncoefficients 1\n>coefficients 2"),
 }
+# a SystemConfig value out of range is pinned to its config line
+MALFORMED.update(
+    ("mix-config-" + key, (read_mix, V + "mix m light\n>config %s %s\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend" % (key, val)))
+    for key, val in (
+        ("dm_penalty", "0.5"), ("hysteresis_ways", "-3"), ("cache_bytes", "0"),
+        ("srd_delta", "-1"), ("alpha_socket_threshold", "-5"), ("saturation_epsilon", "0"),
+    )
+)
 
 
 @pytest.mark.parametrize("reader, text", MALFORMED.values(), ids=MALFORMED.keys())
@@ -572,6 +586,13 @@ def test_malformed_lines_name_file_and_line(tmp_path, reader, text):
     path = write_text(tmp_path, "bad.txt", text.replace(">", "") + "\n")
     with pytest.raises(SchemaError, match=r"bad\.txt:%d: " % no):
         reader(path)
+
+
+def test_once_per_block_lines_repeat_across_blocks(tmp_path):
+    text = MIX_HEAD + "start 5\nphase p 1 reuse 1\nfixed-ns 1\npoint 2 1\nphase q 1 reuse 1\nfixed-ns 2\npoint 2 1\nprocess 1\nstart 9\nphase r 1 reuse 1\npoint 2 1\nend\n"
+    mix = read_mix(write_text(tmp_path, "ok.mix", text))
+    assert [p.start_ns for p in mix.processes] == [5.0, 9.0]
+    assert [ph.attrs.fixed_ns for ph in mix.processes[0].phases] == [1.0, 2.0]
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):

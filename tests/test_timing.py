@@ -1,12 +1,14 @@
 """Linear phase-timing model: features, fitting, prediction, accuracy."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cacheways.errors import AccuracyUndefined, ArityError, FitSingular
 from cacheways.timing import (
+    RIDGE,
     TimingModel,
     TrainingSample,
     fit_timing,
@@ -73,6 +75,17 @@ def test_fit_rejects_rank_deficiency():
         fit_timing([])
 
 
+@pytest.mark.parametrize("bounds", [
+    [(float(u), 0.1) for u in (3, 7, 10, 13, 29, 41)],
+    [(2.0, 3.0)] * 6,
+    [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 10.0)],
+], ids=["constant-fractional-bound", "duplicate-rows", "fewer-samples-than-coefficients"])
+def test_fit_rejects_numerically_singular_designs(bounds):
+    samples = [TrainingSample(b, 1.0 + sum(b)) for b in bounds]
+    with pytest.raises(FitSingular):
+        fit_timing(samples)
+
+
 def test_fit_rejects_mixed_arity():
     with pytest.raises(ArityError):
         fit_timing([TrainingSample((1.0,), 1.0), TrainingSample((1.0, 2.0), 2.0)])
@@ -131,3 +144,47 @@ def test_fit_recovery_property(rng):
         return  # a degenerate draw, nothing to assert
     for got, want in zip(model.coefficients, coefs):
         assert got == pytest.approx(want, rel=1e-5, abs=1e-5)
+
+
+def exact_solve(a, b):
+    """Solve a c = b in Fractions by Gauss-Jordan elimination; None when a
+    is singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [x - f * p for x, p in zip(m[r], m[col])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_fit_matches_exact_ridge_solution(rng):
+    """The normal equations of the augmented system [X; sqrt(RIDGE) I] c = [y; 0]
+    are (X^T X + RIDGE I) c = X^T y; with integer bounds X is exact, so the fit
+    is singular exactly when X^T X is."""
+    depth = rng.randint(0, 3)
+    coefs = [rng.uniform(0.1, 100.0) for _ in range(depth + 1)]
+    samples = []
+    for _ in range(rng.randint(1, 45)):
+        bounds = tuple(float(rng.randint(1, 60)) for _ in range(depth))
+        t = coefs[0] + sum(c * u for c, u in zip(coefs[1:], make_features(bounds)))
+        samples.append(TrainingSample(bounds, t * rng.uniform(0.99, 1.01)))
+    x = [[Fraction(1)] + [Fraction(u) for u in make_features(s.bounds)] for s in samples]
+    y = [Fraction(s.observed_time) for s in samples]
+    cols = range(depth + 1)
+    gram = [[sum(r[i] * r[j] for r in x) for j in cols] for i in cols]
+    xty = [sum(r[i] * t for r, t in zip(x, y)) for i in cols]
+    if exact_solve(gram, xty) is None:
+        with pytest.raises(FitSingular):
+            fit_timing(samples)
+        return
+    ridge = [[g + (Fraction(RIDGE) if i == j else 0) for j, g in enumerate(row)] for i, row in enumerate(gram)]
+    want = [float(c) for c in exact_solve(ridge, xty)]
+    assert fit_timing(samples).coefficients == pytest.approx(want, rel=1e-9)
