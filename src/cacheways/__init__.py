@@ -5,96 +5,9 @@ nests (footprint, reuse distance, stream/reuse class), a linear phase-timing
 model, way-sensitivity probing, fractional apportioning of cache ways into
 contiguous Class-of-Service partitions, and a deterministic trace-driven
 simulator that plays process mixes under guided and baseline policies.
+Import each name from its module: `cacheways.loops`, `cacheways.timing`,
+`cacheways.sensitivity`, `cacheways.apportion`, `cacheways.simulate`,
+`cacheways.metrics`, `cacheways.formats` and `cacheways.errors`.
 """
 
-from .apportion import (
-    AllocationRecord,
-    Apportioner,
-    Scenario,
-    SystemConfig,
-    adjusted_footprint,
-    cache_fractions,
-    classify_scenario,
-    format_mask,
-    is_contiguous,
-    mask_width,
-    replay_events,
-    required_ways,
-)
-from .errors import (
-    AccuracyUndefined,
-    AdmissionRejected,
-    ArityError,
-    AttributesIncomplete,
-    BitmaskOverflow,
-    CacheWaysError,
-    CurveIncomplete,
-    FitSingular,
-    FootprintUnanalyzable,
-    MergeEmpty,
-    MetricArity,
-    MetricUndefined,
-    NotPlaced,
-    OracleTooLarge,
-    SchemaError,
-    TraceError,
-)
-from .loops import (
-    Affine,
-    ArrayDecl,
-    Bound,
-    FootprintValue,
-    LoopLevel,
-    LoopNest,
-    MemoryAccess,
-    ReuseClass,
-    ReusePair,
-    SRDResult,
-    Statement,
-    classify_reuse,
-    compute_srd,
-    footprint_closed_form,
-    footprint_enumerate,
-    indirect_default_footprint,
-    validate_nest,
-)
-from .metrics import (
-    SLA_FACTOR,
-    deficit_proxy,
-    jain_fairness,
-    sla_check,
-    throughputs,
-    weighted_speedup,
-)
-from .sensitivity import (
-    ProbeAttributes,
-    WayTimeCurve,
-    assemble_attributes,
-    compute_alpha,
-    detect_max_ways,
-    merge_nest_attributes,
-)
-from .simulate import (
-    MixSpec,
-    PhaseSpec,
-    Policy,
-    ProcessSpec,
-    SimReport,
-    effective_ways,
-    phase_speed,
-    process_sensitivity,
-    run_mix,
-    run_unmixed,
-)
-from .timing import (
-    TimingModel,
-    TrainingSample,
-    fit_timing,
-    make_features,
-    predict_phase_time,
-    timing_accuracy,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

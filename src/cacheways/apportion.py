@@ -34,7 +34,6 @@ class SystemConfig:
     clos_per_socket: int = 16
     ways_per_socket: int = 11
     line_size: int = 64
-    cache_bytes: int = 19 * 1024 * 1024
     gfactor: int = 4
     scaling_factor_stream: float = 0.1
     clos_occupancy_threshold: float = 0.75
@@ -57,16 +56,14 @@ class SystemConfig:
             raise SchemaError("socket geometry must be positive")
         if self.line_size < 1:
             raise SchemaError("line_size must be >= 1")
-        if self.cache_bytes < 1:
-            raise SchemaError("cache_bytes must be >= 1")
         if self.hysteresis_ways < 0:
             raise SchemaError("hysteresis_ways must be >= 0")
         if self.alpha_socket_threshold < 0:
             raise SchemaError("alpha_socket_threshold must be >= 0")
         if self.dm_penalty < 1:
             raise SchemaError("dm_penalty must be >= 1: one way is never faster than two")
-        if self.srd_delta < 0:
-            raise SchemaError("srd_delta must be >= 0")
+        if self.srd_delta <= 0:
+            raise SchemaError("srd_delta must be positive")
         if self.saturation_epsilon <= 0:
             raise SchemaError("saturation_epsilon must be positive")
 
@@ -278,15 +275,6 @@ class Apportioner:
         own saturation point."""
         p = self._proc(pid)
         return min(self.clos_of(pid).width, p.max_ways)
-
-    def widths_snapshot(self) -> dict[int, tuple[float, int, int]]:
-        """pid -> (alpha, req_ways, granted_ways) over active processes."""
-        out = {}
-        for pid in sorted(self.procs):
-            p = self.procs[pid]
-            if p.active:
-                out[pid] = (p.alpha, p.req_ways, self.granted_ways(pid))
-        return out
 
     def _proc(self, pid: int) -> ProcessState:
         p = self.procs.get(pid)

@@ -18,6 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import formats
+from .apportion import SystemConfig
 from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
 from .loops import (
     classify_reuse,
@@ -35,18 +36,26 @@ from .metrics import (
     weighted_speedup,
 )
 from .sensitivity import assemble_attributes
-from .simulate import Policy, mix_config, run_mix
+from .simulate import _POLICIES, CATEGORIES, Policy, mix_config, run_mix
 from .timing import fit_timing, timing_accuracy
 
-POLICIES = ("comcas", "unpartitioned", "maxways", "reactive")
-CATEGORY_ORDER = ("light", "medium", "heavy")
+POLICIES = tuple(_POLICIES)
+
+
+def finite_positive(text: str) -> float:
+    """A finite positive flag value; on anything else argparse names the
+    flag and exits 2."""
+    val = float(text)
+    if not (math.isfinite(val) and val > 0):
+        raise ValueError(text)
+    return val
 
 
 def _add_run_options(sub) -> None:
-    sub.add_argument("--config", help="system configuration file applied under the mix's own overrides")
+    sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
     sub.add_argument("--gfactor", type=int, help="override the per-CLOS group size limit")
     sub.add_argument("--scale-stream", type=float, help="override the streaming footprint scale factor")
-    sub.add_argument("--interval-ms", type=float, default=500.0, help="reactive controller period in ms")
+    sub.add_argument("--interval-ms", type=finite_positive, default=500.0, help="reactive controller period in ms")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,9 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--nests", required=True, help="loop nest description file")
     a.add_argument("--curves", required=True, help="way-time curve file, one curve per nest")
     a.add_argument("--out", required=True, help="attributes file to write")
-    a.add_argument("--line-size", type=int, default=64)
-    a.add_argument("--delta-srd", type=float, default=1000.0, help="stream/reuse threshold on the reuse distance")
-    a.add_argument("--epsilon", type=float, default=0.05, help="relative improvement that still counts toward saturation")
+    a.add_argument("--config", help="system config file; analyze reads line_size, srd_delta and saturation_epsilon")
 
     f = sub.add_parser("fit-timing", help="fit the linear phase-timing model")
     f.add_argument("--samples", required=True, help="training sample file")
@@ -92,7 +99,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read_config(path) -> SystemConfig:
+    return formats.read_config(path) if path else SystemConfig()
+
+
 def _cmd_analyze(args) -> int:
+    cfg = _read_config(args.config)
     nests = formats.read_nests(args.nests)
     curves = formats.read_curves(args.curves)
     bundle = []
@@ -101,11 +113,11 @@ def _cmd_analyze(args) -> int:
         if nest.name not in curves:
             raise SchemaError("no way-time curve named %r" % nest.name)
         try:
-            fp = footprint_closed_form(nest, args.line_size)
+            fp = footprint_closed_form(nest, cfg.line_size)
         except FootprintUnanalyzable:
-            fp = indirect_default_footprint(nest, args.line_size)
+            fp = indirect_default_footprint(nest, cfg.line_size)
         srd = compute_srd(nest)
-        reuse = classify_reuse(srd, args.delta_srd)
+        reuse = classify_reuse(srd, cfg.srd_delta)
         curve = curves[nest.name]
         attrs = assemble_attributes(
             nest.name,
@@ -113,7 +125,7 @@ def _cmd_analyze(args) -> int:
             reuse,
             curve,
             fixed_ns=curve.time_at(curve.last_way),
-            epsilon=args.epsilon,
+            epsilon=cfg.saturation_epsilon,
         )
         bundle.append(attrs)
         print(
@@ -156,17 +168,14 @@ def _flag_overrides(args) -> dict:
     return out
 
 
-def _load_mix(path: str, args):
-    """Read a mix; explicit CLI overrides outrank the mix's own config lines."""
+def _load_run(path: str, config_path, flags: dict):
+    """(mix, config) of one run.  Each setting is resolved once, later
+    sources outranking earlier ones: defaults, the --config file, the mix's
+    own config lines, then explicit flags."""
     mix = formats.read_mix(path)
-    flags = _flag_overrides(args)
     if flags:
         mix = replace(mix, config_overrides={**mix.config_overrides, **flags})
-    return mix
-
-
-def _base_config(args):
-    return formats.read_config(args.config) if args.config else None
+    return mix, mix_config(mix, _read_config(config_path))
 
 
 def _report_metrics(report):
@@ -197,9 +206,8 @@ REPORT_HEADER = (
 
 
 def _cmd_simulate(args) -> int:
-    mix = _load_mix(args.mix, args)
-    policy = Policy(args.policy, args.interval_ms * 1e6)
-    report = run_mix(mix, policy, _base_config(args))
+    mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
+    report = run_mix(mix, Policy(args.policy, args.interval_ms * 1e6), cfg)
     ws, ws_tw, jain, ok, worst, deficit = _report_metrics(report)
     print("mix %s (%s) under %s" % (report.mix_name, report.category, report.policy))
     print("finished at %.6g ns" % report.end_time)
@@ -225,7 +233,7 @@ def _cmd_simulate(args) -> int:
     for msg in report.warnings:
         print("warning: %s" % msg, file=sys.stderr)
     if args.log:
-        formats.write_alloc_log(report.records, args.log, mix_config(mix, _base_config(args)))
+        formats.write_alloc_log(report.records, args.log, cfg)
         print("wrote allocation log to %s" % args.log)
     if args.out:
         row = (
@@ -286,12 +294,12 @@ def _parse_policies(text: str) -> list[str]:
     return policies
 
 
-def _compare_rows(mix, policies, interval_ns, base_cfg=None):
-    base = run_mix(mix, Policy("unpartitioned"), base_cfg)
+def _compare_rows(mix, policies, interval_ns, cfg):
+    base = run_mix(mix, Policy("unpartitioned"), cfg)
     rows = []
     for kind in policies:
         report = (
-            base if kind == "unpartitioned" else run_mix(mix, Policy(kind, interval_ns), base_cfg)
+            base if kind == "unpartitioned" else run_mix(mix, Policy(kind, interval_ns), cfg)
         )
         ws, ws_tw, jain, ok, worst, deficit = _report_metrics(report)
         ws_base = weighted_speedup(base.completions, report.completions)
@@ -320,9 +328,9 @@ def _compare_rows(mix, policies, interval_ns, base_cfg=None):
 
 
 def _cmd_compare(args) -> int:
-    mix = _load_mix(args.mix, args)
+    mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
     policies = _parse_policies(args.policies)
-    rows = _compare_rows(mix, policies, args.interval_ms * 1e6, _base_config(args))
+    rows = _compare_rows(mix, policies, args.interval_ms * 1e6, cfg)
     widths = "%-14s %-10s %8s %8s %8s %6s %8s"
     print(widths % ("policy", "end(ms)", "vs-unprt", "vs-alone", "fair", "sla", "deficit"))
     for row in rows:
@@ -347,21 +355,16 @@ def _cmd_compare(args) -> int:
 def _sweep_worker(job):
     """One mix end to end; module-level so worker processes can import it."""
     path, policies, interval_ns, config_path, flag_items = job
-    mix = formats.read_mix(path)
-    if flag_items:
-        mix = replace(mix, config_overrides={**mix.config_overrides, **dict(flag_items)})
-    base_cfg = formats.read_config(config_path) if config_path else None
-    return _compare_rows(mix, list(policies), interval_ns, base_cfg)
+    mix, cfg = _load_run(path, config_path, dict(flag_items))
+    return _compare_rows(mix, list(policies), interval_ns, cfg)
 
 
 def _aggregate_rows(rows, policies):
     groups: dict[tuple[str, str], list] = {}
     for r in rows:
         groups.setdefault((r[1], r[2]), []).append(r)
-    cats = [c for c in CATEGORY_ORDER if any(k[0] == c for k in groups)]
-    cats += sorted({k[0] for k in groups} - set(CATEGORY_ORDER))
     out = []
-    for cat in cats:
+    for cat in CATEGORIES:
         for pol in policies:
             rs = groups.get((cat, pol))
             if not rs:

@@ -539,7 +539,8 @@ _MIX_KEYWORDS = frozenset((
 
 def read_mix(path: str) -> MixSpec:
     """Parse one mix.  Phase-level alpha and max-ways are derived from the
-    phase's own curve; a phase without fixed-ns predicts its full-width time.
+    phase's own curve.  A phase without fixed-ns keeps fixed_ns None: the
+    simulator predicts its full-width time under the run's configuration.
     """
     rd = _Reader(path, _MIX_KEYWORDS, first="mix")
     lines = iter(rd.lines)
@@ -603,16 +604,13 @@ def _phase(phase: tuple, cfg: SystemConfig) -> PhaseSpec:
         raise SchemaError("no curve points")
     curve = WayTimeCurve(tuple(sorted(points)))
     max_ways = detect_max_ways(curve, cfg.saturation_epsilon)
-    fixed = fields.get("fixed-ns")
-    if fixed is None:
-        fixed = curve.time_at(cfg.ways_per_socket)
     attrs = ProbeAttributes(
         phase_id=phase_id,
         footprint=FootprintValue(nbytes, -(-nbytes // cfg.line_size), True),
         reuse=reuse,
         alpha=compute_alpha(curve, max_ways),
         max_ways=max_ways,
-        fixed_ns=fixed,
+        fixed_ns=fields.get("fixed-ns"),
     )
     return PhaseSpec(phase_id, attrs, work, curve)
 

@@ -82,8 +82,8 @@ class Policy:
     def __post_init__(self):
         if self.kind not in _POLICIES:
             raise TraceError("unknown policy %r" % (self.kind,))
-        if self.interval_ns <= 0:
-            raise TraceError("policy interval must be positive")
+        if not (math.isfinite(self.interval_ns) and self.interval_ns > 0):
+            raise TraceError("policy interval must be positive and finite")
 
 
 @dataclass
@@ -343,14 +343,21 @@ class _ComCas(_Policy):
 
     def admit(self, t, runs):
         self.ap.ipca_batch(t, [
-            (r.pid, r.alpha, r.max_ways, r.phase.attrs, r.phase.attrs.predicted_time())
-            for r in runs
+            (r.pid, r.alpha, r.max_ways, r.phase.attrs, self._predicted(r)) for r in runs
         ])
         self._read_back()
 
     def phase_change(self, t, run):
-        self.ap.pcca(t, run.pid, run.phase.attrs, run.phase.attrs.predicted_time())
+        self.ap.pcca(t, run.pid, run.phase.attrs, self._predicted(run))
         self._read_back()
+
+    def _predicted(self, run):
+        """The phase's announced duration.  A phase with neither fixed-ns nor
+        a timing model announces its time at the run's full socket width."""
+        attrs = run.phase.attrs
+        if attrs.fixed_ns is None and attrs.timing is None:
+            return run.phase.curve.time_at(self.ways)
+        return attrs.predicted_time()
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)

@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through cli.main with exit-code checks."""
 
+import dataclasses
 import os
 import random
 import shutil
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from cacheways import formats
+from cacheways.apportion import SystemConfig
 from cacheways.cli import main
 from cacheways.loops import (
     Affine,
@@ -299,12 +301,134 @@ def test_gfactor_flag_outranks_mix_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_config_file_reaches_engine(tmp_path, capsys):
-    from cacheways.apportion import SystemConfig
-    from cacheways.formats import write_config
+ROUTE_MIX = """format-version 1
+mix route light
+config sockets 1
+process 0
+phase p0 100 stream 4194304
+point 2 4000
+point 16 1000
+process 1
+phase p0 100 reuse 2097152
+point 2 2000
+point 16 2000
+process 2
+phase p0 2000 stream 4194304
+point 2 2000
+point 16 1000
+phase p1 100 reuse 1048576
+point 2 4000
+point 16 500
+end
+"""
 
+
+def run_outputs(capsys, argv, files):
+    """(exit code, stdout, stderr, bytes of each output file) of one command;
+    the output files are removed, so the next run starts clean."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    written = []
+    for f in files:
+        written.append(f.read_bytes() if f.exists() else None)
+        f.unlink(missing_ok=True)
+    return code, out.out, out.err, written
+
+
+def test_config_file_and_mix_config_line_give_equal_reports(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("format-version 1\nconfig ways_per_socket 16\n", encoding="utf-8")
+    in_mix = mix_file(tmp_path, ROUTE_MIX.replace("config sockets 1\n", "config sockets 1\nconfig ways_per_socket 16\n"))
+    plain = mix_file(tmp_path, ROUTE_MIX, name="plain.mix")
+    files = [tmp_path / "log.csv", tmp_path / "rep.csv"]
+    for policy in ("comcas", "unpartitioned", "maxways", "reactive"):
+        argv = ["simulate", "--policy", policy, "--log", str(files[0]), "--out", str(files[1])]
+        via_mix = run_outputs(capsys, argv + ["--mix", in_mix], files)
+        via_file = run_outputs(capsys, argv + ["--mix", plain, "--config", str(cfg)], files)
+        assert via_mix[0] == 0
+        assert via_mix == via_file, policy
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+def test_interval_must_be_finite_and_positive(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as ei:
+        main(["simulate", "--mix", mix_file(tmp_path), "--policy", "reactive", "--interval-ms", value])
+    assert ei.value.code == 2
+    assert "--interval-ms" in capsys.readouterr().err
+
+
+KNOBS_MIX = """format-version 1
+mix knobs heavy
+process 0
+phase a 1 reuse 4194304
+point 2 400
+point 3 200
+point 11 190
+phase b 1 reuse 65536
+point 2 400
+point 3 200
+point 11 190
+process 1
+phase c 1 reuse 4194304
+point 2 400
+point 3 200
+point 11 190
+phase d 1 stream 16777216
+point 2 100
+process 2
+phase e 1 stream 8388608
+point 2 300
+process 3
+phase f 1 stream 8388608
+point 2 300
+end
+"""
+
+# a non-default value for every SystemConfig field
+NON_DEFAULT = {
+    "sockets": 1, "cores_per_socket": 1, "clos_per_socket": 1, "ways_per_socket": 16,
+    "line_size": 128, "gfactor": 1, "scaling_factor_stream": 0.5,
+    "clos_occupancy_threshold": 0.99, "hysteresis_ways": 3, "alpha_socket_threshold": 1e9,
+    "dm_penalty": 4.0, "srd_delta": 10.0, "saturation_epsilon": 0.3,
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SystemConfig)])
+def test_no_setting_is_dead(tmp_path, capsys, key):
+    # A setting nothing reads would leave both commands' bytes unchanged.
+    nest = LoopNest(
+        name="rows",
+        loops=(LoopLevel("i", Bound(4)), LoopLevel("j", Bound(100))),
+        statements=(Statement((MemoryAccess("A", 8, Affine(0, (("j", 1),)), "read"),), 2),),
+    )
+    nests, curves = str(tmp_path / "nests.txt"), str(tmp_path / "curves.txt")
+    formats.write_nests([nest], nests)
+    formats.write_curves({"rows": WayTimeCurve.from_dict({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
+    mix = mix_file(tmp_path, KNOBS_MIX)
+    cfg = tmp_path / "sys.cfg"
+    files = [tmp_path / "attrs.txt", tmp_path / "log.csv", tmp_path / "rep.csv"]
+    commands = (
+        ["analyze", "--nests", nests, "--curves", curves, "--out", str(files[0])],
+        ["simulate", "--mix", mix, "--policy", "comcas", "--log", str(files[1]), "--out", str(files[2])],
+    )
+
+    def outputs(setting):
+        cfg.write_text("format-version 1\n" + setting, encoding="utf-8")
+        return [run_outputs(capsys, argv + ["--config", str(cfg)], files) for argv in commands]
+
+    default = outputs("")
+    assert [run[0] for run in default] == [0, 0]
+    changed = outputs("config %s %r\n" % (key, NON_DEFAULT[key]))
+    assert changed != default, "config %s changes nothing" % key
+    assert all(run[0] in (0, 2) for run in changed)
+
+
+def test_config_file_reaches_engine(tmp_path, capsys):
     cfg = str(tmp_path / "sys.cfg")
-    write_config(SystemConfig(clos_per_socket=1, gfactor=1), cfg)
+    formats.write_config(SystemConfig(clos_per_socket=1, gfactor=1), cfg)
     mix = mix_file(tmp_path, JOIN_MIX.replace("config clos_per_socket 1\n", ""))
     assert main(["simulate", "--mix", mix]) == 0
     capsys.readouterr()

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from cacheways.apportion import SystemConfig, replay_events
+from cacheways.apportion import Apportioner, SystemConfig, replay_events
 from cacheways.errors import SchemaError
 from cacheways.formats import (
     fmt_float,
@@ -47,6 +47,7 @@ from cacheways.loops import (
     Statement,
 )
 from cacheways.sensitivity import ProbeAttributes, WayTimeCurve
+from cacheways.simulate import Policy, run_mix
 from cacheways.timing import TimingModel, TrainingSample
 
 from oracles import random_affine_nest
@@ -349,10 +350,24 @@ def test_mix_derives_phase_sensitivity(tmp_path):
     assert warm.attrs.max_ways == 3
     assert warm.attrs.alpha == 200.0
     assert warm.attrs.fixed_ns == 1000.0
-    # no fixed-ns: predicted time defaults to the full-width curve value
-    assert cruise.attrs.fixed_ns == 100.0
+    assert cruise.attrs.fixed_ns is None  # resolved per run, see below
     assert cruise.attrs.reuse is ReuseClass.STREAM
     assert m.processes[1].phases[0].attrs.footprint.bytes == 1048576
+
+
+def test_mix_phase_without_fixed_ns_announces_full_width_time(tmp_path, monkeypatch):
+    m = read_mix(write_text(tmp_path, "demo.mix", MIX_TEXT))
+    announced = {}
+    pcca = Apportioner.pcca
+
+    def spy(self, t, pid, attrs, predicted_ns):
+        announced[attrs.phase_id] = predicted_ns
+        return pcca(self, t, pid, attrs, predicted_ns)
+
+    monkeypatch.setattr(Apportioner, "pcca", spy)
+    run_mix(m, Policy("comcas"))
+    # no fixed-ns: the phase announces its curve's time at the run's 12 ways
+    assert announced == {"cruise": 100.0}
 
 
 def test_mix_errors(tmp_path):

@@ -137,8 +137,9 @@ def test_validate_mix_rejects_empty_and_duplicates():
 def test_policy_validation():
     with pytest.raises(TraceError):
         Policy("roundrobin")
-    with pytest.raises(TraceError):
-        Policy("reactive", interval_ns=0.0)
+    for bad in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(TraceError, match="interval"):
+            Policy("reactive", interval_ns=bad)
     assert Policy("reactive").interval_ns == 5e8
 
 
