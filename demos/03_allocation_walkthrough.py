@@ -8,8 +8,7 @@ Run:  python3 demos/03_allocation_walkthrough.py
 """
 
 from cacheways.apportion import Apportioner, SystemConfig
-from cacheways.loops import FootprintValue, ReuseClass
-from cacheways.sensitivity import ProbeAttributes
+from cacheways.loops import ReuseClass
 
 cfg = SystemConfig(sockets=1)
 ap = Apportioner(cfg)
@@ -18,16 +17,9 @@ GLYPHS = "abcdefgh"
 MIB = 1 << 20
 
 
-def attrs(pid, mib, predicted=1e6):
-    nbytes = int(mib * MIB)
-    return ProbeAttributes(
-        phase_id="p%d" % pid,
-        footprint=FootprintValue(nbytes, nbytes // 64, True),
-        reuse=ReuseClass.REUSE,
-        alpha=0.0,
-        max_ways=0,
-        fixed_ns=predicted,
-    )
+def reuse(mib):
+    """A reuse phase of `mib` MiB, as the allocator is told it: (bytes, reuse)."""
+    return int(mib * MIB), ReuseClass.REUSE
 
 
 def strip():
@@ -67,20 +59,20 @@ print("ways drawn high-to-low; '.' free, letters = owning pid\n")
 ap.ipca_batch(
     0,
     [
-        (0, 4.0, 5, attrs(0, 4.0), 9e5),
-        (1, 2.0, 8, attrs(1, 8.0), 8e5),
-        (2, 0.5, 5, attrs(2, 2.0), 4e5),
+        (0, 4.0, 5, *reuse(4.0), 9e5),
+        (1, 2.0, 8, *reuse(8.0), 8e5),
+        (2, 0.5, 5, *reuse(2.0), 4e5),
     ],
 )
 tell("t=0: footprints 4/8/2 MiB split the socket 3+6+2")
 
-ap.pcca(100, 2, attrs(2, 6.0), 3e5)
+ap.pcca(100, 2, *reuse(6.0), 3e5)
 tell("t=100: pid 2 now wants 4 ways; nothing free, runs short")
 
 ap.release_process(200, 1)
 tell("t=200: pid 1 exits; pid 2 collects its missing two ways")
 
-ap.pcca(300, 0, attrs(0, 2.5), 2e5)
+ap.pcca(300, 0, *reuse(2.5), 2e5)
 tell("t=300: pid 0 drifts lighter; demand rounds to the same 3")
 
 print("\n%d records, %d state-changing apportionings" % (len(ap.records), ap.apportion_count))

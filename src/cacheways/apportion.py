@@ -24,7 +24,6 @@ from typing import Mapping
 
 from .errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
 from .loops import ReuseClass
-from .sensitivity import ProbeAttributes
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,20 @@ class Scenario(Enum):
 SCENARIO_TOL = 1e-9
 
 
-def adjusted_footprint(attrs: ProbeAttributes, config: SystemConfig) -> float:
+def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> float:
     """Footprint mass entering the fraction: reuse counts in full, streaming
     is discounted by the configured scaling factor."""
-    scale = 1.0 if attrs.reuse is ReuseClass.REUSE else config.scaling_factor_stream
-    return attrs.footprint.bytes * scale
+    scale = 1.0 if reuse is ReuseClass.REUSE else config.scaling_factor_stream
+    return nbytes * scale
 
 
 def cache_fractions(active, config: SystemConfig) -> dict[int, float]:
     """Fraction of the socket each process claims: its adjusted footprint over
     the sum across co-resident processes.  `active` is an iterable of
-    (pid, ProbeAttributes).  All-zero footprints split evenly."""
-    adjusted = {pid: adjusted_footprint(attrs, config) for pid, attrs in active}
+    (pid, footprint bytes, reuse class).  All-zero footprints split evenly."""
+    adjusted = {
+        pid: adjusted_footprint(nbytes, reuse, config) for pid, nbytes, reuse in active
+    }
     if not adjusted:
         raise SchemaError("cache_fractions needs at least one process")
     total = sum(adjusted.values())
@@ -187,7 +188,8 @@ class ProcessState:
     pid: int
     alpha: float
     max_ways: int
-    attrs: ProbeAttributes
+    nbytes: int
+    reuse: ReuseClass
     socket_id: int = -1
     clos_id: int = -1
     req_ways: int = 0
@@ -217,10 +219,11 @@ class AllocationRecord:
 
 def replay_events(events, config: SystemConfig | None = None) -> "Apportioner":
     """Drive a fresh Apportioner through an explicit event sequence and
-    return it (records included).  Events are tuples:
+    return it (records included).  Events are tuples, each an event-trace
+    line's keyword and arguments:
 
-        ("ipca",    time_ns, pid, alpha, max_ways, attrs, predicted_ns)
-        ("pcca",    time_ns, pid, attrs, predicted_ns)
+        ("ipca",    time_ns, pid, alpha, max_ways, nbytes, reuse, predicted_ns)
+        ("pcca",    time_ns, pid, nbytes, reuse, predicted_ns)
         ("release", time_ns, pid)
 
     Consecutive ipca events with the same timestamp are admitted as one
@@ -230,23 +233,18 @@ def replay_events(events, config: SystemConfig | None = None) -> "Apportioner":
     seq = list(events)
     i = 0
     while i < len(seq):
-        kind = seq[i][0]
+        kind, t, *args = seq[i]
+        i += 1
         if kind == "ipca":
-            t = seq[i][1]
-            batch = []
+            batch = [args]
             while i < len(seq) and seq[i][0] == "ipca" and seq[i][1] == t:
-                _, _, pid, alpha, max_ways, attrs, predicted_ns = seq[i]
-                batch.append((pid, alpha, max_ways, attrs, predicted_ns))
+                batch.append(seq[i][2:])
                 i += 1
             ap.ipca_batch(t, batch)
         elif kind == "pcca":
-            _, t, pid, attrs, predicted_ns = seq[i]
-            ap.pcca(t, pid, attrs, predicted_ns)
-            i += 1
+            ap.pcca(t, *args)
         elif kind == "release":
-            _, t, pid = seq[i]
-            ap.release_process(t, pid)
-            i += 1
+            ap.release_process(t, *args)
         else:
             raise TraceError("unknown event kind %r" % (kind,))
     return ap
@@ -284,6 +282,10 @@ class Apportioner:
 
     def _clos_alpha(self, clos: ClosState) -> float:
         return max((self.procs[m].alpha for m in clos.members), default=0.0)
+
+    def _fractions(self, sock: SocketState) -> dict[int, float]:
+        procs = [self.procs[pid] for pid in sock.processes]
+        return cache_fractions([(p.pid, p.nbytes, p.reuse) for p in procs], self.config)
 
     def _scenario(self, sock: SocketState) -> Scenario:
         return classify_scenario(
@@ -390,7 +392,7 @@ class Apportioner:
                 for m in clos.members
             )
 
-        if p.attrs.reuse is ReuseClass.STREAM:
+        if p.reuse is ReuseClass.STREAM:
             # widest temporal separation: members ending far from p's end
             return min(cands, key=lambda c: (-dt(c), c.clos_id))
         # reuse: prefer low-alpha groups with large separation
@@ -410,7 +412,7 @@ class Apportioner:
             self.config.clos_occupancy_threshold * self.config.clos_per_socket
         )
         if uncrowded:
-            if p.attrs.reuse is ReuseClass.REUSE:
+            if p.reuse is ReuseClass.REUSE:
                 return empty[0], "fresh"
             if compat:
                 return self._pick_compatible(compat, p), "join"
@@ -458,15 +460,19 @@ class Apportioner:
         pid: int,
         alpha: float,
         max_ways: int,
-        attrs: ProbeAttributes,
+        nbytes: int,
+        reuse: ReuseClass,
         predicted_ns: float,
     ) -> AllocationRecord:
         """Initial placement of one arriving process.  Use ipca_batch for a
         group arriving at the same instant."""
-        return self.ipca_batch(time_ns, [(pid, alpha, max_ways, attrs, predicted_ns)])[0]
+        return self.ipca_batch(
+            time_ns, [(pid, alpha, max_ways, nbytes, reuse, predicted_ns)]
+        )[0]
 
     def ipca_batch(self, time_ns: float, arrivals) -> list[AllocationRecord]:
-        """Admit a batch of processes arriving simultaneously.
+        """Admit a batch of processes arriving simultaneously; each arrival
+        is (pid, alpha, max_ways, nbytes, reuse, predicted_ns).
 
         Sockets are chosen for the whole batch first (reserving each pick's
         max_ways provisionally, so one socket does not swallow every
@@ -482,7 +488,7 @@ class Apportioner:
         prov_free = {s.sid: s.free_ways for s in self.sockets}
         prov_cores = {s.sid: s.free_cores for s in self.sockets}
         placed: dict[int, ProcessState] = {}
-        for pid, alpha, max_ways, attrs, predicted_ns in arrivals:
+        for pid, alpha, max_ways, nbytes, reuse, predicted_ns in arrivals:
             if (
                 alpha > self.config.alpha_socket_threshold
                 and prov_free[0] > max_ways
@@ -504,7 +510,8 @@ class Apportioner:
                 pid=pid,
                 alpha=alpha,
                 max_ways=max_ways,
-                attrs=attrs,
+                nbytes=nbytes,
+                reuse=reuse,
                 socket_id=sid,
                 predicted_end=time_ns + predicted_ns,
             )
@@ -517,9 +524,7 @@ class Apportioner:
             new_here = [pid for pid in sock.processes if pid in placed]
             if not new_here:
                 continue
-            fractions = cache_fractions(
-                [(pid, self.procs[pid].attrs) for pid in sock.processes], self.config
-            )
+            fractions = self._fractions(sock)
             for pid in new_here:
                 placed[pid].fraction = fractions[pid]
             for pid in new_here:
@@ -535,21 +540,23 @@ class Apportioner:
     # -- phase change (pcca) ----------------------------------------------------
 
     def pcca(
-        self, time_ns: float, pid: int, attrs: ProbeAttributes, predicted_ns: float
+        self,
+        time_ns: float,
+        pid: int,
+        nbytes: int,
+        reuse: ReuseClass,
+        predicted_ns: float,
     ) -> AllocationRecord:
         """Re-apportion one process after a phase change.  Demand moves of
         less than hysteresis_ways are ignored; growth extends the CLOS run in
         place; shrink frees ways from the right end and hands them to the most
         unsatisfied CLOS."""
         p = self._proc(pid)
-        p.attrs = attrs
+        p.nbytes, p.reuse = nbytes, reuse
         p.predicted_end = time_ns + predicted_ns
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
-        fractions = cache_fractions(
-            [(q, self.procs[q].attrs) for q in sock.processes], self.config
-        )
-        p.fraction = fractions[pid]
+        p.fraction = self._fractions(sock)[pid]
         req = required_ways(p.fraction, self.config, p.max_ways)
         cur = clos.width
         before = clos.mask

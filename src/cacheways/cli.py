@@ -51,6 +51,15 @@ def finite_positive(text: str) -> float:
     return val
 
 
+def non_negative(text: str) -> int:
+    """A whole number >= 0; on anything else argparse names the flag and
+    exits 2."""
+    val = int(text)
+    if val < 0:
+        raise ValueError(text)
+    return val
+
+
 def _add_run_options(sub) -> None:
     sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
     sub.add_argument("--gfactor", type=int, help="override the per-CLOS group size limit")
@@ -93,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     w.add_argument("--mixes", required=True, help="directory searched recursively for .mix files")
     w.add_argument("--policies", default=",".join(POLICIES), help="comma-separated subset")
     w.add_argument("--parallel", action="store_true", help="run mixes in parallel worker processes")
-    w.add_argument("--jobs", type=int, default=0, help="worker count for --parallel (default: cpu count)")
+    w.add_argument("--jobs", type=non_negative, default=0, help="worker count for --parallel (0: cpu count)")
     w.add_argument("--out", help="directory for the per-mix and per-category CSVs")
     _add_run_options(w)
     return p
@@ -386,7 +395,7 @@ def _cmd_sweep(args) -> int:
     if args.parallel:
         import concurrent.futures  # deferred: only --parallel pays for it
 
-        workers = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+        workers = args.jobs or os.cpu_count() or 1
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_mix = list(pool.map(_sweep_worker, jobs))
     else:

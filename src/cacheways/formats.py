@@ -40,7 +40,7 @@ from .loops import (
     ReuseClass,
     Statement,
 )
-from .sensitivity import ProbeAttributes, WayTimeCurve, compute_alpha, detect_max_ways
+from .sensitivity import ProbeAttributes, WayTimeCurve
 from .simulate import MixSpec, PhaseSpec, ProcessSpec
 from .timing import TimingModel, TrainingSample
 
@@ -521,11 +521,9 @@ def write_mix(mix: MixSpec, path: str) -> None:
             if val is not None:
                 out.append(_render(kw, val))
         for ph in proc.phases:
-            attrs = ph.attrs
-            nbytes = attrs.footprint.bytes
-            out.append(_render("phase", ph.phase_id, ph.work, attrs.reuse, nbytes))
-            if attrs.fixed_ns is not None:
-                out.append(_render("fixed-ns", attrs.fixed_ns))
+            out.append(_render("phase", ph.phase_id, ph.work, ph.reuse, ph.nbytes))
+            if ph.fixed_ns is not None:
+                out.append(_render("fixed-ns", ph.fixed_ns))
             out += [_render("point", w, t) for w, t in ph.curve.points]
     out.append("end")
     _write_lines(path, out)
@@ -538,8 +536,7 @@ _MIX_KEYWORDS = frozenset((
 
 
 def read_mix(path: str) -> MixSpec:
-    """Parse one mix.  Phase-level alpha and max-ways are derived from the
-    phase's own curve.  A phase without fixed-ns keeps fixed_ns None: the
+    """Parse one mix.  A phase without fixed-ns keeps fixed_ns None: the
     simulator predicts its full-width time under the run's configuration.
     """
     rd = _Reader(path, _MIX_KEYWORDS, first="mix")
@@ -580,17 +577,17 @@ def read_mix(path: str) -> MixSpec:
             proc[2][kw] = args[0]
     if not closed:
         rd.fail(rd.last, "mix not closed with 'end'")
-    cfg, overrides = _config(rd, settings)
-    return MixSpec(name, category, tuple(_process(rd, p, cfg) for p in procs), overrides)
+    _, overrides = _config(rd, settings)
+    return MixSpec(name, category, tuple(_process(rd, p) for p in procs), overrides)
 
 
-def _process(rd: _Reader, proc: tuple, cfg: SystemConfig) -> ProcessSpec:
+def _process(rd: _Reader, proc: tuple) -> ProcessSpec:
     no, (pid,), fields, phases = proc
     if not phases:
         rd.fail(no, "process %d has no phases" % pid)
     return ProcessSpec(
         pid=pid,
-        phases=tuple(rd.build(ph[0], "phase %r" % ph[1][0], _phase, ph, cfg) for ph in phases),
+        phases=tuple(rd.build(ph[0], "phase %r" % ph[1][0], _phase, ph) for ph in phases),
         start_ns=fields.get("start", 0.0),
         alpha=fields.get("alpha"),
         max_ways=fields.get("max-ways"),
@@ -598,21 +595,12 @@ def _process(rd: _Reader, proc: tuple, cfg: SystemConfig) -> ProcessSpec:
     )
 
 
-def _phase(phase: tuple, cfg: SystemConfig) -> PhaseSpec:
+def _phase(phase: tuple) -> PhaseSpec:
     _, (phase_id, work, reuse, nbytes), fields, points = phase
     if not points:
         raise SchemaError("no curve points")
     curve = WayTimeCurve(tuple(sorted(points)))
-    max_ways = detect_max_ways(curve, cfg.saturation_epsilon)
-    attrs = ProbeAttributes(
-        phase_id=phase_id,
-        footprint=FootprintValue(nbytes, -(-nbytes // cfg.line_size), True),
-        reuse=reuse,
-        alpha=compute_alpha(curve, max_ways),
-        max_ways=max_ways,
-        fixed_ns=fields.get("fixed-ns"),
-    )
-    return PhaseSpec(phase_id, attrs, work, curve)
+    return PhaseSpec(phase_id, work, reuse, nbytes, curve, fields.get("fixed-ns"))
 
 
 # ---------------------------------------------------------------------------
@@ -622,23 +610,15 @@ def _phase(phase: tuple, cfg: SystemConfig) -> PhaseSpec:
 def write_events(events, path: str, config: SystemConfig | None = None) -> None:
     out = [] if config is None else _config_lines(_non_default(config))
     for ev in events:
-        kind = ev[0]
-        if kind == "ipca":
-            _, t, pid, alpha, max_ways, attrs, pred = ev
-            fp, reuse = attrs.footprint.bytes, attrs.reuse
-            out.append(_render("ipca", t, pid, alpha, max_ways, fp, reuse, pred))
-        elif kind == "pcca":
-            _, t, pid, attrs, pred = ev
-            out.append(_render("pcca", t, pid, attrs.footprint.bytes, attrs.reuse, pred))
-        elif kind == "release":
-            out.append(_render(*ev))
-        else:
-            raise SchemaError("unknown event kind %r" % (kind,))
+        if ev[0] not in ("ipca", "pcca", "release"):
+            raise SchemaError("unknown event kind %r" % (ev[0],))
+        out.append(_render(*ev))
     _write_lines(path, out)
 
 
 def read_events(path: str) -> tuple[list[tuple], SystemConfig]:
-    """Returns (events, config) ready for `replay_events`."""
+    """Returns (events, config) ready for `replay_events`; each event is its
+    line's keyword followed by the typed arguments."""
     rd = _Reader(path, {"config", "ipca", "pcca", "release"})
     settings = []
     for line in rd.lines:
@@ -647,33 +627,10 @@ def read_events(path: str) -> tuple[list[tuple], SystemConfig]:
         settings.append(line)
     cfg, _ = _config(rd, settings)
     events: list[tuple] = []
-    admitted: dict[int, tuple[float, int]] = {}  # pid -> (alpha, max_ways)
-    counter = 0
     for no, kw, args in rd.lines[len(settings):]:
         if kw == "config":
             rd.fail(no, "config lines must precede events")
-        if kw == "release":
-            events.append((kw, *args))
-            continue
-        if kw == "ipca":
-            t, pid, alpha, max_ways, nbytes, reuse, pred = args
-            admitted[pid] = (alpha, max_ways)
-        else:
-            t, pid, nbytes, reuse, pred = args
-            alpha, max_ways = admitted.get(pid, (0.0, 2))
-        counter += 1
-        attrs = ProbeAttributes(
-            phase_id="pid%d-ev%d" % (pid, counter),
-            footprint=FootprintValue(nbytes, -(-nbytes // cfg.line_size), True),
-            reuse=reuse,
-            alpha=alpha,
-            max_ways=max_ways,
-            fixed_ns=0.0,
-        )
-        if kw == "ipca":
-            events.append((kw, t, pid, alpha, max_ways, attrs, pred))
-        else:
-            events.append((kw, t, pid, attrs, pred))
+        events.append((kw, *args))
     return events, cfg
 
 

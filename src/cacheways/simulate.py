@@ -23,7 +23,9 @@ Four policies choose masks:
                   saturation way count,
   * reactive      equal split, then one way moved per fixed-interval tick
                   toward the neediest process (a counter-sampling stand-in).
-                  Every process holds at least 1 way: with more processes
+                  Ticks fall on multiples of the interval while anything
+                  runs; after an idle gap they resume at the first multiple
+                  after the admission that ends it.  Every process holds at least 1 way: with more processes
                   than ways on a socket, each gets 1 way, placed round-robin
                   in pid order, and sharers split a way by the rule above.
 
@@ -43,17 +45,23 @@ from .apportion import (
 )
 from .errors import TraceError
 from .loops import ReuseClass
-from .sensitivity import ProbeAttributes, WayTimeCurve, compute_alpha, detect_max_ways
+from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
 
 CATEGORIES = ("light", "medium", "heavy")
 
 
 @dataclass(frozen=True)
 class PhaseSpec:
+    """One phase: its work, the two values the allocator is told (reuse
+    class and footprint bytes), its way-time curve and, optionally, the
+    duration it announces (by default its time at full width)."""
+
     phase_id: str
-    attrs: ProbeAttributes
     work: float
+    reuse: ReuseClass
+    nbytes: int
     curve: WayTimeCurve
+    fixed_ns: float | None = None
 
 
 @dataclass(frozen=True)
@@ -342,22 +350,19 @@ class _ComCas(_Policy):
         self.ap = Apportioner(place.config)
 
     def admit(self, t, runs):
-        self.ap.ipca_batch(t, [
-            (r.pid, r.alpha, r.max_ways, r.phase.attrs, self._predicted(r)) for r in runs
-        ])
+        self.ap.ipca_batch(t, [(r.pid, r.alpha, r.max_ways, *self._announce(r)) for r in runs])
         self._read_back()
 
     def phase_change(self, t, run):
-        self.ap.pcca(t, run.pid, run.phase.attrs, self._predicted(run))
+        self.ap.pcca(t, run.pid, *self._announce(run))
         self._read_back()
 
-    def _predicted(self, run):
-        """The phase's announced duration.  A phase with neither fixed-ns nor
-        a timing model announces its time at the run's full socket width."""
-        attrs = run.phase.attrs
-        if attrs.fixed_ns is None and attrs.timing is None:
-            return run.phase.curve.time_at(self.ways)
-        return attrs.predicted_time()
+    def _announce(self, run):
+        """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
+        fixed-ns announces its time at the run's full socket width."""
+        ph = run.phase
+        ns = ph.fixed_ns if ph.fixed_ns is not None else ph.curve.time_at(self.ways)
+        return ph.nbytes, ph.reuse, ns
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
@@ -433,10 +438,10 @@ def run_mix(
     completions: dict[int, float] = {}
     width_timeline: list[tuple[float, dict]] = []
     now = 0.0
-    tick_no = 0  # completed rebalancing ticks
+    tick_no = 0  # grid points passed: ticks done, or skipped while idle
 
     def refresh_speeds():
-        reuse = {pid: runs[pid].phase.attrs.reuse is ReuseClass.REUSE for pid in active}
+        reuse = {pid: runs[pid].phase.reuse is ReuseClass.REUSE for pid in active}
         claims = [[0] * cfg.ways_per_socket for _ in range(cfg.sockets)]
         for pid in active:
             if reuse[pid]:
@@ -516,6 +521,11 @@ def run_mix(
         while pending and pending[0][0] <= now:
             due.append(pending.pop(0)[1])
         if due or (released and waiting):
+            if tick_ns and not active:
+                # leaving an idle gap: the next tick is the first grid point after now
+                tick_no = int(now // tick_ns)
+                if (tick_no + 1) * tick_ns <= now:  # the float quotient fell short
+                    tick_no += 1
             retry, waiting[:] = waiting[:], []
             admit(now, due + retry)
 

@@ -3,20 +3,6 @@
 import os
 
 import cacheways
-from cacheways.loops import FootprintValue, ReuseClass
-from cacheways.sensitivity import ProbeAttributes
-
-
-def mk_attrs(nbytes, reuse="reuse", alpha=0.0, max_ways=2, phase="p", predicted=0.0):
-    kind = ReuseClass.REUSE if reuse == "reuse" else ReuseClass.STREAM
-    return ProbeAttributes(
-        phase_id=phase,
-        footprint=FootprintValue(nbytes, (nbytes + 63) // 64, True),
-        reuse=kind,
-        alpha=alpha,
-        max_ways=max_ways,
-        fixed_ns=predicted,
-    )
 
 
 def child_env():

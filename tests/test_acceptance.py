@@ -17,6 +17,7 @@ import time
 from cacheways.apportion import AdmissionRejected, Apportioner, SystemConfig
 from cacheways.formats import read_mix
 from cacheways.loops import (
+    ReuseClass,
     compute_srd,
     footprint_closed_form,
     footprint_enumerate,
@@ -38,7 +39,7 @@ from oracles import (
     strict_gaps,
     two_statement_nest,
 )
-from support import child_env, mk_attrs
+from support import child_env
 from test_fixtures import fixture_names, replay_fixture
 
 MIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
@@ -251,15 +252,10 @@ def drive_stream(seed, n_events):
         next_pid += 1
         alpha = round(rng.uniform(0.0, 8.0), 3)
         mw = rng.randint(1, cfg.ways_per_socket)
-        attrs = mk_attrs(
-            rng.choice(BYTES_CHOICES),
-            "reuse" if rng.random() < 0.6 else "stream",
-            alpha=alpha,
-            max_ways=mw,
-            phase="p%d" % pid,
-            predicted=rng.uniform(1e3, 1e9),
-        )
-        return (pid, alpha, mw, attrs, rng.uniform(1e3, 1e9))
+        nbytes = rng.choice(BYTES_CHOICES)
+        reuse = ReuseClass.REUSE if rng.random() < 0.6 else ReuseClass.STREAM
+        rng.uniform(1e3, 1e9)  # an unused draw, kept so the seeded stream is unchanged
+        return (pid, alpha, mw, nbytes, reuse, rng.uniform(1e3, 1e9))
 
     def resync():
         live.clear()
@@ -298,12 +294,9 @@ def drive_stream(seed, n_events):
                 fraction_sum_checked = True
         elif op == "pcca":
             pid = rng.choice(sorted(live))
-            attrs = mk_attrs(
-                rng.choice(BYTES_CHOICES),
-                "reuse" if rng.random() < 0.6 else "stream",
-                phase="p%d" % pid,
-            )
-            ap.pcca(t, pid, attrs, rng.uniform(1e3, 1e9))
+            nbytes = rng.choice(BYTES_CHOICES)
+            reuse = ReuseClass.REUSE if rng.random() < 0.6 else ReuseClass.STREAM
+            ap.pcca(t, pid, nbytes, reuse, rng.uniform(1e3, 1e9))
             done += 1
         else:
             pid = rng.choice(sorted(live))

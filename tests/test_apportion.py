@@ -21,7 +21,9 @@ from cacheways.apportion import (
     required_ways,
 )
 from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
-from support import mk_attrs
+from cacheways.loops import ReuseClass
+
+REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
 
 MIB = 1024 * 1024
 
@@ -35,14 +37,14 @@ def one_socket(**kw):
 
 def test_adjusted_footprint_discounts_streams():
     cfg = SystemConfig()
-    assert adjusted_footprint(mk_attrs(1000, "reuse"), cfg) == 1000.0
-    assert adjusted_footprint(mk_attrs(1000, "stream"), cfg) == 100.0
+    assert adjusted_footprint(1000, REUSE, cfg) == 1000.0
+    assert adjusted_footprint(1000, STREAM, cfg) == 100.0
 
 
 def test_cache_fractions_sum_to_one():
     cfg = SystemConfig()
     fr = cache_fractions(
-        [(0, mk_attrs(3 * MIB)), (1, mk_attrs(MIB)), (2, mk_attrs(4 * MIB, "stream"))],
+        [(0, 3 * MIB, REUSE), (1, MIB, REUSE), (2, 4 * MIB, STREAM)],
         cfg,
     )
     assert sum(fr.values()) == pytest.approx(1.0)
@@ -51,7 +53,7 @@ def test_cache_fractions_sum_to_one():
 
 def test_cache_fractions_zero_mass_splits_evenly():
     cfg = SystemConfig()
-    fr = cache_fractions([(0, mk_attrs(0)), (1, mk_attrs(0))], cfg)
+    fr = cache_fractions([(0, 0, REUSE), (1, 0, REUSE)], cfg)
     assert fr == {0: 0.5, 1: 0.5}
 
 
@@ -107,7 +109,7 @@ def test_bitmask_avoids_occupied_runs():
     ap = Apportioner(one_socket())
     sock = ap.sockets[0]
     # occupy [0..3] with a member-bearing CLOS
-    ap.ipca(0.0, 0, 0.0, 4, mk_attrs(4 * MIB, max_ways=4), 1.0)
+    ap.ipca(0.0, 0, 0.0, 4, 4 * MIB, REUSE, 1.0)
     mask = ap.generate_bitmask(sock, 5, 3)
     assert mask == 0b111 << 4
 
@@ -119,8 +121,8 @@ def test_bitmask_overlap_lands_on_lowest_alpha_region():
     ap.ipca_batch(
         0.0,
         [
-            (0, 9.0, 6, mk_attrs(6 * MIB, alpha=9.0, max_ways=6), 1.0),
-            (1, 0.0, 2, mk_attrs(2 * MIB, max_ways=2), 1.0),
+            (0, 9.0, 6, 6 * MIB, REUSE, 1.0),
+            (1, 0.0, 2, 2 * MIB, REUSE, 1.0),
         ],
     )
     sock = ap.sockets[0]
@@ -144,16 +146,16 @@ def test_bitmask_rejects_oversize():
 
 def test_double_admission_rejected():
     ap = Apportioner(one_socket())
-    ap.ipca(0.0, 7, 0.0, 2, mk_attrs(MIB), 1.0)
+    ap.ipca(0.0, 7, 0.0, 2, MIB, REUSE, 1.0)
     with pytest.raises(TraceError):
-        ap.ipca(1.0, 7, 0.0, 2, mk_attrs(MIB), 1.0)
+        ap.ipca(1.0, 7, 0.0, 2, MIB, REUSE, 1.0)
 
 
 def test_high_alpha_arrivals_prefer_socket_zero_until_reserved_out():
     cfg = SystemConfig(sockets=2, ways_per_socket=11)
     ap = Apportioner(cfg)
     arrivals = [
-        (pid, 5.0, 4, mk_attrs(3 * MIB, alpha=5.0, max_ways=4), 1.0)
+        (pid, 5.0, 4, 3 * MIB, REUSE, 1.0)
         for pid in range(4)
     ]
     recs = ap.ipca_batch(0.0, arrivals)
@@ -166,7 +168,7 @@ def test_high_alpha_arrivals_prefer_socket_zero_until_reserved_out():
 def test_low_alpha_arrivals_balance_by_free_cores():
     ap = Apportioner(SystemConfig(sockets=2))
     recs = ap.ipca_batch(
-        0.0, [(pid, 0.0, 2, mk_attrs(MIB), 1.0) for pid in range(4)]
+        0.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in range(4)]
     )
     assert {r.pid: r.socket for r in recs} == {0: 0, 1: 1, 2: 0, 3: 1}
     # batch records come out socket-major, pid order within each socket
@@ -176,18 +178,18 @@ def test_low_alpha_arrivals_balance_by_free_cores():
 def test_admission_fails_without_free_core():
     cfg = SystemConfig(sockets=1, cores_per_socket=1)
     ap = Apportioner(cfg)
-    ap.ipca(0.0, 0, 0.0, 2, mk_attrs(MIB), 1.0)
+    ap.ipca(0.0, 0, 0.0, 2, MIB, REUSE, 1.0)
     with pytest.raises(AdmissionRejected):
-        ap.ipca(1.0, 1, 0.0, 2, mk_attrs(MIB), 1.0)
+        ap.ipca(1.0, 1, 0.0, 2, MIB, REUSE, 1.0)
 
 
 def test_gfactor_never_exceeded():
     cfg = one_socket(clos_per_socket=1, gfactor=2)
     ap = Apportioner(cfg)
-    ap.ipca(0.0, 0, 0.0, 2, mk_attrs(MIB), 1.0)
-    ap.ipca(1.0, 1, 0.0, 2, mk_attrs(MIB), 1.0)
+    ap.ipca(0.0, 0, 0.0, 2, MIB, REUSE, 1.0)
+    ap.ipca(1.0, 1, 0.0, 2, MIB, REUSE, 1.0)
     with pytest.raises(AdmissionRejected):
-        ap.ipca(2.0, 2, 0.0, 2, mk_attrs(MIB), 1.0)
+        ap.ipca(2.0, 2, 0.0, 2, MIB, REUSE, 1.0)
     assert ap.max_clos_group_size == 2
 
 
@@ -197,7 +199,7 @@ def test_batch_fraction_sum_is_exactly_one_per_socket():
 
     rng = random.Random(7)
     arrivals = [
-        (pid, 0.0, 3, mk_attrs(rng.randint(1, 9) * MIB, max_ways=3), 1.0)
+        (pid, 0.0, 3, rng.randint(1, 9) * MIB, REUSE, 1.0)
         for pid in range(8)
     ]
     ap.ipca_batch(0.0, arrivals)
@@ -210,7 +212,7 @@ def test_batch_fraction_sum_is_exactly_one_per_socket():
 
 def test_granted_ways_caps_at_saturation():
     ap = Apportioner(one_socket())
-    ap.ipca(0.0, 0, 0.0, 2, mk_attrs(8 * MIB, max_ways=2), 1.0)
+    ap.ipca(0.0, 0, 0.0, 2, 8 * MIB, REUSE, 1.0)
     clos = ap.clos_of(0)
     assert clos.width >= 2
     assert ap.granted_ways(0) == 2
@@ -221,7 +223,7 @@ def test_unplaced_pid_raises():
     with pytest.raises(NotPlaced):
         ap.granted_ways(3)
     with pytest.raises(NotPlaced):
-        ap.pcca(0.0, 3, mk_attrs(MIB), 1.0)
+        ap.pcca(0.0, 3, MIB, REUSE, 1.0)
 
 
 # -- randomized invariants ----------------------------------------------------
@@ -257,11 +259,8 @@ def test_engine_invariants_random_walk(rng):
                 pid,
                 rng.choice([0.0, 0.5, 2.0, 8.0]),
                 mw,
-                mk_attrs(
-                    rng.randint(1, 8) * MIB,
-                    rng.choice(["reuse", "reuse", "stream"]),
-                    max_ways=mw,
-                ),
+                rng.randint(1, 8) * MIB,
+                rng.choice([REUSE, REUSE, STREAM]),
                 rng.uniform(1e6, 1e9),
             )
         )
@@ -287,11 +286,8 @@ def test_engine_invariants_random_walk(rng):
             ap.pcca(
                 t,
                 pid,
-                mk_attrs(
-                    rng.randint(1, 8) * MIB,
-                    rng.choice(["reuse", "stream"]),
-                    max_ways=ap.procs[pid].max_ways,
-                ),
+                rng.randint(1, 8) * MIB,
+                rng.choice([REUSE, STREAM]),
                 rng.uniform(1e6, 1e9),
             )
         check_invariants(ap, socket_of)

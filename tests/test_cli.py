@@ -11,7 +11,7 @@ import pytest
 
 from cacheways import formats
 from cacheways.apportion import SystemConfig
-from cacheways.cli import main
+from cacheways.cli import _build_parser, main
 from cacheways.loops import (
     Affine,
     ArrayDecl,
@@ -360,6 +360,16 @@ def test_interval_must_be_finite_and_positive(tmp_path, capsys, value):
     assert "--interval-ms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-3", "-1"])
+def test_sweep_jobs_must_be_non_negative(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as ei:
+        main(["sweep", "--mixes", str(tmp_path), "--parallel", "--jobs", value])
+    assert ei.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    # 0 still means one worker per CPU
+    assert _build_parser().parse_args(["sweep", "--mixes", "m", "--jobs", "0"]).jobs == 0
+
+
 KNOBS_MIX = """format-version 1
 mix knobs heavy
 process 0
@@ -476,6 +486,17 @@ def test_sweep_parallel_matches_sequential(tmp_path):
 
 def test_cli_import_skips_numpy_and_process_pool(tmp_path):
     code = "import sys, cacheways.cli; print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_apportion_import_skips_analysis_modules(tmp_path):
+    # the allocator takes a phase as (bytes, reuse), so it needs neither the
+    # sensitivity bundle nor the timing model
+    code = "import sys, cacheways.apportion; print(sorted({'cacheways.sensitivity', 'cacheways.timing'} & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
     )

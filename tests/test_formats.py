@@ -8,6 +8,7 @@ import glob
 import os
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +48,7 @@ from cacheways.loops import (
     Statement,
 )
 from cacheways.sensitivity import ProbeAttributes, WayTimeCurve
-from cacheways.simulate import Policy, run_mix
+from cacheways.simulate import Policy, mix_config, process_sensitivity, run_mix
 from cacheways.timing import TimingModel, TrainingSample
 
 from oracles import random_affine_nest
@@ -346,13 +347,13 @@ def test_mix_derives_phase_sensitivity(tmp_path):
         250.0, 3.5, 6, 12345.5,
     )
     warm, cruise = p0.phases
-    # phase-level pair comes from the phase curve, not the process override
-    assert warm.attrs.max_ways == 3
-    assert warm.attrs.alpha == 200.0
-    assert warm.attrs.fixed_ns == 1000.0
-    assert cruise.attrs.fixed_ns is None  # resolved per run, see below
-    assert cruise.attrs.reuse is ReuseClass.STREAM
-    assert m.processes[1].phases[0].attrs.footprint.bytes == 1048576
+    # without the process override, the pair comes from the summed phase curves
+    derived = replace(p0, alpha=None, max_ways=None)
+    assert process_sensitivity(derived, mix_config(m)) == (200.0, 3)
+    assert warm.fixed_ns == 1000.0
+    assert cruise.fixed_ns is None  # resolved per run, see below
+    assert cruise.reuse is ReuseClass.STREAM
+    assert m.processes[1].phases[0].nbytes == 1048576
 
 
 def test_mix_phase_without_fixed_ns_announces_full_width_time(tmp_path, monkeypatch):
@@ -360,14 +361,14 @@ def test_mix_phase_without_fixed_ns_announces_full_width_time(tmp_path, monkeypa
     announced = {}
     pcca = Apportioner.pcca
 
-    def spy(self, t, pid, attrs, predicted_ns):
-        announced[attrs.phase_id] = predicted_ns
-        return pcca(self, t, pid, attrs, predicted_ns)
+    def spy(self, t, pid, nbytes, reuse, predicted_ns):
+        announced[pid, nbytes] = predicted_ns
+        return pcca(self, t, pid, nbytes, reuse, predicted_ns)
 
     monkeypatch.setattr(Apportioner, "pcca", spy)
     run_mix(m, Policy("comcas"))
-    # no fixed-ns: the phase announces its curve's time at the run's 12 ways
-    assert announced == {"cruise": 100.0}
+    # no fixed-ns: the cruise phase announces its curve's time at the run's 12 ways
+    assert announced == {(0, 20971520): 100.0}
 
 
 def test_mix_errors(tmp_path):
@@ -449,24 +450,16 @@ def test_events_round_trip(tmp_path):
     assert cfg1.sockets == 1
 
 
-def test_events_pcca_inherits_admission_sensitivity(tmp_path):
+def test_events_read_as_line_tuples(tmp_path):
     ev, _ = read_events(write_text(tmp_path, "t.events", EVENTS_TEXT))
-    kind, t, pid, attrs, pred = ev[2]
-    assert (kind, t, pid, pred) == ("pcca", 50.5, 0, 250000.0)
-    assert attrs.alpha == 2.5
-    assert attrs.max_ways == 4
-    assert attrs.footprint.bytes == 8388608
-
-
-def test_events_footprint_lines_use_config_line_size(tmp_path):
-    body = (
-        "format-version 1\nconfig line_size 128\n"
-        "ipca 0 0 2.5 4 4096 reuse 1000\npcca 5 0 4097 reuse 10\n"
-    )
-    ev, cfg = read_events(write_text(tmp_path, "t.events", body))
-    assert cfg.line_size == 128
-    assert ev[0][5].footprint.lines == 32
-    assert ev[1][3].footprint.lines == 33
+    expected = [
+        ("ipca", 0.0, 0, 2.5, 4, 4194304, ReuseClass.REUSE, 1000000.0),
+        ("ipca", 0.0, 1, 0.0, 2, 20971520, ReuseClass.STREAM, 500000.0),
+        ("pcca", 50.5, 0, 8388608, ReuseClass.REUSE, 250000.0),
+        ("release", 100.0, 1),
+    ]
+    assert ev == expected
+    assert [list(map(type, e)) for e in ev] == [list(map(type, e)) for e in expected]
 
 
 def test_events_errors(tmp_path):
@@ -607,7 +600,7 @@ def test_once_per_block_lines_repeat_across_blocks(tmp_path):
     text = MIX_HEAD + "start 5\nphase p 1 reuse 1\nfixed-ns 1\npoint 2 1\nphase q 1 reuse 1\nfixed-ns 2\npoint 2 1\nprocess 1\nstart 9\nphase r 1 reuse 1\npoint 2 1\nend\n"
     mix = read_mix(write_text(tmp_path, "ok.mix", text))
     assert [p.start_ns for p in mix.processes] == [5.0, 9.0]
-    assert [ph.attrs.fixed_ns for ph in mix.processes[0].phases] == [1.0, 2.0]
+    assert [ph.fixed_ns for ph in mix.processes[0].phases] == [1.0, 2.0]
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):

@@ -1,13 +1,15 @@
 """Engine-level tests: every completion time asserted here was traced by hand
 with power-of-two phase times so the arithmetic is exact in floats."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cacheways.apportion import SystemConfig
 from cacheways.errors import TraceError
-from cacheways.loops import FootprintValue, ReuseClass
-from cacheways.sensitivity import ProbeAttributes, WayTimeCurve
+from cacheways.loops import ReuseClass
+from cacheways.sensitivity import WayTimeCurve
 from cacheways.simulate import (
     MixSpec,
     PhaseSpec,
@@ -26,17 +28,7 @@ MIB = 1 << 20
 
 
 def phase(tag, nbytes, curve, work=1.0, reuse=ReuseClass.REUSE):
-    attrs = ProbeAttributes(
-        phase_id=tag,
-        footprint=FootprintValue(nbytes, (nbytes + 63) // 64, True),
-        reuse=reuse,
-        alpha=0.0,
-        max_ways=2,
-        fixed_ns=0.0,
-    )
-    return PhaseSpec(
-        phase_id=tag, attrs=attrs, work=work, curve=WayTimeCurve.from_dict(curve)
-    )
+    return PhaseSpec(tag, work, reuse, nbytes, WayTimeCurve.from_dict(curve), fixed_ns=0.0)
 
 
 def mix_of(*procs, name="t", category="light", **overrides):
@@ -384,6 +376,35 @@ def test_reactive_floor_gives_every_process_one_way():
     assert rep.width_timeline[0] == (0.0, {i: (1.0, 3, 1) for i in range(5)})
 
 
+def idle_gap_mix(start_ns, with_blip=True):
+    """pids 1 and 2 start together at `start_ns`; pid 9, when present, runs
+    one 100 ns phase at t=0 and leaves the engine idle until then."""
+    procs = [
+        ProcessSpec(pid=1, phases=(phase("a", MIB, {2: 4e9, 10: 1e9}, work=1e9),), start_ns=start_ns),
+        ProcessSpec(pid=2, phases=(phase("b", MIB, {2: 1e9}, work=1e9),), start_ns=start_ns),
+    ]
+    if with_blip:
+        procs.append(ProcessSpec(pid=9, phases=(phase("z", MIB, {2: 100.0}, work=100.0),)))
+    return mix_of(*procs, sockets=1)
+
+
+def test_reactive_clock_resumes_after_idle_gap():
+    # after the gap the next tick is the first 500 ms grid point after 5e9,
+    # so time never runs backwards and every completion is positive
+    rep = run_mix(idle_gap_mix(5e9), Policy("reactive"))
+    assert all(done > 0 for done in rep.completions.values())
+    times = [t for t, _ in rep.width_timeline]
+    assert times == sorted(times)
+    # shifting the starts by ten whole intervals shifts only the times
+    late = run_mix(idle_gap_mix(5e9, with_blip=False), Policy("reactive"))
+    early = run_mix(idle_gap_mix(0.0, with_blip=False), Policy("reactive"))
+    assert early.completions[1] == pytest.approx(2.1445e9, rel=1e-4)
+    assert early.completions[2] == 1e9
+    for pid in (1, 2):
+        assert late.completions[pid] == pytest.approx(early.completions[pid], rel=1e-9)
+        assert rep.completions[pid] == late.completions[pid]
+
+
 # -- determinism --------------------------------------------------------------
 
 @pytest.mark.parametrize("policy", [
@@ -437,13 +458,21 @@ def random_mix(rnd):
 @given(st.randoms(use_true_random=False))
 def test_every_policy_completes_random_mixes(rnd):
     m = random_mix(rnd)
+    interval = rnd.choice((50.0, 700.0, 5e8))
     policies = [Policy(k) for k in ("comcas", "unpartitioned", "maxways")]
-    policies.append(Policy("reactive", interval_ns=rnd.choice((50.0, 700.0, 5e8))))
+    policies.append(Policy("reactive", interval_ns=interval))
+    if rnd.random() < 0.5:
+        # the mix again, three reactive intervals after the first copy ended
+        # (no random mix runs past 1e6 ns)
+        n, gap = len(m.processes), 1e6 + 3 * interval
+        again = [replace(p, pid=p.pid + n, start_ns=p.start_ns + gap) for p in m.processes]
+        m = replace(m, processes=m.processes + tuple(again))
     for pol in policies:
         rep = run_mix(m, pol)
         assert sorted(rep.completions) == [p.pid for p in m.processes]
         times = [t for t, _ in rep.width_timeline]
         assert times == sorted(times)
         for pid, done in rep.completions.items():
+            assert done > 0, (pol.kind, pid)
             assert done >= rep.unmixed[pid] * (1 - 1e-9), (pol.kind, pid)
         assert run_mix(m, pol) == rep
