@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import AttributesIncomplete, CurveIncomplete, MergeEmpty, SchemaError
 from .loops import FootprintValue, ReuseClass
-from .timing import TimingModel, predict_phase_time
+from .timing import TimingModel
 
 MONOTONE_TOL = 1e-6
 
@@ -61,16 +61,16 @@ class WayTimeCurve:
         linear between them, flat beyond the last one."""
         if ways < 2:
             raise CurveIncomplete("time_at needs ways >= 2, got %d" % ways)
-        ws = [w for w, _ in self.points]
-        if ways <= ws[0]:
-            return self.points[0][1]
-        if ways >= ws[-1]:
-            return self.points[-1][1]
-        i = bisect_left(ws, ways)
-        if ws[i] == ways:
-            return self.points[i][1]
-        w0, t0 = self.points[i - 1]
-        w1, t1 = self.points[i]
+        pts = self.points
+        if ways <= pts[0][0]:
+            return pts[0][1]
+        if ways >= pts[-1][0]:
+            return pts[-1][1]
+        i = bisect_left(pts, (ways,))  # (w,) sorts before every (w, t)
+        w1, t1 = pts[i]
+        if w1 == ways:
+            return t1
+        w0, t0 = pts[i - 1]
         frac = (ways - w0) / (w1 - w0)
         return t0 + frac * (t1 - t0)
 
@@ -119,14 +119,6 @@ class ProbeAttributes:
     max_ways: int
     timing: TimingModel | None = None
     fixed_ns: float | None = None
-
-    def predicted_time(self, bounds=()) -> float:
-        """Predicted phase duration in ns (fixed value or model at bounds)."""
-        if self.fixed_ns is not None:
-            return self.fixed_ns
-        if self.timing is not None:
-            return predict_phase_time(self.timing, bounds)
-        raise AttributesIncomplete("phase %r carries no timing" % self.phase_id)
 
 
 def assemble_attributes(

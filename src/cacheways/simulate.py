@@ -10,9 +10,10 @@ its instant.
 A policy only chooses which contiguous way mask each admitted process holds,
 on which socket.  The engine keeps that placement and applies one contention
 rule to every policy, recomputed from per-socket claim counts after each
-event: a streaming phase sees its whole mask; a reuse phase gets the exact
-integer floor of sum(1/k) over the ways of its mask, where k is the number of
-reuse phases holding that way (itself included), and never less than 1.
+event on the sockets whose masks or phases it changed: a streaming phase sees
+its whole mask; a reuse phase gets the exact integer floor of sum(1/k) over
+the ways of its mask, where k is the number of reuse phases holding that way
+(itself included), and never less than 1.
 
 Four policies choose masks:
   * comcas        probe-guided: the Apportioner places arrivals in batches,
@@ -179,13 +180,16 @@ def effective_ways(mask: int, claims, reuse: bool) -> int:
     """
     if not reuse:
         return mask_width(mask)
-    num, den = 0, 1  # the running sum is num / den
+    ways_at = {}  # claim count k -> ways of the mask held by k reuse phases
     for way in range(mask.bit_length()):
         if mask >> way & 1:
             k = claims[way]
             if k < 1:
                 raise TraceError("way %d of mask %#x has no reuse claim" % (way, mask))
-            num, den = num * k + den, den * k
+            ways_at[k] = ways_at.get(k, 0) + 1
+    num, den = 0, 1  # the running sum of n_k / k is num / den
+    for k, n in ways_at.items():
+        num, den = num * k + n * den, den * k
     return max(1, num // den)
 
 
@@ -201,18 +205,42 @@ def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 class _Placement:
-    """Which socket and which way mask each admitted pid holds."""
+    """Which socket and which way mask each admitted pid holds, each socket's
+    pids in ascending order, and the `dirty` sockets: those whose placement
+    or phases changed since the engine last refreshed them."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.socket_of: dict[int, int] = {}
         self.mask_of: dict[int, int] = {}
+        self.pids = [[] for _ in range(config.sockets)]
+        self.dirty: set[int] = set()
+
+    def put(self, pid: int, sid: int, mask: int) -> None:
+        """Give `pid` `mask` on socket `sid`, dirtying the socket if that
+        changes anything.  No policy moves a placed pid to another socket."""
+        if pid not in self.socket_of:
+            self.socket_of[pid] = sid
+            self.pids[sid].append(pid)
+            self.pids[sid].sort()
+        elif self.mask_of[pid] == mask:
+            return
+        self.mask_of[pid] = mask
+        self.dirty.add(sid)
+
+    def drop(self, pid: int) -> int:
+        """Retire `pid`; returns the socket it held."""
+        sid = self.socket_of.pop(pid)
+        del self.mask_of[pid]
+        self.pids[sid].remove(pid)
+        self.dirty.add(sid)
+        return sid
 
     def pids_on(self, sid: int) -> list[int]:
-        return sorted(pid for pid, s in self.socket_of.items() if s == sid)
+        return self.pids[sid]
 
     def free_cores(self, sid: int) -> int:
-        return self.config.cores_per_socket - len(self.pids_on(sid))
+        return self.config.cores_per_socket - len(self.pids[sid])
 
     def least_loaded(self) -> int:
         """The socket with the most free cores, the lowest id on ties."""
@@ -231,8 +259,7 @@ class _Policy:
     def admit(self, t, runs):
         for r in runs:
             sid = self.place.least_loaded()
-            self.place.mask_of[r.pid] = self.mask(sid, r)
-            self.place.socket_of[r.pid] = sid
+            self.place.put(r.pid, sid, self.mask(sid, r))
 
     def phase_change(self, t, run):
         pass
@@ -290,7 +317,7 @@ class _Reactive(_Policy):
 
     def admit(self, t, runs):
         for r in runs:
-            self.place.socket_of[r.pid] = self.place.least_loaded()
+            self.place.put(r.pid, self.place.least_loaded(), 0)  # masked below
             self.runs[r.pid] = r
         for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
             pids = self.place.pids_on(sid)
@@ -305,7 +332,7 @@ class _Reactive(_Policy):
             w = self.widths[pid]
             if start + w > self.ways:
                 start = 0
-            self.place.mask_of[pid] = ((1 << w) - 1) << start
+            self.place.put(pid, sid, ((1 << w) - 1) << start)
             start += w
 
     def release(self, t, run, sid):
@@ -343,7 +370,9 @@ class _Reactive(_Policy):
 
 class _ComCas(_Policy):
     """The Apportioner places every arrival and owns its masks; after each
-    operation the placement reads them back."""
+    operation the placement reads back the sockets it can have changed:
+    every socket after an admission, the run's own after a phase change or
+    release."""
 
     def __init__(self, place: _Placement):
         super().__init__(place)
@@ -351,11 +380,11 @@ class _ComCas(_Policy):
 
     def admit(self, t, runs):
         self.ap.ipca_batch(t, [(r.pid, r.alpha, r.max_ways, *self._announce(r)) for r in runs])
-        self._read_back()
+        self._read_back(self.ap.sockets)
 
     def phase_change(self, t, run):
         self.ap.pcca(t, run.pid, *self._announce(run))
-        self._read_back()
+        self._read_back([self.ap.sockets[self.place.socket_of[run.pid]]])
 
     def _announce(self, run):
         """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
@@ -366,18 +395,18 @@ class _ComCas(_Policy):
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
-        self._read_back()
+        self._read_back([self.ap.sockets[sid]])
 
-    def _read_back(self):
-        for sock in self.ap.sockets:
+    def _read_back(self, socks):
+        for sock in socks:
             for clos in sock.clos:
                 for pid in clos.members:
-                    self.place.socket_of[pid] = sock.sid
-                    self.place.mask_of[pid] = clos.mask
+                    self.place.put(pid, sock.sid, clos.mask)
 
     def row(self, run):
+        """Granted ways are the CLOS width, capped at the saturation point."""
         p = self.ap.procs[run.pid]
-        return (p.alpha, p.req_ways, self.ap.granted_ways(run.pid))
+        return (p.alpha, p.req_ways, min(mask_width(self.place.mask_of[run.pid]), p.max_ways))
 
     def log(self):
         ap = self.ap
@@ -399,16 +428,13 @@ _POLICIES = {
 @dataclass
 class _Run:
     spec: ProcessSpec
+    pid: int
     alpha: float
     max_ways: int
     phase_idx: int = 0
     work_rem: float = 0.0
     speed: float = 0.0
     started_at: float = 0.0
-
-    @property
-    def pid(self) -> int:
-        return self.spec.pid
 
     @property
     def phase(self) -> PhaseSpec:
@@ -428,11 +454,10 @@ def run_mix(
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
         alpha, maxw = process_sensitivity(proc, cfg)
-        runs[proc.pid] = _Run(spec=proc, alpha=alpha, max_ways=maxw)
+        runs[proc.pid] = _Run(spec=proc, pid=proc.pid, alpha=alpha, max_ways=maxw)
 
-    pending = sorted(
-        (proc.start_ns, proc.pid) for proc in mix.processes
-    )
+    # due last; nothing is pushed, so popping the end keeps the order
+    pending = sorted(((proc.start_ns, proc.pid) for proc in mix.processes), reverse=True)
     waiting: list[int] = []
     active: list[int] = []
     completions: dict[int, float] = {}
@@ -440,22 +465,33 @@ def run_mix(
     now = 0.0
     tick_no = 0  # grid points passed: ticks done, or skipped while idle
 
-    def refresh_speeds():
-        reuse = {pid: runs[pid].phase.reuse is ReuseClass.REUSE for pid in active}
-        claims = [[0] * cfg.ways_per_socket for _ in range(cfg.sockets)]
-        for pid in active:
-            if reuse[pid]:
-                row, mask = claims[place.socket_of[pid]], place.mask_of[pid]
-                for way in range(mask.bit_length()):
-                    row[way] += mask >> way & 1
-        for pid in active:
-            eff = effective_ways(place.mask_of[pid], claims[place.socket_of[pid]], reuse[pid])
-            runs[pid].speed = phase_speed(runs[pid].phase, eff, cfg.dm_penalty)
+    speeds: dict[tuple[int, int, int], float] = {}  # (pid, phase index, eff. ways)
+    rows: dict[int, tuple] = {}  # pid -> width-timeline row
 
-    def snapshot(t):
-        snap = {pid: ctl.row(runs[pid]) for pid in sorted(place.mask_of)}
-        if not width_timeline or width_timeline[-1][1] != snap:
-            width_timeline.append((t, snap))
+    def refresh():
+        """Speeds and timeline rows of the pids on dirty sockets."""
+        for sid in place.dirty:
+            pids = place.pids_on(sid)
+            reuse = {pid: runs[pid].phase.reuse is ReuseClass.REUSE for pid in pids}
+            holders: dict[int, int] = {}  # reuse mask -> phases holding it
+            for pid in pids:
+                if reuse[pid]:
+                    holders[place.mask_of[pid]] = holders.get(place.mask_of[pid], 0) + 1
+            claims = [0] * cfg.ways_per_socket
+            for mask, n in holders.items():
+                for way in range(mask.bit_length()):
+                    claims[way] += n * (mask >> way & 1)
+            eff: dict[tuple[int, bool], int] = {}
+            for pid in pids:
+                r, key = runs[pid], (place.mask_of[pid], reuse[pid])
+                if key not in eff:
+                    eff[key] = effective_ways(key[0], claims, key[1])
+                at = (pid, r.phase_idx, eff[key])
+                if at not in speeds:
+                    speeds[at] = phase_speed(r.phase, eff[key], cfg.dm_penalty)
+                r.speed = speeds[at]
+                rows[pid] = ctl.row(r)
+        place.dirty.clear()
 
     def admit(t, pids):
         """Admit in pid order up to capacity; the rest wait for a release."""
@@ -478,7 +514,7 @@ def run_mix(
         }
         cands = list(end_at.values())
         if pending:
-            cands.append(pending[0][0])
+            cands.append(pending[-1][0])
         if tick_ns and active:
             cands.append((tick_no + 1) * tick_ns)
         if not cands:
@@ -502,13 +538,12 @@ def run_mix(
             if r.phase_idx + 1 < len(r.spec.phases):
                 r.phase_idx += 1
                 r.work_rem = r.phase.work
+                place.dirty.add(place.socket_of[pid])
                 ctl.phase_change(now, r)
             else:
                 active.remove(pid)
                 completions[pid] = now - r.started_at
-                sid = place.socket_of.pop(pid)
-                del place.mask_of[pid]
-                ctl.release(now, r, sid)
+                ctl.release(now, r, place.drop(pid))
                 released = True
 
         # a rebalancing tick settles after the phase events of this instant
@@ -518,8 +553,8 @@ def run_mix(
 
         # admissions due now, plus deferred ones once a slot opened
         due = []
-        while pending and pending[0][0] <= now:
-            due.append(pending.pop(0)[1])
+        while pending and pending[-1][0] <= now:
+            due.append(pending.pop()[1])
         if due or (released and waiting):
             if tick_ns and not active:
                 # leaving an idle gap: the next tick is the first grid point after now
@@ -529,9 +564,11 @@ def run_mix(
             retry, waiting[:] = waiting[:], []
             admit(now, due + retry)
 
-        if active:
-            refresh_speeds()
-        snapshot(now)
+        if place.dirty:
+            refresh()
+            snap = {pid: rows[pid] for pid in active}
+            if not width_timeline or width_timeline[-1][1] != snap:
+                width_timeline.append((now, snap))
 
     unmixed = {}
     for proc in mix.processes:

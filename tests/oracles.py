@@ -5,6 +5,7 @@ iteration, keep explicit sets, count by hand with exact arithmetic.  None of
 it shares code with the package beyond the input dataclasses.
 """
 
+import math
 from fractions import Fraction
 
 from cacheways.loops import (
@@ -98,6 +99,13 @@ def alpha_reference(points, max_ways):
     for (w0, t0), (w1, t1) in zip(pts, pts[1:]):
         total += abs(Fraction(t1) - Fraction(t0)) / (w1 - w0)
     return float(total)
+
+
+def brute_effective_ways(mask, claims):
+    """Effective ways of a reuse phase holding `mask`: the floor of the exact
+    sum of 1/claims[w] over every way w of the mask, and at least 1."""
+    total = sum(Fraction(1, claims[w]) for w in range(len(claims)) if mask >> w & 1)
+    return max(1, math.floor(total))
 
 
 def two_statement_nest(m, n):

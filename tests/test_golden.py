@@ -1,0 +1,79 @@
+"""Golden digests of the simulator's reports.
+
+One sha256 per (input, policy) over the repr of the whole SimReport, for the
+bundled mixes and twenty seeded draws of test_simulate's random_mix, under
+every policy.  The random draws also run reactive at a 50 ns interval; the
+bundled mixes' phases last ~1e8 ns, which would take millions of such ticks.
+A change to the engine that claims to keep its outputs must keep every
+digest; a deliberate output change regenerates the table and reports which
+entries moved:
+
+    PYTHONPATH=src python tests/test_golden.py > tests/golden_digests.json
+"""
+
+import glob
+import hashlib
+import json
+import os
+import random
+import sys
+
+from cacheways.errors import CacheWaysError
+from cacheways.formats import read_mix
+from cacheways.simulate import Policy, run_mix
+from test_simulate import random_mix
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+MIXDIR = os.path.join(HERE, os.pardir, "mixes")
+TABLE = os.path.join(HERE, "golden_digests.json")
+
+POLICIES = {
+    "comcas": Policy("comcas"),
+    "unpartitioned": Policy("unpartitioned"),
+    "maxways": Policy("maxways"),
+    "reactive": Policy("reactive"),
+}
+FINE = dict(POLICIES, **{"reactive@50": Policy("reactive", interval_ns=50.0)})
+
+
+def inputs():
+    """(name, mix, policies) for every bundled mix, then random-0 .. random-19."""
+    for path in sorted(glob.glob(os.path.join(MIXDIR, "*", "*.mix"))):
+        rel = os.path.relpath(path, MIXDIR)
+        yield rel[: -len(".mix")].replace(os.sep, "/"), read_mix(path), POLICIES
+    for seed in range(20):
+        yield "random-%d" % seed, random_mix(random.Random(seed)), FINE
+
+
+def digest(mix, policy):
+    try:
+        text = repr(run_mix(mix, policy))
+    except CacheWaysError as exc:  # a rejected run is an output too
+        text = "raised " + repr(exc)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def table():
+    return {
+        name: {label: digest(mix, pol) for label, pol in policies.items()}
+        for name, mix, policies in inputs()
+    }
+
+
+def test_reports_match_golden_digests():
+    with open(TABLE) as fh:
+        golden = json.load(fh)
+    now = table()
+    assert now.keys() == golden.keys()
+    moved = [
+        "%s %s" % (name, label)
+        for name in golden
+        for label in golden[name]
+        if now[name].get(label) != golden[name][label]
+    ]
+    assert not moved, "reports moved for: " + ", ".join(moved)
+
+
+if __name__ == "__main__":
+    json.dump(table(), sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")

@@ -13,7 +13,6 @@ from cacheways.sensitivity import (
     detect_max_ways,
     merge_nest_attributes,
 )
-from cacheways.timing import TimingModel
 from oracles import alpha_reference
 
 
@@ -178,7 +177,7 @@ def test_assemble_derives_sensitivity_pair():
     )
     assert attrs.max_ways == 4
     assert attrs.alpha == 3.0
-    assert attrs.predicted_time() == 1e8
+    assert attrs.fixed_ns == 1e8
 
 
 def test_assemble_lists_every_missing_piece():
@@ -187,24 +186,6 @@ def test_assemble_lists_every_missing_piece():
     msg = str(exc.value)
     for part in ("footprint", "reuse class", "way-time curve", "timing"):
         assert part in msg
-
-
-def test_predicted_time_prefers_fixed_value():
-    model = TimingModel((5.0, 2.0), 0.0)
-    attrs = ProbeAttributes("p", FP, ReuseClass.REUSE, 0.0, 2, timing=model, fixed_ns=7.0)
-    assert attrs.predicted_time((10,)) == 7.0
-
-
-def test_predicted_time_evaluates_model():
-    model = TimingModel((5.0, 2.0), 0.0)
-    attrs = ProbeAttributes("p", FP, ReuseClass.REUSE, 0.0, 2, timing=model)
-    assert attrs.predicted_time((10,)) == 25.0
-
-
-def test_predicted_time_without_timing_raises():
-    attrs = ProbeAttributes("p", FP, ReuseClass.REUSE, 0.0, 2)
-    with pytest.raises(AttributesIncomplete):
-        attrs.predicted_time()
 
 
 # -- hoist merging ------------------------------------------------------------

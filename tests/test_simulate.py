@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cacheways import simulate
 from cacheways.apportion import SystemConfig
 from cacheways.errors import TraceError
 from cacheways.loops import ReuseClass
@@ -23,6 +24,7 @@ from cacheways.simulate import (
     run_unmixed,
     validate_mix,
 )
+from oracles import brute_effective_ways
 
 MIB = 1 << 20
 
@@ -80,6 +82,19 @@ def test_effective_ways_requires_membership():
     # a reuse phase is itself a claimant of every way it holds
     with pytest.raises(TraceError):
         effective_ways(0x3, [1, 0], True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_effective_ways_matches_exact_sum(data):
+    ways = data.draw(st.integers(2, 20))
+    if data.draw(st.booleans()):  # contiguous, as every policy places
+        width = data.draw(st.integers(1, ways))
+        mask = ((1 << width) - 1) << data.draw(st.integers(0, ways - width))
+    else:
+        mask = data.draw(st.integers(1, (1 << ways) - 1))
+    claims = data.draw(st.lists(st.integers(1, 40), min_size=ways, max_size=ways))
+    assert effective_ways(mask, claims, True) == brute_effective_ways(mask, claims)
 
 
 def test_run_unmixed_sums_full_width_times():
@@ -403,6 +418,24 @@ def test_reactive_clock_resumes_after_idle_gap():
     for pid in (1, 2):
         assert late.completions[pid] == pytest.approx(early.completions[pid], rel=1e-9)
         assert rep.completions[pid] == late.completions[pid]
+
+
+def test_event_cost_follows_the_touched_socket(monkeypatch):
+    # pid 1's fifty phase changes touch socket 1 only, so pid 0's one long
+    # phase on socket 0 is evaluated once, at its admission
+    calls = []
+    real = simulate.phase_speed
+
+    def counting(ph, ways, dm_penalty=1.25):
+        calls.append(ph.phase_id)
+        return real(ph, ways, dm_penalty)
+
+    monkeypatch.setattr(simulate, "phase_speed", counting)
+    long = ProcessSpec(pid=0, phases=(phase("long", MIB, {2: 2.0 ** 20}),))
+    short = ProcessSpec(pid=1, phases=tuple(phase("s%d" % k, MIB, {2: 128.0}) for k in range(50)))
+    rep = run_mix(mix_of(long, short, sockets=2, cores_per_socket=1), Policy("unpartitioned"))
+    assert rep.completions == {1: 50 * 128.0, 0: 2.0 ** 20}
+    assert calls.count("long") == 1
 
 
 # -- determinism --------------------------------------------------------------
