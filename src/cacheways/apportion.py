@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 from .errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
 from .loops import ReuseClass
@@ -101,11 +100,7 @@ def cache_fractions(active, config: SystemConfig) -> dict[int, float]:
 
 def classify_scenario(fractions) -> Scenario:
     """Occupancy scenario from a collection of stored fractions."""
-    if isinstance(fractions, Mapping):
-        values = fractions.values()
-    else:
-        values = fractions
-    total = math.fsum(values)
+    total = math.fsum(fractions)
     if total > 1.0 + SCENARIO_TOL:
         return Scenario.OVERLAPPING
     if total < 1.0 - SCENARIO_TOL:
@@ -195,7 +190,6 @@ class ProcessState:
     req_ways: int = 0
     fraction: float = 0.0
     predicted_end: float = 0.0
-    active: bool = True
 
 
 @dataclass(frozen=True)
@@ -256,7 +250,7 @@ class Apportioner:
     def __init__(self, config: SystemConfig | None = None):
         self.config = config or SystemConfig()
         self.sockets = [SocketState(i, self.config) for i in range(self.config.sockets)]
-        self.procs: dict[int, ProcessState] = {}
+        self.procs: dict[int, ProcessState] = {}  # placed processes only
         self.records: list[AllocationRecord] = []
         self.warnings: list[str] = []
         self.apportion_count = 0
@@ -268,15 +262,9 @@ class Apportioner:
         p = self._proc(pid)
         return self.sockets[p.socket_id].clos[p.clos_id]
 
-    def granted_ways(self, pid: int) -> int:
-        """Ways the process can actually use: its CLOS width, capped at its
-        own saturation point."""
-        p = self._proc(pid)
-        return min(self.clos_of(pid).width, p.max_ways)
-
     def _proc(self, pid: int) -> ProcessState:
         p = self.procs.get(pid)
-        if p is None or not p.active:
+        if p is None:
             raise NotPlaced("pid %r is not placed" % (pid,))
         return p
 
@@ -454,22 +442,6 @@ class Apportioner:
         self.max_clos_group_size = max(self.max_clos_group_size, len(clos.members))
         return clos
 
-    def ipca(
-        self,
-        time_ns: float,
-        pid: int,
-        alpha: float,
-        max_ways: int,
-        nbytes: int,
-        reuse: ReuseClass,
-        predicted_ns: float,
-    ) -> AllocationRecord:
-        """Initial placement of one arriving process.  Use ipca_batch for a
-        group arriving at the same instant."""
-        return self.ipca_batch(
-            time_ns, [(pid, alpha, max_ways, nbytes, reuse, predicted_ns)]
-        )[0]
-
     def ipca_batch(self, time_ns: float, arrivals) -> list[AllocationRecord]:
         """Admit a batch of processes arriving simultaneously; each arrival
         is (pid, alpha, max_ways, nbytes, reuse, predicted_ns).
@@ -482,7 +454,7 @@ class Apportioner:
         """
         arrivals = sorted(arrivals, key=lambda a: a[0])
         for pid, *_ in arrivals:
-            if pid in self.procs and self.procs[pid].active:
+            if pid in self.procs:
                 raise TraceError("pid %r admitted twice" % (pid,))
 
         prov_free = {s.sid: s.free_ways for s in self.sockets}
@@ -561,17 +533,13 @@ class Apportioner:
         cur = clos.width
         before = clos.mask
         p.req_ways = req
-        demand = max(self.procs[m].req_ways for m in clos.members)
-        if abs(req - cur) < self.config.hysteresis_ways:
-            clos.demand_ways = demand
-        elif req > cur:
-            clos.demand_ways = demand
-            self._extend_in_place(sock, clos, demand - clos.width)
-        else:
-            clos.demand_ways = demand
-            floor_width = max(demand, 1)
-            freed = self._shrink_from_right(clos, cur - floor_width)
-            self._transfer_freed(sock, freed)
+        demand = clos.demand_ways = max(self.procs[m].req_ways for m in clos.members)
+        if abs(req - cur) >= self.config.hysteresis_ways:
+            if req > cur:
+                self._extend_in_place(sock, clos, demand - clos.width)
+            else:
+                freed = self._shrink_from_right(clos, cur - max(demand, 1))
+                self._transfer_freed(sock, freed)
         return self._record(
             time_ns, p, "pcca", sock, clos, changed=clos.mask != before
         )
@@ -587,7 +555,7 @@ class Apportioner:
         before = clos.mask
         clos.members.remove(pid)
         sock.processes.remove(pid)
-        p.active = False
+        del self.procs[pid]
         if not clos.members:
             freed = clos.width
             clos.mask = 0
@@ -610,7 +578,6 @@ class Apportioner:
         clos: ClosState,
         changed: bool,
     ) -> AllocationRecord:
-        granted = min(clos.width, p.max_ways) if p.active else 0
         rec = AllocationRecord(
             time_ns=time_ns,
             pid=p.pid,
@@ -621,7 +588,7 @@ class Apportioner:
             scenario=self._scenario(sock),
             satisfied=clos.satisfied,
             req_ways=p.req_ways,
-            granted_ways=granted,
+            granted_ways=0 if event == "release" else min(clos.width, p.max_ways),
             alpha=p.alpha,
             changed=changed,
         )

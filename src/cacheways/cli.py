@@ -187,15 +187,27 @@ def _load_run(path: str, config_path, flags: dict):
     return mix, mix_config(mix, _read_config(config_path))
 
 
-def _report_metrics(report):
+def _report_row(report, *vs_base):
+    """One CSV row of a report: its run, then `vs_base` (compare's speedups
+    over unpartitioned, if any), then its metrics from the speedups over
+    running alone to the apportion count."""
     mixed, unmixed = report.completions, report.unmixed
-    ws = weighted_speedup(unmixed, mixed)
-    ws_tw = weighted_speedup(unmixed, mixed, weights=unmixed)
-    jain = jain_fairness(throughputs(mixed, unmixed))
     ok, ratios = sla_check(mixed, unmixed)
-    worst = max(ratios.values())
-    deficit = deficit_proxy(report.width_timeline, report.end_time)
-    return ws, ws_tw, jain, ok, worst, deficit
+    return (
+        report.mix_name,
+        report.category,
+        report.policy,
+        report.interval_ns if report.interval_ns is not None else "",
+        report.end_time,
+        *vs_base,
+        weighted_speedup(unmixed, mixed),
+        weighted_speedup(unmixed, mixed, weights=unmixed),
+        jain_fairness(throughputs(mixed, unmixed)),
+        int(ok),
+        max(ratios.values()),
+        deficit_proxy(report.width_timeline, report.end_time),
+        report.apportion_count,
+    )
 
 
 REPORT_HEADER = (
@@ -217,7 +229,8 @@ REPORT_HEADER = (
 def _cmd_simulate(args) -> int:
     mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
     report = run_mix(mix, Policy(args.policy, args.interval_ms * 1e6), cfg)
-    ws, ws_tw, jain, ok, worst, deficit = _report_metrics(report)
+    row = _report_row(report)
+    ws, ws_tw, jain, ok, worst, deficit = row[5:11]
     print("mix %s (%s) under %s" % (report.mix_name, report.category, report.policy))
     print("finished at %.6g ns" % report.end_time)
     for pid in sorted(report.completions):
@@ -245,20 +258,6 @@ def _cmd_simulate(args) -> int:
         formats.write_alloc_log(report.records, args.log, cfg)
         print("wrote allocation log to %s" % args.log)
     if args.out:
-        row = (
-            mix.name,
-            mix.category,
-            report.policy,
-            report.interval_ns if report.interval_ns is not None else "",
-            report.end_time,
-            ws,
-            ws_tw,
-            jain,
-            int(ok),
-            worst,
-            deficit,
-            report.apportion_count,
-        )
         formats.write_table_csv(args.out, REPORT_HEADER, [row])
         print("wrote report to %s" % args.out)
     return 0
@@ -310,29 +309,11 @@ def _compare_rows(mix, policies, interval_ns, cfg):
         report = (
             base if kind == "unpartitioned" else run_mix(mix, Policy(kind, interval_ns), cfg)
         )
-        ws, ws_tw, jain, ok, worst, deficit = _report_metrics(report)
         ws_base = weighted_speedup(base.completions, report.completions)
         ws_base_tw = weighted_speedup(
             base.completions, report.completions, weights=report.unmixed
         )
-        rows.append(
-            (
-                mix.name,
-                mix.category,
-                kind,
-                report.interval_ns if report.interval_ns is not None else "",
-                report.end_time,
-                ws_base,
-                ws_base_tw,
-                ws,
-                ws_tw,
-                jain,
-                int(ok),
-                worst,
-                deficit,
-                report.apportion_count,
-            )
-        )
+        rows.append(_report_row(report, ws_base, ws_base_tw))
     return rows
 
 

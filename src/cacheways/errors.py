@@ -22,10 +22,6 @@ class OracleTooLarge(CacheWaysError):
     """Enumeration oracle would exceed its iteration cap."""
 
 
-class MergeEmpty(CacheWaysError):
-    """Attribute merge called with no inputs."""
-
-
 # timing
 class FitSingular(CacheWaysError):
     """Design matrix is rank-deficient; drop features or add samples."""
@@ -42,10 +38,6 @@ class AccuracyUndefined(CacheWaysError):
 # sensitivity
 class CurveIncomplete(CacheWaysError):
     """Way-time curve lacks points required by the computation."""
-
-
-class AttributesIncomplete(CacheWaysError):
-    """An attribute bundle is missing a required ingredient."""
 
 
 # allocation

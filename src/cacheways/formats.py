@@ -4,14 +4,15 @@ Every structured file follows one line grammar.  Blank lines and `#`
 comments are skipped, the first meaningful line must be `format-version 1`,
 and every other line is one keyword followed by whitespace-separated
 arguments.  `_KEYWORDS` is the whole grammar: for each keyword, the types of
-its arguments (a name, an int, a finite float, `stream|reuse`, the literal
-`estimated`, possibly a repeated tail) and a usage string for errors.
+its arguments (a name, an int, a finite float, a range-checked byte count,
+way count or positive float, `stream|reuse`, the literal `estimated`,
+possibly a repeated tail) and a usage string for errors.
 
-One reader, `_Reader`, checks every keyword, arity, type and finiteness
-against that table and hands back typed lines with their line numbers; nests,
-curves and attrs share one `opener <name> ... end` block splitter.  Any
-malformed line, a truncated one included, raises SchemaError naming the file
-and line.  The `read_*` functions only assemble objects from typed lines.
+One reader, `_Reader`, checks every keyword, arity, type, range and
+finiteness against that table and hands back typed lines with their line
+numbers; nests, curves and attrs share one `opener <name> ... end` block
+splitter.  Any malformed line, a truncated one included, raises SchemaError
+naming the file and line.  The `read_*` functions only assemble objects from typed lines.
 
 The writers render through the same table: ints with %d, reuse classes by
 name and floats with %.17g, so a write/read round trip is value-exact.  The
@@ -67,6 +68,14 @@ def _finite(tok: str) -> float:
     return val
 
 
+def _checked(conv, ok, tok: str):
+    """conv(tok), rejected unless ok(value)."""
+    val = conv(tok)
+    if not ok(val):
+        raise ValueError(tok)
+    return val
+
+
 def _estimated(tok: str) -> str:
     if tok != "estimated":
         raise ValueError(tok)
@@ -78,6 +87,9 @@ _TYPES = {
     "name": (str, str, "a name"),
     "int": (int, "%d".__mod__, "an integer"),
     "float": (_finite, fmt_float, "a finite number"),
+    "bytes": (partial(_checked, int, lambda v: v >= 0), "%d".__mod__, "an integer >= 0"),
+    "ways": (partial(_checked, int, lambda v: v >= 1), "%d".__mod__, "an integer >= 1"),
+    "positive": (partial(_checked, _finite, lambda v: v > 0), fmt_float, "a finite number > 0"),
     "reuse": (ReuseClass, attrgetter("value"), "stream|reuse"),
     "estimated": (_estimated, str, "'estimated'"),
     "mask": (partial(int, base=16), None, "a hex mask"),
@@ -102,9 +114,8 @@ _KEYWORDS = {
     "footprint": ("int int int", "bytes lines exact"),
     "reuse": ("reuse", "stream|reuse"),
     "alpha": ("float", "value"),
-    "max-ways": ("int", "ways"),
+    "max-ways": ("ways", "ways"),
     "fixed-ns": ("float", "ns"),
-    "timing": ("float float (float)...", "residual c0 [c1 ...]"),
     "sample": ("float float (float)...", "bounds... observed-time"),
     "residual": ("float", "value"),
     "coefficients": ("(float)...", "c0 [c1 ...]"),
@@ -112,13 +123,13 @@ _KEYWORDS = {
     "mix": ("name name", "name category"),
     "process": ("int", "pid"),
     "start": ("float", "ns"),
-    "unmixed-ns": ("float", "ns"),
-    "phase": ("name float reuse int", "id work stream|reuse footprint-bytes"),
+    "unmixed-ns": ("positive", "ns"),
+    "phase": ("name positive reuse bytes", "id work stream|reuse footprint-bytes"),
     "ipca": (
-        "float int float int int reuse float",
+        "float int float ways bytes reuse float",
         "t pid alpha max-ways bytes stream|reuse predicted",
     ),
-    "pcca": ("float int int reuse float", "t pid bytes stream|reuse predicted"),
+    "pcca": ("float int bytes reuse float", "t pid bytes stream|reuse predicted"),
     "release": ("float int", "t pid"),
     "end": ("", "no arguments"),
 }
@@ -133,7 +144,6 @@ _ONCE_PER = {
     "fixed-ns": ("phase", "attrs"),
     "footprint": ("attrs",),
     "reuse": ("attrs",),
-    "timing": ("attrs",),
     "residual": (),
     "coefficients": (),
 }
@@ -423,35 +433,30 @@ def write_attributes(attrs, path: str) -> None:
         out.append(_render("reuse", a.reuse))
         out.append(_render("alpha", a.alpha))
         out.append(_render("max-ways", a.max_ways))
-        if a.fixed_ns is not None:
-            out.append(_render("fixed-ns", a.fixed_ns))
-        if a.timing is not None:
-            out.append(_render("timing", a.timing.fit_residual, *a.timing.coefficients))
+        out.append(_render("fixed-ns", a.fixed_ns))
         out.append("end")
     _write_lines(path, out)
 
 
 def read_attributes(path: str) -> dict[str, ProbeAttributes]:
-    keywords = {"attrs", "footprint", "reuse", "alpha", "max-ways", "fixed-ns", "timing", "end"}
+    keywords = {"attrs", "footprint", "reuse", "alpha", "max-ways", "fixed-ns", "end"}
     rd = _Reader(path, keywords)
     result: dict[str, ProbeAttributes] = {}
     for phase_id, no, body, end in _blocks(rd, "attrs"):
         if phase_id in result:
             rd.fail(no, "duplicate attrs %r" % phase_id)
         got = {kw: args for _, kw, args in body}
-        for kw in ("footprint", "reuse", "alpha", "max-ways"):
+        for kw in ("footprint", "reuse", "alpha", "max-ways", "fixed-ns"):
             if kw not in got:
                 rd.fail(end, "attrs %r missing %s" % (phase_id, kw))
         nbytes, lines, exact = got["footprint"]
-        timing = got.get("timing")
         result[phase_id] = ProbeAttributes(
             phase_id=phase_id,
             footprint=FootprintValue(nbytes, lines, bool(exact)),
             reuse=got["reuse"][0],
             alpha=got["alpha"][0],
             max_ways=got["max-ways"][0],
-            timing=None if timing is None else TimingModel(tuple(timing[1:]), timing[0]),
-            fixed_ns=got.get("fixed-ns", [None])[0],
+            fixed_ns=got["fixed-ns"][0],
         )
     return result
 

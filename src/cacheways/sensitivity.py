@@ -12,9 +12,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import AttributesIncomplete, CurveIncomplete, MergeEmpty, SchemaError
+from .errors import CurveIncomplete, SchemaError
 from .loops import FootprintValue, ReuseClass
-from .timing import TimingModel
 
 MONOTONE_TOL = 1e-6
 
@@ -48,9 +47,6 @@ class WayTimeCurve:
     @classmethod
     def from_dict(cls, d) -> "WayTimeCurve":
         return cls(tuple(sorted((int(w), float(t)) for w, t in d.items())))
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.points)
 
     @property
     def last_way(self) -> int:
@@ -110,41 +106,26 @@ def detect_max_ways(curve: WayTimeCurve, epsilon: float = 0.05) -> int:
 @dataclass(frozen=True)
 class ProbeAttributes:
     """The per-phase payload: everything allocation needs to know about one
-    outermost loop nest."""
+    outermost loop nest, its announced duration included."""
 
     phase_id: str
     footprint: FootprintValue
     reuse: ReuseClass
     alpha: float
     max_ways: int
-    timing: TimingModel | None = None
-    fixed_ns: float | None = None
+    fixed_ns: float
 
 
 def assemble_attributes(
     phase_id: str,
-    footprint: FootprintValue | None,
-    reuse: ReuseClass | None,
-    curve: WayTimeCurve | None,
-    timing: TimingModel | None = None,
-    fixed_ns: float | None = None,
-    epsilon: float = 0.05,
+    footprint: FootprintValue,
+    reuse: ReuseClass,
+    curve: WayTimeCurve,
+    fixed_ns: float,
+    epsilon: float,
 ) -> ProbeAttributes:
     """Bundle the analysis outputs for one phase; the sensitivity pair
     (alpha, max-ways) is derived from the way-time curve here."""
-    missing = []
-    if footprint is None:
-        missing.append("footprint")
-    if reuse is None:
-        missing.append("reuse class")
-    if curve is None:
-        missing.append("way-time curve")
-    if timing is None and fixed_ns is None:
-        missing.append("timing")
-    if missing:
-        raise AttributesIncomplete(
-            "phase %r missing: %s" % (phase_id, ", ".join(missing))
-        )
     max_ways = detect_max_ways(curve, epsilon)
     alpha = compute_alpha(curve, max_ways)
     return ProbeAttributes(
@@ -153,33 +134,5 @@ def assemble_attributes(
         reuse=reuse,
         alpha=alpha,
         max_ways=max_ways,
-        timing=timing,
         fixed_ns=fixed_ns,
-    )
-
-
-def merge_nest_attributes(inner) -> ProbeAttributes:
-    """Collapse inner-loop bundles into the outermost phase bundle (the
-    hoisting step): reuse wins if any member reuses, footprints add, and the
-    first bundle (the outermost nest) supplies everything else."""
-    inner = list(inner)
-    if not inner:
-        raise MergeEmpty("no attribute bundles to merge")
-    outer = inner[0]
-    reuse = (
-        ReuseClass.REUSE
-        if any(a.reuse is ReuseClass.REUSE for a in inner)
-        else ReuseClass.STREAM
-    )
-    fp_bytes = sum(a.footprint.bytes for a in inner)
-    fp_lines = sum(a.footprint.lines for a in inner)
-    exact = all(a.footprint.exact for a in inner)
-    return ProbeAttributes(
-        phase_id=outer.phase_id,
-        footprint=FootprintValue(fp_bytes, fp_lines, exact),
-        reuse=reuse,
-        alpha=outer.alpha,
-        max_ways=outer.max_ways,
-        timing=outer.timing,
-        fixed_ns=outer.fixed_ns,
     )

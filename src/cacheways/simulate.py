@@ -26,9 +26,10 @@ Four policies choose masks:
                   toward the neediest process (a counter-sampling stand-in).
                   Ticks fall on multiples of the interval while anything
                   runs; after an idle gap they resume at the first multiple
-                  after the admission that ends it.  Every process holds at least 1 way: with more processes
-                  than ways on a socket, each gets 1 way, placed round-robin
-                  in pid order, and sharers split a way by the rule above.
+                  after the admission that ends it.  Every process holds at
+                  least 1 way: with more processes than ways on a socket,
+                  each gets 1 way, placed round-robin in pid order, and
+                  sharers split a way by the rule above.
 
 Reports are bit-reproducible for identical inputs.
 """

