@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
 from .loops import ReuseClass
@@ -183,7 +184,7 @@ class ProcessState:
     pid: int
     alpha: float
     max_ways: int
-    nbytes: int
+    mass: float  # adjusted_footprint of the current phase
     reuse: ReuseClass
     socket_id: int = -1
     clos_id: int = -1
@@ -192,8 +193,7 @@ class ProcessState:
     predicted_end: float = 0.0
 
 
-@dataclass(frozen=True)
-class AllocationRecord:
+class AllocationRecord(NamedTuple):
     """One allocation decision.  The CSV schema carries the first eight
     fields; the rest feed metrics (deficit integration, apportion counting)."""
 
@@ -271,9 +271,11 @@ class Apportioner:
     def _clos_alpha(self, clos: ClosState) -> float:
         return max((self.procs[m].alpha for m in clos.members), default=0.0)
 
-    def _fractions(self, sock: SocketState) -> dict[int, float]:
-        procs = [self.procs[pid] for pid in sock.processes]
-        return cache_fractions([(p.pid, p.nbytes, p.reuse) for p in procs], self.config)
+    def _fraction(self, sock: SocketState, p: ProcessState) -> float:
+        """p's share of the socket's stored masses, summed in socket order:
+        the value cache_fractions gives it, bit for bit."""
+        total = sum(self.procs[pid].mass for pid in sock.processes)
+        return p.mass / total if total else 1.0 / len(sock.processes)
 
     def _scenario(self, sock: SocketState) -> Scenario:
         return classify_scenario(
@@ -482,7 +484,7 @@ class Apportioner:
                 pid=pid,
                 alpha=alpha,
                 max_ways=max_ways,
-                nbytes=nbytes,
+                mass=adjusted_footprint(nbytes, reuse, self.config),
                 reuse=reuse,
                 socket_id=sid,
                 predicted_end=time_ns + predicted_ns,
@@ -496,9 +498,8 @@ class Apportioner:
             new_here = [pid for pid in sock.processes if pid in placed]
             if not new_here:
                 continue
-            fractions = self._fractions(sock)
             for pid in new_here:
-                placed[pid].fraction = fractions[pid]
+                placed[pid].fraction = self._fraction(sock, placed[pid])
             for pid in new_here:
                 p = placed[pid]
                 p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
@@ -519,16 +520,17 @@ class Apportioner:
         reuse: ReuseClass,
         predicted_ns: float,
     ) -> AllocationRecord:
-        """Re-apportion one process after a phase change.  Demand moves of
-        less than hysteresis_ways are ignored; growth extends the CLOS run in
-        place; shrink frees ways from the right end and hands them to the most
-        unsatisfied CLOS."""
+        """Re-apportion one process after a phase change, recomputing its own
+        fraction only.  Demand moves of less than hysteresis_ways are ignored;
+        growth extends the CLOS run in place; shrink frees ways from the right
+        end and hands them to the most unsatisfied CLOS.  Only that shrink
+        moves another CLOS's ways, so an unchanged record moved no mask."""
         p = self._proc(pid)
-        p.nbytes, p.reuse = nbytes, reuse
+        p.mass, p.reuse = adjusted_footprint(nbytes, reuse, self.config), reuse
         p.predicted_end = time_ns + predicted_ns
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
-        p.fraction = self._fractions(sock)[pid]
+        p.fraction = self._fraction(sock, p)
         req = required_ways(p.fraction, self.config, p.max_ways)
         cur = clos.width
         before = clos.mask

@@ -5,8 +5,8 @@ comments are skipped, the first meaningful line must be `format-version 1`,
 and every other line is one keyword followed by whitespace-separated
 arguments.  `_KEYWORDS` is the whole grammar: for each keyword, the types of
 its arguments (a name, an int, a finite float, a range-checked byte count,
-way count or positive float, `stream|reuse`, the literal `estimated`,
-possibly a repeated tail) and a usage string for errors.
+way count, positive or non-negative float, `stream|reuse`, the literal
+`estimated`, possibly a repeated tail) and a usage string for errors.
 
 One reader, `_Reader`, checks every keyword, arity, type, range and
 finiteness against that table and hands back typed lines with their line
@@ -90,6 +90,7 @@ _TYPES = {
     "bytes": (partial(_checked, int, lambda v: v >= 0), "%d".__mod__, "an integer >= 0"),
     "ways": (partial(_checked, int, lambda v: v >= 1), "%d".__mod__, "an integer >= 1"),
     "positive": (partial(_checked, _finite, lambda v: v > 0), fmt_float, "a finite number > 0"),
+    "nonneg": (partial(_checked, _finite, lambda v: v >= 0), fmt_float, "a finite number >= 0"),
     "reuse": (ReuseClass, attrgetter("value"), "stream|reuse"),
     "estimated": (_estimated, str, "'estimated'"),
     "mask": (partial(int, base=16), None, "a hex mask"),
@@ -113,9 +114,9 @@ _KEYWORDS = {
     "attrs": ("name", "phase-id"),
     "footprint": ("int int int", "bytes lines exact"),
     "reuse": ("reuse", "stream|reuse"),
-    "alpha": ("float", "value"),
+    "alpha": ("nonneg", "value"),
     "max-ways": ("ways", "ways"),
-    "fixed-ns": ("float", "ns"),
+    "fixed-ns": ("positive", "ns"),
     "sample": ("float float (float)...", "bounds... observed-time"),
     "residual": ("float", "value"),
     "coefficients": ("(float)...", "c0 [c1 ...]"),
@@ -126,7 +127,7 @@ _KEYWORDS = {
     "unmixed-ns": ("positive", "ns"),
     "phase": ("name positive reuse bytes", "id work stream|reuse footprint-bytes"),
     "ipca": (
-        "float int float ways bytes reuse float",
+        "float int nonneg ways bytes reuse float",
         "t pid alpha max-ways bytes stream|reuse predicted",
     ),
     "pcca": ("float int bytes reuse float", "t pid bytes stream|reuse predicted"),

@@ -9,11 +9,12 @@ its instant.
 
 A policy only chooses which contiguous way mask each admitted process holds,
 on which socket.  The engine keeps that placement and applies one contention
-rule to every policy, recomputed from per-socket claim counts after each
-event on the sockets whose masks or phases it changed: a streaming phase sees
-its whole mask; a reuse phase gets the exact integer floor of sum(1/k) over
-the ways of its mask, where k is the number of reuse phases holding that way
-(itself included), and never less than 1.
+rule to every policy: a streaming phase sees its whole mask; a reuse phase
+gets the exact integer floor of sum(1/k) over the ways of its mask, where k
+is the number of reuse phases holding that way (itself included), and never
+less than 1.  Claim counts are kept per socket and way.  After each event the
+rule is re-evaluated only for the processes whose mask or phase changed and
+for the reuse phases holding a way whose claim count changed.
 
 Four policies choose masks:
   * comcas        probe-guided: the Apportioner places arrivals in batches,
@@ -207,18 +208,22 @@ def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
 
 class _Placement:
     """Which socket and which way mask each admitted pid holds, each socket's
-    pids in ascending order, and the `dirty` sockets: those whose placement
-    or phases changed since the engine last refreshed them."""
+    pids in ascending order, and each socket's reuse claim count per way.
+    The `dirty` pids are those whose mask, phase or presence changed since
+    the last `refresh`, which settles their claims."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
         self.socket_of: dict[int, int] = {}
         self.mask_of: dict[int, int] = {}
         self.pids = [[] for _ in range(config.sockets)]
+        self.claims = [[0] * config.ways_per_socket for _ in range(config.sockets)]
+        self.claimed: dict[int, int] = {}  # pid -> its mask counted in claims, or 0
+        self.moved: dict[int, int] = {}  # socket -> ways whose claim count changed
         self.dirty: set[int] = set()
 
     def put(self, pid: int, sid: int, mask: int) -> None:
-        """Give `pid` `mask` on socket `sid`, dirtying the socket if that
+        """Give `pid` `mask` on socket `sid`, dirtying the pid if that
         changes anything.  No policy moves a placed pid to another socket."""
         if pid not in self.socket_of:
             self.socket_of[pid] = sid
@@ -227,15 +232,50 @@ class _Placement:
         elif self.mask_of[pid] == mask:
             return
         self.mask_of[pid] = mask
-        self.dirty.add(sid)
+        self.dirty.add(pid)
 
     def drop(self, pid: int) -> int:
-        """Retire `pid`; returns the socket it held."""
+        """Retire `pid` and its claims; returns the socket it held."""
         sid = self.socket_of.pop(pid)
         del self.mask_of[pid]
         self.pids[sid].remove(pid)
-        self.dirty.add(sid)
+        self._claim(sid, pid, 0)
+        self.dirty.add(pid)
         return sid
+
+    def _claim(self, sid: int, pid: int, mask: int) -> None:
+        """Count `mask` (0: nothing) as `pid`'s claim in place of its last."""
+        old, self.claimed[pid] = self.claimed.get(pid, 0), mask
+        moved, claims = old ^ mask, self.claims[sid]
+        for way in range(moved.bit_length()):
+            if moved >> way & 1:
+                claims[way] += 1 if mask >> way & 1 else -1
+        if moved:
+            self.moved[sid] = self.moved.get(sid, 0) | moved
+
+    def refresh(self, is_reuse) -> dict[int, int]:
+        """Settle the dirty pids' claims (`is_reuse(pid)`: does its phase
+        reuse?) and return the effective ways of every placed pid that can
+        have moved: the dirty ones and the reuse holders of each way whose
+        claim count changed.  One effective_ways per (socket, mask, reuse)."""
+        stale = {}  # pid -> reuse
+        for pid in self.dirty:
+            if pid in self.socket_of:
+                stale[pid] = is_reuse(pid)
+                self._claim(self.socket_of[pid], pid, self.mask_of[pid] if stale[pid] else 0)
+        for sid, ways in self.moved.items():
+            for pid in self.pids[sid]:
+                if self.claimed.get(pid, 0) & ways:
+                    stale[pid] = True
+        self.dirty.clear()
+        self.moved.clear()
+        eff, memo = {}, {}
+        for pid, reuse in stale.items():
+            key = (self.socket_of[pid], self.mask_of[pid], reuse)
+            if key not in memo:
+                memo[key] = effective_ways(key[1], self.claims[key[0]], reuse)
+            eff[pid] = memo[key]
+        return eff
 
     def pids_on(self, sid: int) -> list[int]:
         return self.pids[sid]
@@ -384,8 +424,8 @@ class _ComCas(_Policy):
         self._read_back(self.ap.sockets)
 
     def phase_change(self, t, run):
-        self.ap.pcca(t, run.pid, *self._announce(run))
-        self._read_back([self.ap.sockets[self.place.socket_of[run.pid]]])
+        if self.ap.pcca(t, run.pid, *self._announce(run)).changed:
+            self._read_back([self.ap.sockets[self.place.socket_of[run.pid]]])
 
     def _announce(self, run):
         """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
@@ -470,29 +510,15 @@ def run_mix(
     rows: dict[int, tuple] = {}  # pid -> width-timeline row
 
     def refresh():
-        """Speeds and timeline rows of the pids on dirty sockets."""
-        for sid in place.dirty:
-            pids = place.pids_on(sid)
-            reuse = {pid: runs[pid].phase.reuse is ReuseClass.REUSE for pid in pids}
-            holders: dict[int, int] = {}  # reuse mask -> phases holding it
-            for pid in pids:
-                if reuse[pid]:
-                    holders[place.mask_of[pid]] = holders.get(place.mask_of[pid], 0) + 1
-            claims = [0] * cfg.ways_per_socket
-            for mask, n in holders.items():
-                for way in range(mask.bit_length()):
-                    claims[way] += n * (mask >> way & 1)
-            eff: dict[tuple[int, bool], int] = {}
-            for pid in pids:
-                r, key = runs[pid], (place.mask_of[pid], reuse[pid])
-                if key not in eff:
-                    eff[key] = effective_ways(key[0], claims, key[1])
-                at = (pid, r.phase_idx, eff[key])
-                if at not in speeds:
-                    speeds[at] = phase_speed(r.phase, eff[key], cfg.dm_penalty)
-                r.speed = speeds[at]
-                rows[pid] = ctl.row(r)
-        place.dirty.clear()
+        """Speeds and timeline rows of the pids whose effective ways can
+        have moved since the last refresh."""
+        for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
+            r = runs[pid]
+            at = (pid, r.phase_idx, eff)
+            if at not in speeds:
+                speeds[at] = phase_speed(r.phase, eff, cfg.dm_penalty)
+            r.speed = speeds[at]
+            rows[pid] = ctl.row(r)
 
     def admit(t, pids):
         """Admit in pid order up to capacity; the rest wait for a release."""
@@ -539,7 +565,7 @@ def run_mix(
             if r.phase_idx + 1 < len(r.spec.phases):
                 r.phase_idx += 1
                 r.work_rem = r.phase.work
-                place.dirty.add(place.socket_of[pid])
+                place.dirty.add(pid)
                 ctl.phase_change(now, r)
             else:
                 active.remove(pid)

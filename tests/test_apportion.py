@@ -8,6 +8,7 @@ invariant sweep.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cacheways import apportion
 from cacheways.apportion import (
     Apportioner,
     Scenario,
@@ -206,6 +207,25 @@ def test_batch_fraction_sum_is_exactly_one_per_socket():
     for sock in ap.sockets:
         total = sum(ap.procs[pid].fraction for pid in sock.processes)
         assert abs(total - 1.0) <= 1e-9
+
+
+def test_pcca_computes_only_the_changing_fraction(monkeypatch):
+    # a phase change re-weighs one process: one adjusted_footprint call,
+    # over the masses the socket already holds, bit-equal to cache_fractions
+    ap = Apportioner(one_socket())
+    ap.ipca_batch(0.0, [(pid, 0.0, 4, (pid + 1) * MIB, REUSE, 1.0) for pid in range(4)])
+    calls = []
+    real = apportion.adjusted_footprint
+
+    def counting(nbytes, reuse, config):
+        calls.append(nbytes)
+        return real(nbytes, reuse, config)
+
+    monkeypatch.setattr(apportion, "adjusted_footprint", counting)
+    ap.pcca(1.0, 2, 5 * MIB, STREAM, 1.0)
+    assert calls == [5 * MIB]
+    now = [(0, MIB, REUSE), (1, 2 * MIB, REUSE), (2, 5 * MIB, STREAM), (3, 4 * MIB, REUSE)]
+    assert ap.procs[2].fraction == cache_fractions(now, ap.config)[2]
 
 
 # -- queries ------------------------------------------------------------------

@@ -147,6 +147,21 @@ def test_simulate_max_ways_below_one_is_exit_2(tmp_path, capsys):
     assert "narrow.mix:6: max-ways: bad value '-2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("phase hot 100000000 reuse 3145728\n", "phase hot 100000000 reuse 3145728\nfixed-ns -1000000000\n"),
+     "l1-pair.mix:7: fixed-ns: bad value '-1000000000'"),
+    (("process 0\n", "process 0\nalpha -3\nmax-ways 3\n"), "l1-pair.mix:6: alpha: bad value '-3'"),
+])
+def test_simulate_negative_duration_or_alpha_is_exit_2(tmp_path, capsys, edit, message):
+    mix = tmp_path / "l1-pair.mix"
+    bundled = os.path.join(os.path.dirname(__file__), os.pardir, "mixes", "light", "l1-pair.mix")
+    with open(bundled, encoding="utf-8") as fh:
+        text = fh.read()
+    mix.write_text(text.replace(*edit, 1), encoding="utf-8")
+    assert main(["simulate", "--mix", str(mix), "--policy", "comcas"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_bad_config_value_names_config_line(tmp_path, capsys):
     mix = tmp_path / "eps.mix"
     mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config saturation_epsilon 0\n"), encoding="utf-8")

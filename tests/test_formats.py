@@ -584,6 +584,13 @@ MALFORMED = {
     "events-ipca-max-ways-zero": (read_events, V + ">ipca 0 0 0 0 64 reuse 1"),
     "events-ipca-bytes-negative": (read_events, V + ">ipca 0 0 0 2 -1 reuse 1"),
     "events-pcca-bytes-negative": (read_events, V + "ipca 0 0 0 2 64 reuse 1\n>pcca 1 0 -1 reuse 1"),
+    # a duration must be positive and alpha, a sum of absolute differences, >= 0
+    "mix-fixed-ns-negative": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns -1000000000\npoint 2 1\nend"),
+    "mix-fixed-ns-zero": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns 0\npoint 2 1\nend"),
+    "attrs-fixed-ns-zero": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\n>fixed-ns 0\nend"),
+    "mix-alpha-negative": (read_mix, MIX_HEAD + ">alpha -3\nmax-ways 3\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "attrs-alpha-negative": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\n>alpha -3\nmax-ways 2\nfixed-ns 1\nend"),
+    "events-ipca-alpha-negative": (read_events, V + ">ipca 0 0 -3 2 64 reuse 1"),
 }
 # a SystemConfig value out of range is pinned to its config line
 MALFORMED.update(

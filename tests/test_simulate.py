@@ -438,6 +438,71 @@ def test_event_cost_follows_the_touched_socket(monkeypatch):
     assert calls.count("long") == 1
 
 
+def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
+    # pid 0 holds ways 0-3 and pid 1 ways 4-7 of one socket; pid 1's phases
+    # flip between reuse and stream, which moves claims on its ways only, so
+    # pid 0's effective ways are evaluated once, at its admission
+    masks = []
+    real = simulate.effective_ways
+
+    def counting(mask, claims, reuse):
+        masks.append(mask)
+        return real(mask, claims, reuse)
+
+    monkeypatch.setattr(simulate, "effective_ways", counting)
+    long = ProcessSpec(pid=0, phases=(phase("long", MIB, {2: 2.0 ** 20}),), alpha=1.0, max_ways=4)
+    flips = tuple(
+        phase("s%d" % k, MIB, {2: 128.0}, reuse=(ReuseClass.REUSE, ReuseClass.STREAM)[k % 2])
+        for k in range(50)
+    )
+    short = ProcessSpec(pid=1, phases=flips, alpha=1.0, max_ways=4)
+    rep = run_mix(mix_of(long, short, sockets=1), Policy("maxways"))
+    assert rep.completions == {1: 50 * 128.0, 0: 2.0 ** 20}
+    assert masks.count(0x00F) == 1
+    assert masks.count(0x0F0) == 50
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_placement_claims_follow_every_change(data):
+    # random puts, drops and reuse flips, refreshed at random points: the
+    # claim counts always equal a recount, and every placed pid's last
+    # refreshed effective ways equal the exact rule on the current claims
+    ways, sockets = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 3))
+    place = simulate._Placement(SystemConfig(sockets=sockets, ways_per_socket=ways))
+    window = st.integers(1, ways).flatmap(
+        lambda w: st.integers(0, ways - w).map(lambda s: ((1 << w) - 1) << s)
+    )
+    reuse, known = {}, {}
+    for step in data.draw(st.lists(st.sampled_from("pdfr"), max_size=40)) + ["r"]:
+        placed = sorted(place.socket_of)
+        if step == "p":
+            pid = data.draw(st.integers(0, 9))
+            sid = place.socket_of.get(pid) if pid in placed else data.draw(st.integers(0, sockets - 1))
+            reuse.setdefault(pid, data.draw(st.booleans()))
+            place.put(pid, sid, data.draw(window))
+        elif step == "d" and placed:
+            pid = data.draw(st.sampled_from(placed))
+            place.drop(pid)
+            known.pop(pid, None)
+        elif step == "f" and placed:
+            pid = data.draw(st.sampled_from(placed))
+            reuse[pid] = not reuse[pid]
+            place.dirty.add(pid)  # as the engine marks a phase change
+        elif step == "r":
+            refreshed = place.refresh(reuse.__getitem__)
+            assert set(refreshed) <= set(place.socket_of)
+            known.update(refreshed)
+            for sid in range(sockets):
+                holders = [place.mask_of[pid] for pid in place.pids_on(sid) if reuse[pid]]
+                recount = [sum(m >> w & 1 for m in holders) for w in range(ways)]
+                assert place.claims[sid] == recount
+            for pid, sid in place.socket_of.items():
+                mask = place.mask_of[pid]
+                exact = brute_effective_ways(mask, place.claims[sid]) if reuse[pid] else bin(mask).count("1")
+                assert known[pid] == exact, (pid, mask, reuse[pid])
+
+
 # -- determinism --------------------------------------------------------------
 
 @pytest.mark.parametrize("policy", [
