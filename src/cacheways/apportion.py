@@ -83,22 +83,6 @@ def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> 
     return nbytes * scale
 
 
-def cache_fractions(active, config: SystemConfig) -> dict[int, float]:
-    """Fraction of the socket each process claims: its adjusted footprint over
-    the sum across co-resident processes.  `active` is an iterable of
-    (pid, footprint bytes, reuse class).  All-zero footprints split evenly."""
-    adjusted = {
-        pid: adjusted_footprint(nbytes, reuse, config) for pid, nbytes, reuse in active
-    }
-    if not adjusted:
-        raise SchemaError("cache_fractions needs at least one process")
-    total = sum(adjusted.values())
-    if total == 0:
-        share = 1.0 / len(adjusted)
-        return {pid: share for pid in adjusted}
-    return {pid: v / total for pid, v in adjusted.items()}
-
-
 def classify_scenario(fractions) -> Scenario:
     """Occupancy scenario from a collection of stored fractions."""
     total = math.fsum(fractions)
@@ -121,13 +105,6 @@ def required_ways(fraction: float, config: SystemConfig, max_ways: int) -> int:
 
 def mask_width(mask: int) -> int:
     return mask.bit_count()
-
-
-def is_contiguous(mask: int) -> bool:
-    if mask == 0:
-        return True
-    low = mask & -mask
-    return (mask // low) & ((mask // low) + 1) == 0
 
 
 def format_mask(mask: int, ways: int) -> str:
@@ -258,10 +235,6 @@ class Apportioner:
 
     # -- queries ------------------------------------------------------------
 
-    def clos_of(self, pid: int) -> ClosState:
-        p = self._proc(pid)
-        return self.sockets[p.socket_id].clos[p.clos_id]
-
     def _proc(self, pid: int) -> ProcessState:
         p = self.procs.get(pid)
         if p is None:
@@ -273,7 +246,7 @@ class Apportioner:
 
     def _fraction(self, sock: SocketState, p: ProcessState) -> float:
         """p's share of the socket's stored masses, summed in socket order:
-        the value cache_fractions gives it, bit for bit."""
+        bit-equal to the reference `cache_fractions` in tests/oracles.py."""
         total = sum(self.procs[pid].mass for pid in sock.processes)
         return p.mass / total if total else 1.0 / len(sock.processes)
 

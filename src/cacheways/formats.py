@@ -14,8 +14,10 @@ numbers; nests, curves and attrs share one `opener <name> ... end` block
 splitter.  Any malformed line, a truncated one included, raises SchemaError
 naming the file and line.  The `read_*` functions only assemble objects from typed lines.
 
-The writers render through the same table: ints with %d, reuse classes by
-name and floats with %.17g, so a write/read round trip is value-exact.  The
+There is one reader or writer per file a command reads or writes, plus the
+event-trace functions and `read_alloc_log`, which serve the allocation
+fixtures.  Writers render through the same table (ints with %d, reuse classes
+by name, floats with %.17g), so what they write reads back value-exact.  The
 allocation log is plain CSV with a fixed column set.
 """
 
@@ -34,14 +36,13 @@ from .loops import (
     Affine,
     ArrayDecl,
     Bound,
-    FootprintValue,
     LoopLevel,
     LoopNest,
     MemoryAccess,
     ReuseClass,
     Statement,
 )
-from .sensitivity import ProbeAttributes, WayTimeCurve
+from .sensitivity import WayTimeCurve
 from .simulate import MixSpec, PhaseSpec, ProcessSpec
 from .timing import TimingModel, TrainingSample
 
@@ -338,33 +339,6 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # loop nests
 # ---------------------------------------------------------------------------
 
-def write_nests(nests, path: str) -> None:
-    out = []
-    for nest in nests:
-        out.append(_render("nest", nest.name))
-        for a in nest.arrays:
-            out.append(_render("array", a.name, a.extent, a.element_size))
-        for lv in nest.loops:
-            est = ("estimated",) if lv.upper_bound.estimated else ()
-            out.append(_render("loop", lv.index_name, lv.upper_bound.value, *est))
-        for stmt in nest.statements:
-            out.append(_render("stmt", stmt.depth))
-            for acc in stmt.accesses:
-                if acc.indirect:
-                    out.append(
-                        _render("access-indirect", acc.array, acc.kind, acc.element_size)
-                    )
-                else:
-                    sub = acc.subscript
-                    pairs = [x for pair in sub.coeffs for x in pair]
-                    out.append(
-                        _render("access", acc.array, acc.kind, acc.element_size,
-                                sub.const, *pairs)
-                    )
-        out.append("end")
-    _write_lines(path, out)
-
-
 def read_nests(path: str) -> list[LoopNest]:
     rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
@@ -399,15 +373,6 @@ def read_nests(path: str) -> list[LoopNest]:
 # way-time curves
 # ---------------------------------------------------------------------------
 
-def write_curves(curves: dict[str, WayTimeCurve], path: str) -> None:
-    out = []
-    for name in sorted(curves):
-        out.append(_render("curve", name))
-        out += [_render("point", w, t) for w, t in curves[name].points]
-        out.append("end")
-    _write_lines(path, out)
-
-
 def read_curves(path: str) -> dict[str, WayTimeCurve]:
     rd = _Reader(path, {"curve", "point", "end"})
     curves: dict[str, WayTimeCurve] = {}
@@ -424,10 +389,9 @@ def read_curves(path: str) -> dict[str, WayTimeCurve]:
 # ---------------------------------------------------------------------------
 
 def write_attributes(attrs, path: str) -> None:
-    """`attrs` is an iterable of ProbeAttributes or a phase_id-keyed dict."""
-    items = list(attrs.values()) if isinstance(attrs, dict) else list(attrs)
+    """`attrs` is an iterable of ProbeAttributes."""
     out = []
-    for a in items:
+    for a in attrs:
         fp = a.footprint
         out.append(_render("attrs", a.phase_id))
         out.append(_render("footprint", fp.bytes, fp.lines, fp.exact))
@@ -439,36 +403,9 @@ def write_attributes(attrs, path: str) -> None:
     _write_lines(path, out)
 
 
-def read_attributes(path: str) -> dict[str, ProbeAttributes]:
-    keywords = {"attrs", "footprint", "reuse", "alpha", "max-ways", "fixed-ns", "end"}
-    rd = _Reader(path, keywords)
-    result: dict[str, ProbeAttributes] = {}
-    for phase_id, no, body, end in _blocks(rd, "attrs"):
-        if phase_id in result:
-            rd.fail(no, "duplicate attrs %r" % phase_id)
-        got = {kw: args for _, kw, args in body}
-        for kw in ("footprint", "reuse", "alpha", "max-ways", "fixed-ns"):
-            if kw not in got:
-                rd.fail(end, "attrs %r missing %s" % (phase_id, kw))
-        nbytes, lines, exact = got["footprint"]
-        result[phase_id] = ProbeAttributes(
-            phase_id=phase_id,
-            footprint=FootprintValue(nbytes, lines, bool(exact)),
-            reuse=got["reuse"][0],
-            alpha=got["alpha"][0],
-            max_ways=got["max-ways"][0],
-            fixed_ns=got["fixed-ns"][0],
-        )
-    return result
-
-
 # ---------------------------------------------------------------------------
 # timing samples and models
 # ---------------------------------------------------------------------------
-
-def write_samples(samples, path: str) -> None:
-    _write_lines(path, [_render("sample", *s.bounds, s.observed_time) for s in samples])
-
 
 def read_samples(path: str) -> list[TrainingSample]:
     rd = _Reader(path, {"sample"})
@@ -487,14 +424,6 @@ def write_model(model: TimingModel, path: str) -> None:
     _write_lines(path, out)
 
 
-def read_model(path: str) -> TimingModel:
-    rd = _Reader(path, {"residual", "coefficients"})
-    got = {kw: args for _, kw, args in rd.lines}
-    if "residual" not in got or not got.get("coefficients"):
-        rd.fail(rd.last, "model needs residual and coefficients")
-    return TimingModel(tuple(got["coefficients"]), got["residual"][0])
-
-
 # ---------------------------------------------------------------------------
 # config overrides
 # ---------------------------------------------------------------------------
@@ -504,36 +433,9 @@ def read_config(path: str) -> SystemConfig:
     return _config(rd, rd.lines)[0]
 
 
-def write_config(config: SystemConfig, path: str) -> None:
-    _write_lines(path, _config_lines(_non_default(config)))
-
-
 # ---------------------------------------------------------------------------
 # process mixes
 # ---------------------------------------------------------------------------
-
-def write_mix(mix: MixSpec, path: str) -> None:
-    out = [_render("mix", mix.name, mix.category)]
-    out += _config_lines(sorted(mix.config_overrides.items()))
-    for proc in mix.processes:
-        out.append(_render("process", proc.pid))
-        if proc.start_ns:
-            out.append(_render("start", proc.start_ns))
-        for kw, val in (
-            ("alpha", proc.alpha),
-            ("max-ways", proc.max_ways),
-            ("unmixed-ns", proc.unmixed_ns),
-        ):
-            if val is not None:
-                out.append(_render(kw, val))
-        for ph in proc.phases:
-            out.append(_render("phase", ph.phase_id, ph.work, ph.reuse, ph.nbytes))
-            if ph.fixed_ns is not None:
-                out.append(_render("fixed-ns", ph.fixed_ns))
-            out += [_render("point", w, t) for w, t in ph.curve.points]
-    out.append("end")
-    _write_lines(path, out)
-
 
 _MIX_KEYWORDS = frozenset((
     "config", "process", "start", "alpha", "max-ways", "unmixed-ns",

@@ -562,18 +562,11 @@ def compute_srd(nest: LoopNest) -> SRDResult:
     return SRDResult(tuple(pairs), has_indirect)
 
 
-def classify_reuse(srd, delta: float = 1000.0, indirect: bool = False) -> ReuseClass:
+def classify_reuse(srd: SRDResult, delta: float = 1000.0) -> ReuseClass:
     """REUSE iff any reuse distance exceeds `delta` or any access is indirect
     (an unanalyzable pattern is assumed to reuse); STREAM otherwise."""
     if delta <= 0:
         raise SchemaError("classification threshold must be positive")
-    if isinstance(srd, SRDResult):
-        values = srd.values()
-        indirect = indirect or srd.has_indirect
-    else:
-        values = tuple(srd)
-    if indirect:
-        return ReuseClass.REUSE
-    if any(v > delta for v in values):
+    if srd.has_indirect or any(v > delta for v in srd.values()):
         return ReuseClass.REUSE
     return ReuseClass.STREAM

@@ -100,9 +100,7 @@ def deficit_proxy(
     return total
 
 
-def throughputs(completions: dict[int, float], work_ns: dict[int, float] | None = None):
-    """Per-process rate sample for the fairness index: unmixed/mixed slowdown
-    inverses when `work_ns` carries unmixed times, else inverse times."""
-    if work_ns is None:
-        return [1.0 / completions[pid] for pid in sorted(completions)]
+def throughputs(completions: dict[int, float], work_ns: dict[int, float]):
+    """Per-process rate sample for the fairness index: the inverse slowdown
+    unmixed/mixed of each pid, in pid order."""
     return [work_ns[pid] / completions[pid] for pid in sorted(completions)]

@@ -44,10 +44,6 @@ class WayTimeCurve:
                 raise SchemaError("curve time increases at w=%d" % w)
             prev = t
 
-    @classmethod
-    def from_dict(cls, d) -> "WayTimeCurve":
-        return cls(tuple(sorted((int(w), float(t)) for w, t in d.items())))
-
     @property
     def last_way(self) -> int:
         return self.points[-1][0]

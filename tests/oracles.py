@@ -14,6 +14,7 @@ from cacheways.loops import (
     LoopLevel,
     LoopNest,
     MemoryAccess,
+    ReuseClass,
     Statement,
 )
 
@@ -106,6 +107,25 @@ def brute_effective_ways(mask, claims):
     sum of 1/claims[w] over every way w of the mask, and at least 1."""
     total = sum(Fraction(1, claims[w]) for w in range(len(claims)) if mask >> w & 1)
     return max(1, math.floor(total))
+
+
+def cache_fractions(active, config):
+    """{pid: share of the socket} over (pid, bytes, reuse class) triples:
+    each adjusted footprint (streams scaled down) over their sum in the given
+    order; all-zero footprints split evenly."""
+    adjusted = {
+        pid: nbytes * (1.0 if reuse is ReuseClass.REUSE else config.scaling_factor_stream)
+        for pid, nbytes, reuse in active
+    }
+    total = sum(adjusted.values())
+    if total == 0:
+        return {pid: 1.0 / len(adjusted) for pid in adjusted}
+    return {pid: v / total for pid, v in adjusted.items()}
+
+
+def is_contiguous(mask):
+    """True when the set bits of `mask` form one run (or there are none)."""
+    return "0" not in bin(mask)[2:].strip("0")
 
 
 def two_statement_nest(m, n):

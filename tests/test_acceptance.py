@@ -28,7 +28,7 @@ from cacheways.metrics import (
     throughputs,
     weighted_speedup,
 )
-from cacheways.sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
+from cacheways.sensitivity import compute_alpha, detect_max_ways
 from cacheways.simulate import Policy, run_mix
 from cacheways.timing import TrainingSample, fit_timing, make_features, timing_accuracy
 
@@ -39,7 +39,8 @@ from oracles import (
     strict_gaps,
     two_statement_nest,
 )
-from support import child_env
+from support import child_env, way_time_curve
+from test_apportion import check_invariants
 from test_fixtures import fixture_names, replay_fixture
 
 MIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
@@ -172,7 +173,7 @@ def random_monotone_curve(rng):
     for w in ways:
         pts[w] = t
         t = t if rng.random() < 0.2 else t * rng.uniform(0.5, 0.999)
-    return WayTimeCurve.from_dict(pts)
+    return way_time_curve(pts)
 
 
 def test_c04_alpha_and_max_ways():
@@ -190,7 +191,7 @@ def test_c04_alpha_and_max_ways():
         if any(a < b for a, b in zip(seq, seq[1:])):
             bad.append((curve.points, seq))
     for flat_t in (1.0, 250.0, 9e8):
-        flat = WayTimeCurve.from_dict({2: flat_t, 5: flat_t, 11: flat_t})
+        flat = way_time_curve({2: flat_t, 5: flat_t, 11: flat_t})
         if detect_max_ways(flat, 0.05) != 2 or compute_alpha(flat, 2) != 0.0:
             bad.append(("flat", flat_t))
     ok = worst <= 1e-12 and not bad
@@ -208,27 +209,6 @@ def test_c04_alpha_and_max_ways():
 BYTES_CHOICES = (
     64, 4096, 65536, 1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20,
 )
-
-
-def check_invariants(ap, first_socket):
-    cfg = ap.config
-    top = 1 << cfg.ways_per_socket
-    for sock in ap.sockets:
-        for c in sock.clos:
-            assert len(c.members) <= cfg.gfactor
-            if c.members:
-                m = c.mask
-                assert 0 < m < top
-                run = m // (m & -m)
-                assert run & (run + 1) == 0, "mask %#x not contiguous" % m
-                for pid in c.members:
-                    p = ap.procs[pid]
-                    assert p.socket_id == sock.sid
-                    assert p.clos_id == c.clos_id
-        for pid in sock.processes:
-            assert ap.procs[pid].socket_id == sock.sid
-    for pid, p in ap.procs.items():
-        assert p.socket_id == first_socket[pid], "pid %d hopped sockets" % pid
 
 
 def drive_stream(seed, n_events):
@@ -254,12 +234,6 @@ def drive_stream(seed, n_events):
         rng.uniform(1e3, 1e9)  # an unused draw, kept so the seeded stream is unchanged
         return (pid, alpha, mw, nbytes, reuse, rng.uniform(1e3, 1e9))
 
-    def resync():
-        live.clear()
-        for pid, p in ap.procs.items():
-            live.add(pid)
-            first_socket.setdefault(pid, p.socket_id)
-
     while done < n_events:
         if done == 0:
             op = "batch"
@@ -278,7 +252,7 @@ def drive_stream(seed, n_events):
                 ap.ipca_batch(t, batch)
             except AdmissionRejected:
                 pass
-            resync()
+            live = set(ap.procs)  # check_invariants records each first socket
             done += k
             if op == "batch":
                 for sock in ap.sockets:

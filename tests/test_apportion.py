@@ -14,15 +14,16 @@ from cacheways.apportion import (
     Scenario,
     SystemConfig,
     adjusted_footprint,
-    cache_fractions,
     classify_scenario,
     format_mask,
-    is_contiguous,
     mask_width,
     required_ways,
 )
 from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
 from cacheways.loops import ReuseClass
+
+from oracles import cache_fractions, is_contiguous
+from support import clos_of
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
 
@@ -42,25 +43,25 @@ def test_adjusted_footprint_discounts_streams():
     assert adjusted_footprint(1000, STREAM, cfg) == 100.0
 
 
+def admitted_fractions(phases):
+    """{pid: stored fraction} after one ipca_batch of (pid, bytes, reuse) on one socket."""
+    ap = Apportioner(one_socket())
+    ap.ipca_batch(0.0, [(pid, 0.0, 4, nbytes, reuse, 1.0) for pid, nbytes, reuse in phases])
+    return {pid: p.fraction for pid, p in ap.procs.items()}
+
+
 def test_cache_fractions_sum_to_one():
-    cfg = SystemConfig()
-    fr = cache_fractions(
-        [(0, 3 * MIB, REUSE), (1, MIB, REUSE), (2, 4 * MIB, STREAM)],
-        cfg,
-    )
+    phases = [(0, 3 * MIB, REUSE), (1, MIB, REUSE), (2, 4 * MIB, STREAM)]
+    fr = admitted_fractions(phases)
+    assert fr == cache_fractions(phases, one_socket())
     assert sum(fr.values()) == pytest.approx(1.0)
     assert fr[0] == pytest.approx(3 * MIB / (4 * MIB + 0.4 * MIB))
 
 
 def test_cache_fractions_zero_mass_splits_evenly():
-    cfg = SystemConfig()
-    fr = cache_fractions([(0, 0, REUSE), (1, 0, REUSE)], cfg)
-    assert fr == {0: 0.5, 1: 0.5}
-
-
-def test_cache_fractions_empty_rejected():
-    with pytest.raises(SchemaError):
-        cache_fractions([], SystemConfig())
+    phases = [(0, 0, REUSE), (1, 0, REUSE)]
+    fr = admitted_fractions(phases)
+    assert fr == cache_fractions(phases, one_socket()) == {0: 0.5, 1: 0.5}
 
 
 def test_scenario_boundaries():
@@ -91,9 +92,6 @@ def test_required_ways_rejects_bad_fraction():
 
 def test_mask_helpers():
     assert mask_width(0b0111000) == 3
-    assert is_contiguous(0)
-    assert is_contiguous(0b0011100)
-    assert not is_contiguous(0b0101)
     assert format_mask(0b111, 11) == "0x007"
     assert format_mask(0, 11) == "0x000"
 
@@ -233,32 +231,35 @@ def test_pcca_computes_only_the_changing_fraction(monkeypatch):
 def test_granted_ways_caps_at_saturation():
     ap = Apportioner(one_socket())
     (rec,) = ap.ipca_batch(0.0, [(0, 0.0, 2, 8 * MIB, REUSE, 1.0)])
-    assert ap.clos_of(0).width >= 2
+    assert clos_of(ap, 0).width >= 2
     assert rec.granted_ways == 2
 
 
 def test_unplaced_pid_raises():
     ap = Apportioner(one_socket())
     with pytest.raises(NotPlaced):
-        ap.clos_of(3)
-    with pytest.raises(NotPlaced):
         ap.pcca(0.0, 3, MIB, REUSE, 1.0)
 
 
 # -- randomized invariants ----------------------------------------------------
 
-def check_invariants(ap, socket_of):
-    w = ap.config.ways_per_socket
+def check_invariants(ap, first_socket):
+    """Each CLOS has at most gfactor members and a contiguous in-range mask,
+    non-empty when it has members; each placed process is listed by its
+    socket and its CLOS, and never changes socket."""
+    top = 1 << ap.config.ways_per_socket
     for sock in ap.sockets:
         for clos in sock.clos:
-            assert is_contiguous(clos.mask)
-            assert clos.mask < (1 << w)
+            assert is_contiguous(clos.mask) and clos.mask < top, "mask %#x" % clos.mask
             assert len(clos.members) <= ap.config.gfactor
-            if clos.members:
-                assert clos.mask != 0
+            assert clos.mask or not clos.members
+            for pid in clos.members:
+                assert (ap.procs[pid].socket_id, ap.procs[pid].clos_id) == (sock.sid, clos.clos_id)
+        for pid in sock.processes:
+            assert ap.procs[pid].socket_id == sock.sid
     for pid, p in ap.procs.items():
-        assert socket_of.setdefault(pid, p.socket_id) == p.socket_id
-        assert ap.clos_of(pid).width >= 1
+        assert pid in clos_of(ap, pid).members
+        assert first_socket.setdefault(pid, p.socket_id) == p.socket_id, "pid %d hopped sockets" % pid
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -22,10 +22,10 @@ from cacheways.loops import (
     ReuseClass,
     Statement,
 )
-from cacheways.sensitivity import WayTimeCurve
 from cacheways.timing import TrainingSample
 
-from support import child_env
+from support import child_env, read_attributes, read_model, way_time_curve
+from support import write_config, write_curves, write_nests, write_samples
 
 MIX_TEXT = """format-version 1
 mix tiny light
@@ -65,13 +65,13 @@ def indirect_nest(name, trips):
 def analyze_inputs(tmp_path):
     nests = [unit_stride_nest("n0", 100), indirect_nest("n1", 50)]
     npath = str(tmp_path / "nests.txt")
-    formats.write_nests(nests, npath)
+    write_nests(nests, npath)
     curves = {
-        "n0": WayTimeCurve.from_dict({2: 400.0, 3: 200.0, 11: 200.0}),
-        "n1": WayTimeCurve.from_dict({2: 100.0}),
+        "n0": way_time_curve({2: 400.0, 3: 200.0, 11: 200.0}),
+        "n1": way_time_curve({2: 100.0}),
     }
     cpath = str(tmp_path / "curves.txt")
-    formats.write_curves(curves, cpath)
+    write_curves(curves, cpath)
     return npath, cpath
 
 
@@ -100,7 +100,7 @@ def test_analyze_writes_attributes(tmp_path, analyze_inputs, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "wrote 2 attribute blocks" in text
-    attrs = formats.read_attributes(out)
+    attrs = read_attributes(out)
     a0 = attrs["n0"]
     assert (a0.footprint.bytes, a0.footprint.lines, a0.footprint.exact) == (800, 13, True)
     assert a0.reuse is ReuseClass.STREAM  # one pass over A, no line revisited later
@@ -114,7 +114,7 @@ def test_analyze_writes_attributes(tmp_path, analyze_inputs, capsys):
 def test_analyze_requires_matching_curve(tmp_path, analyze_inputs, capsys):
     npath, _ = analyze_inputs
     cpath = str(tmp_path / "short.txt")
-    formats.write_curves({"n0": WayTimeCurve.from_dict({2: 1.0})}, cpath)
+    write_curves({"n0": way_time_curve({2: 1.0})}, cpath)
     code = main(["analyze", "--nests", npath, "--curves", cpath, "--out", str(tmp_path / "o.txt")])
     assert code == 2
     assert "no way-time curve" in capsys.readouterr().err
@@ -181,14 +181,14 @@ def test_fit_timing_recovers_exact_model(tmp_path, capsys):
         )
     ]
     train, test = str(tmp_path / "train.txt"), str(tmp_path / "test.txt")
-    formats.write_samples(mk(), train)
-    formats.write_samples(mk(), test)
+    write_samples(mk(), train)
+    write_samples(mk(), test)
     out = str(tmp_path / "model.txt")
     code = main(["fit-timing", "--samples", train, "--out", out, "--test", test])
     assert code == 0
     text = capsys.readouterr().out
     assert "held-out accuracy: 100.00%" in text
-    model = formats.read_model(out)
+    model = read_model(out)
     assert model.coefficients == pytest.approx((5.0, 2.0, 3.0), rel=1e-9)
 
 
@@ -457,8 +457,8 @@ def test_no_setting_is_dead(tmp_path, capsys, key):
         statements=(Statement((MemoryAccess("A", 8, Affine(0, (("j", 1),)), "read"),), 2),),
     )
     nests, curves = str(tmp_path / "nests.txt"), str(tmp_path / "curves.txt")
-    formats.write_nests([nest], nests)
-    formats.write_curves({"rows": WayTimeCurve.from_dict({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
+    write_nests([nest], nests)
+    write_curves({"rows": way_time_curve({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
     mix = mix_file(tmp_path, KNOBS_MIX)
     cfg = tmp_path / "sys.cfg"
     files = [tmp_path / "attrs.txt", tmp_path / "log.csv", tmp_path / "rep.csv"]
@@ -480,7 +480,7 @@ def test_no_setting_is_dead(tmp_path, capsys, key):
 
 def test_config_file_reaches_engine(tmp_path, capsys):
     cfg = str(tmp_path / "sys.cfg")
-    formats.write_config(SystemConfig(clos_per_socket=1, gfactor=1), cfg)
+    write_config(SystemConfig(clos_per_socket=1, gfactor=1), cfg)
     mix = mix_file(tmp_path, JOIN_MIX.replace("config clos_per_socket 1\n", ""))
     assert main(["simulate", "--mix", mix]) == 0
     capsys.readouterr()

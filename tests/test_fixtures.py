@@ -14,6 +14,8 @@ import pytest
 from cacheways.apportion import AdmissionRejected, replay_events
 from cacheways.formats import read_events, write_alloc_log
 
+from support import clos_of
+
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # name -> number of leading events that replay cleanly before the raise
@@ -57,7 +59,7 @@ def test_gfactor_cap_rejects_third_arrival():
 def test_stream_join_groups_two():
     ap, _ = replay_fixture("02-stream-join")
     assert ap.max_clos_group_size == 2
-    assert ap.clos_of(2).members == [0, 2]
+    assert clos_of(ap, 2).members == [0, 2]
 
 
 def test_crowded_overflow_warns_once():
@@ -77,13 +79,13 @@ def test_blocked_grow_then_transfer_state():
     ap, _ = replay_fixture("08-blocked-then-transfer")
     assert ap.records[3].changed is False
     assert ap.records[4].changed is True
-    assert ap.clos_of(1).mask == 0x01E
-    assert ap.clos_of(0).mask == 0x001
+    assert clos_of(ap, 1).mask == 0x01E
+    assert clos_of(ap, 0).mask == 0x001
 
 
 def test_release_recycle_extends_starved_group():
     ap, _ = replay_fixture("09-release-recycle")
-    assert ap.clos_of(1).mask == 0x7E0
+    assert clos_of(ap, 1).mask == 0x7E0
     assert ap.records[-1].granted_ways == 0
     assert ap.records[-1].changed is True
 
@@ -91,7 +93,7 @@ def test_release_recycle_extends_starved_group():
 def test_release_shared_keeps_mask():
     ap, _ = replay_fixture("10-release-shared")
     assert ap.records[-1].changed is False
-    assert ap.clos_of(1).mask == 0x007
+    assert clos_of(ap, 1).mask == 0x007
 
 
 def test_socket_steer_rosters():
@@ -102,5 +104,5 @@ def test_socket_steer_rosters():
 
 def test_forced_overlap_lands_on_lowest_alpha():
     ap, _ = replay_fixture("12-forced-overlap")
-    assert ap.clos_of(2).mask & ap.clos_of(0).mask == 0x00F
-    assert ap.clos_of(2).mask & ap.clos_of(1).mask == 0
+    assert clos_of(ap, 2).mask & clos_of(ap, 0).mask == 0x00F
+    assert clos_of(ap, 2).mask & clos_of(ap, 1).mask == 0

@@ -17,23 +17,16 @@ from cacheways.errors import SchemaError
 from cacheways.formats import (
     fmt_float,
     read_alloc_log,
-    read_attributes,
     read_config,
     read_curves,
     read_events,
     read_mix,
-    read_model,
     read_nests,
     read_samples,
     write_alloc_log,
     write_attributes,
-    write_config,
-    write_curves,
     write_events,
-    write_mix,
     write_model,
-    write_nests,
-    write_samples,
     write_table_csv,
 )
 from cacheways.loops import (
@@ -47,11 +40,13 @@ from cacheways.loops import (
     ReuseClass,
     Statement,
 )
-from cacheways.sensitivity import ProbeAttributes, WayTimeCurve
+from cacheways.sensitivity import ProbeAttributes
 from cacheways.simulate import Policy, mix_config, process_sensitivity, run_mix
 from cacheways.timing import TimingModel, TrainingSample
 
 from oracles import random_affine_nest
+from support import read_attributes, read_model, way_time_curve
+from support import write_config, write_curves, write_mix, write_nests, write_samples
 
 
 def test_fmt_float_round_trips_exactly():
@@ -170,8 +165,8 @@ def test_nests_errors(tmp_path):
 
 def test_curves_round_trip(tmp_path):
     curves = {
-        "steep": WayTimeCurve.from_dict({2: 1234.5678901234567, 3: 100.0, 7: 99.5}),
-        "flat": WayTimeCurve.from_dict({2: 0.1}),
+        "steep": way_time_curve({2: 1234.5678901234567, 3: 100.0, 7: 99.5}),
+        "flat": way_time_curve({2: 0.1}),
     }
     path = str(tmp_path / "curves.txt")
     write_curves(curves, path)
@@ -224,7 +219,7 @@ def test_attributes_round_trip(tmp_path):
         ),
     }
     path = str(tmp_path / "attrs.txt")
-    write_attributes(attrs, path)
+    write_attributes(list(attrs.values()), path)
     assert read_attributes(path) == attrs
 
 
@@ -635,13 +630,13 @@ FUZZ_TOKENS = (
 
 def fuzz_inputs(tmp_path):
     """(reader, text) for every bundled mix and fixture trace, plus nests,
-    curves, attrs, samples and a model written by the package's writers."""
+    curves, attrs, samples and a model written through the grammar."""
     out = [(read_mix, p) for p in sorted(glob.glob(os.path.join(ROOT, "mixes", "*", "*.mix")))]
     out += [(read_events, p) for p in sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.events")))]
     rng = random.Random(5)
     curves = {
-        "a": WayTimeCurve.from_dict({2: 300.0, 3: 200.0, 5: 150.0}),
-        "b": WayTimeCurve.from_dict({2: 0.5}),
+        "a": way_time_curve({2: 300.0, 3: 200.0, 5: 150.0}),
+        "b": way_time_curve({2: 0.5}),
     }
     attrs = [
         ProbeAttributes("p", FootprintValue(4096, 64, True), ReuseClass.REUSE, 0.5, 4, 2.5e7),

@@ -11,7 +11,9 @@ from cacheways.loops import (
     LoopLevel,
     LoopNest,
     MemoryAccess,
+    ReusePair,
     ReuseClass,
+    SRDResult,
     Statement,
     classify_reuse,
     compute_srd,
@@ -350,20 +352,25 @@ def test_srd_offset_beyond_trip_count_not_reuse():
 
 # -- classification -----------------------------------------------------------
 
+def srd_of(*distances, indirect=False):
+    """An SRDResult with one level-1 reuse of array A per distance."""
+    return SRDResult(tuple(ReusePair("A", 0, 0, 0, 0, 1, 1, d) for d in distances), indirect)
+
+
 def test_classify_stream_below_threshold():
-    assert classify_reuse([1000], delta=1000.0) is ReuseClass.STREAM
+    assert classify_reuse(srd_of(1000), delta=1000.0) is ReuseClass.STREAM
 
 
 def test_classify_reuse_strictly_above_threshold():
-    assert classify_reuse([1001], delta=1000.0) is ReuseClass.REUSE
+    assert classify_reuse(srd_of(1001), delta=1000.0) is ReuseClass.REUSE
 
 
 def test_classify_empty_is_stream():
-    assert classify_reuse([]) is ReuseClass.STREAM
+    assert classify_reuse(srd_of()) is ReuseClass.STREAM
 
 
 def test_classify_indirect_forces_reuse():
-    assert classify_reuse([], indirect=True) is ReuseClass.REUSE
+    assert classify_reuse(srd_of(indirect=True)) is ReuseClass.REUSE
 
 
 def test_classify_accepts_srd_result():
@@ -375,4 +382,4 @@ def test_classify_accepts_srd_result():
 
 def test_classify_rejects_bad_threshold():
     with pytest.raises(SchemaError):
-        classify_reuse([1], delta=0.0)
+        classify_reuse(srd_of(1), delta=0.0)

@@ -122,6 +122,5 @@ def test_deficit_proxy_clamps():
 
 def test_throughputs_orders_by_pid():
     comp = {2: 4.0, 0: 2.0}
-    assert throughputs(comp) == [0.5, 0.25]
     assert throughputs(comp, {0: 1.0, 2: 1.0}) == [0.5, 0.25]
     assert throughputs(comp, {0: 2.0, 2: 2.0}) == [1.0, 0.5]

@@ -12,10 +12,7 @@ from cacheways.sensitivity import (
     detect_max_ways,
 )
 from oracles import alpha_reference
-
-
-def curve(d):
-    return WayTimeCurve.from_dict(d)
+from support import way_time_curve as curve
 
 
 # -- curve construction -------------------------------------------------------

@@ -10,7 +10,6 @@ from cacheways import simulate
 from cacheways.apportion import SystemConfig
 from cacheways.errors import TraceError
 from cacheways.loops import ReuseClass
-from cacheways.sensitivity import WayTimeCurve
 from cacheways.simulate import (
     MixSpec,
     PhaseSpec,
@@ -25,12 +24,13 @@ from cacheways.simulate import (
     validate_mix,
 )
 from oracles import brute_effective_ways
+from support import way_time_curve
 
 MIB = 1 << 20
 
 
 def phase(tag, nbytes, curve, work=1.0, reuse=ReuseClass.REUSE):
-    return PhaseSpec(tag, work, reuse, nbytes, WayTimeCurve.from_dict(curve), fixed_ns=0.0)
+    return PhaseSpec(tag, work, reuse, nbytes, way_time_curve(curve), fixed_ns=0.0)
 
 
 def mix_of(*procs, name="t", category="light", **overrides):
