@@ -171,8 +171,12 @@ class ProcessState:
 
 
 class AllocationRecord(NamedTuple):
-    """One allocation decision.  The CSV schema carries the first eight
-    fields; the rest feed metrics (deficit integration, apportion counting)."""
+    """One allocation decision.  The allocation-log CSV carries the first
+    eight fields.  Of the rest only `changed` is read in the package: the
+    simulator's comcas policy skips read-back after a pcca that moved no
+    mask.  `req_ways`, `granted_ways` and `alpha` serve callers inspecting
+    `Apportioner.records`; the deficit metric integrates the width timeline
+    and the apportion count is `Apportioner.apportion_count`."""
 
     time_ns: float
     pid: int

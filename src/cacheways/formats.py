@@ -43,7 +43,7 @@ from .loops import (
     Statement,
 )
 from .sensitivity import WayTimeCurve
-from .simulate import MixSpec, PhaseSpec, ProcessSpec
+from .simulate import CATEGORIES, MixSpec, PhaseSpec, ProcessSpec
 from .timing import TimingModel, TrainingSample
 
 FORMAT_VERSION = 1
@@ -449,10 +449,13 @@ def read_mix(path: str) -> MixSpec:
     """
     rd = _Reader(path, _MIX_KEYWORDS, first="mix")
     lines = iter(rd.lines)
-    _, _, (name, category) = next(lines)
+    no, _, (name, category) = next(lines)
+    if category not in CATEGORIES:
+        rd.fail(no, "category %r is not one of %s" % (category, ", ".join(CATEGORIES)))
     settings = []
     # a process or phase is (line number, args, fields, children)
     procs: list[tuple] = []
+    proc_line: dict[int, int] = {}  # pid -> its process line
     proc = phase = None
     closed = False
     for line in lines:
@@ -466,6 +469,9 @@ def read_mix(path: str) -> MixSpec:
                 rd.fail(no, "config lines must precede processes")
             settings.append(line)
         elif kw == "process":
+            if args[0] in proc_line:
+                rd.fail(no, "repeated process %d; first at line %d" % (args[0], proc_line[args[0]]))
+            proc_line[args[0]] = no
             proc, phase = (no, args, {}, []), None
             procs.append(proc)
         elif proc is None:
@@ -557,7 +563,8 @@ def write_alloc_log(records, path: str, config: SystemConfig) -> None:
 
 
 def read_alloc_log(path: str) -> list[AllocationRecord]:
-    """Parse the CSV columns back; the metric-only fields come back zeroed."""
+    """Parse the CSV columns back; the fields the CSV does not carry
+    (req_ways, granted_ways, alpha, changed) come back zeroed."""
     scen = {s.value: s for s in Scenario}
     out = []
     reader = csv.reader(io.StringIO(_text(path), newline=""))

@@ -4,8 +4,13 @@ Execution is work-based: each phase carries abstract work units and a
 way-time curve, and a process advances at speed work / t(effective ways).
 When an allocation changes mid-phase the remaining work is preserved and the
 remaining duration rescales with the new speed.  Simultaneous events settle in
-(time, pid, kind) order; a rebalancing tick settles after the phase events of
-its instant.
+(time, pid, kind) order.
+
+One engine loop runs every policy and never asks which one it runs.  The
+next event is the earliest phase end, arrival or policy tick; one pass
+settles every active run's work and collects the runs whose phase ends
+then.  A policy with a clock keeps it itself and names its next tick, which
+settles after the phase events of its instant.
 
 A policy only chooses which contiguous way mask each admitted process holds,
 on which socket.  The engine keeps that placement and applies one contention
@@ -24,13 +29,8 @@ Four policies choose masks:
   * maxways       every process statically holds a best-fit window of its
                   saturation way count,
   * reactive      equal split, then one way moved per fixed-interval tick
-                  toward the neediest process (a counter-sampling stand-in).
-                  Ticks fall on multiples of the interval while anything
-                  runs; after an idle gap they resume at the first multiple
-                  after the admission that ends it.  Every process holds at
-                  least 1 way: with more processes than ways on a socket,
-                  each gets 1 way, placed round-robin in pid order, and
-                  sharers split a way by the rule above.
+                  toward the neediest process (a counter-sampling stand-in);
+                  the only policy with a clock.
 
 Reports are bit-reproducible for identical inputs.
 """
@@ -277,9 +277,6 @@ class _Placement:
             eff[pid] = memo[key]
         return eff
 
-    def pids_on(self, sid: int) -> list[int]:
-        return self.pids[sid]
-
     def free_cores(self, sid: int) -> int:
         return self.config.cores_per_socket - len(self.pids[sid])
 
@@ -291,9 +288,14 @@ class _Placement:
 class _Policy:
     """Places each arrival on the least-loaded socket with the mask
     `mask(sid, run)` chooses, and never moves it.  Subclasses choose the mask
-    and may change masks at phase changes, releases and ticks."""
+    and may change masks at phase changes, releases and ticks.  A policy with
+    a clock names the time of its next tick in `next_tick` (None: no tick
+    due) and its period in `interval_ns`, which the report records.
+    """
 
-    def __init__(self, place: _Placement):
+    next_tick = interval_ns = None
+
+    def __init__(self, place: _Placement, policy: Policy):
         self.place = place
         self.ways = place.config.ways_per_socket
 
@@ -307,6 +309,9 @@ class _Policy:
 
     def release(self, t, run, sid):
         """`run` has already left the placement; `sid` was its socket."""
+
+    def tick(self, t):
+        """Called at `next_tick`, after the phase events of that instant."""
 
     def row(self, run):
         """The width-timeline entry of an admitted run."""
@@ -330,7 +335,7 @@ class _MaxWays(_Policy):
         """The window of max_ways ways overlapping the socket's taken ways
         least, the lowest such window on ties."""
         used = 0
-        for pid in self.place.pids_on(sid):
+        for pid in self.place.pids[sid]:
             used |= self.place.mask_of[pid]
         ways = min(run.max_ways, self.ways)
         windows = [((1 << ways) - 1) << s for s in range(self.ways - ways + 1)]
@@ -343,6 +348,10 @@ class _Reactive(_Policy):
     are repacked contiguously in pid order on every change; the need proxy
     alpha * (max_ways - width) stands in for a hardware miss counter.
 
+    The clock is this policy's own.  Ticks fall on multiples of the interval
+    while anything runs; an admission that ends an idle gap resumes them at
+    the first multiple after it.
+
     Every process holds at least 1 way, as CAT requires a nonempty mask.
     When a socket holds more processes than ways, each gets 1 way and the
     masks wrap round-robin in pid order (the i-th pid holds way i mod W), so
@@ -351,17 +360,27 @@ class _Reactive(_Policy):
     nothing until releases free a way or an admission re-splits the socket.
     """
 
-    def __init__(self, place: _Placement):
-        super().__init__(place)
+    def __init__(self, place: _Placement, policy: Policy):
+        super().__init__(place, policy)
+        self.interval_ns = policy.interval_ns
+        self.tick_no = 0  # grid points passed: ticks done, or skipped while idle
         self.runs: dict[int, _Run] = {}
         self.widths: dict[int, int] = {}
 
+    @property
+    def next_tick(self):
+        return (self.tick_no + 1) * self.interval_ns if self.runs else None
+
     def admit(self, t, runs):
+        if not self.runs:  # an idle gap ends: skip the grid points it spanned
+            self.tick_no = int(t // self.interval_ns)
+            if (self.tick_no + 1) * self.interval_ns <= t:  # the float quotient fell short
+                self.tick_no += 1
         for r in runs:
             self.place.put(r.pid, self.place.least_loaded(), 0)  # masked below
             self.runs[r.pid] = r
         for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
-            pids = self.place.pids_on(sid)
+            pids = self.place.pids[sid]
             base, rem = divmod(self.ways, len(pids))
             for i, pid in enumerate(pids):
                 self.widths[pid] = max(1, base + (1 if i >= len(pids) - rem else 0))
@@ -369,7 +388,7 @@ class _Reactive(_Policy):
 
     def _repack(self, sid):
         start = 0
-        for pid in self.place.pids_on(sid):
+        for pid in self.place.pids[sid]:
             w = self.widths[pid]
             if start + w > self.ways:
                 start = 0
@@ -381,8 +400,9 @@ class _Reactive(_Policy):
         self._repack(sid)
 
     def tick(self, t):
+        self.tick_no += 1
         for sid in range(self.place.config.sockets):
-            pids = self.place.pids_on(sid)
+            pids = self.place.pids[sid]
             if not pids:
                 continue
 
@@ -415,8 +435,8 @@ class _ComCas(_Policy):
     every socket after an admission, the run's own after a phase change or
     release."""
 
-    def __init__(self, place: _Placement):
-        super().__init__(place)
+    def __init__(self, place: _Placement, policy: Policy):
+        super().__init__(place, policy)
         self.ap = Apportioner(place.config)
 
     def admit(self, t, runs):
@@ -466,7 +486,7 @@ _POLICIES = {
 # engine
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _Run:
     spec: ProcessSpec
     pid: int
@@ -489,8 +509,7 @@ def run_mix(
     validate_mix(mix)
     cfg = mix_config(mix, config)
     place = _Placement(cfg)
-    ctl = _POLICIES[policy.kind](place)
-    tick_ns = policy.interval_ns if policy.kind == "reactive" else None
+    ctl = _POLICIES[policy.kind](place, policy)
 
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
@@ -500,50 +519,20 @@ def run_mix(
     # due last; nothing is pushed, so popping the end keeps the order
     pending = sorted(((proc.start_ns, proc.pid) for proc in mix.processes), reverse=True)
     waiting: list[int] = []
-    active: list[int] = []
+    active: list[_Run] = []  # in pid order
     completions: dict[int, float] = {}
     width_timeline: list[tuple[float, dict]] = []
     now = 0.0
-    tick_no = 0  # grid points passed: ticks done, or skipped while idle
-
-    speeds: dict[tuple[int, int, int], float] = {}  # (pid, phase index, eff. ways)
     rows: dict[int, tuple] = {}  # pid -> width-timeline row
 
-    def refresh():
-        """Speeds and timeline rows of the pids whose effective ways can
-        have moved since the last refresh."""
-        for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
-            r = runs[pid]
-            at = (pid, r.phase_idx, eff)
-            if at not in speeds:
-                speeds[at] = phase_speed(r.phase, eff, cfg.dm_penalty)
-            r.speed = speeds[at]
-            rows[pid] = ctl.row(r)
-
-    def admit(t, pids):
-        """Admit in pid order up to capacity; the rest wait for a release."""
-        pids = sorted(pids)
-        room = sum(place.free_cores(s) for s in range(cfg.sockets))
-        batch, rest = pids[:room], pids[room:]
-        if batch:
-            for pid in batch:
-                runs[pid].started_at = t
-                runs[pid].work_rem = runs[pid].phase.work
-            ctl.admit(t, [runs[pid] for pid in batch])
-            active.extend(batch)
-            active.sort()
-        waiting.extend(rest)
-
     while pending or waiting or active:
-        # candidate times for the next event
-        end_at = {
-            pid: now + runs[pid].work_rem / runs[pid].speed for pid in active
-        }
-        cands = list(end_at.values())
+        # candidate times for the next event: the phase ends come first
+        cands = [now + r.work_rem / r.speed for r in active]
         if pending:
             cands.append(pending[-1][0])
-        if tick_ns and active:
-            cands.append((tick_no + 1) * tick_ns)
+        tick = ctl.next_tick
+        if tick is not None:
+            cands.append(tick)
         if not cands:
             raise TraceError(
                 "mix %r: waiting processes can never be admitted" % mix.name
@@ -552,30 +541,29 @@ def run_mix(
 
         # elapse work to t; the ending set is exact, not tolerance-based
         dt = t - now
-        ending = [pid for pid in active if end_at[pid] == t]
-        for pid in active:
-            r = runs[pid]
-            r.work_rem = 0.0 if pid in ending else r.work_rem - dt * r.speed
+        ending = []
+        for r, end in zip(active, cands):
+            if end == t:
+                ending.append(r)
+            else:
+                r.work_rem -= dt * r.speed
         now = t
 
         released = False
-        for pid in ending:
-            r = runs[pid]
-            r.work_rem = 0.0
+        for r in ending:
             if r.phase_idx + 1 < len(r.spec.phases):
                 r.phase_idx += 1
                 r.work_rem = r.phase.work
-                place.dirty.add(pid)
+                place.dirty.add(r.pid)
                 ctl.phase_change(now, r)
             else:
-                active.remove(pid)
-                completions[pid] = now - r.started_at
-                ctl.release(now, r, place.drop(pid))
+                active.remove(r)
+                completions[r.pid] = now - r.started_at
+                ctl.release(now, r, place.drop(r.pid))
                 released = True
 
-        # a rebalancing tick settles after the phase events of this instant
-        if tick_ns and active and t >= (tick_no + 1) * tick_ns:
-            tick_no += 1
+        # a tick settles after the phase events of its instant
+        if ctl.next_tick == t:
             ctl.tick(now)
 
         # admissions due now, plus deferred ones once a slot opened
@@ -583,17 +571,25 @@ def run_mix(
         while pending and pending[-1][0] <= now:
             due.append(pending.pop()[1])
         if due or (released and waiting):
-            if tick_ns and not active:
-                # leaving an idle gap: the next tick is the first grid point after now
-                tick_no = int(now // tick_ns)
-                if (tick_no + 1) * tick_ns <= now:  # the float quotient fell short
-                    tick_no += 1
-            retry, waiting[:] = waiting[:], []
-            admit(now, due + retry)
+            # in pid order up to capacity; the rest wait for a release
+            pids = sorted(due + waiting)
+            room = sum(place.free_cores(s) for s in range(cfg.sockets))
+            batch, waiting = [runs[pid] for pid in pids[:room]], pids[room:]
+            if batch:
+                for r in batch:
+                    r.started_at = now
+                    r.work_rem = r.phase.work
+                ctl.admit(now, batch)
+                active.extend(batch)
+                active.sort(key=lambda r: r.pid)
 
         if place.dirty:
-            refresh()
-            snap = {pid: rows[pid] for pid in active}
+            # speeds and rows of the pids whose effective ways can have moved
+            for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
+                r = runs[pid]
+                r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)
+                rows[pid] = ctl.row(r)
+            snap = {r.pid: rows[r.pid] for r in active}
             if not width_timeline or width_timeline[-1][1] != snap:
                 width_timeline.append((now, snap))
 
@@ -610,7 +606,7 @@ def run_mix(
         mix_name=mix.name,
         category=mix.category,
         policy=policy.kind,
-        interval_ns=tick_ns,
+        interval_ns=ctl.interval_ns,
         completions=completions,
         unmixed=unmixed,
         records=records,

@@ -223,11 +223,14 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     assert logs[0] == logs[1]
 
 
-def test_simulate_bad_category_is_exit_3(tmp_path, capsys):
-    text = MIX_TEXT.replace("mix tiny light", "mix tiny enormous")
-    code = main(["simulate", "--mix", mix_file(tmp_path, text)])
-    assert code == 3
-    assert "category" in capsys.readouterr().err
+@pytest.mark.parametrize("edit, message", [
+    (("mix tiny light", "mix tiny enormous"), "tiny.mix:2: category 'enormous' is not one of"),
+    (("process 1", "process 0"), "tiny.mix:9: repeated process 0; first at line 4"),
+], ids=["category", "repeated-pid"])
+def test_simulate_bad_mix_line_is_exit_2(tmp_path, capsys, edit, message):
+    code = main(["simulate", "--mix", mix_file(tmp_path, MIX_TEXT.replace(*edit))])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys):

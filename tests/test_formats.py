@@ -557,6 +557,8 @@ MALFORMED = {
     "mix-process": (read_mix, V + "mix m light\n>process\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-point": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>point 2\nend"),
     "mix-version-only": (read_mix, ">format-version 1"),
+    "mix-category": (read_mix, V + ">mix m bogus\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-repeated-pid": (read_mix, MIX_HEAD + "phase p 1 reuse 1\npoint 2 1\n>process 0\nphase q 1 reuse 1\npoint 2 1\nend"),
     "model-residual": (read_model, V + ">residual\ncoefficients 1"),
     "end-arguments": (read_curves, V + "curve a\npoint 2 1\n>end a"),
     "mix-config": (read_mix, V + "mix m light\n>config ways_per_socket 1\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),

@@ -3,8 +3,10 @@
 One sha256 per (input, policy) over the repr of the whole SimReport, for the
 bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
 seeded draws of churn_mix, under every policy.  The random draws also run
-reactive at a 50 ns interval; the bundled mixes' phases last ~1e8 ns, which
-would take millions of such ticks.
+reactive at a 50 ns interval.  The bundled mixes do not: their phases last
+~1e8 ns, and on h1-squeeze every 50 ns tick moves a way (pids at their
+max-ways donate one, fall short and win it back), so that run does not end
+in reasonable time, and skipping the ticks that move no way would not help.
 A change to the engine that claims to keep its outputs must keep every
 digest; a deliberate output change regenerates the table and reports which
 entries moved:

@@ -494,7 +494,7 @@ def test_placement_claims_follow_every_change(data):
             assert set(refreshed) <= set(place.socket_of)
             known.update(refreshed)
             for sid in range(sockets):
-                holders = [place.mask_of[pid] for pid in place.pids_on(sid) if reuse[pid]]
+                holders = [place.mask_of[pid] for pid in place.pids[sid] if reuse[pid]]
                 recount = [sum(m >> w & 1 for m in holders) for w in range(ways)]
                 assert place.claims[sid] == recount
             for pid, sid in place.socket_of.items():
