@@ -66,6 +66,19 @@ class WayTimeCurve:
         frac = (ways - w0) / (w1 - w0)
         return t0 + frac * (t1 - t0)
 
+    def times(self, ways: int) -> list[float]:
+        """[time_at(w) for w in 2..ways] in one walk over the points, with
+        the same operations, so every value is bit-equal to time_at's."""
+        pts = self.points
+        out = [pts[0][1]] if ways >= 2 else []
+        for (w0, t0), (w1, t1) in zip(pts, pts[1:]):
+            span, dt = w1 - w0, t1 - t0
+            out += [t0 + (w - w0) / span * dt for w in range(w0 + 1, min(w1, ways + 1))]
+            if w1 > ways:
+                return out
+            out.append(t1)
+        return out + [pts[-1][1]] * (ways - 1 - len(out))
+
 
 def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
     """Sensitivity factor: sum of |t_i - t_prev| / (w_i - w_prev) over the

@@ -19,7 +19,13 @@ gets the exact integer floor of sum(1/k) over the ways of its mask, where k
 is the number of reuse phases holding that way (itself included), and never
 less than 1.  Claim counts are kept per socket and way.  After each event the
 rule is re-evaluated only for the processes whose mask or phase changed and
-for the reuse phases holding a way whose claim count changed.
+for the reuse phases holding a way whose claim count changed.  The width
+timeline gains a snapshot only when such a re-evaluation changed a row or a
+process was admitted or completed.
+
+A run pays only for what its policy reads: each policy derives the
+(alpha, max_ways) pair itself, once per process, and `unpartitioned`, which
+reads neither, derives nothing.
 
 Four policies choose masks:
   * comcas        probe-guided: the Apportioner places arrivals in batches,
@@ -144,20 +150,22 @@ def mix_config(mix: MixSpec, base: SystemConfig | None = None) -> SystemConfig:
 
 def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float, int]:
     """Process-level (alpha, max_ways): explicit values win, otherwise they
-    are derived from the pointwise sum of the process's phase curves."""
+    are derived from the pointwise sum of the process's phase curves over
+    2..W, one walk per curve.  A derived alpha covers 2..max_ways with
+    max_ways clamped into 2..W, so an explicit max-ways past the socket's
+    ways, or below 2, still runs.  Only the policies that read the pair
+    call this (see `_Policy.sensitivity`)."""
     if proc.alpha is not None and proc.max_ways is not None:
         return proc.alpha, proc.max_ways
-    points = tuple(
-        (w, sum(ph.curve.time_at(w) for ph in proc.phases))
-        for w in range(2, config.ways_per_socket + 1)
-    )
-    curve = WayTimeCurve(points)
+    ways = config.ways_per_socket
+    columns = zip(*[ph.curve.times(ways) for ph in proc.phases])
+    curve = WayTimeCurve(tuple(enumerate(map(sum, columns), 2)))
     mw = proc.max_ways
     if mw is None:
         mw = detect_max_ways(curve, config.saturation_epsilon)
     alpha = proc.alpha
     if alpha is None:
-        alpha = compute_alpha(curve, mw)
+        alpha = compute_alpha(curve, min(max(mw, 2), ways))
     return alpha, mw
 
 
@@ -291,6 +299,10 @@ class _Policy:
     and may change masks at phase changes, releases and ticks.  A policy with
     a clock names the time of its next tick in `next_tick` (None: no tick
     due) and its period in `interval_ns`, which the report records.
+
+    `sensitivity(proc)` gives the (alpha, max_ways) pair a run carries, once
+    per process before the first event; a policy that reads neither returns
+    (None, None) and so skips deriving it from the curves.
     """
 
     next_tick = interval_ns = None
@@ -298,6 +310,9 @@ class _Policy:
     def __init__(self, place: _Placement, policy: Policy):
         self.place = place
         self.ways = place.config.ways_per_socket
+
+    def sensitivity(self, proc):
+        return process_sensitivity(proc, self.place.config)
 
     def admit(self, t, runs):
         for r in runs:
@@ -323,6 +338,9 @@ class _Policy:
 
 
 class _Unpartitioned(_Policy):
+    def sensitivity(self, proc):
+        return None, None
+
     def mask(self, sid, run):
         return (1 << self.ways) - 1
 
@@ -490,8 +508,8 @@ _POLICIES = {
 class _Run:
     spec: ProcessSpec
     pid: int
-    alpha: float
-    max_ways: int
+    alpha: float | None  # None: the policy reads no sensitivity
+    max_ways: int | None
     phase_idx: int = 0
     work_rem: float = 0.0
     speed: float = 0.0
@@ -513,7 +531,7 @@ def run_mix(
 
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
-        alpha, maxw = process_sensitivity(proc, cfg)
+        alpha, maxw = ctl.sensitivity(proc)
         runs[proc.pid] = _Run(spec=proc, pid=proc.pid, alpha=alpha, max_ways=maxw)
 
     # due last; nothing is pushed, so popping the end keeps the order
@@ -549,7 +567,7 @@ def run_mix(
                 r.work_rem -= dt * r.speed
         now = t
 
-        released = False
+        changed = False  # did the active set or a timeline row change?
         for r in ending:
             if r.phase_idx + 1 < len(r.spec.phases):
                 r.phase_idx += 1
@@ -560,7 +578,7 @@ def run_mix(
                 active.remove(r)
                 completions[r.pid] = now - r.started_at
                 ctl.release(now, r, place.drop(r.pid))
-                released = True
+                changed = True
 
         # a tick settles after the phase events of its instant
         if ctl.next_tick == t:
@@ -570,7 +588,7 @@ def run_mix(
         due = []
         while pending and pending[-1][0] <= now:
             due.append(pending.pop()[1])
-        if due or (released and waiting):
+        if due or (changed and waiting):
             # in pid order up to capacity; the rest wait for a release
             pids = sorted(due + waiting)
             room = sum(place.free_cores(s) for s in range(cfg.sockets))
@@ -582,16 +600,20 @@ def run_mix(
                 ctl.admit(now, batch)
                 active.extend(batch)
                 active.sort(key=lambda r: r.pid)
+                changed = True
 
         if place.dirty:
             # speeds and rows of the pids whose effective ways can have moved
             for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
                 r = runs[pid]
                 r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)
-                rows[pid] = ctl.row(r)
-            snap = {r.pid: rows[r.pid] for r in active}
-            if not width_timeline or width_timeline[-1][1] != snap:
-                width_timeline.append((now, snap))
+                row = ctl.row(r)
+                if rows.get(pid) != row:
+                    rows[pid] = row
+                    changed = True
+            # a new row or a new active set always makes a new snapshot
+            if changed:
+                width_timeline.append((now, {r.pid: rows[r.pid] for r in active}))
 
     unmixed = {}
     for proc in mix.processes:

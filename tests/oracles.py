@@ -2,7 +2,9 @@
 
 Everything here is written the slow, obvious way on purpose: walk every
 iteration, keep explicit sets, count by hand with exact arithmetic.  None of
-it shares code with the package beyond the input dataclasses.
+it shares code with the package beyond the input dataclasses, except the
+sensitivity reference, which keeps the package's per-point curve arithmetic
+so that its floats compare with ==.
 """
 
 import math
@@ -17,6 +19,7 @@ from cacheways.loops import (
     ReuseClass,
     Statement,
 )
+from cacheways.sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
 
 
 def iteration_trace(nest):
@@ -100,6 +103,26 @@ def alpha_reference(points, max_ways):
     for (w0, t0), (w1, t1) in zip(pts, pts[1:]):
         total += abs(Fraction(t1) - Fraction(t0)) / (w1 - w0)
     return float(total)
+
+
+def process_sensitivity_reference(proc, config):
+    """Process-level (alpha, max_ways), summing time_at per way count: the
+    explicit pair wins, else the phase curves' pointwise sum over 2..W gives
+    max-ways by saturation and alpha up to max-ways clamped into 2..W."""
+    if proc.alpha is not None and proc.max_ways is not None:
+        return proc.alpha, proc.max_ways
+    points = tuple(
+        (w, sum(ph.curve.time_at(w) for ph in proc.phases))
+        for w in range(2, config.ways_per_socket + 1)
+    )
+    curve = WayTimeCurve(points)
+    mw = proc.max_ways
+    if mw is None:
+        mw = detect_max_ways(curve, config.saturation_epsilon)
+    alpha = proc.alpha
+    if alpha is None:
+        alpha = compute_alpha(curve, min(max(mw, 2), config.ways_per_socket))
+    return alpha, mw
 
 
 def brute_effective_ways(mask, claims):

@@ -147,6 +147,16 @@ def test_simulate_max_ways_below_one_is_exit_2(tmp_path, capsys):
     assert "narrow.mix:6: max-ways: bad value '-2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["comcas", "unpartitioned", "maxways", "reactive"])
+@pytest.mark.parametrize("max_ways", [20, 1])
+def test_simulate_max_ways_outside_the_socket_runs(tmp_path, capsys, max_ways, policy):
+    # no alpha: it is derived up to max-ways clamped into 2..11, so the
+    # process runs under every policy, as it does when alpha is given
+    mix = mix_file(tmp_path, MIX_TEXT.replace("process 0\n", "process 0\nmax-ways %d\n" % max_ways))
+    assert main(["simulate", "--mix", mix, "--policy", policy]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, message", [
     (("phase hot 100000000 reuse 3145728\n", "phase hot 100000000 reuse 3145728\nfixed-ns -1000000000\n"),
      "l1-pair.mix:7: fixed-ns: bad value '-1000000000'"),

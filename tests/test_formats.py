@@ -224,6 +224,14 @@ def test_attributes_round_trip(tmp_path):
 
 
 def test_attributes_errors(tmp_path):
+    # an unclosed block is the package grammar's error
+    with pytest.raises(SchemaError, match="not closed"):
+        read_attributes(write_text(tmp_path, "c.txt", "format-version 1\nattrs p\n"))
+
+
+def test_support_read_attributes_rejects_missing_field_and_duplicate(tmp_path):
+    # these checks live in the test-side reader only: no command reads an
+    # attrs file back
     with pytest.raises(SchemaError, match="missing reuse"):
         read_attributes(
             write_text(
@@ -242,8 +250,6 @@ def test_attributes_errors(tmp_path):
                 "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\nend\n",
             )
         )
-    with pytest.raises(SchemaError, match="not closed"):
-        read_attributes(write_text(tmp_path, "c.txt", "format-version 1\nattrs p\n"))
 
 
 # -- timing samples and models --------------------------------------------------
@@ -271,7 +277,8 @@ def test_model_round_trip(tmp_path):
     assert read_model(path) == model
 
 
-def test_model_requires_both_lines(tmp_path):
+def test_support_read_model_requires_both_lines(tmp_path):
+    # a check of the test-side reader only: no command reads a model file back
     with pytest.raises(SchemaError, match="residual and coefficients"):
         read_model(write_text(tmp_path, "m.txt", "format-version 1\nresidual 0\n"))
 

@@ -1,7 +1,7 @@
 """Way-time curves, the sensitivity factor, saturation detection."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cacheways.errors import CurveIncomplete, SchemaError
 from cacheways.loops import FootprintValue, ReuseClass
@@ -70,6 +70,25 @@ def test_time_at_rejects_below_two():
     c = curve({2: 20.0})
     with pytest.raises(CurveIncomplete):
         c.time_at(1)
+
+
+@st.composite
+def way_time_curves(draw, max_way=24):
+    """Curves from w=2: a single point, or sparse or dense steps up to
+    max_way, with non-increasing times."""
+    ways = [2] + sorted(draw(st.sets(st.integers(3, max_way), max_size=8)))
+    times = draw(st.lists(st.floats(1e-3, 1e9), min_size=len(ways), max_size=len(ways)))
+    return WayTimeCurve(tuple(zip(ways, sorted(times, reverse=True))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(way_time_curves())
+@example(curve({2: 7.0}))
+@example(curve({2: 9.0, 5: 6.0, 6: 5.0, 11: 1.0}))
+def test_times_equals_time_at_at_every_width(c):
+    # every width below, at and past the last point, the empty table included
+    for w in range(1, c.last_way + 4):
+        assert c.times(w) == [c.time_at(v) for v in range(2, w + 1)]
 
 
 # -- alpha --------------------------------------------------------------------

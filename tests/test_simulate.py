@@ -23,7 +23,7 @@ from cacheways.simulate import (
     run_unmixed,
     validate_mix,
 )
-from oracles import brute_effective_ways
+from oracles import brute_effective_ways, process_sensitivity_reference
 from support import way_time_curve
 
 MIB = 1 << 20
@@ -189,6 +189,51 @@ def test_process_sensitivity_partial_override():
         alpha=7.5,
     )
     assert process_sensitivity(p, SystemConfig()) == (7.5, 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_process_sensitivity_matches_reference(rnd):
+    # sparse and dense phase curves shorter or longer than the socket, with
+    # neither, either or both of alpha and max-ways given (max-ways also
+    # outside 2..W); the one-pass column sums give the per-point sums' floats
+    ways = rnd.randint(2, 16)
+    phases = []
+    for k in range(rnd.randint(1, 4)):
+        t, pts = rnd.uniform(1e3, 1e9), {}
+        for w in [2] + sorted(rnd.sample(range(3, 20), rnd.randint(0, 6))):
+            pts[w] = t
+            t *= 1 - rnd.uniform(0.0, 0.4)
+        phases.append(phase("p%d" % k, MIB, pts))
+    p = ProcessSpec(
+        pid=0, phases=tuple(phases),
+        alpha=rnd.choice((None, rnd.uniform(0.0, 10.0))),
+        max_ways=rnd.choice((None, rnd.randint(1, ways + 3))),
+    )
+    cfg = SystemConfig(ways_per_socket=ways, saturation_epsilon=rnd.choice((0.01, 0.05, 0.2)))
+    assert process_sensitivity(p, cfg) == process_sensitivity_reference(p, cfg)
+
+
+@pytest.mark.parametrize("kind, calls", [
+    ("unpartitioned", 0), ("comcas", 3), ("maxways", 3), ("reactive", 3),
+])
+def test_only_policies_that_read_sensitivity_derive_it(monkeypatch, kind, calls):
+    # unpartitioned reads neither alpha nor max-ways; the others derive the
+    # pair once per process, before the first event
+    seen = []
+    real = simulate.process_sensitivity
+
+    def counting(proc, config):
+        seen.append(proc.pid)
+        return real(proc, config)
+
+    monkeypatch.setattr(simulate, "process_sensitivity", counting)
+    procs = [
+        ProcessSpec(pid=pid, phases=tuple(phase("p%d.%d" % (pid, k), MIB, {2: 256.0, 4: 128.0}) for k in range(4)))
+        for pid in range(3)
+    ]
+    run_mix(mix_of(*procs, sockets=1), Policy(kind))
+    assert sorted(seen) == list(range(calls))
 
 
 # -- engine: unpartitioned ---------------------------------------------------
