@@ -7,8 +7,7 @@ most starved.  Each decision prints the socket's 11 ways as a strip chart.
 Run:  python3 demos/03_allocation_walkthrough.py
 """
 
-from cacheways.apportion import Apportioner, SystemConfig
-from cacheways.loops import ReuseClass
+from cacheways.apportion import Apportioner, ReuseClass, SystemConfig
 
 cfg = SystemConfig(sockets=1)
 ap = Apportioner(cfg)

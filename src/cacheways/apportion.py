@@ -23,7 +23,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
-from .loops import ReuseClass
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,14 @@ class SystemConfig:
             raise SchemaError("srd_delta must be positive")
         if self.saturation_epsilon <= 0:
             raise SchemaError("saturation_epsilon must be positive")
+
+
+class ReuseClass(Enum):
+    """A phase's reuse class: the loop analysis derives it, the allocator
+    weighs footprints by it and the contention rule reads it."""
+
+    STREAM = "stream"
+    REUSE = "reuse"
 
 
 class Scenario(Enum):

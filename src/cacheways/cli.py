@@ -6,12 +6,20 @@ Subcommands: analyze, fit-timing, simulate, compare, sweep.  Exit codes:
 
 Speedup columns always carry both interpretations of the mean: equal
 per-process weights and unmixed-time weights.
+
+Each command loads only the modules it runs.  The loop analysis (`loops`)
+and the timing model (`timing`) are the compiler front end: `analyze` loads
+only the first, `fit-timing` only the second, and `simulate`, `compare` and
+`sweep` neither.  Their functions become globals of this module on first use
+(see `__getattr__`), so a caller may still patch `cli.compute_srd` and the
+like on the module, and the commands call the patched function.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob
+import importlib
 import math
 import os
 import sys
@@ -20,13 +28,6 @@ from dataclasses import replace
 from . import formats
 from .apportion import SystemConfig
 from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
-from .loops import (
-    classify_reuse,
-    compute_srd,
-    footprint_closed_form,
-    indirect_default_footprint,
-    validate_nest,
-)
 from .metrics import (
     SLA_FACTOR,
     deficit_proxy,
@@ -37,9 +38,32 @@ from .metrics import (
 )
 from .sensitivity import assemble_attributes
 from .simulate import _POLICIES, CATEGORIES, Policy, mix_config, run_mix
-from .timing import fit_timing, timing_accuracy
 
 POLICIES = tuple(_POLICIES)
+
+# the front end's functions, by module, bound as globals on first use
+_FRONT_END = {
+    "loops": ("classify_reuse", "compute_srd", "footprint_closed_form", "indirect_default_footprint", "validate_nest"),
+    "timing": ("fit_timing", "timing_accuracy"),
+}
+
+
+def _load(module: str) -> dict:
+    """Import a front-end module and bind its functions as globals of this
+    module; a name already bound, by a patch say, keeps its value."""
+    mod = importlib.import_module("." + module, __package__)
+    names = globals()
+    for name in _FRONT_END[module]:
+        names.setdefault(name, getattr(mod, name))
+    return names
+
+
+def __getattr__(name: str):
+    """PEP 562: `cli.<front-end function>` loads its module on first use."""
+    for module, names in _FRONT_END.items():
+        if name in names:
+            return _load(module)[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 def finite_positive(text: str) -> float:
@@ -113,6 +137,7 @@ def _read_config(path) -> SystemConfig:
 
 
 def _cmd_analyze(args) -> int:
+    _load("loops")
     cfg = _read_config(args.config)
     nests = formats.read_nests(args.nests)
     curves = formats.read_curves(args.curves)
@@ -155,6 +180,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fit_timing(args) -> int:
+    _load("timing")
     samples = formats.read_samples(args.samples)
     model = fit_timing(samples)
     formats.write_model(model, args.out)

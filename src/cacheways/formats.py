@@ -29,22 +29,16 @@ import io
 import math
 from functools import partial
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from .apportion import AllocationRecord, Scenario, SystemConfig, format_mask
+from .apportion import AllocationRecord, ReuseClass, Scenario, SystemConfig, format_mask
 from .errors import SchemaError
-from .loops import (
-    Affine,
-    ArrayDecl,
-    Bound,
-    LoopLevel,
-    LoopNest,
-    MemoryAccess,
-    ReuseClass,
-    Statement,
-)
 from .sensitivity import WayTimeCurve
 from .simulate import CATEGORIES, MixSpec, PhaseSpec, ProcessSpec
-from .timing import TimingModel, TrainingSample
+
+if TYPE_CHECKING:  # annotations only; read_nests and read_samples import what they build
+    from .loops import LoopNest
+    from .timing import TimingModel, TrainingSample
 
 FORMAT_VERSION = 1
 
@@ -340,6 +334,10 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def read_nests(path: str) -> list[LoopNest]:
+    # imported here, not at the top, so that a command that reads no nest
+    # never loads the loop analysis
+    from .loops import Affine, ArrayDecl, Bound, LoopLevel, LoopNest, MemoryAccess, Statement
+
     rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
     for name, _, body, end in _blocks(rd, "nest"):
@@ -408,6 +406,8 @@ def write_attributes(attrs, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def read_samples(path: str) -> list[TrainingSample]:
+    from .timing import TrainingSample  # as in read_nests: only fit-timing loads the model
+
     rd = _Reader(path, {"sample"})
     samples: list[TrainingSample] = []
     for no, _, (*bounds, observed) in rd.lines:
@@ -488,7 +488,7 @@ def read_mix(path: str) -> MixSpec:
         elif phase is not None and kw in ("alpha", "max-ways"):
             rd.fail(no, "%s must precede the process's phases" % kw)
         else:
-            proc[2][kw] = args[0]
+            proc[2][kw] = (no, args[0])
     if not closed:
         rd.fail(rd.last, "mix not closed with 'end'")
     _, overrides = _config(rd, settings)
@@ -496,16 +496,26 @@ def read_mix(path: str) -> MixSpec:
 
 
 def _process(rd: _Reader, proc: tuple) -> ProcessSpec:
+    """`fields` maps each process keyword to its (line number, value)."""
     no, (pid,), fields, phases = proc
     if not phases:
         rd.fail(no, "process %d has no phases" % pid)
+    specs = tuple(rd.build(ph[0], "phase %r" % ph[1][0], _phase, ph) for ph in phases)
+    vals = {kw: val for kw, (_, val) in fields.items()}
+    start = vals.get("start", 0.0)
+    # no phase runs faster than its curve's smallest time; a start that
+    # absorbs even that would end the process at the instant it started
+    shortest = min(t for ph in specs for _, t in ph.curve.points)
+    if start + shortest == start:  # only a start line can: every time is > 0
+        rd.fail(fields["start"][0], "start %s: process %d's shortest phase (%s ns) would not move the clock"
+                % (fmt_float(start), pid, fmt_float(shortest)))
     return ProcessSpec(
         pid=pid,
-        phases=tuple(rd.build(ph[0], "phase %r" % ph[1][0], _phase, ph) for ph in phases),
-        start_ns=fields.get("start", 0.0),
-        alpha=fields.get("alpha"),
-        max_ways=fields.get("max-ways"),
-        unmixed_ns=fields.get("unmixed-ns"),
+        phases=specs,
+        start_ns=start,
+        alpha=vals.get("alpha"),
+        max_ways=vals.get("max-ways"),
+        unmixed_ns=vals.get("unmixed-ns"),
     )
 
 

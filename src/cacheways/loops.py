@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
+from .apportion import ReuseClass
 from .errors import FootprintUnanalyzable, OracleTooLarge, SchemaError
 
 VALID_ELEMENT_SIZES = (1, 2, 4, 8, 16)
@@ -94,11 +94,6 @@ class LoopNest:
     loops: tuple[LoopLevel, ...]
     statements: tuple[Statement, ...]
     arrays: tuple[ArrayDecl, ...] = ()
-
-
-class ReuseClass(Enum):
-    STREAM = "stream"
-    REUSE = "reuse"
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .apportion import ReuseClass
 from .errors import CurveIncomplete, SchemaError
-from .loops import FootprintValue, ReuseClass
+
+if TYPE_CHECKING:  # an annotation only: the engine never loads the loop analysis
+    from .loops import FootprintValue
 
 MONOTONE_TOL = 1e-6
 

@@ -49,11 +49,11 @@ from dataclasses import dataclass, field, replace
 from .apportion import (
     AllocationRecord,
     Apportioner,
+    ReuseClass,
     SystemConfig,
     mask_width,
 )
 from .errors import TraceError
-from .loops import ReuseClass
 from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
 
 CATEGORIES = ("light", "medium", "heavy")

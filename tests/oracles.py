@@ -10,13 +10,13 @@ so that its floats compare with ==.
 import math
 from fractions import Fraction
 
+from cacheways.apportion import ReuseClass
 from cacheways.loops import (
     Affine,
     Bound,
     LoopLevel,
     LoopNest,
     MemoryAccess,
-    ReuseClass,
     Statement,
 )
 from cacheways.sensitivity import WayTimeCurve, compute_alpha, detect_max_ways

@@ -14,10 +14,9 @@ import subprocess
 import sys
 import time
 
-from cacheways.apportion import AdmissionRejected, Apportioner, SystemConfig
+from cacheways.apportion import AdmissionRejected, Apportioner, ReuseClass, SystemConfig
 from cacheways.formats import read_mix
 from cacheways.loops import (
-    ReuseClass,
     compute_srd,
     footprint_closed_form,
     footprint_enumerate,

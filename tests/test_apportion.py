@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cacheways import apportion
 from cacheways.apportion import (
     Apportioner,
+    ReuseClass,
     Scenario,
     SystemConfig,
     adjusted_footprint,
@@ -20,7 +21,6 @@ from cacheways.apportion import (
     required_ways,
 )
 from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
-from cacheways.loops import ReuseClass
 
 from oracles import cache_fractions, is_contiguous
 from support import clos_of

@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through cli.main with exit-code checks."""
 
+import ast
 import dataclasses
 import os
 import random
@@ -9,8 +10,8 @@ import sys
 
 import pytest
 
-from cacheways import formats
-from cacheways.apportion import SystemConfig
+from cacheways import cli, formats
+from cacheways.apportion import ReuseClass, SystemConfig
 from cacheways.cli import _build_parser, main
 from cacheways.loops import (
     Affine,
@@ -19,7 +20,6 @@ from cacheways.loops import (
     LoopLevel,
     LoopNest,
     MemoryAccess,
-    ReuseClass,
     Statement,
 )
 from cacheways.timing import TrainingSample
@@ -236,7 +236,9 @@ def test_simulate_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("edit, message", [
     (("mix tiny light", "mix tiny enormous"), "tiny.mix:2: category 'enormous' is not one of"),
     (("process 1", "process 0"), "tiny.mix:9: repeated process 0; first at line 4"),
-], ids=["category", "repeated-pid"])
+    (("process 0\n", "process 0\nstart 1e308\n"),
+     "tiny.mix:5: start 1e+308: process 0's shortest phase (100 ns) would not move the clock"),
+], ids=["category", "repeated-pid", "absorbed-start"])
 def test_simulate_bad_mix_line_is_exit_2(tmp_path, capsys, edit, message):
     code = main(["simulate", "--mix", mix_file(tmp_path, MIX_TEXT.replace(*edit))])
     assert code == 2
@@ -539,13 +541,106 @@ def test_sweep_parallel_matches_sequential(tmp_path):
         assert a == b
 
 
-def test_cli_import_skips_numpy_and_process_pool(tmp_path):
-    code = "import sys, cacheways.cli; print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"
+# Runs `python -m cacheways.cli <args>` (or, with no args, only imports the
+# CLI) and prints, last, the cacheways modules and the heavy optional ones
+# it loaded.
+LOADED_BY = """
+import runpy, sys
+try:
+    if len(sys.argv) > 1:
+        runpy.run_module("cacheways.cli", run_name="__main__", alter_sys=True)
+    else:
+        import cacheways.cli
+finally:
+    print(sorted(m for m in sys.modules if m.startswith("cacheways.")) + sorted(
+        {"numpy", "concurrent.futures"} & set(sys.modules)))
+"""
+
+BACK_END = ("apportion", "errors", "formats", "metrics", "sensitivity", "simulate")
+
+# command -> (arguments, the cacheways modules besides the CLI it loads): the
+# front end (loops, timing) only where the command runs it, and never numpy
+# or the process pool
+MODULES_LOADED = {
+    "import": ([], BACK_END),
+    "help": (["--help"], BACK_END),
+    "sweep": (["sweep", "--mixes", "{mixes}"], BACK_END),
+    "compare": (["compare", "--mix", "{mix}"], BACK_END),
+    "simulate": (["simulate", "--mix", "{mix}"], BACK_END),
+    "analyze": (["analyze", "--nests", "{nests}", "--curves", "{curves}", "--out", "attrs.txt"],
+                BACK_END + ("loops",)),
+    "fit-timing": (["fit-timing", "--samples", "{samples}", "--out", "model.txt"], BACK_END + ("timing",)),
+}
+
+
+def sample_file(tmp_path):
+    path = str(tmp_path / "samples.txt")
+    write_samples([TrainingSample((float(u),), 3.0 + 2.0 * u) for u in range(1, 6)], path)
+    return path
+
+
+@pytest.mark.parametrize("command", MODULES_LOADED)
+def test_each_command_loads_only_its_modules(tmp_path, analyze_inputs, command):
+    argv, modules = MODULES_LOADED[command]
+    nests, curves = analyze_inputs
+    files = dict(mixes=sweep_tree(tmp_path), mix=mix_file(tmp_path), nests=nests, curves=curves,
+                 samples=sample_file(tmp_path))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, cwd=str(tmp_path), env=child_env()
+        [sys.executable, "-c", LOADED_BY, *[arg.format(**files) for arg in argv]],
+        capture_output=True, text=True, cwd=str(tmp_path), env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    expected = ["cacheways." + m for m in modules] + (["cacheways.cli"] if command == "import" else [])
+    assert loaded == sorted(expected)
+
+
+def patched_by_perfbench():
+    """The names perfbench's traced run (`cli_in_process` in perfbench/run.py)
+    patches on `cli`, read from its source."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "cli_in_process")
+    return {
+        node.elts[1].value
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Tuple) and len(node.elts) == 3
+        and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "cli"
+    }
+
+
+# each name perfbench patches on `cli`, and the command that must call it
+# through the module, so that the patched wrapper sees the call
+PATCH_POINTS = {
+    "footprint_closed_form": "analyze",
+    "indirect_default_footprint": "analyze",
+    "compute_srd": "analyze",
+    "assemble_attributes": "analyze",
+    "fit_timing": "fit-timing",
+    "run_mix": "simulate",
+}
+
+
+@pytest.mark.parametrize("name", sorted(patched_by_perfbench()))
+def test_commands_call_perfbench_patch_points_through_the_module(tmp_path, analyze_inputs, monkeypatch, name):
+    if any(name in names for names in cli._FRONT_END.values()):
+        monkeypatch.delitem(vars(cli), name, raising=False)  # unbound, as before any command ran
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    nests, curves = analyze_inputs
+    argv = {
+        "analyze": ["analyze", "--nests", nests, "--curves", curves, "--out", str(tmp_path / "a.txt")],
+        "fit-timing": ["fit-timing", "--samples", sample_file(tmp_path), "--out", str(tmp_path / "m.txt")],
+        "simulate": ["simulate", "--mix", mix_file(tmp_path)],
+    }[PATCH_POINTS[name]]
+    assert cli.main(argv) == 0
+    assert calls, "%s ran without calling cli.%s" % (argv[0], name)
 
 
 def test_apportion_import_skips_analysis_modules(tmp_path):

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from cacheways.apportion import Apportioner, SystemConfig, replay_events
+from cacheways.apportion import Apportioner, ReuseClass, SystemConfig, replay_events
 from cacheways.errors import SchemaError
 from cacheways.formats import (
     fmt_float,
@@ -37,7 +37,6 @@ from cacheways.loops import (
     LoopLevel,
     LoopNest,
     MemoryAccess,
-    ReuseClass,
     Statement,
 )
 from cacheways.sensitivity import ProbeAttributes
@@ -595,6 +594,11 @@ MALFORMED = {
     "mix-alpha-negative": (read_mix, MIX_HEAD + ">alpha -3\nmax-ways 3\nphase p 1 reuse 1\npoint 2 1\nend"),
     "attrs-alpha-negative": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\n>alpha -3\nmax-ways 2\nfixed-ns 1\nend"),
     "events-ipca-alpha-negative": (read_events, V + ">ipca 0 0 -3 2 64 reuse 1"),
+    # a start so far from 0 that even the shortest phase would not move the clock
+    "mix-start-absorbed": (read_mix, MIX_HEAD + ">start 1e308\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-start-absorbed-negative": (read_mix, MIX_HEAD + ">start -1e308\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-start-absorbed-late-phase": (
+        read_mix, MIX_HEAD + "phase p 1 reuse 1\npoint 2 1000\n>start 1e17\nphase q 1 reuse 1\npoint 2 8\nend"),
 }
 # a SystemConfig value out of range is pinned to its config line
 MALFORMED.update(
@@ -619,6 +623,13 @@ def test_once_per_block_lines_repeat_across_blocks(tmp_path):
     mix = read_mix(write_text(tmp_path, "ok.mix", text))
     assert [p.start_ns for p in mix.processes] == [5.0, 9.0]
     assert [ph.fixed_ns for ph in mix.processes[0].phases] == [1.0, 2.0]
+
+
+def test_start_that_the_shortest_phase_moves_parses(tmp_path):
+    # 1e17 + 8 rounds back to 1e17 (the spacing there is 16), 1e17 + 16 does not
+    text = MIX_HEAD + "start 1e17\nphase p 1 reuse 1\npoint 2 1000\npoint 3 16\nend\n"
+    mix = read_mix(write_text(tmp_path, "ok.mix", text))
+    assert mix.processes[0].start_ns == 1e17
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):

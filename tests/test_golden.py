@@ -21,9 +21,9 @@ import os
 import random
 import sys
 
+from cacheways.apportion import ReuseClass
 from cacheways.errors import CacheWaysError
 from cacheways.formats import read_mix
-from cacheways.loops import ReuseClass
 from cacheways.simulate import Policy, ProcessSpec, run_mix
 from test_simulate import MIB, mix_of, phase, random_mix
 

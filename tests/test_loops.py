@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cacheways.apportion import ReuseClass
 from cacheways.errors import FootprintUnanalyzable, OracleTooLarge, SchemaError
 from cacheways.loops import (
     Affine,
@@ -12,7 +13,6 @@ from cacheways.loops import (
     LoopNest,
     MemoryAccess,
     ReusePair,
-    ReuseClass,
     SRDResult,
     Statement,
     classify_reuse,

@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cacheways.apportion import ReuseClass
 from cacheways.errors import CurveIncomplete, SchemaError
-from cacheways.loops import FootprintValue, ReuseClass
+from cacheways.loops import FootprintValue
 from cacheways.sensitivity import (
     WayTimeCurve,
     assemble_attributes,

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cacheways import simulate
-from cacheways.apportion import SystemConfig
+from cacheways.apportion import ReuseClass, SystemConfig
 from cacheways.errors import TraceError
-from cacheways.loops import ReuseClass
 from cacheways.simulate import (
     MixSpec,
     PhaseSpec,
