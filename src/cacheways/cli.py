@@ -37,7 +37,7 @@ from .metrics import (
     weighted_speedup,
 )
 from .sensitivity import assemble_attributes
-from .simulate import _POLICIES, CATEGORIES, Policy, mix_config, run_mix
+from .simulate import _POLICIES, CATEGORIES, PhaseSpec, Policy, mix_config, run_mix
 
 POLICIES = tuple(_POLICIES)
 
@@ -66,10 +66,10 @@ def __getattr__(name: str):
     raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
-def finite_positive(text: str) -> float:
-    """A finite positive flag value; on anything else argparse names the
-    flag and exits 2."""
-    val = float(text)
+def interval_ns(text: str) -> float:
+    """A period given in ms, as a finite positive number of ns; on anything
+    else argparse names the flag and exits 2."""
+    val = float(text) * 1e6
     if not (math.isfinite(val) and val > 0):
         raise ValueError(text)
     return val
@@ -88,7 +88,8 @@ def _add_run_options(sub) -> None:
     sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
     sub.add_argument("--gfactor", type=int, help="override the per-CLOS group size limit")
     sub.add_argument("--scale-stream", type=float, help="override the streaming footprint scale factor")
-    sub.add_argument("--interval-ms", type=finite_positive, default=500.0, help="reactive controller period in ms")
+    sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=5e8,
+                     help="reactive controller period in ms")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,10 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    a = sub.add_parser("analyze", help="loop nests + way-time curves -> probe attributes")
+    a = sub.add_parser("analyze", help="loop nests + way-time curves -> a mix, one phase per nest")
     a.add_argument("--nests", required=True, help="loop nest description file")
     a.add_argument("--curves", required=True, help="way-time curve file, one curve per nest")
-    a.add_argument("--out", required=True, help="attributes file to write")
+    a.add_argument("--out", required=True, help="mix file to write; simulate, compare and sweep run it")
     a.add_argument("--config", help="system config file; analyze reads line_size, srd_delta and saturation_epsilon")
 
     f = sub.add_parser("fit-timing", help="fit the linear phase-timing model")
@@ -141,7 +142,7 @@ def _cmd_analyze(args) -> int:
     cfg = _read_config(args.config)
     nests = formats.read_nests(args.nests)
     curves = formats.read_curves(args.curves)
-    bundle = []
+    phases = []
     for nest in nests:
         validate_nest(nest)
         if nest.name not in curves:
@@ -153,15 +154,9 @@ def _cmd_analyze(args) -> int:
         srd = compute_srd(nest)
         reuse = classify_reuse(srd, cfg.srd_delta)
         curve = curves[nest.name]
-        attrs = assemble_attributes(
-            nest.name,
-            fp,
-            reuse,
-            curve,
-            fixed_ns=curve.time_at(curve.last_way),
-            epsilon=cfg.saturation_epsilon,
-        )
-        bundle.append(attrs)
+        alpha, max_ways = assemble_attributes(curve, cfg.saturation_epsilon)
+        full = curve.time_at(curve.last_way)
+        phases.append(PhaseSpec(nest.name, full, reuse, fp.bytes, curve, full))
         print(
             "%s: %d bytes / %d lines%s, %s, alpha %.6g, max-ways %d"
             % (
@@ -170,12 +165,12 @@ def _cmd_analyze(args) -> int:
                 fp.lines,
                 "" if fp.exact else " (upper bound)",
                 reuse.value,
-                attrs.alpha,
-                attrs.max_ways,
+                alpha,
+                max_ways,
             )
         )
-    formats.write_attributes(bundle, args.out)
-    print("wrote %d attribute blocks to %s" % (len(bundle), args.out))
+    formats.write_attributes(phases, args.out)
+    print("wrote a mix of %d phases to %s" % (len(phases), args.out))
     return 0
 
 
@@ -254,7 +249,7 @@ REPORT_HEADER = (
 
 def _cmd_simulate(args) -> int:
     mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
-    report = run_mix(mix, Policy(args.policy, args.interval_ms * 1e6), cfg)
+    report = run_mix(mix, Policy(args.policy, args.interval_ns), cfg)
     row = _report_row(report)
     ws, ws_tw, jain, ok, worst, deficit = row[5:11]
     print("mix %s (%s) under %s" % (report.mix_name, report.category, report.policy))
@@ -346,7 +341,7 @@ def _compare_rows(mix, policies, interval_ns, cfg):
 def _cmd_compare(args) -> int:
     mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
     policies = _parse_policies(args.policies)
-    rows = _compare_rows(mix, policies, args.interval_ms * 1e6, cfg)
+    rows = _compare_rows(mix, policies, args.interval_ns, cfg)
     widths = "%-14s %-10s %8s %8s %8s %6s %8s"
     print(widths % ("policy", "end(ms)", "vs-unprt", "vs-alone", "fair", "sla", "deficit"))
     for row in rows:
@@ -396,9 +391,8 @@ def _cmd_sweep(args) -> int:
     if not paths:
         raise SchemaError("no .mix files under %r" % args.mixes)
     policies = _parse_policies(args.policies)
-    interval_ns = args.interval_ms * 1e6
     flag_items = tuple(sorted(_flag_overrides(args).items()))
-    jobs = [(p, tuple(policies), interval_ns, args.config, flag_items) for p in paths]
+    jobs = [(p, tuple(policies), args.interval_ns, args.config, flag_items) for p in paths]
     if args.parallel:
         import concurrent.futures  # deferred: only --parallel pays for it
 

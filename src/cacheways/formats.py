@@ -10,7 +10,7 @@ way count, positive or non-negative float, `stream|reuse`, the literal
 
 One reader, `_Reader`, checks every keyword, arity, type, range and
 finiteness against that table and hands back typed lines with their line
-numbers; nests, curves and attrs share one `opener <name> ... end` block
+numbers; nests and curves share one `opener <name> ... end` block
 splitter.  Any malformed line, a truncated one included, raises SchemaError
 naming the file and line.  The `read_*` functions only assemble objects from typed lines.
 
@@ -106,9 +106,6 @@ _KEYWORDS = {
     "access-indirect": ("name name int", "array kind element-size"),
     "curve": ("name", "name"),
     "point": ("int float", "ways time"),
-    "attrs": ("name", "phase-id"),
-    "footprint": ("int int int", "bytes lines exact"),
-    "reuse": ("reuse", "stream|reuse"),
     "alpha": ("nonneg", "value"),
     "max-ways": ("ways", "ways"),
     "fixed-ns": ("positive", "ns"),
@@ -135,11 +132,9 @@ _KEYWORDS = {
 _ONCE_PER = {
     "start": ("process",),
     "unmixed-ns": ("process",),
-    "alpha": ("process", "attrs"),
-    "max-ways": ("process", "attrs"),
-    "fixed-ns": ("phase", "attrs"),
-    "footprint": ("attrs",),
-    "reuse": ("attrs",),
+    "alpha": ("process",),
+    "max-ways": ("process",),
+    "fixed-ns": ("phase",),
     "residual": (),
     "coefficients": (),
 }
@@ -364,6 +359,8 @@ def read_nests(path: str) -> list[LoopNest]:
             rd.fail(end, "nest %r has no loops" % name)
         statements = tuple(Statement(tuple(accs), depth) for accs, depth in stmts)
         nests.append(LoopNest(name, tuple(loops), statements, tuple(arrays)))
+    if not nests:
+        rd.fail(rd.last, "no nest in the file")
     return nests
 
 
@@ -380,25 +377,6 @@ def read_curves(path: str) -> dict[str, WayTimeCurve]:
         points = tuple(sorted((w, t) for _, _, (w, t) in body))
         curves[name] = rd.build(end, "curve %r" % name, WayTimeCurve, points)
     return curves
-
-
-# ---------------------------------------------------------------------------
-# probe attributes
-# ---------------------------------------------------------------------------
-
-def write_attributes(attrs, path: str) -> None:
-    """`attrs` is an iterable of ProbeAttributes."""
-    out = []
-    for a in attrs:
-        fp = a.footprint
-        out.append(_render("attrs", a.phase_id))
-        out.append(_render("footprint", fp.bytes, fp.lines, fp.exact))
-        out.append(_render("reuse", a.reuse))
-        out.append(_render("alpha", a.alpha))
-        out.append(_render("max-ways", a.max_ways))
-        out.append(_render("fixed-ns", a.fixed_ns))
-        out.append("end")
-    _write_lines(path, out)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +503,30 @@ def _phase(phase: tuple) -> PhaseSpec:
         raise SchemaError("no curve points")
     curve = WayTimeCurve(tuple(sorted(points)))
     return PhaseSpec(phase_id, work, reuse, nbytes, curve, fields.get("fixed-ns"))
+
+
+def write_mix(mix: MixSpec, path: str) -> None:
+    out = [_render("mix", mix.name, mix.category)]
+    out += _config_lines(sorted(mix.config_overrides.items()))
+    for proc in mix.processes:
+        out.append(_render("process", proc.pid))
+        fields = (("start", proc.start_ns or None), ("alpha", proc.alpha),
+                  ("max-ways", proc.max_ways), ("unmixed-ns", proc.unmixed_ns))
+        out += [_render(kw, val) for kw, val in fields if val is not None]
+        for ph in proc.phases:
+            out.append(_render("phase", ph.phase_id, ph.work, ph.reuse, ph.nbytes))
+            if ph.fixed_ns is not None:
+                out.append(_render("fixed-ns", ph.fixed_ns))
+            out += [_render("point", w, t) for w, t in ph.curve.points]
+    out.append("end")
+    _write_lines(path, out)
+
+
+def write_attributes(phases, path: str) -> None:
+    """`analyze`'s output: the phases, in order, as the one process of a
+    mix.  It names no config, alpha or max-ways, so the run that reads it
+    derives them under its own config."""
+    write_mix(MixSpec("analyzed", "light", (ProcessSpec(0, tuple(phases)),)), path)
 
 
 # ---------------------------------------------------------------------------

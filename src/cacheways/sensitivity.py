@@ -1,5 +1,5 @@
 """Cache-sensitivity attributes: way-time curves, the sensitivity factor
-alpha, saturation (max-ways) detection, and the per-phase attribute bundle.
+alpha and saturation (max-ways) detection.
 
 alpha sums the per-way execution-time improvement between observed points of
 the way-time curve, up to the saturation point: a large alpha means the
@@ -11,13 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .apportion import ReuseClass
 from .errors import CurveIncomplete, SchemaError
-
-if TYPE_CHECKING:  # an annotation only: the engine never loads the loop analysis
-    from .loops import FootprintValue
 
 MONOTONE_TOL = 1e-6
 
@@ -116,36 +111,7 @@ def detect_max_ways(curve: WayTimeCurve, epsilon: float = 0.05) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class ProbeAttributes:
-    """The per-phase payload: everything allocation needs to know about one
-    outermost loop nest, its announced duration included."""
-
-    phase_id: str
-    footprint: FootprintValue
-    reuse: ReuseClass
-    alpha: float
-    max_ways: int
-    fixed_ns: float
-
-
-def assemble_attributes(
-    phase_id: str,
-    footprint: FootprintValue,
-    reuse: ReuseClass,
-    curve: WayTimeCurve,
-    fixed_ns: float,
-    epsilon: float,
-) -> ProbeAttributes:
-    """Bundle the analysis outputs for one phase; the sensitivity pair
-    (alpha, max-ways) is derived from the way-time curve here."""
+def assemble_attributes(curve: WayTimeCurve, epsilon: float) -> tuple[float, int]:
+    """The sensitivity pair (alpha, max-ways) of a phase's way-time curve."""
     max_ways = detect_max_ways(curve, epsilon)
-    alpha = compute_alpha(curve, max_ways)
-    return ProbeAttributes(
-        phase_id=phase_id,
-        footprint=footprint,
-        reuse=reuse,
-        alpha=alpha,
-        max_ways=max_ways,
-        fixed_ns=fixed_ns,
-    )
+    return compute_alpha(curve, max_ways), max_ways

@@ -5,9 +5,8 @@ so that a round trip checks the grammar the commands use."""
 import os
 
 import cacheways
-from cacheways.formats import _blocks, _config_lines, _non_default, _Reader, _render, _write_lines
-from cacheways.loops import FootprintValue
-from cacheways.sensitivity import ProbeAttributes, WayTimeCurve
+from cacheways.formats import _config_lines, _non_default, _Reader, _render, _write_lines
+from cacheways.sensitivity import WayTimeCurve
 from cacheways.timing import TimingModel
 
 
@@ -68,43 +67,6 @@ def write_samples(samples, path):
 def write_config(config, path):
     """The fields that differ from the defaults, in field order."""
     _write_lines(path, _config_lines(_non_default(config)))
-
-
-def write_mix(mix, path):
-    out = [_render("mix", mix.name, mix.category)]
-    out += _config_lines(sorted(mix.config_overrides.items()))
-    for proc in mix.processes:
-        out.append(_render("process", proc.pid))
-        fields = (("start", proc.start_ns or None), ("alpha", proc.alpha),
-                  ("max-ways", proc.max_ways), ("unmixed-ns", proc.unmixed_ns))
-        out += [_render(kw, val) for kw, val in fields if val is not None]
-        for ph in proc.phases:
-            out.append(_render("phase", ph.phase_id, ph.work, ph.reuse, ph.nbytes))
-            if ph.fixed_ns is not None:
-                out.append(_render("fixed-ns", ph.fixed_ns))
-            out += [_render("point", w, t) for w, t in ph.curve.points]
-    out.append("end")
-    _write_lines(path, out)
-
-
-def read_attributes(path):
-    """{phase_id: ProbeAttributes} from an attrs file `analyze` wrote."""
-    fields = ("footprint", "reuse", "alpha", "max-ways", "fixed-ns")
-    rd = _Reader(path, {"attrs", "end", *fields})
-    result = {}
-    for phase_id, no, body, end in _blocks(rd, "attrs"):
-        if phase_id in result:
-            rd.fail(no, "duplicate attrs %r" % phase_id)
-        got = {kw: args for _, kw, args in body}
-        for kw in fields:
-            if kw not in got:
-                rd.fail(end, "attrs %r missing %s" % (phase_id, kw))
-        nbytes, lines, exact = got["footprint"]
-        result[phase_id] = ProbeAttributes(
-            phase_id, FootprintValue(nbytes, lines, bool(exact)), got["reuse"][0],
-            got["alpha"][0], got["max-ways"][0], got["fixed-ns"][0],
-        )
-    return result
 
 
 def read_model(path):

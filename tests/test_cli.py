@@ -22,9 +22,10 @@ from cacheways.loops import (
     MemoryAccess,
     Statement,
 )
+from cacheways.simulate import MixSpec, PhaseSpec, Policy, ProcessSpec, run_mix
 from cacheways.timing import TrainingSample
 
-from support import child_env, read_attributes, read_model, way_time_curve
+from support import child_env, read_model, way_time_curve
 from support import write_config, write_curves, write_nests, write_samples
 
 MIX_TEXT = """format-version 1
@@ -75,40 +76,62 @@ def analyze_inputs(tmp_path):
     return npath, cpath
 
 
-ANALYZE_ATTRS = """format-version 1
-attrs n0
-footprint 800 13 1
-reuse stream
-alpha 200
-max-ways 3
+# one phase per nest, in file order: work and fixed-ns are the curve's time
+# at its last way, then the reuse class, the footprint bytes and the curve
+ANALYZE_MIX = """format-version 1
+mix analyzed light
+process 0
+phase n0 200 stream 800
 fixed-ns 200
-end
-attrs n1
-footprint 4000 63 0
-reuse reuse
-alpha 0
-max-ways 2
+point 2 400
+point 3 200
+point 11 200
+phase n1 100 reuse 4000
 fixed-ns 100
+point 2 100
 end
 """
 
 
 def test_analyze_writes_attributes(tmp_path, analyze_inputs, capsys):
     npath, cpath = analyze_inputs
-    out = str(tmp_path / "attrs.txt")
+    out = str(tmp_path / "app.mix")
     code = main(["analyze", "--nests", npath, "--curves", cpath, "--out", out])
     assert code == 0
-    text = capsys.readouterr().out
-    assert "wrote 2 attribute blocks" in text
-    attrs = read_attributes(out)
-    a0 = attrs["n0"]
-    assert (a0.footprint.bytes, a0.footprint.lines, a0.footprint.exact) == (800, 13, True)
-    assert a0.reuse is ReuseClass.STREAM  # one pass over A, no line revisited later
-    assert (a0.alpha, a0.max_ways) == (200.0, 3)
-    assert a0.fixed_ns == 200.0
-    assert attrs["n1"].footprint.exact is False
+    # n0 is one pass over A, no line revisited later: a stream
+    assert capsys.readouterr().out.splitlines() == [
+        "n0: 800 bytes / 13 lines, stream, alpha 200, max-ways 3",
+        "n1: 4000 bytes / 63 lines (upper bound), reuse, alpha 0, max-ways 2",
+        "wrote a mix of 2 phases to %s" % out,
+    ]
     with open(out, encoding="utf-8") as fh:
-        assert fh.read() == ANALYZE_ATTRS
+        assert fh.read() == ANALYZE_MIX
+
+
+def test_analyzed_mix_runs_as_the_same_phases_written_by_hand(tmp_path, analyze_inputs, capsys):
+    npath, cpath = analyze_inputs
+    out = str(tmp_path / "app.mix")
+    assert main(["analyze", "--nests", npath, "--curves", cpath, "--out", out]) == 0
+    n0 = way_time_curve({2: 400.0, 3: 200.0, 11: 200.0})
+    n1 = way_time_curve({2: 100.0})
+    by_hand = MixSpec("analyzed", "light", (ProcessSpec(0, (
+        PhaseSpec("n0", 200.0, ReuseClass.STREAM, 800, n0, 200.0),
+        PhaseSpec("n1", 100.0, ReuseClass.REUSE, 4000, n1, 100.0),
+    )),))
+    for policy in cli.POLICIES:
+        assert main(["simulate", "--mix", out, "--policy", policy]) == 0
+        analyzed = run_mix(formats.read_mix(out), Policy(policy))
+        assert repr(analyzed) == repr(run_mix(by_hand, Policy(policy))), policy
+
+
+def test_analyze_rejects_a_nests_file_without_nests(tmp_path, analyze_inputs, capsys):
+    _, cpath = analyze_inputs
+    npath = tmp_path / "empty.txt"
+    npath.write_text("format-version 1\n# no nest yet\n", encoding="utf-8")
+    out = tmp_path / "app.mix"
+    assert main(["analyze", "--nests", str(npath), "--curves", cpath, "--out", str(out)]) == 2
+    assert "empty.txt:1: no nest" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_requires_matching_curve(tmp_path, analyze_inputs, capsys):
@@ -409,7 +432,7 @@ def test_config_file_and_mix_config_line_give_equal_reports(tmp_path, capsys):
         assert via_mix == via_file, policy
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "1e303"])
 def test_interval_must_be_finite_and_positive(tmp_path, capsys, value):
     with pytest.raises(SystemExit) as ei:
         main(["simulate", "--mix", mix_file(tmp_path), "--policy", "reactive", "--interval-ms", value])
@@ -476,7 +499,7 @@ def test_no_setting_is_dead(tmp_path, capsys, key):
     write_curves({"rows": way_time_curve({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
     mix = mix_file(tmp_path, KNOBS_MIX)
     cfg = tmp_path / "sys.cfg"
-    files = [tmp_path / "attrs.txt", tmp_path / "log.csv", tmp_path / "rep.csv"]
+    files = [tmp_path / "app.mix", tmp_path / "log.csv", tmp_path / "rep.csv"]
     commands = (
         ["analyze", "--nests", nests, "--curves", curves, "--out", str(files[0])],
         ["simulate", "--mix", mix, "--policy", "comcas", "--log", str(files[1]), "--out", str(files[2])],
@@ -567,7 +590,7 @@ MODULES_LOADED = {
     "sweep": (["sweep", "--mixes", "{mixes}"], BACK_END),
     "compare": (["compare", "--mix", "{mix}"], BACK_END),
     "simulate": (["simulate", "--mix", "{mix}"], BACK_END),
-    "analyze": (["analyze", "--nests", "{nests}", "--curves", "{curves}", "--out", "attrs.txt"],
+    "analyze": (["analyze", "--nests", "{nests}", "--curves", "{curves}", "--out", "app.mix"],
                 BACK_END + ("loops",)),
     "fit-timing": (["fit-timing", "--samples", "{samples}", "--out", "model.txt"], BACK_END + ("timing",)),
 }
@@ -596,22 +619,22 @@ def test_each_command_loads_only_its_modules(tmp_path, analyze_inputs, command):
 
 
 def patched_by_perfbench():
-    """The names perfbench's traced run (`cli_in_process` in perfbench/run.py)
-    patches on `cli`, read from its source."""
+    """(module, name) of each function perfbench's traced run (`cli_in_process`
+    in perfbench/run.py) patches on `cli` or `formats`, read from its source."""
     path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "run.py")
     with open(path, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "cli_in_process")
-    return {
-        node.elts[1].value
+    return sorted(
+        (node.elts[0].id, node.elts[1].value)
         for node in ast.walk(fn)
         if isinstance(node, ast.Tuple) and len(node.elts) == 3
-        and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "cli"
-    }
+        and isinstance(node.elts[0], ast.Name) and node.elts[0].id in ("cli", "formats")
+    )
 
 
-# each name perfbench patches on `cli`, and the command that must call it
-# through the module, so that the patched wrapper sees the call
+# each name perfbench patches, and the command that must call it through its
+# module, so that the patched wrapper sees the call
 PATCH_POINTS = {
     "footprint_closed_form": "analyze",
     "indirect_default_footprint": "analyze",
@@ -619,33 +642,44 @@ PATCH_POINTS = {
     "assemble_attributes": "analyze",
     "fit_timing": "fit-timing",
     "run_mix": "simulate",
+    "read_mix": "simulate",
+    "read_nests": "analyze",
+    "read_curves": "analyze",
+    "read_samples": "fit-timing",
+    "write_alloc_log": "simulate",
+    "write_table_csv": "simulate",
+    "write_attributes": "analyze",
+    "write_model": "fit-timing",
 }
 
 
-@pytest.mark.parametrize("name", sorted(patched_by_perfbench()))
-def test_commands_call_perfbench_patch_points_through_the_module(tmp_path, analyze_inputs, monkeypatch, name):
-    if any(name in names for names in cli._FRONT_END.values()):
+@pytest.mark.parametrize("owner, name", [pytest.param(*p, id=p[1]) for p in patched_by_perfbench()])
+def test_commands_call_perfbench_patch_points_through_the_module(
+        tmp_path, analyze_inputs, monkeypatch, owner, name):
+    module = {"cli": cli, "formats": formats}[owner]
+    if module is cli and any(name in names for names in cli._FRONT_END.values()):
         monkeypatch.delitem(vars(cli), name, raising=False)  # unbound, as before any command ran
-    real, calls = getattr(cli, name), []
+    real, calls = getattr(module, name), []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(module, name, spy)
     nests, curves = analyze_inputs
     argv = {
-        "analyze": ["analyze", "--nests", nests, "--curves", curves, "--out", str(tmp_path / "a.txt")],
+        "analyze": ["analyze", "--nests", nests, "--curves", curves, "--out", str(tmp_path / "a.mix")],
         "fit-timing": ["fit-timing", "--samples", sample_file(tmp_path), "--out", str(tmp_path / "m.txt")],
-        "simulate": ["simulate", "--mix", mix_file(tmp_path)],
+        "simulate": ["simulate", "--mix", mix_file(tmp_path), "--log", str(tmp_path / "l.csv"),
+                     "--out", str(tmp_path / "r.csv")],
     }[PATCH_POINTS[name]]
     assert cli.main(argv) == 0
-    assert calls, "%s ran without calling cli.%s" % (argv[0], name)
+    assert calls, "%s ran without calling %s.%s" % (argv[0], owner, name)
 
 
 def test_apportion_import_skips_analysis_modules(tmp_path):
     # the allocator takes a phase as (bytes, reuse), so it needs neither the
-    # sensitivity bundle nor the timing model; the simulator reads a phase's
+    # way-time curves nor the timing model; the simulator reads a phase's
     # duration from the mix, so it needs no timing model either
     for module, skipped in (
         ("cacheways.apportion", {"cacheways.sensitivity", "cacheways.timing"}),

@@ -26,6 +26,7 @@ from cacheways.formats import (
     write_alloc_log,
     write_attributes,
     write_events,
+    write_mix,
     write_model,
     write_table_csv,
 )
@@ -33,19 +34,25 @@ from cacheways.loops import (
     Affine,
     ArrayDecl,
     Bound,
-    FootprintValue,
     LoopLevel,
     LoopNest,
     MemoryAccess,
     Statement,
 )
-from cacheways.sensitivity import ProbeAttributes
-from cacheways.simulate import Policy, mix_config, process_sensitivity, run_mix
+from cacheways.simulate import (
+    MixSpec,
+    PhaseSpec,
+    Policy,
+    ProcessSpec,
+    mix_config,
+    process_sensitivity,
+    run_mix,
+)
 from cacheways.timing import TimingModel, TrainingSample
 
 from oracles import random_affine_nest
-from support import read_attributes, read_model, way_time_curve
-from support import write_config, write_curves, write_mix, write_nests, write_samples
+from support import read_model, way_time_curve
+from support import write_config, write_curves, write_nests, write_samples
 
 
 def test_fmt_float_round_trips_exactly():
@@ -199,56 +206,24 @@ def test_curves_errors(tmp_path):
 # -- attributes ---------------------------------------------------------------
 
 def test_attributes_round_trip(tmp_path):
-    attrs = {
-        "ph0": ProbeAttributes(
-            phase_id="ph0",
-            footprint=FootprintValue(4096, 64, True),
-            reuse=ReuseClass.REUSE,
-            alpha=0.30000000000000004,
-            max_ways=5,
-            fixed_ns=1e8 / 3,
-        ),
-        "ph1": ProbeAttributes(
-            phase_id="ph1",
-            footprint=FootprintValue(123, 2, False),
-            reuse=ReuseClass.STREAM,
-            alpha=0.0,
-            max_ways=2,
-            fixed_ns=77.7,
-        ),
-    }
-    path = str(tmp_path / "attrs.txt")
-    write_attributes(list(attrs.values()), path)
-    assert read_attributes(path) == attrs
+    # analyze's output is a one-process light mix that read_mix reads back
+    phases = (
+        PhaseSpec("ph0", 1e8 / 3, ReuseClass.REUSE, 4096,
+                  way_time_curve({2: 0.30000000000000004, 5: 0.1}), 1e8 / 3),
+        PhaseSpec("ph1", 77.7, ReuseClass.STREAM, 123, way_time_curve({2: 77.7}), 77.7),
+    )
+    path = str(tmp_path / "attrs.mix")
+    write_attributes(phases, path)
+    assert read_mix(path) == MixSpec("analyzed", "light", (ProcessSpec(0, phases),))
 
 
 def test_attributes_errors(tmp_path):
-    # an unclosed block is the package grammar's error
+    # an unclosed mix is the package grammar's error
+    path = str(tmp_path / "attrs.mix")
+    write_attributes([PhaseSpec("p", 1.0, ReuseClass.STREAM, 1, way_time_curve({2: 1.0}))], path)
+    text = open(path, encoding="utf-8").read()
     with pytest.raises(SchemaError, match="not closed"):
-        read_attributes(write_text(tmp_path, "c.txt", "format-version 1\nattrs p\n"))
-
-
-def test_support_read_attributes_rejects_missing_field_and_duplicate(tmp_path):
-    # these checks live in the test-side reader only: no command reads an
-    # attrs file back
-    with pytest.raises(SchemaError, match="missing reuse"):
-        read_attributes(
-            write_text(
-                tmp_path,
-                "a.txt",
-                "format-version 1\nattrs p\nfootprint 1 1 1\nalpha 0\nmax-ways 2\nend\n",
-            )
-        )
-    with pytest.raises(SchemaError, match="duplicate attrs"):
-        read_attributes(
-            write_text(
-                tmp_path,
-                "b.txt",
-                "format-version 1\n"
-                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\nend\n"
-                "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\nend\n",
-            )
-        )
+        read_mix(write_text(tmp_path, "c.mix", text[: text.rindex("end")]))
 
 
 # -- timing samples and models --------------------------------------------------
@@ -552,12 +527,9 @@ MIX_HEAD = V + "mix m light\nprocess 0\n"
 
 # (reader, file text); the error must name the line marked with '>'
 MALFORMED = {
-    "attrs-reuse": (read_attributes, V + "attrs p\nfootprint 1 1 1\n>reuse\nalpha 0\nmax-ways 2\nend"),
-    "attrs-footprint": (read_attributes, V + "attrs p\n>footprint 1 2\nreuse stream\nalpha 0\nmax-ways 2\nend"),
-    "attrs-alpha": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\n>alpha\nmax-ways 2\nend"),
-    "attrs-max-ways": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\n>max-ways\nend"),
     "mix-start": (read_mix, MIX_HEAD + ">start\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-alpha": (read_mix, MIX_HEAD + ">alpha\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-max-ways": (read_mix, MIX_HEAD + "alpha 1\n>max-ways\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-unmixed-ns": (read_mix, MIX_HEAD + ">unmixed-ns\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns\npoint 2 1\nend"),
     "mix-process": (read_mix, V + "mix m light\n>process\nphase p 1 reuse 1\npoint 2 1\nend"),
@@ -575,8 +547,6 @@ MALFORMED = {
     "mix-repeated-start": (read_mix, MIX_HEAD + "start 5\nphase p 1 reuse 1\n>start 9\npoint 2 1\nend"),
     "mix-repeated-alpha": (read_mix, MIX_HEAD + "alpha 1\n>alpha 2\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-repeated-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\nfixed-ns 1\npoint 2 1\n>fixed-ns 2\nend"),
-    "attrs-repeated-footprint": (read_attributes, V + "attrs p\nfootprint 1 1 1\n>footprint 2 1 1\nreuse stream\nalpha 0\nmax-ways 2\nend"),
-    "attrs-repeated-fixed-ns": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\nfixed-ns 1\n>fixed-ns 1\nend"),
     "model-repeated-coefficients": (read_model, V + "residual 0\ncoefficients 1\n>coefficients 2"),
     # out-of-range values the simulator cannot run
     "mix-max-ways-negative": (read_mix, MIX_HEAD + "alpha 1\n>max-ways -2\nphase p 1 reuse 1\npoint 2 1\nend"),
@@ -590,9 +560,7 @@ MALFORMED = {
     # a duration must be positive and alpha, a sum of absolute differences, >= 0
     "mix-fixed-ns-negative": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns -1000000000\npoint 2 1\nend"),
     "mix-fixed-ns-zero": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns 0\npoint 2 1\nend"),
-    "attrs-fixed-ns-zero": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\nalpha 0\nmax-ways 2\n>fixed-ns 0\nend"),
     "mix-alpha-negative": (read_mix, MIX_HEAD + ">alpha -3\nmax-ways 3\nphase p 1 reuse 1\npoint 2 1\nend"),
-    "attrs-alpha-negative": (read_attributes, V + "attrs p\nfootprint 1 1 1\nreuse stream\n>alpha -3\nmax-ways 2\nfixed-ns 1\nend"),
     "events-ipca-alpha-negative": (read_events, V + ">ipca 0 0 -3 2 64 reuse 1"),
     # a start so far from 0 that even the shortest phase would not move the clock
     "mix-start-absorbed": (read_mix, MIX_HEAD + ">start 1e308\nphase p 1 reuse 1\npoint 2 1\nend"),
@@ -650,7 +618,7 @@ FUZZ_TOKENS = (
 
 def fuzz_inputs(tmp_path):
     """(reader, text) for every bundled mix and fixture trace, plus nests,
-    curves, attrs, samples and a model written through the grammar."""
+    curves, an analyzed mix, samples and a model written through the grammar."""
     out = [(read_mix, p) for p in sorted(glob.glob(os.path.join(ROOT, "mixes", "*", "*.mix")))]
     out += [(read_events, p) for p in sorted(glob.glob(os.path.join(ROOT, "tests", "fixtures", "*.events")))]
     rng = random.Random(5)
@@ -658,15 +626,15 @@ def fuzz_inputs(tmp_path):
         "a": way_time_curve({2: 300.0, 3: 200.0, 5: 150.0}),
         "b": way_time_curve({2: 0.5}),
     }
-    attrs = [
-        ProbeAttributes("p", FootprintValue(4096, 64, True), ReuseClass.REUSE, 0.5, 4, 2.5e7),
-        ProbeAttributes("q", FootprintValue(123, 2, False), ReuseClass.STREAM, 0.0, 2, 77.7),
+    phases = [
+        PhaseSpec("p", 2.5e7, ReuseClass.REUSE, 4096, curves["a"], 2.5e7),
+        PhaseSpec("q", 77.7, ReuseClass.STREAM, 123, curves["b"], 77.7),
     ]
     samples = [TrainingSample((10.0, 20.0), 123.456), TrainingSample((1.5, 2.5), 0.25)]
     for reader, writer, obj in (
         (read_nests, write_nests, [random_affine_nest(rng, "n%d" % k) for k in range(3)]),
         (read_curves, write_curves, curves),
-        (read_attributes, write_attributes, attrs),
+        (read_mix, write_attributes, phases),
         (read_samples, write_samples, samples),
         (read_model, write_model, TimingModel((3.5, 0.125), 1e-6)),
     ):

@@ -3,9 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cacheways.apportion import ReuseClass
 from cacheways.errors import CurveIncomplete, SchemaError
-from cacheways.loops import FootprintValue
 from cacheways.sensitivity import (
     WayTimeCurve,
     assemble_attributes,
@@ -183,13 +181,5 @@ def test_max_ways_monotone_in_epsilon(rng, e1, e2):
 
 # -- attribute assembly -------------------------------------------------------
 
-FP = FootprintValue(4096, 64, True)
-
-
 def test_assemble_derives_sensitivity_pair():
-    attrs = assemble_attributes(
-        "p", FP, ReuseClass.REUSE, curve({2: 20.0, 4: 14.0}), fixed_ns=1e8, epsilon=0.05
-    )
-    assert attrs.max_ways == 4
-    assert attrs.alpha == 3.0
-    assert attrs.fixed_ns == 1e8
+    assert assemble_attributes(curve({2: 20.0, 4: 14.0}), epsilon=0.05) == (3.0, 4)
