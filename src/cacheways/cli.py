@@ -23,7 +23,6 @@ import importlib
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import formats
 from .apportion import SystemConfig
@@ -75,19 +74,8 @@ def interval_ns(text: str) -> float:
     return val
 
 
-def non_negative(text: str) -> int:
-    """A whole number >= 0; on anything else argparse names the flag and
-    exits 2."""
-    val = int(text)
-    if val < 0:
-        raise ValueError(text)
-    return val
-
-
 def _add_run_options(sub) -> None:
     sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
-    sub.add_argument("--gfactor", type=int, help="override the per-CLOS group size limit")
-    sub.add_argument("--scale-stream", type=float, help="override the streaming footprint scale factor")
     sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=5e8,
                      help="reactive controller period in ms")
 
@@ -126,8 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
     w = sub.add_parser("sweep", help="run every mix under a directory and aggregate by category")
     w.add_argument("--mixes", required=True, help="directory searched recursively for .mix files")
     w.add_argument("--policies", default=",".join(POLICIES), help="comma-separated subset")
-    w.add_argument("--parallel", action="store_true", help="run mixes in parallel worker processes")
-    w.add_argument("--jobs", type=non_negative, default=0, help="worker count for --parallel (0: cpu count)")
     w.add_argument("--out", help="directory for the per-mix and per-category CSVs")
     _add_run_options(w)
     return p
@@ -189,23 +175,12 @@ def _cmd_fit_timing(args) -> int:
     return 0
 
 
-def _flag_overrides(args) -> dict:
-    out = {}
-    if args.gfactor is not None:
-        out["gfactor"] = args.gfactor
-    if args.scale_stream is not None:
-        out["scaling_factor_stream"] = args.scale_stream
-    return out
-
-
-def _load_run(path: str, config_path, flags: dict):
+def _load_run(path: str, base: SystemConfig):
     """(mix, config) of one run.  Each setting is resolved once, later
-    sources outranking earlier ones: defaults, the --config file, the mix's
-    own config lines, then explicit flags."""
+    sources outranking earlier ones: defaults, the --config file (`base`),
+    then the mix's own config lines."""
     mix = formats.read_mix(path)
-    if flags:
-        mix = replace(mix, config_overrides={**mix.config_overrides, **flags})
-    return mix, mix_config(mix, _read_config(config_path))
+    return mix, mix_config(mix, base)
 
 
 def _report_row(report, *vs_base):
@@ -248,7 +223,7 @@ REPORT_HEADER = (
 
 
 def _cmd_simulate(args) -> int:
-    mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
+    mix, cfg = _load_run(args.mix, _read_config(args.config))
     report = run_mix(mix, Policy(args.policy, args.interval_ns), cfg)
     row = _report_row(report)
     ws, ws_tw, jain, ok, worst, deficit = row[5:11]
@@ -317,9 +292,11 @@ def _parse_policies(text: str) -> list[str]:
     policies = [p.strip() for p in text.split(",") if p.strip()]
     if not policies:
         raise SchemaError("empty policy list")
-    for p in policies:
+    for i, p in enumerate(policies):
         if p not in POLICIES:
             raise SchemaError("unknown policy %r" % p)
+        if p in policies[:i]:
+            raise SchemaError("repeated policy %r" % p)
     return policies
 
 
@@ -339,7 +316,7 @@ def _compare_rows(mix, policies, interval_ns, cfg):
 
 
 def _cmd_compare(args) -> int:
-    mix, cfg = _load_run(args.mix, args.config, _flag_overrides(args))
+    mix, cfg = _load_run(args.mix, _read_config(args.config))
     policies = _parse_policies(args.policies)
     rows = _compare_rows(mix, policies, args.interval_ns, cfg)
     widths = "%-14s %-10s %8s %8s %8s %6s %8s"
@@ -363,13 +340,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _sweep_worker(job):
-    """One mix end to end; module-level so worker processes can import it."""
-    path, policies, interval_ns, config_path, flag_items = job
-    mix, cfg = _load_run(path, config_path, dict(flag_items))
-    return _compare_rows(mix, list(policies), interval_ns, cfg)
-
-
 def _aggregate_rows(rows, policies):
     groups: dict[tuple[str, str], list] = {}
     for r in rows:
@@ -387,22 +357,17 @@ def _aggregate_rows(rows, policies):
 
 
 def _cmd_sweep(args) -> int:
-    paths = sorted(glob.glob(os.path.join(args.mixes, "**", "*.mix"), recursive=True))
+    pattern = os.path.join(glob.escape(args.mixes), "**", "*.mix")
+    paths = sorted(glob.glob(pattern, recursive=True))
     if not paths:
         raise SchemaError("no .mix files under %r" % args.mixes)
     policies = _parse_policies(args.policies)
-    flag_items = tuple(sorted(_flag_overrides(args).items()))
-    jobs = [(p, tuple(policies), args.interval_ns, args.config, flag_items) for p in paths]
-    if args.parallel:
-        import concurrent.futures  # deferred: only --parallel pays for it
-
-        workers = args.jobs or os.cpu_count() or 1
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_mix = list(pool.map(_sweep_worker, jobs))
-    else:
-        per_mix = [_sweep_worker(job) for job in jobs]
-    rows = [row for mix_rows in per_mix for row in mix_rows]
-    # merged output is ordered by mix name regardless of worker completion order
+    base = _read_config(args.config)
+    rows = []
+    for path in paths:
+        mix, cfg = _load_run(path, base)
+        rows.extend(_compare_rows(mix, policies, args.interval_ns, cfg))
+    # rows go by mix name, which need not follow the path order
     rows.sort(key=lambda r: (r[0], policies.index(r[2])))
     agg = _aggregate_rows(rows, policies)
     by_cat: dict[str, list] = {}

@@ -1,10 +1,14 @@
 """Every public function, class and method of `src/cacheways` has a caller
 outside the tests: in `src/` outside its own body, in `demos/`, or in
-`perfbench/` (its `test_*.py` excluded)."""
+`perfbench/` (its `test_*.py` excluded); and each subcommand takes exactly
+the options listed in `OPTIONS`."""
 
+import argparse
 import ast
 import glob
 import os
+
+from cacheways.cli import _build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,3 +42,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     uncalled.add(node.name)
     assert not uncalled - EXEMPT, "only the tests call %s" % sorted(uncalled - EXEMPT)
     assert not EXEMPT - uncalled, "exempt names with a caller: %s" % sorted(EXEMPT - uncalled)
+
+
+# each command's option strings; a new flag is a deliberate change to this table
+OPTIONS = {
+    "analyze": {"-h", "--help", "--nests", "--curves", "--out", "--config"},
+    "fit-timing": {"-h", "--help", "--samples", "--out", "--test"},
+    "simulate": {"-h", "--help", "--mix", "--policy", "--log", "--out", "--config", "--interval-ms"},
+    "compare": {"-h", "--help", "--mix", "--policies", "--out", "--config", "--interval-ms"},
+    "sweep": {"-h", "--help", "--mixes", "--policies", "--out", "--config", "--interval-ms"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {s for a in sub._actions for s in a.option_strings} for name, sub in commands.choices.items()}
+    assert found == OPTIONS

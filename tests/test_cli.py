@@ -4,7 +4,6 @@ import ast
 import dataclasses
 import os
 import random
-import shutil
 import subprocess
 import sys
 
@@ -12,7 +11,7 @@ import pytest
 
 from cacheways import cli, formats
 from cacheways.apportion import ReuseClass, SystemConfig
-from cacheways.cli import _build_parser, main
+from cacheways.cli import main
 from cacheways.loops import (
     Affine,
     ArrayDecl,
@@ -318,6 +317,17 @@ def test_compare_policy_subset_and_rejection(tmp_path, capsys):
     assert "unknown policy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_repeated_policy_is_exit_2(tmp_path, capsys, command):
+    # a repeat would print its rows twice and count each mix twice per category
+    target = ["--mix", mix_file(tmp_path)] if command == "compare" else ["--mixes", sweep_tree(tmp_path)]
+    out = tmp_path / "out"
+    argv = [command, *target, "--policies", "maxways,comcas, maxways", "--out", str(out)]
+    assert main(argv) == 2
+    assert "repeated policy 'maxways'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_interval_flag_in_ms(tmp_path):
     out = str(tmp_path / "cmp.csv")
     assert main([
@@ -371,14 +381,6 @@ point 2 200
 point 3 100
 end
 """
-
-
-def test_gfactor_flag_outranks_mix_config(tmp_path, capsys):
-    mix = mix_file(tmp_path, JOIN_MIX)
-    assert main(["simulate", "--mix", mix]) == 0  # two twins share the CLOS
-    capsys.readouterr()
-    assert main(["simulate", "--mix", mix, "--gfactor", "1"]) == 3
-    assert "error:" in capsys.readouterr().err
 
 
 ROUTE_MIX = """format-version 1
@@ -438,16 +440,6 @@ def test_interval_must_be_finite_and_positive(tmp_path, capsys, value):
         main(["simulate", "--mix", mix_file(tmp_path), "--policy", "reactive", "--interval-ms", value])
     assert ei.value.code == 2
     assert "--interval-ms" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["-3", "-1"])
-def test_sweep_jobs_must_be_non_negative(tmp_path, capsys, value):
-    with pytest.raises(SystemExit) as ei:
-        main(["sweep", "--mixes", str(tmp_path), "--parallel", "--jobs", value])
-    assert ei.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
-    # 0 still means one worker per CPU
-    assert _build_parser().parse_args(["sweep", "--mixes", "m", "--jobs", "0"]).jobs == 0
 
 
 KNOBS_MIX = """format-version 1
@@ -553,15 +545,64 @@ def test_sweep_aggregates_by_category(tmp_path, capsys):
     assert sum(1 for ln in text.splitlines() if ln.startswith(("light", "heavy"))) == 2
 
 
-def test_sweep_parallel_matches_sequential(tmp_path):
-    root = sweep_tree(tmp_path)
-    seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
-    assert main(["sweep", "--mixes", root, "--out", seq]) == 0
-    assert main(["sweep", "--mixes", root, "--parallel", "--jobs", "2", "--out", par]) == 0
-    for name in ("sweep-mixes.csv", "sweep-categories.csv"):
-        a = open(os.path.join(seq, name), "rb").read()
-        b = open(os.path.join(par, name), "rb").read()
-        assert a == b
+def test_sweep_mixes_is_a_path_not_a_pattern(tmp_path):
+    root = sweep_tree(tmp_path / "run[1]")
+    out = tmp_path / "rep"
+    assert main(["sweep", "--mixes", root, "--out", str(out)]) == 0
+    _, mix_rows = read_report_csv(str(out / "sweep-mixes.csv"))
+    assert [r[0] for r in mix_rows] == ["beefy"] * 4 + ["tiny"] * 4
+
+
+def sweep_outputs(capsys, root, out, *extra):
+    """(exit code, stdout, stderr, both CSVs' bytes) of one sweep into `out`."""
+    return run_outputs(capsys, ["sweep", "--mixes", str(root), "--out", str(out), *extra],
+                       [out / "sweep-mixes.csv", out / "sweep-categories.csv"])
+
+
+def test_sweep_config_file_reaches_every_mix(tmp_path, capsys):
+    # the same setting as a --config file and as a line in every mix gives
+    # the same bytes, and it moves every mix's rows
+    setting = "config ways_per_socket 16\n"
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("format-version 1\n" + setting, encoding="utf-8")
+    plain, pinned = tmp_path / "plain", tmp_path / "pinned"
+    names = ("alpha", "beta", "gamma")
+    for root, extra in ((plain, ""), (pinned, setting)):
+        root.mkdir()
+        for name in names:
+            text = ROUTE_MIX.replace("mix route light\n", "mix %s light\n%s" % (name, extra))
+            (root / (name + ".mix")).write_text(text, encoding="utf-8")
+    out = tmp_path / "rep"
+    via_file = sweep_outputs(capsys, plain, out, "--config", str(cfg))
+    assert via_file[0] == 0
+    assert via_file == sweep_outputs(capsys, pinned, out)
+    default = sweep_outputs(capsys, plain, out)
+
+    def rows_of(run, name):
+        return [ln for ln in run[3][0].decode().splitlines() if ln.startswith(name + ",")]
+
+    for name in names:
+        assert rows_of(via_file, name) != rows_of(default, name), name
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SystemConfig)])
+def test_mix_config_line_outranks_config_file(tmp_path, capsys, key):
+    # the mix pins the default; a --config file naming the same key moves nothing
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("format-version 1\nconfig %s %r\n" % (key, NON_DEFAULT[key]), encoding="utf-8")
+    root = tmp_path / "mixes"
+    root.mkdir()
+    pin = "config %s %r\n" % (key, getattr(SystemConfig(), key))
+    mix = mix_file(root, KNOBS_MIX.replace("mix knobs heavy\n", "mix knobs heavy\n" + pin), name="knobs.mix")
+    files = [tmp_path / "log.csv", tmp_path / "rep.csv"]
+    simulate = ["simulate", "--mix", mix, "--log", str(files[0]), "--out", str(files[1])]
+    alone = run_outputs(capsys, simulate, files)
+    assert alone[0] == 0
+    assert run_outputs(capsys, simulate + ["--config", str(cfg)], files) == alone
+    out = tmp_path / "rep"
+    alone = sweep_outputs(capsys, root, out)
+    assert alone[0] == 0
+    assert sweep_outputs(capsys, root, out, "--config", str(cfg)) == alone
 
 
 # Runs `python -m cacheways.cli <args>` (or, with no args, only imports the
@@ -691,22 +732,6 @@ def test_apportion_import_skips_analysis_modules(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]", module
-
-
-def test_sweep_parallel_child_matches_serial_on_bundled_mixes(tmp_path):
-    bundled = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
-    root = tmp_path / "mixes"
-    for rel in ("light/l1-pair.mix", "heavy/h1-squeeze.mix"):
-        (root / os.path.dirname(rel)).mkdir(parents=True)
-        shutil.copy(os.path.join(bundled, rel), str(root / rel))
-    for out, extra in (("seq", []), ("par", ["--parallel", "--jobs", "2"])):
-        proc = subprocess.run(
-            [sys.executable, "-m", "cacheways.cli", "sweep", "--mixes", str(root), "--out", out, *extra],
-            capture_output=True, cwd=str(tmp_path), env=child_env(), timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
-    for name in ("sweep-mixes.csv", "sweep-categories.csv"):
-        assert (tmp_path / "seq" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
 
 
 def test_sweep_empty_dir_is_exit_2(tmp_path, capsys):
