@@ -8,11 +8,14 @@ its arguments (a name, an int, a finite float, a range-checked byte count,
 way count, positive or non-negative float, `stream|reuse`, the literal
 `estimated`, possibly a repeated tail) and a usage string for errors.
 
-One reader, `_Reader`, checks every keyword, arity, type, range and
+One reader, `_Reader`, checks each line's keyword, arity, types, ranges and
 finiteness against that table and hands back typed lines with their line
-numbers; nests and curves share one `opener <name> ... end` block
-splitter.  Any malformed line, a truncated one included, raises SchemaError
-naming the file and line.  The `read_*` functions only assemble objects from typed lines.
+numbers.  It knows no keyword by name but the version line.  A rule that
+spans lines lives in the one function that assembles its block: `read_mix`
+rejects a field set twice in one process or phase, `_config` types each
+config value by its key, and nests and curves share one `opener <name> ...
+end` block splitter.  Any malformed line, a truncated one included, raises
+SchemaError naming the file and line.
 
 There is one reader or writer per file a command reads or writes, plus the
 event-trace functions and `read_alloc_log`, which serve the allocation
@@ -92,8 +95,8 @@ _TYPES = {
 }
 
 # keyword: (argument types, usage).  "[t]" is an optional last argument and
-# "(t ...)..." a group repeated to the end of the line.  A config value has
-# the type of its key's SystemConfig field.
+# "(t ...)..." a group repeated to the end of the line.  `_config` types a
+# config value by its key's SystemConfig field.
 _KEYWORDS = {
     "nest": ("name", "name"),
     "array": ("name int int", "name extent element-size"),
@@ -116,7 +119,6 @@ _KEYWORDS = {
     "mix": ("name name", "name category"),
     "process": ("int", "pid"),
     "start": ("float", "ns"),
-    "unmixed-ns": ("positive", "ns"),
     "phase": ("name positive reuse bytes", "id work stream|reuse footprint-bytes"),
     "ipca": (
         "float int nonneg ways bytes reuse float",
@@ -125,22 +127,6 @@ _KEYWORDS = {
     "pcca": ("float int bytes reuse float", "t pid bytes stream|reuse predicted"),
     "release": ("float int", "t pid"),
     "end": ("", "no arguments"),
-}
-
-# keyword: the block keywords that open a fresh scope for it.  Each keyword
-# listed appears at most once per scope; with no block keyword, once per file.
-_ONCE_PER = {
-    "start": ("process",),
-    "unmixed-ns": ("process",),
-    "alpha": ("process",),
-    "max-ways": ("process",),
-    "fixed-ns": ("phase",),
-    "residual": (),
-    "coefficients": (),
-}
-_SCOPES = {
-    opener: [kw for kw, per in _ONCE_PER.items() if opener in per]
-    for opener in {o for per in _ONCE_PER.values() for o in per}
 }
 
 _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
@@ -201,7 +187,6 @@ class _Reader:
         self.path = path
         self.lines: list[tuple] = []
         lines, last = self.lines, 0
-        seen: dict[str, int] = {}  # line of each _ONCE_PER keyword in its scope
         for no, raw in enumerate(_text(path).split("\n"), start=1):
             toks = raw.split("#", 1)[0].split()
             if not toks:
@@ -226,27 +211,12 @@ class _Reader:
             except ValueError:
                 for typ, tok in zip(shape[0], args):
                     _value(path, no, kw, typ, tok)
-            if kw in _ONCE_PER:
-                if kw in seen:
-                    self.fail(no, "repeated %s; first at line %d" % (kw, seen[kw]))
-                seen[kw] = no
-            elif kw in _SCOPES:
-                for once in _SCOPES[kw]:
-                    seen.pop(once, None)
-            elif kw == "config":
-                vals[1] = self._setting(no, *vals)
             lines.append((no, kw, vals))
         if not last:
             raise SchemaError("%s: empty file" % path)
         self.last = last  # number of the last meaningful line
         if first and not lines:
             self.fail(last, "expected: %s %s" % (first, _KEYWORDS[first][1]))
-
-    def _setting(self, no: int, key: str, tok: str):
-        """A config value, typed by its key's SystemConfig field."""
-        if key not in _CONFIG_TYPES:
-            self.fail(no, "unknown config key %r" % key)
-        return _value(self.path, no, "config " + key, _CONFIG_TYPES[key], tok)
 
     def fail(self, no: int, msg: str):
         _fail(self.path, no, msg)
@@ -307,11 +277,15 @@ def _non_default(config: SystemConfig) -> list[tuple]:
 
 
 def _config(rd: _Reader, lines) -> tuple[SystemConfig, dict]:
-    """(config, overrides) from `config` lines.  A repeated key keeps its
-    last value; a value SystemConfig rejects is pinned to its line."""
+    """(config, overrides) from `config` lines, each value typed by its
+    key's SystemConfig field.  A repeated key keeps its last value; a value
+    SystemConfig rejects is pinned to its line."""
     overrides, where = {}, {}
-    for no, _, (key, val) in lines:
-        overrides[key], where[key] = val, no
+    for no, _, (key, tok) in lines:
+        if key not in _CONFIG_TYPES:
+            rd.fail(no, "unknown config key %r" % key)
+        overrides[key] = _value(rd.path, no, "config " + key, _CONFIG_TYPES[key], tok)
+        where[key] = no
     for key, val in overrides.items():
         rd.build(where[key], "config " + key, SystemConfig, **{key: val})
     return SystemConfig(**overrides), overrides
@@ -416,8 +390,7 @@ def read_config(path: str) -> SystemConfig:
 # ---------------------------------------------------------------------------
 
 _MIX_KEYWORDS = frozenset((
-    "config", "process", "start", "alpha", "max-ways", "unmixed-ns",
-    "phase", "fixed-ns", "point", "end",
+    "config", "process", "start", "alpha", "max-ways", "phase", "fixed-ns", "point", "end",
 ))
 
 
@@ -431,7 +404,8 @@ def read_mix(path: str) -> MixSpec:
     if category not in CATEGORIES:
         rd.fail(no, "category %r is not one of %s" % (category, ", ".join(CATEGORIES)))
     settings = []
-    # a process or phase is (line number, args, fields, children)
+    # a process or phase is (line number, args, fields, children); fields
+    # maps each keyword that sets one field to its (line number, value)
     procs: list[tuple] = []
     proc_line: dict[int, int] = {}  # pid -> its process line
     proc = phase = None
@@ -459,14 +433,15 @@ def read_mix(path: str) -> MixSpec:
             proc[3].append(phase)
         elif kw in ("point", "fixed-ns") and phase is None:
             rd.fail(no, "%s outside a phase" % kw)
-        elif kw == "fixed-ns":
-            phase[2][kw] = args[0]
         elif kw == "end":
             closed = True
-        elif phase is not None and kw in ("alpha", "max-ways"):
-            rd.fail(no, "%s must precede the process's phases" % kw)
         else:
-            proc[2][kw] = (no, args[0])
+            fields = phase[2] if kw == "fixed-ns" else proc[2]
+            if kw in fields:
+                rd.fail(no, "repeated %s; first at line %d" % (kw, fields[kw][0]))
+            if phase is not None and kw in ("alpha", "max-ways"):
+                rd.fail(no, "%s must precede the process's phases" % kw)
+            fields[kw] = (no, args[0])
     if not closed:
         rd.fail(rd.last, "mix not closed with 'end'")
     _, overrides = _config(rd, settings)
@@ -474,7 +449,6 @@ def read_mix(path: str) -> MixSpec:
 
 
 def _process(rd: _Reader, proc: tuple) -> ProcessSpec:
-    """`fields` maps each process keyword to its (line number, value)."""
     no, (pid,), fields, phases = proc
     if not phases:
         rd.fail(no, "process %d has no phases" % pid)
@@ -493,7 +467,6 @@ def _process(rd: _Reader, proc: tuple) -> ProcessSpec:
         start_ns=start,
         alpha=vals.get("alpha"),
         max_ways=vals.get("max-ways"),
-        unmixed_ns=vals.get("unmixed-ns"),
     )
 
 
@@ -502,7 +475,8 @@ def _phase(phase: tuple) -> PhaseSpec:
     if not points:
         raise SchemaError("no curve points")
     curve = WayTimeCurve(tuple(sorted(points)))
-    return PhaseSpec(phase_id, work, reuse, nbytes, curve, fields.get("fixed-ns"))
+    _, fixed_ns = fields.get("fixed-ns", (None, None))
+    return PhaseSpec(phase_id, work, reuse, nbytes, curve, fixed_ns)
 
 
 def write_mix(mix: MixSpec, path: str) -> None:
@@ -510,8 +484,7 @@ def write_mix(mix: MixSpec, path: str) -> None:
     out += _config_lines(sorted(mix.config_overrides.items()))
     for proc in mix.processes:
         out.append(_render("process", proc.pid))
-        fields = (("start", proc.start_ns or None), ("alpha", proc.alpha),
-                  ("max-ways", proc.max_ways), ("unmixed-ns", proc.unmixed_ns))
+        fields = (("start", proc.start_ns or None), ("alpha", proc.alpha), ("max-ways", proc.max_ways))
         out += [_render(kw, val) for kw, val in fields if val is not None]
         for ph in proc.phases:
             out.append(_render("phase", ph.phase_id, ph.work, ph.reuse, ph.nbytes))

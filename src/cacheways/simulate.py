@@ -80,7 +80,6 @@ class ProcessSpec:
     start_ns: float = 0.0
     alpha: float | None = None  # derived from curves when absent
     max_ways: int | None = None
-    unmixed_ns: float | None = None
 
 
 @dataclass
@@ -615,13 +614,7 @@ def run_mix(
             if changed:
                 width_timeline.append((now, {r.pid: rows[r.pid] for r in active}))
 
-    unmixed = {}
-    for proc in mix.processes:
-        unmixed[proc.pid] = (
-            proc.unmixed_ns
-            if proc.unmixed_ns is not None
-            else run_unmixed(proc, cfg)
-        )
+    unmixed = {proc.pid: run_unmixed(proc, cfg) for proc in mix.processes}
     records, apportions, max_group, warnings = ctl.log()
 
     return SimReport(

@@ -72,7 +72,11 @@ def write_config(config, path):
 def read_model(path):
     """The TimingModel from a model file `fit-timing` wrote."""
     rd = _Reader(path, {"residual", "coefficients"})
-    got = {kw: args for _, kw, args in rd.lines}
+    got, first = {}, {}
+    for no, kw, args in rd.lines:
+        if kw in first:
+            rd.fail(no, "repeated %s; first at line %d" % (kw, first[kw]))
+        got[kw], first[kw] = args, no
     if "residual" not in got or not got.get("coefficients"):
         rd.fail(rd.last, "model needs residual and coefficients")
     return TimingModel(tuple(got["coefficients"]), got["residual"][0])

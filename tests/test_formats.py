@@ -288,7 +288,6 @@ process 0
 start 250
 alpha 3.5
 max-ways 6
-unmixed-ns 12345.5
 phase warm 2 reuse 4194304
 fixed-ns 1000
 point 2 400
@@ -317,9 +316,7 @@ def test_mix_derives_phase_sensitivity(tmp_path):
     assert m.name == "demo" and m.category == "medium"
     assert m.config_overrides == {"ways_per_socket": 12, "dm_penalty": 1.5}
     p0 = m.processes[0]
-    assert (p0.start_ns, p0.alpha, p0.max_ways, p0.unmixed_ns) == (
-        250.0, 3.5, 6, 12345.5,
-    )
+    assert (p0.start_ns, p0.alpha, p0.max_ways) == (250.0, 3.5, 6)
     warm, cruise = p0.phases
     # without the process override, the pair comes from the summed phase curves
     derived = replace(p0, alpha=None, max_ways=None)
@@ -525,12 +522,13 @@ def test_table_csv_renders_floats_round_trip(tmp_path):
 V = "format-version 1\n"
 MIX_HEAD = V + "mix m light\nprocess 0\n"
 
-# (reader, file text); the error must name the line marked with '>'
+# (reader, file text); the error must name the line marked with '>', and
+# begin with the row's entry in MESSAGES, if it has one
 MALFORMED = {
     "mix-start": (read_mix, MIX_HEAD + ">start\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-alpha": (read_mix, MIX_HEAD + ">alpha\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-max-ways": (read_mix, MIX_HEAD + "alpha 1\n>max-ways\nphase p 1 reuse 1\npoint 2 1\nend"),
-    "mix-unmixed-ns": (read_mix, MIX_HEAD + ">unmixed-ns\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-unmixed-ns": (read_mix, MIX_HEAD + ">unmixed-ns 5\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>fixed-ns\npoint 2 1\nend"),
     "mix-process": (read_mix, V + "mix m light\n>process\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-point": (read_mix, MIX_HEAD + "phase p 1 reuse 1\n>point 2\nend"),
@@ -546,6 +544,7 @@ MALFORMED = {
     "mix-phase-curve": (read_mix, MIX_HEAD + ">phase p 1 reuse 1\npoint 3 1\nend"),
     "mix-repeated-start": (read_mix, MIX_HEAD + "start 5\nphase p 1 reuse 1\n>start 9\npoint 2 1\nend"),
     "mix-repeated-alpha": (read_mix, MIX_HEAD + "alpha 1\n>alpha 2\nphase p 1 reuse 1\npoint 2 1\nend"),
+    "mix-repeated-alpha-after-phase": (read_mix, MIX_HEAD + "alpha 1\nphase p 1 reuse 1\npoint 2 1\n>alpha 2\nend"),
     "mix-repeated-fixed-ns": (read_mix, MIX_HEAD + "phase p 1 reuse 1\nfixed-ns 1\npoint 2 1\n>fixed-ns 2\nend"),
     "model-repeated-coefficients": (read_model, V + "residual 0\ncoefficients 1\n>coefficients 2"),
     # out-of-range values the simulator cannot run
@@ -553,7 +552,6 @@ MALFORMED = {
     "mix-max-ways-zero": (read_mix, MIX_HEAD + "alpha 1\n>max-ways 0\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-phase-work-zero": (read_mix, MIX_HEAD + ">phase p 0 reuse 1\npoint 2 1\nend"),
     "mix-phase-bytes-negative": (read_mix, MIX_HEAD + ">phase p 1 reuse -5\npoint 2 1\nend"),
-    "mix-unmixed-ns-zero": (read_mix, MIX_HEAD + ">unmixed-ns 0\nphase p 1 reuse 1\npoint 2 1\nend"),
     "events-ipca-max-ways-zero": (read_events, V + ">ipca 0 0 0 0 64 reuse 1"),
     "events-ipca-bytes-negative": (read_events, V + ">ipca 0 0 0 2 -1 reuse 1"),
     "events-pcca-bytes-negative": (read_events, V + "ipca 0 0 0 2 64 reuse 1\n>pcca 1 0 -1 reuse 1"),
@@ -578,12 +576,31 @@ MALFORMED.update(
 )
 
 
-@pytest.mark.parametrize("reader, text", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_lines_name_file_and_line(tmp_path, reader, text):
+MESSAGES = {
+    "mix-unmixed-ns": "unknown keyword 'unmixed-ns'",
+    "mix-repeated-alpha-after-phase": "repeated alpha; first at line 4",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED, ids=MALFORMED.keys())
+def test_malformed_lines_name_file_and_line(tmp_path, name):
+    reader, text = MALFORMED[name]
     no = [ln[:1] for ln in text.split("\n")].index(">") + 1
     path = write_text(tmp_path, "bad.txt", text.replace(">", "") + "\n")
-    with pytest.raises(SchemaError, match=r"bad\.txt:%d: " % no):
+    with pytest.raises(SchemaError, match=r"bad\.txt:%d: %s" % (no, re.escape(MESSAGES.get(name, "")))):
         reader(path)
+
+
+@pytest.mark.parametrize("text, no", [
+    # a repeated field (line 5) is found after every line's own checks
+    (MIX_HEAD + "start 5\nstart 6\nphase p 1 reuse 1\npoint 2 x\nend", 7),
+    # so is a config key SystemConfig does not have (line 3)
+    (V + "mix m light\nconfig turbo 9\nprocess 0\nphase p 1 reuse 1\npoint 2 x\nend", 6),
+], ids=["repeated-field", "config-key"])
+def test_line_faults_come_before_block_faults(tmp_path, text, no):
+    path = write_text(tmp_path, "two.mix", text + "\n")
+    with pytest.raises(SchemaError, match=r"two\.mix:%d: point: bad value 'x'" % no):
+        read_mix(path)
 
 
 def test_once_per_block_lines_repeat_across_blocks(tmp_path):
