@@ -363,36 +363,47 @@ class _Reactive(_Policy):
     """Fixed-interval controller: equal split at admission, then one way per
     tick from the least needy donor to the neediest deficient process.  Masks
     are repacked contiguously in pid order on every change; the need proxy
-    alpha * (max_ways - width) stands in for a hardware miss counter.
+    alpha * (max_ways - width) stands in for a hardware miss counter.  A
+    donor gives only a way it does not need (its alpha is 0 or its width is
+    above its max-ways), so every tick that moves a way cuts the socket's
+    total deficit by one.
 
-    The clock is this policy's own.  Ticks fall on multiples of the interval
-    while anything runs; an admission that ends an idle gap resumes them at
-    the first multiple after it.
+    The clock is this policy's own and ticks on multiples of the interval.
+    The proxy reads only the widths and each process's alpha and max-ways,
+    which change only at ticks, admissions and releases.  So a tick that
+    moves no way stops the clock, and the next admission or release restarts
+    it at the first multiple after its time.  Hence every run ends.
 
     Every process holds at least 1 way, as CAT requires a nonempty mask.
     When a socket holds more processes than ways, each gets 1 way and the
     masks wrap round-robin in pid order (the i-th pid holds way i mod W), so
     processes sharing a way split it through the contention rule.  Widths
-    then sum past W, no way is free and no donor has 2 ways, so ticks change
+    then sum past W, no way is free and no donor has 2 ways, so a tick moves
     nothing until releases free a way or an admission re-splits the socket.
     """
 
     def __init__(self, place: _Placement, policy: Policy):
         super().__init__(place, policy)
         self.interval_ns = policy.interval_ns
-        self.tick_no = 0  # grid points passed: ticks done, or skipped while idle
+        self.tick_no = None  # grid points passed; None while the clock is stopped
         self.runs: dict[int, _Run] = {}
         self.widths: dict[int, int] = {}
 
     @property
     def next_tick(self):
-        return (self.tick_no + 1) * self.interval_ns if self.runs else None
+        return None if self.tick_no is None else (self.tick_no + 1) * self.interval_ns
 
-    def admit(self, t, runs):
-        if not self.runs:  # an idle gap ends: skip the grid points it spanned
+    def _restart(self, t):
+        """After an admission or release at `t`: stop the clock if nothing
+        runs, else restart a stopped one at the first grid point after `t`."""
+        if not self.runs:
+            self.tick_no = None
+        elif self.tick_no is None:
             self.tick_no = int(t // self.interval_ns)
             if (self.tick_no + 1) * self.interval_ns <= t:  # the float quotient fell short
                 self.tick_no += 1
+
+    def admit(self, t, runs):
         for r in runs:
             self.place.put(r.pid, self.place.least_loaded(), 0)  # masked below
             self.runs[r.pid] = r
@@ -402,6 +413,7 @@ class _Reactive(_Policy):
             for i, pid in enumerate(pids):
                 self.widths[pid] = max(1, base + (1 if i >= len(pids) - rem else 0))
             self._repack(sid)
+        self._restart(t)
 
     def _repack(self, sid):
         start = 0
@@ -415,9 +427,10 @@ class _Reactive(_Policy):
     def release(self, t, run, sid):
         del self.runs[run.pid], self.widths[run.pid]
         self._repack(sid)
+        self._restart(t)
 
     def tick(self, t):
-        self.tick_no += 1
+        moved = False
         for sid in range(self.place.config.sockets):
             pids = self.place.pids[sid]
             if not pids:
@@ -436,7 +449,9 @@ class _Reactive(_Policy):
                 self.widths[recipient] += 1
             else:
                 donors = [
-                    pid for pid in pids if proxy(pid) == 0 and self.widths[pid] >= 2
+                    pid for pid in pids
+                    if self.widths[pid] >= 2
+                    and (self.runs[pid].alpha == 0 or self.widths[pid] > self.runs[pid].max_ways)
                 ]
                 if not donors:
                     continue
@@ -444,6 +459,8 @@ class _Reactive(_Policy):
                 self.widths[donor] -= 1
                 self.widths[recipient] += 1
             self._repack(sid)
+            moved = True
+        self.tick_no = self.tick_no + 1 if moved else None
 
 
 class _ComCas(_Policy):

@@ -277,6 +277,19 @@ def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", ["comcas", "unpartitioned", "maxways", "reactive"])
+def test_a_phase_of_1e308_ns_ends_under_every_policy(tmp_path, policy):
+    # reactive's 500 ms clock would tick ~2e299 times if a tick that moves
+    # no way did not stop it
+    mix = mix_file(tmp_path, "format-version 1\nmix long light\nprocess 0\n"
+                   "phase p 1 reuse 1048576\npoint 2 1e308\nend\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cacheways.cli", "simulate", "--mix", mix, "--policy", policy],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unknown_policy_choice_is_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as ei:
         main(["simulate", "--mix", mix_file(tmp_path), "--policy", "magic"])
