@@ -363,9 +363,12 @@ def _cmd_sweep(args) -> int:
         raise SchemaError("no .mix files under %r" % args.mixes)
     policies = _parse_policies(args.policies)
     base = _read_config(args.config)
-    rows = []
+    rows, path_of = [], {}  # mix name -> the path that holds it
     for path in paths:
         mix, cfg = _load_run(path, base)
+        if mix.name in path_of:
+            raise SchemaError("%s: mix %r is also in %s" % (path, mix.name, path_of[mix.name]))
+        path_of[mix.name] = path
         rows.extend(_compare_rows(mix, policies, args.interval_ns, cfg))
     # rows go by mix name, which need not follow the path order
     rows.sort(key=lambda r: (r[0], policies.index(r[2])))

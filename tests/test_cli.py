@@ -566,6 +566,18 @@ def test_sweep_mixes_is_a_path_not_a_pattern(tmp_path):
     assert [r[0] for r in mix_rows] == ["beefy"] * 4 + ["tiny"] * 4
 
 
+def test_sweep_rejects_two_files_of_one_mix_name(tmp_path, capsys):
+    # their rows would interleave under one name and count as two mixes
+    root = sweep_tree(tmp_path)
+    twin = os.path.join(root, "heavy", "twin.mix")
+    mix_file(tmp_path / "mixes" / "heavy", name="twin.mix")
+    out = tmp_path / "rep"
+    assert main(["sweep", "--mixes", root, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "mix 'tiny'" in err and twin in err and os.path.join(root, "light", "tiny.mix") in err
+    assert not out.exists()
+
+
 def sweep_outputs(capsys, root, out, *extra):
     """(exit code, stdout, stderr, both CSVs' bytes) of one sweep into `out`."""
     return run_outputs(capsys, ["sweep", "--mixes", str(root), "--out", str(out), *extra],
