@@ -105,9 +105,10 @@ def required_ways(fraction: float, config: SystemConfig, max_ways: int) -> int:
     at 1 and capped at the process's saturation point."""
     if not -1e-12 <= fraction <= 1 + 1e-12:
         raise SchemaError("fraction %r outside [0, 1]" % (fraction,))
-    fraction = min(max(fraction, 0.0), 1.0)
-    rounded = int(math.floor(fraction * config.ways_per_socket + 0.5))
-    return min(max_ways, max(1, rounded))
+    # conditionals, not min/max: this runs at every phase change
+    fraction = 0.0 if fraction < 0.0 else 1.0 if fraction > 1.0 else fraction
+    rounded = math.floor(fraction * config.ways_per_socket + 0.5) or 1
+    return rounded if rounded < max_ways else max_ways
 
 
 def mask_width(mask: int) -> int:
@@ -130,10 +131,6 @@ class ClosState:
     def width(self) -> int:
         return mask_width(self.mask)
 
-    @property
-    def satisfied(self) -> bool:
-        return self.width >= self.demand_ways
-
 
 @dataclass
 class SocketState:
@@ -141,6 +138,7 @@ class SocketState:
     config: SystemConfig
     clos: list[ClosState] = field(default_factory=list)
     processes: list[int] = field(default_factory=list)
+    occupied: list[ClosState] = field(default_factory=list)  # the CLOS with members
 
     def __post_init__(self):
         if not self.clos:
@@ -149,9 +147,8 @@ class SocketState:
     @property
     def used_mask(self) -> int:
         m = 0
-        for c in self.clos:
-            if c.members:
-                m |= c.mask
+        for c in self.occupied:
+            m |= c.mask
         return m
 
     @property
@@ -181,9 +178,11 @@ class AllocationRecord(NamedTuple):
     """One allocation decision.  The allocation-log CSV carries the first
     eight fields.  Of the rest only `changed` is read in the package: the
     simulator's comcas policy skips read-back after a pcca that moved no
-    mask.  `req_ways`, `granted_ways` and `alpha` serve callers inspecting
-    `Apportioner.records`; the deficit metric integrates the width timeline
-    and the apportion count is `Apportioner.apportion_count`."""
+    mask, and otherwise reads back the record's `socket` and `clos` (and
+    `Apportioner.grown`).  `req_ways`, `granted_ways` and `alpha` serve
+    callers inspecting `Apportioner.records`; the deficit metric integrates
+    the width timeline and the apportion count is
+    `Apportioner.apportion_count`."""
 
     time_ns: float
     pid: int
@@ -243,6 +242,7 @@ class Apportioner:
         self.warnings: list[str] = []
         self.apportion_count = 0
         self.max_clos_group_size = 0
+        self.grown: ClosState | None = None  # the CLOS the last pcca or release grew
 
     # -- queries ------------------------------------------------------------
 
@@ -252,19 +252,24 @@ class Apportioner:
             raise NotPlaced("pid %r is not placed" % (pid,))
         return p
 
+    def _demand(self, clos: ClosState) -> int:
+        """The largest req_ways of the CLOS's members (at least one)."""
+        procs, members = self.procs, clos.members
+        demand = procs[members[0]].req_ways
+        for m in members:
+            if procs[m].req_ways > demand:
+                demand = procs[m].req_ways
+        return demand
+
     def _clos_alpha(self, clos: ClosState) -> float:
-        return max((self.procs[m].alpha for m in clos.members), default=0.0)
+        return max([self.procs[m].alpha for m in clos.members], default=0.0)
 
     def _fraction(self, sock: SocketState, p: ProcessState) -> float:
         """p's share of the socket's stored masses, summed in socket order:
         bit-equal to the reference `cache_fractions` in tests/oracles.py."""
-        total = sum(self.procs[pid].mass for pid in sock.processes)
+        procs = self.procs
+        total = sum([procs[pid].mass for pid in sock.processes])
         return p.mass / total if total else 1.0 / len(sock.processes)
-
-    def _scenario(self, sock: SocketState) -> Scenario:
-        return classify_scenario(
-            [self.procs[pid].fraction for pid in sock.processes]
-        )
 
     # -- bitmask placement ----------------------------------------------------
 
@@ -279,7 +284,7 @@ class Apportioner:
         if ways < 1:
             raise BitmaskOverflow("cannot place an empty bitmask")
         others = [
-            c for c in sock.clos if c.clos_id != clos_id and c.members and c.mask
+            c for c in sock.occupied if c.clos_id != clos_id and c.mask
         ]
         used_all = 0
         for c in others:
@@ -328,34 +333,31 @@ class Apportioner:
             removed += 1
         return removed
 
-    def _transfer_freed(self, sock: SocketState, freed: int) -> None:
+    def _transfer_freed(self, sock: SocketState, freed: int) -> ClosState | None:
         """Freed ways go to the most unsatisfied CLOS on the socket: maximal
         member alpha, then largest deficit, then lowest id.  Capped at its
-        deficit; whatever cannot extend its run contiguously stays free."""
+        deficit; whatever cannot extend its run contiguously stays free.
+        Returns the CLOS that grew, if any."""
         if freed <= 0:
-            return
-        cands = [c for c in sock.clos if c.members and not c.satisfied]
-        if not cands:
-            return
-        target = min(
-            cands,
-            key=lambda c: (
-                -self._clos_alpha(c),
-                -(c.demand_ways - c.width),
-                c.clos_id,
-            ),
-        )
-        give = min(freed, target.demand_ways - target.width)
-        self._extend_in_place(sock, target, give)
+            return None
+        target = best = None
+        for c in sock.occupied:
+            deficit = c.demand_ways - c.mask.bit_count()
+            if deficit > 0:
+                key = (-self._clos_alpha(c), -deficit, c.clos_id)
+                if best is None or key < best:
+                    target, best = c, key
+        if target is not None and self._extend_in_place(sock, target, min(freed, -best[1])):
+            return target
+        return None
 
     # -- admission (ipca) -----------------------------------------------------
 
     def _compatible_clos(self, sock: SocketState, p: ProcessState) -> list[ClosState]:
         return [
             c
-            for c in sock.clos
-            if c.members
-            and len(c.members) < self.config.gfactor
+            for c in sock.occupied
+            if len(c.members) < self.config.gfactor
             and c.demand_ways == p.req_ways
         ]
 
@@ -394,7 +396,7 @@ class Apportioner:
         if compat:
             return self._pick_compatible(compat, p), "join"
         # crowded and nothing compatible: squeeze into the least-alpha CLOS
-        room = [c for c in sock.clos if c.members and len(c.members) < self.config.gfactor]
+        room = [c for c in sock.occupied if len(c.members) < self.config.gfactor]
         if room:
             target = min(room, key=lambda c: (self._clos_alpha(c), c.clos_id))
             return target, "overflow"
@@ -411,6 +413,7 @@ class Apportioner:
             free = sock.free_ways
             width = min(p.req_ways, free) if free >= 1 else p.req_ways
             clos.members.append(p.pid)
+            sock.occupied.append(clos)
             clos.mask = self.generate_bitmask(sock, clos.clos_id, width)
         elif mode == "join":
             clos.members.append(p.pid)
@@ -508,27 +511,26 @@ class Apportioner:
         fraction only.  Demand moves of less than hysteresis_ways are ignored;
         growth extends the CLOS run in place; shrink frees ways from the right
         end and hands them to the most unsatisfied CLOS.  Only that shrink
-        moves another CLOS's ways, so an unchanged record moved no mask."""
+        moves another CLOS's ways (`grown`), so an unchanged record moved no
+        mask."""
         p = self._proc(pid)
         p.mass, p.reuse = adjusted_footprint(nbytes, reuse, self.config), reuse
         p.predicted_end = time_ns + predicted_ns
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
         p.fraction = self._fraction(sock, p)
-        req = required_ways(p.fraction, self.config, p.max_ways)
-        cur = clos.width
+        req = p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
         before = clos.mask
-        p.req_ways = req
-        demand = clos.demand_ways = max(self.procs[m].req_ways for m in clos.members)
+        cur = before.bit_count()
+        demand = clos.demand_ways = self._demand(clos)
+        self.grown = None
         if abs(req - cur) >= self.config.hysteresis_ways:
             if req > cur:
-                self._extend_in_place(sock, clos, demand - clos.width)
+                self._extend_in_place(sock, clos, demand - cur)
             else:
                 freed = self._shrink_from_right(clos, cur - max(demand, 1))
-                self._transfer_freed(sock, freed)
-        return self._record(
-            time_ns, p, "pcca", sock, clos, changed=clos.mask != before
-        )
+                self.grown = self._transfer_freed(sock, freed)
+        return self._record(time_ns, p, "pcca", sock, clos, clos.mask != before)
 
     # -- release --------------------------------------------------------------
 
@@ -542,16 +544,14 @@ class Apportioner:
         clos.members.remove(pid)
         sock.processes.remove(pid)
         del self.procs[pid]
+        self.grown = None
         if not clos.members:
-            freed = clos.width
-            clos.mask = 0
-            clos.demand_ways = 0
-            self._transfer_freed(sock, freed)
+            sock.occupied.remove(clos)
+            clos.mask = clos.demand_ways = 0
+            self.grown = self._transfer_freed(sock, before.bit_count())
         else:
-            clos.demand_ways = max(self.procs[m].req_ways for m in clos.members)
-        return self._record(
-            time_ns, p, "release", sock, clos, changed=clos.mask != before
-        )
+            clos.demand_ways = self._demand(clos)
+        return self._record(time_ns, p, "release", sock, clos, clos.mask != before)
 
     # -- record keeping ---------------------------------------------------------
 
@@ -564,21 +564,15 @@ class Apportioner:
         clos: ClosState,
         changed: bool,
     ) -> AllocationRecord:
-        rec = AllocationRecord(
-            time_ns=time_ns,
-            pid=p.pid,
-            event=event,
-            socket=sock.sid,
-            clos=clos.clos_id,
-            bitmask=clos.mask,
-            scenario=self._scenario(sock),
-            satisfied=clos.satisfied,
-            req_ways=p.req_ways,
-            granted_ways=0 if event == "release" else min(clos.width, p.max_ways),
-            alpha=p.alpha,
-            changed=changed,
-        )
+        width = clos.mask.bit_count()
+        rec = AllocationRecord._make((
+            time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
+            classify_scenario([self.procs[pid].fraction for pid in sock.processes]),
+            width >= clos.demand_ways, p.req_ways,
+            0 if event == "release" else width if width <= p.max_ways else p.max_ways,
+            p.alpha, changed,
+        ))
         self.records.append(rec)
-        if changed and event in ("ipca", "pcca"):
+        if changed and event != "release":
             self.apportion_count += 1
         return rec

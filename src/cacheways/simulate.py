@@ -465,9 +465,10 @@ class _Reactive(_Policy):
 
 class _ComCas(_Policy):
     """The Apportioner places every arrival and owns its masks; after each
-    operation the placement reads back the sockets it can have changed:
-    every socket after an admission, the run's own after a phase change or
-    release."""
+    operation the placement reads back the CLOS it can have changed: every
+    CLOS of every socket after an admission; after a phase change that moved
+    a mask, the run's own CLOS and the one its freed ways grew; after a
+    release, the CLOS the freed ways grew."""
 
     def __init__(self, place: _Placement, policy: Policy):
         super().__init__(place, policy)
@@ -475,11 +476,13 @@ class _ComCas(_Policy):
 
     def admit(self, t, runs):
         self.ap.ipca_batch(t, [(r.pid, r.alpha, r.max_ways, *self._announce(r)) for r in runs])
-        self._read_back(self.ap.sockets)
+        for sock in self.ap.sockets:
+            self._read_back(sock.sid, sock.clos)
 
     def phase_change(self, t, run):
-        if self.ap.pcca(t, run.pid, *self._announce(run)).changed:
-            self._read_back([self.ap.sockets[self.place.socket_of[run.pid]]])
+        rec = self.ap.pcca(t, run.pid, *self._announce(run))
+        if rec.changed:
+            self._read_back(rec.socket, (self.ap.sockets[rec.socket].clos[rec.clos], self.ap.grown))
 
     def _announce(self, run):
         """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
@@ -490,18 +493,20 @@ class _ComCas(_Policy):
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
-        self._read_back([self.ap.sockets[sid]])
+        self._read_back(sid, (self.ap.grown,))
 
-    def _read_back(self, socks):
-        for sock in socks:
-            for clos in sock.clos:
+    def _read_back(self, sid, closes):
+        """Give every member of each of `closes` (None: skipped) its CLOS mask."""
+        for clos in closes:
+            if clos is not None:
                 for pid in clos.members:
-                    self.place.put(pid, sock.sid, clos.mask)
+                    self.place.put(pid, sid, clos.mask)
 
     def row(self, run):
         """Granted ways are the CLOS width, capped at the saturation point."""
         p = self.ap.procs[run.pid]
-        return (p.alpha, p.req_ways, min(mask_width(self.place.mask_of[run.pid]), p.max_ways))
+        width = self.place.mask_of[run.pid].bit_count()
+        return (p.alpha, p.req_ways, width if width <= p.max_ways else p.max_ways)
 
     def log(self):
         ap = self.ap
