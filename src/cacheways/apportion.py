@@ -157,7 +157,10 @@ class SocketState:
 
     @property
     def free_cores(self) -> int:
-        return self.config.cores_per_socket - len(self.processes)
+        """Admission room: the cores, also bounded by the CLOS seats that the
+        grouping cap allows (clos_per_socket x gfactor), less the residents."""
+        cfg = self.config
+        return min(cfg.cores_per_socket, cfg.clos_per_socket * cfg.gfactor) - len(self.processes)
 
 
 @dataclass
@@ -400,11 +403,7 @@ class Apportioner:
         if room:
             target = min(room, key=lambda c: (self._clos_alpha(c), c.clos_id))
             return target, "overflow"
-        if empty:
-            return empty[0], "fresh"
-        raise AdmissionRejected(
-            "socket %d: every CLOS is at the grouping cap" % sock.sid
-        )
+        return empty[0], "fresh"  # some CLOS is empty: the socket had room
 
     def _place(self, sock: SocketState, p: ProcessState) -> ClosState:
         clos, mode = self._select_clos(sock, p)
@@ -439,7 +438,9 @@ class Apportioner:
         max_ways provisionally, so one socket does not swallow every
         cache-sensitive arrival); fractions are then computed per socket over
         the full resident population, which makes them sum to exactly 1 when
-        the machine starts empty.  Placement runs in pid order.
+        the machine starts empty.  Placement runs in pid order.  A socket
+        takes an arrival only while it has room (`SocketState.free_cores`),
+        so every placement finds a CLOS seat.
         """
         arrivals = sorted(arrivals, key=lambda a: a[0])
         for pid, *_ in arrivals:
@@ -464,7 +465,7 @@ class Apportioner:
                     ):
                         sid = s.sid
                 if sid is None:
-                    raise AdmissionRejected("no socket has a free core")
+                    raise AdmissionRejected("no socket has a free core or CLOS seat")
             prov_cores[sid] -= 1
             prov_free[sid] = max(0, prov_free[sid] - max_ways)
             p = ProcessState(

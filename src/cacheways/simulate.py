@@ -30,7 +30,8 @@ reads neither, derives nothing.
 Four policies choose masks:
   * comcas        probe-guided: the Apportioner places arrivals in batches,
                   re-apportions at every phase change and recycles releases;
-                  its CLOS masks are read back after each operation,
+                  after each operation the placement reads back the masks
+                  of the CLOS it can have moved,
   * unpartitioned every process holds the full socket mask,
   * maxways       every process statically holds a best-fit window of its
                   saturation way count,
@@ -301,7 +302,9 @@ class _Policy:
 
     `sensitivity(proc)` gives the (alpha, max_ways) pair a run carries, once
     per process before the first event; a policy that reads neither returns
-    (None, None) and so skips deriving it from the curves.
+    (None, None) and so skips deriving it from the curves.  `room(sid)` is
+    how many more runs a socket admits now; an arrival beyond the room of
+    every socket waits for a release.
     """
 
     next_tick = interval_ns = None
@@ -312,6 +315,9 @@ class _Policy:
 
     def sensitivity(self, proc):
         return process_sensitivity(proc, self.place.config)
+
+    def room(self, sid):
+        return self.place.free_cores(sid)
 
     def admit(self, t, runs):
         for r in runs:
@@ -491,6 +497,9 @@ class _ComCas(_Policy):
         ns = ph.fixed_ns if ph.fixed_ns is not None else ph.curve.time_at(self.ways)
         return ph.nbytes, ph.reuse, ns
 
+    def room(self, sid):
+        return self.ap.sockets[sid].free_cores
+
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
         self._read_back(sid, (self.ap.grown,))
@@ -612,7 +621,7 @@ def run_mix(
         if due or (changed and waiting):
             # in pid order up to capacity; the rest wait for a release
             pids = sorted(due + waiting)
-            room = sum(place.free_cores(s) for s in range(cfg.sockets))
+            room = sum(ctl.room(s) for s in range(cfg.sockets))
             batch, waiting = [runs[pid] for pid in pids[:room]], pids[room:]
             if batch:
                 for r in batch:

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 from cacheways import cli, formats
-from cacheways.apportion import ReuseClass, SystemConfig
+from cacheways.apportion import Apportioner, ReuseClass, SystemConfig
+from cacheways.errors import AdmissionRejected
 from cacheways.cli import main
 from cacheways.loops import (
     Affine,
@@ -267,14 +268,32 @@ def test_simulate_bad_mix_line_is_exit_2(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
-def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys):
-    text = MIX_TEXT.replace(
-        "config sockets 1",
-        "config sockets 1\nconfig clos_per_socket 1\nconfig gfactor 1",
-    ).replace("phase b 1 stream 20971520", "phase b 1 reuse 2097152")
-    code = main(["simulate", "--mix", mix_file(tmp_path, text)])
+def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys, monkeypatch):
+    # no mix reaches a rejection now (an arrival waits for room), so the
+    # allocator is made to raise one
+    def reject(self, t, arrivals):
+        raise AdmissionRejected("no socket has a free core or CLOS seat")
+
+    monkeypatch.setattr(Apportioner, "ipca_batch", reject)
+    code = main(["simulate", "--mix", mix_file(tmp_path)])
     assert code == 3
-    assert "error:" in capsys.readouterr().err
+    assert "error: no socket has a free core or CLOS seat" in capsys.readouterr().err
+
+
+# one CLOS seat on the socket: the arrivals run one after another
+GROUPING_CAP_MIX = MIX_TEXT.replace(
+    "config sockets 1", "config sockets 1\nconfig clos_per_socket 1\nconfig gfactor 1",
+).replace("end\n", "process 2\nphase c 1 reuse 2097152\npoint 2 300\nend\n")
+
+
+@pytest.mark.parametrize("policy", ["comcas", "unpartitioned", "maxways", "reactive"])
+def test_an_arrival_at_the_grouping_cap_waits(tmp_path, capsys, policy):
+    code = main(["simulate", "--mix", mix_file(tmp_path, GROUPING_CAP_MIX), "--policy", policy])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "pid 2: 300 ns mixed" in out
+    if policy == "comcas":  # one run at a time: 100 + 400 + 300 ns
+        assert "finished at 800 ns" in out
 
 
 @pytest.mark.parametrize("policy", ["comcas", "unpartitioned", "maxways", "reactive"])
@@ -526,8 +545,12 @@ def test_config_file_reaches_engine(tmp_path, capsys):
     write_config(SystemConfig(clos_per_socket=1, gfactor=1), cfg)
     mix = mix_file(tmp_path, JOIN_MIX.replace("config clos_per_socket 1\n", ""))
     assert main(["simulate", "--mix", mix]) == 0
-    capsys.readouterr()
-    assert main(["simulate", "--mix", mix, "--config", cfg]) == 3
+    shared = capsys.readouterr().out
+    # one CLOS seat: pid 1 waits for pid 0 instead of taking a CLOS of its own
+    assert main(["simulate", "--mix", mix, "--config", cfg]) == 0
+    queued = capsys.readouterr().out
+    assert "finished at 100 ns" in shared
+    assert "finished at 200 ns" in queued
 
 
 def sweep_tree(tmp_path):

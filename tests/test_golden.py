@@ -2,8 +2,8 @@
 
 One sha256 per (input, policy) over the repr of the whole SimReport, for the
 bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
-seeded draws of churn_mix, under every policy and under reactive at a 50 ns
-interval as well.  The bundled mixes' phases last ~1e8 ns, so at 50 ns
+seeded draws of churn_mix and a socket whose one CLOS seat makes arrivals
+wait, under every policy and under reactive at a 50 ns interval as well.  The bundled mixes' phases last ~1e8 ns, so at 50 ns
 their reactive runs end only because a tick that moves no way stops the
 clock and a donor never gives a way it needs.
 A change to the engine that claims to keep its outputs must keep every
@@ -68,9 +68,18 @@ def churn_mix(rnd):
     )
 
 
+def grouping_cap_mix():
+    """Three arrivals at t=0 on one socket with one CLOS of one seat."""
+    procs = [
+        ProcessSpec(pid=pid, phases=(phase("p%d" % pid, MIB, {2: 100.0 * (pid + 1)}),))
+        for pid in range(3)
+    ]
+    return mix_of(*procs, sockets=1, clos_per_socket=1, gfactor=1)
+
+
 def inputs():
-    """(name, mix) for every bundled mix, then random-0 .. random-19
-    and churn-0 .. churn-15."""
+    """(name, mix) for every bundled mix, then random-0 .. random-19,
+    churn-0 .. churn-15 and grouping-cap."""
     for path in sorted(glob.glob(os.path.join(MIXDIR, "*", "*.mix"))):
         rel = os.path.relpath(path, MIXDIR)
         yield rel[: -len(".mix")].replace(os.sep, "/"), read_mix(path)
@@ -78,6 +87,7 @@ def inputs():
         yield "random-%d" % seed, random_mix(random.Random(seed))
     for seed in range(16):
         yield "churn-%d" % seed, churn_mix(random.Random(seed))
+    yield "grouping-cap", grouping_cap_mix()
 
 
 def digest(mix, policy):
