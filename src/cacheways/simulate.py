@@ -588,7 +588,7 @@ def run_mix(
         t = min(cands)
 
         # elapse work to t; the ending set is exact, not tolerance-based
-        dt = t - now
+        stalled, dt = t <= now, t - now
         ending = []
         for r, end in zip(active, cands):
             if end == t:
@@ -631,6 +631,11 @@ def run_mix(
                 active.extend(batch)
                 active.sort(key=lambda r: r.pid)
                 changed = True
+
+        # each iteration passes time, ends a phase, takes an arrival or
+        # moves the policy's clock; anything else would repeat forever
+        if stalled and not ending and not due and ctl.next_tick == tick:
+            raise TraceError("mix %r: nothing moves at t=%r ns" % (mix.name, now))
 
         if place.dirty:
             # speeds and rows of the pids whose effective ways can have moved

@@ -20,11 +20,10 @@ import os
 import random
 import sys
 
-from cacheways.apportion import ReuseClass
 from cacheways.errors import CacheWaysError
 from cacheways.formats import read_mix
 from cacheways.simulate import Policy, ProcessSpec, run_mix
-from test_simulate import MIB, mix_of, phase, random_mix
+from test_simulate import MIB, churn_mix, mix_of, phase, random_mix
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MIXDIR = os.path.join(HERE, os.pardir, "mixes")
@@ -37,35 +36,6 @@ POLICIES = {
     "reactive": Policy("reactive"),
     "reactive@50": Policy("reactive", interval_ns=50.0),
 }
-
-
-def churn_mix(rnd):
-    """Many short phases on one tight socket: 2-4 ways, more processes than
-    ways, 16-64 phases each that alternate reuse and stream, gfactor 1-4 and
-    explicit max-ways windows that partly overlap."""
-    ways = rnd.randint(2, 4)
-    procs = []
-    for pid in range(rnd.randint(ways + 1, 2 * ways + 2)):
-        phases, first = [], rnd.random() < 0.5
-        for k in range(rnd.randint(16, 64)):
-            t, curve = float(rnd.randint(64, 1024)), {}
-            for w in range(2, ways + 1):
-                curve[w] = t
-                t = max(1.0, t - rnd.randint(0, 256))
-            reuse = ReuseClass.REUSE if (k % 2 == 0) == first else ReuseClass.STREAM
-            nbytes = rnd.choice((MIB // 4, MIB, 8 * MIB))
-            phases.append(phase("p%d.%d" % (pid, k), nbytes, curve, rnd.choice((0.5, 1.0)), reuse))
-        procs.append(ProcessSpec(
-            pid=pid,
-            phases=tuple(phases),
-            start_ns=float(rnd.choice((0, rnd.randint(0, 2000)))),
-            alpha=rnd.uniform(0.0, 3.0),
-            max_ways=rnd.randint(1, ways),
-        ))
-    return mix_of(
-        *procs, sockets=1, cores_per_socket=rnd.randint(ways, 14),
-        ways_per_socket=ways, gfactor=rnd.randint(1, 4),
-    )
 
 
 def grouping_cap_mix():

@@ -2,6 +2,7 @@
 with power-of-two phase times so the arithmetic is exact in floats."""
 
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,6 +507,54 @@ def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
     assert masks.count(0x0F0) == 50
 
 
+def test_comcas_phase_change_reads_back_only_the_clos_that_moved(monkeypatch):
+    # t=0: three 6 MiB shares of one 11-way socket want 4 ways each: pid 0
+    # holds 0x00f, pid 1 0x0f0 and pid 2 the 3 ways left, 0x700.  t=128:
+    # pid 1 drops to 0.25 MiB and keeps 0x010; of its 3 freed ways pid 2's
+    # CLOS grows by the one next to it, to 0x780, and pid 0 is not read
+    # back.  t=288 (phase b ran 1.25 x 128 ns on one way): the same
+    # footprint again moves nothing and reads nothing back.
+    puts, seen = [], []
+    real_put, real_change = simulate._Placement.put, simulate._ComCas.phase_change
+
+    def counting_put(self, pid, sid, mask):
+        puts.append(pid)
+        real_put(self, pid, sid, mask)
+
+    def watched_change(self, t, run):
+        def masks():
+            return {(s.sid, c.clos_id): (c.mask, c.members[:]) for s in self.ap.sockets for c in s.clos}
+
+        before = masks()
+        puts.clear()
+        real_change(self, t, run)
+        moved = sorted(pid for key, (mask, members) in masks().items() if mask != before[key][0] for pid in members)
+        seen.append((t, self.ap.records[-1].changed, sorted(puts), moved))
+
+    monkeypatch.setattr(simulate._Placement, "put", counting_put)
+    monkeypatch.setattr(simulate._ComCas, "phase_change", watched_change)
+    big = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, 6 * MIB, {2: 1024.0}),), alpha=1.0, max_ways=11)
+           for pid in (0, 2)]
+    short = ProcessSpec(pid=1, alpha=1.0, max_ways=11, phases=(
+        phase("a", 6 * MIB, {2: 128.0}), phase("b", MIB // 4, {2: 128.0}), phase("c", MIB // 4, {2: 128.0}),
+    ))
+    rep = run_mix(mix_of(big[0], short, big[1], sockets=1), Policy("comcas"))
+    assert [r.bitmask for r in rep.records[3:5]] == [0x010, 0x010]
+    assert seen == [(128.0, True, [1, 2], [1, 2]), (288.0, False, [], [])]
+
+
+def test_a_loop_iteration_that_moves_nothing_is_a_trace_error(monkeypatch):
+    # a clock whose tick never advances and moves nothing would spin the
+    # loop at one instant forever
+    class Stuck(simulate._Unpartitioned):
+        next_tick = 64.0
+
+    monkeypatch.setitem(simulate._POLICIES, "unpartitioned", Stuck)
+    proc = ProcessSpec(pid=0, phases=(phase("p", MIB, {2: 1024.0}),))
+    with pytest.raises(TraceError, match="mix 'stuck': nothing moves at t=64.0 ns"):
+        run_mix(mix_of(proc, name="stuck"), Policy("unpartitioned"))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_placement_claims_follow_every_change(data):
@@ -594,6 +643,88 @@ def random_mix(rnd):
         *procs, sockets=rnd.randint(1, 3), cores_per_socket=rnd.randint(1, 14),
         ways_per_socket=ways,
     )
+
+
+def churn_mix(rnd):
+    """Many short phases on one tight socket: 2-4 ways, more processes than
+    ways, 16-64 phases each that alternate reuse and stream, gfactor 1-4 and
+    explicit max-ways windows that partly overlap."""
+    ways = rnd.randint(2, 4)
+    procs = []
+    for pid in range(rnd.randint(ways + 1, 2 * ways + 2)):
+        phases, first = [], rnd.random() < 0.5
+        for k in range(rnd.randint(16, 64)):
+            t, curve = float(rnd.randint(64, 1024)), {}
+            for w in range(2, ways + 1):
+                curve[w] = t
+                t = max(1.0, t - rnd.randint(0, 256))
+            reuse = ReuseClass.REUSE if (k % 2 == 0) == first else ReuseClass.STREAM
+            nbytes = rnd.choice((MIB // 4, MIB, 8 * MIB))
+            phases.append(phase("p%d.%d" % (pid, k), nbytes, curve, rnd.choice((0.5, 1.0)), reuse))
+        procs.append(ProcessSpec(
+            pid=pid,
+            phases=tuple(phases),
+            start_ns=float(rnd.choice((0, rnd.randint(0, 2000)))),
+            alpha=rnd.uniform(0.0, 3.0),
+            max_ways=rnd.randint(1, ways),
+        ))
+    return mix_of(
+        *procs, sockets=1, cores_per_socket=rnd.randint(ways, 14),
+        ways_per_socket=ways, gfactor=rnd.randint(1, 4),
+    )
+
+
+def many_socket_mix(rnd):
+    """2-4 sockets of 2-4 cores, 4-8 ways and 1-4 CLOS with gfactor 1-2, so
+    arrivals often wait for a seat; 4-16 processes of 4-24 short phases."""
+    ways = rnd.randint(4, 8)
+    procs = []
+    for pid in range(rnd.randint(4, 16)):
+        phases = []
+        for k in range(rnd.randint(4, 24)):
+            reuse = rnd.choice((ReuseClass.REUSE, ReuseClass.STREAM))
+            nbytes = rnd.choice((MIB // 4, MIB, 4 * MIB, 16 * MIB))
+            phases.append(phase("p%d.%d" % (pid, k), nbytes, {2: float(rnd.randint(64, 512))}, 1.0, reuse))
+        procs.append(ProcessSpec(
+            pid=pid, phases=tuple(phases), start_ns=float(rnd.randint(0, 1024)),
+            alpha=rnd.uniform(0.0, 3.0), max_ways=rnd.randint(1, ways),
+        ))
+    return mix_of(
+        *procs, sockets=rnd.randint(2, 4), cores_per_socket=rnd.randint(2, 4), ways_per_socket=ways,
+        clos_per_socket=rnd.randint(1, 4), gfactor=rnd.randint(1, 2),
+    )
+
+
+class _CheckedComCas(simulate._ComCas):
+    """comcas that checks after each allocator call that every placed pid
+    holds the mask of its CLOS in the allocator."""
+
+    def admit(self, t, runs):
+        super().admit(t, runs)
+        self._check()
+
+    def phase_change(self, t, run):
+        super().phase_change(t, run)
+        self._check()
+
+    def release(self, t, run, sid):
+        super().release(t, run, sid)
+        self._check()
+
+    def _check(self):
+        assert self.place.mask_of.keys() == self.ap.procs.keys()
+        for pid, mask in self.place.mask_of.items():
+            p = self.ap.procs[pid]
+            assert mask == self.ap.sockets[p.socket_id].clos[p.clos_id].mask, pid
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(st.sampled_from((random_mix, churn_mix, many_socket_mix)), st.randoms(use_true_random=False))
+def test_comcas_placement_always_equals_the_allocator(make_mix, rnd):
+    m = make_mix(rnd)
+    with patch.dict(simulate._POLICIES, comcas=_CheckedComCas):
+        rep = run_mix(m, Policy("comcas"))
+    assert sorted(rep.completions) == sorted(p.pid for p in m.processes)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
