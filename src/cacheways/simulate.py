@@ -480,6 +480,9 @@ class _ComCas(_Policy):
         super().__init__(place, policy)
         self.ap = Apportioner(place.config)
 
+    def room(self, sid):
+        return self.ap.sockets[sid].free_cores
+
     def admit(self, t, runs):
         self.ap.ipca_batch(t, [(r.pid, r.alpha, r.max_ways, *self._announce(r)) for r in runs])
         for sock in self.ap.sockets:
@@ -496,9 +499,6 @@ class _ComCas(_Policy):
         ph = run.phase
         ns = ph.fixed_ns if ph.fixed_ns is not None else ph.curve.time_at(self.ways)
         return ph.nbytes, ph.reuse, ns
-
-    def room(self, sid):
-        return self.ap.sockets[sid].free_cores
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
