@@ -537,7 +537,7 @@ class Apportioner:
 
     def release_process(self, time_ns: float, pid: int) -> AllocationRecord:
         """Retire a process: membership shrinks, an emptied CLOS is reclaimed
-        and its ways recycled via the most-unsatisfied rule."""
+        and its ways recycled via the most-unsatisfied rule (`grown`)."""
         p = self._proc(pid)
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
