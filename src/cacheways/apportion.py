@@ -111,13 +111,15 @@ def required_ways(fraction: float, config: SystemConfig, max_ways: int) -> int:
     return rounded if rounded < max_ways else max_ways
 
 
-def mask_width(mask: int) -> int:
-    return mask.bit_count()
-
-
-def format_mask(mask: int, ways: int) -> str:
-    digits = (ways + 3) // 4
-    return "0x%0*x" % (digits, mask)
+def best_window(ways: int, width: int, hot: int, used: int) -> int:
+    """The contiguous run of `width` of `ways` ways that overlaps `hot`
+    least, then `used` least, then starts lowest."""
+    run = (1 << width) - 1
+    start = min(
+        range(ways - width + 1),
+        key=lambda s: ((run << s & hot).bit_count(), (run << s & used).bit_count()),
+    )
+    return run << start
 
 
 @dataclass
@@ -126,10 +128,6 @@ class ClosState:
     members: list[int] = field(default_factory=list)
     mask: int = 0
     demand_ways: int = 0
-
-    @property
-    def width(self) -> int:
-        return mask_width(self.mask)
 
 
 @dataclass
@@ -153,7 +151,7 @@ class SocketState:
 
     @property
     def free_ways(self) -> int:
-        return self.config.ways_per_socket - mask_width(self.used_mask)
+        return self.config.ways_per_socket - self.used_mask.bit_count()
 
     @property
     def free_cores(self) -> int:
@@ -178,13 +176,14 @@ class ProcessState:
 
 
 class AllocationRecord(NamedTuple):
-    """One allocation decision.  The allocation-log CSV carries the first
-    eight fields.  Of the rest only `changed` is read in the package: the
-    simulator's comcas policy skips read-back after a pcca that moved no
-    mask, and otherwise reads back the record's `socket` and `clos` (and
-    `Apportioner.grown`).  `req_ways`, `granted_ways` and `alpha` serve
-    callers inspecting `Apportioner.records`; the deficit metric integrates
-    the width timeline and the apportion count is
+    """One allocation decision.  The allocation log carries every field,
+    one `record` line each.  Of the fields past `satisfied` only `changed`
+    is read in the package: the simulator's comcas policy skips read-back
+    after a pcca that moved no mask, and otherwise reads back the record's
+    `socket` and `clos` (and `Apportioner.grown`).  `req_ways`,
+    `granted_ways` and `alpha` serve readers of the log and callers
+    inspecting `Apportioner.records`; the deficit metric integrates the
+    width timeline and the apportion count is
     `Apportioner.apportion_count`."""
 
     time_ns: float
@@ -296,16 +295,7 @@ class Apportioner:
         if others:
             lowest = min(others, key=lambda c: (self._clos_alpha(c), c.clos_id))
             lowest_mask = lowest.mask
-        used_hot = used_all & ~lowest_mask
-        best = None
-        best_key = None
-        for start in range(w_total - ways + 1):
-            m = ((1 << ways) - 1) << start
-            key = (mask_width(m & used_hot), mask_width(m & used_all), start)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = m
-        return best
+        return best_window(w_total, ways, used_all & ~lowest_mask, used_all)
 
     def _extend_in_place(self, sock: SocketState, clos: ClosState, add: int) -> int:
         """Grow a CLOS run into adjacent free ways, right side first.  Returns
@@ -425,7 +415,7 @@ class Apportioner:
             new_demand = max(clos.demand_ways, p.req_ways)
             if new_demand > clos.demand_ways:
                 clos.demand_ways = new_demand
-                self._extend_in_place(sock, clos, new_demand - clos.width)
+                self._extend_in_place(sock, clos, new_demand - clos.mask.bit_count())
         p.clos_id = clos.clos_id
         self.max_clos_group_size = max(self.max_clos_group_size, len(clos.members))
         return clos

@@ -42,7 +42,7 @@ POLICIES = tuple(_POLICIES)
 
 # the front end's functions, by module, bound as globals on first use
 _FRONT_END = {
-    "loops": ("classify_reuse", "compute_srd", "footprint_closed_form", "indirect_default_footprint", "validate_nest"),
+    "loops": ("classify_reuse", "compute_srd", "footprint_closed_form", "indirect_default_footprint"),
     "timing": ("fit_timing", "timing_accuracy"),
 }
 
@@ -76,7 +76,7 @@ def interval_ns(text: str) -> float:
 
 def _add_run_options(sub) -> None:
     sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
-    sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=5e8,
+    sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=Policy.interval_ns,
                      help="reactive controller period in ms")
 
 
@@ -101,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run one mix under one policy")
     s.add_argument("--mix", required=True)
     s.add_argument("--policy", choices=POLICIES, default="comcas")
-    s.add_argument("--log", help="allocation log CSV to write")
+    s.add_argument("--log", help="allocation log to write")
     s.add_argument("--out", help="one-row report CSV to write")
     _add_run_options(s)
 
@@ -130,9 +130,8 @@ def _cmd_analyze(args) -> int:
     curves = formats.read_curves(args.curves)
     phases = []
     for nest in nests:
-        validate_nest(nest)
         if nest.name not in curves:
-            raise SchemaError("no way-time curve named %r" % nest.name)
+            raise SchemaError("%s: no way-time curve named %r" % (args.curves, nest.name))
         try:
             fp = footprint_closed_form(nest, cfg.line_size)
         except FootprintUnanalyzable:
@@ -163,13 +162,14 @@ def _cmd_analyze(args) -> int:
 def _cmd_fit_timing(args) -> int:
     _load("timing")
     samples = formats.read_samples(args.samples)
+    # the held-out file is read, at the training depth, before anything is written
+    test = formats.read_samples(args.test, len(samples[0].bounds)) if args.test else None
     model = fit_timing(samples)
     formats.write_model(model, args.out)
     coefs = " ".join("%.6g" % c for c in model.coefficients)
     print("coefficients: %s" % coefs)
     print("fit residual: %.6g" % model.fit_residual)
     if args.test:
-        test = formats.read_samples(args.test)
         print("held-out accuracy: %.2f%%" % timing_accuracy(model, test))
     print("wrote model to %s" % args.out)
     return 0

@@ -6,35 +6,39 @@ and every other line is one keyword followed by whitespace-separated
 arguments.  `_KEYWORDS` is the whole grammar: for each keyword, the types of
 its arguments (a name, an int, a finite float, a range-checked byte count,
 way count, positive or non-negative float, `stream|reuse`, the literal
-`estimated`, possibly a repeated tail) and a usage string for errors.
+`estimated`, a hex mask, an occupancy scenario, an allocation event, a 0/1
+flag, possibly a repeated tail) and a usage string for errors.
 
 One reader, `_Reader`, checks each line's keyword, arity, types, ranges and
 finiteness against that table and hands back typed lines with their line
 numbers.  It knows no keyword by name but the version line.  A rule that
 spans lines lives in the one function that assembles its block: `read_mix`
 rejects a field set twice in one process or phase, `_config` types each
-config value by its key, and nests and curves share one `opener <name> ...
-end` block splitter.  Any malformed line, a truncated one included, raises
-SchemaError naming the file and line.
+config value by its key, `_leading_config` splits off the config lines that
+open an event trace or allocation log, and nests and curves share one
+`opener <name> ... end` block splitter.  Any malformed line, a truncated one
+included, raises SchemaError naming the file and line.
 
 There is one reader or writer per file a command reads or writes, plus the
 event-trace functions and `read_alloc_log`, which serve the allocation
-fixtures.  Writers render through the same table (ints with %d, reuse classes
-by name, floats with %.17g), so what they write reads back value-exact.  The
-allocation log is plain CSV with a fixed column set.
+fixtures.  Writers render through the same table (ints with %d, reuse
+classes and scenarios by name, masks with %#x, flags as 0/1, floats with
+%.17g), so what they write reads back value-exact.  The allocation log is
+the run's non-default config lines, then one `record` line per
+AllocationRecord with all its fields.  Only the comparison and sweep
+reports are CSV (`write_table_csv`): nothing reads them back.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import math
 from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .apportion import AllocationRecord, ReuseClass, Scenario, SystemConfig, format_mask
+from .apportion import AllocationRecord, ReuseClass, Scenario, SystemConfig
 from .errors import SchemaError
 from .sensitivity import WayTimeCurve
 from .simulate import CATEGORIES, MixSpec, PhaseSpec, ProcessSpec
@@ -44,11 +48,6 @@ if TYPE_CHECKING:  # annotations only; read_nests and read_samples import what t
     from .timing import TimingModel, TrainingSample
 
 FORMAT_VERSION = 1
-
-ALLOC_LOG_COLUMNS = (
-    "timestamp", "pid", "event", "socket", "clos", "bitmask", "scenario", "satisfied",
-)
-_ALLOC_LOG_TYPES = ("float", "int", "name", "int", "int", "mask", "name", "int")
 
 
 def fmt_float(x: float) -> str:
@@ -74,10 +73,10 @@ def _checked(conv, ok, tok: str):
     return val
 
 
-def _estimated(tok: str) -> str:
-    if tok != "estimated":
+def _flag(tok: str) -> bool:
+    if tok not in ("0", "1"):
         raise ValueError(tok)
-    return tok
+    return tok == "1"
 
 
 # type: (converter raising ValueError on a bad token, renderer, description)
@@ -90,8 +89,11 @@ _TYPES = {
     "positive": (partial(_checked, _finite, lambda v: v > 0), fmt_float, "a finite number > 0"),
     "nonneg": (partial(_checked, _finite, lambda v: v >= 0), fmt_float, "a finite number >= 0"),
     "reuse": (ReuseClass, attrgetter("value"), "stream|reuse"),
-    "estimated": (_estimated, str, "'estimated'"),
-    "mask": (partial(int, base=16), None, "a hex mask"),
+    "estimated": (partial(_checked, str, "estimated".__eq__), str, "'estimated'"),
+    "mask": (partial(_checked, partial(int, base=16), lambda v: v >= 0), "%#x".__mod__, "a hex mask >= 0"),
+    "scenario": (Scenario, attrgetter("value"), "|".join(s.value for s in Scenario)),
+    "event": (partial(_checked, str, ("ipca", "pcca", "release").__contains__), str, "ipca|pcca|release"),
+    "flag": (_flag, "%d".__mod__, "0|1"),
 }
 
 # keyword: (argument types, usage).  "[t]" is an optional last argument and
@@ -126,6 +128,11 @@ _KEYWORDS = {
     ),
     "pcca": ("float int bytes reuse float", "t pid bytes stream|reuse predicted"),
     "release": ("float int", "t pid"),
+    # one AllocationRecord, its fields in order
+    "record": (
+        "float int event int int mask scenario flag int int nonneg flag",
+        "t pid event socket clos mask scenario satisfied req-ways granted-ways alpha changed",
+    ),
     "end": ("", "no arguments"),
 }
 
@@ -222,11 +229,12 @@ class _Reader:
         _fail(self.path, no, msg)
 
     def build(self, no: int, what: str, make, *args, **kwargs):
-        """make(...), with any SchemaError it raises pinned to line `no`."""
+        """make(...), with any SchemaError it raises pinned to line `no`
+        and prefixed with `what`, if not empty."""
         try:
             return make(*args, **kwargs)
         except SchemaError as exc:
-            self.fail(no, "%s: %s" % (what, exc))
+            self.fail(no, "%s: %s" % (what, exc) if what else str(exc))
 
 
 def _blocks(rd: _Reader, opener: str):
@@ -291,6 +299,19 @@ def _config(rd: _Reader, lines) -> tuple[SystemConfig, dict]:
     return SystemConfig(**overrides), overrides
 
 
+def _leading_config(rd: _Reader, what: str) -> tuple[SystemConfig, list]:
+    """(config, the lines after it) of a file whose `config` lines open it;
+    a config line after any `what` line is an error at its line."""
+    n = 0
+    while n < len(rd.lines) and rd.lines[n][1] == "config":
+        n += 1
+    cfg, _ = _config(rd, rd.lines[:n])
+    for no, kw, _ in rd.lines[n:]:
+        if kw == "config":
+            rd.fail(no, "config lines must precede %s" % what)
+    return cfg, rd.lines[n:]
+
+
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("format-version %d\n" % FORMAT_VERSION)
@@ -305,11 +326,11 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def read_nests(path: str) -> list[LoopNest]:
     # imported here, not at the top, so that a command that reads no nest
     # never loads the loop analysis
-    from .loops import Affine, ArrayDecl, Bound, LoopLevel, LoopNest, MemoryAccess, Statement
+    from .loops import Affine, ArrayDecl, Bound, LoopLevel, LoopNest, MemoryAccess, Statement, validate_nest
 
     rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
-    for name, _, body, end in _blocks(rd, "nest"):
+    for name, opener, body, end in _blocks(rd, "nest"):
         loops, stmts, arrays = [], [], []
         for no, kw, args in body:
             if kw == "array":
@@ -332,7 +353,9 @@ def read_nests(path: str) -> list[LoopNest]:
         if not loops:
             rd.fail(end, "nest %r has no loops" % name)
         statements = tuple(Statement(tuple(accs), depth) for accs, depth in stmts)
-        nests.append(LoopNest(name, tuple(loops), statements, tuple(arrays)))
+        nest = LoopNest(name, tuple(loops), statements, tuple(arrays))
+        rd.build(opener, "", validate_nest, nest)
+        nests.append(nest)
     if not nests:
         rd.fail(rd.last, "no nest in the file")
     return nests
@@ -357,16 +380,19 @@ def read_curves(path: str) -> dict[str, WayTimeCurve]:
 # timing samples and models
 # ---------------------------------------------------------------------------
 
-def read_samples(path: str) -> list[TrainingSample]:
+def read_samples(path: str, depth: int | None = None) -> list[TrainingSample]:
+    """The samples, all of one depth: `depth` when given, else the first's."""
     from .timing import TrainingSample  # as in read_nests: only fit-timing loads the model
 
     rd = _Reader(path, {"sample"})
     samples: list[TrainingSample] = []
     for no, _, (*bounds, observed) in rd.lines:
-        depth = len(samples[0].bounds) if samples else len(bounds)
+        depth = depth or len(bounds)
         if len(bounds) != depth:
             rd.fail(no, "sample arity %d != %d" % (len(bounds), depth))
         samples.append(TrainingSample(tuple(bounds), observed))
+    if not samples:
+        rd.fail(rd.last, "no sample in the file")
     return samples
 
 
@@ -519,60 +545,27 @@ def read_events(path: str) -> tuple[list[tuple], SystemConfig]:
     """Returns (events, config) ready for `replay_events`; each event is its
     line's keyword followed by the typed arguments."""
     rd = _Reader(path, {"config", "ipca", "pcca", "release"})
-    settings = []
-    for line in rd.lines:
-        if line[1] != "config":
-            break
-        settings.append(line)
-    cfg, _ = _config(rd, settings)
-    events: list[tuple] = []
-    for no, kw, args in rd.lines[len(settings):]:
-        if kw == "config":
-            rd.fail(no, "config lines must precede events")
-        events.append((kw, *args))
-    return events, cfg
+    cfg, lines = _leading_config(rd, "events")
+    return [(kw, *args) for _, kw, args in lines], cfg
 
 
 # ---------------------------------------------------------------------------
-# allocation log CSV
+# allocation logs
 # ---------------------------------------------------------------------------
 
 def write_alloc_log(records, path: str, config: SystemConfig) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(ALLOC_LOG_COLUMNS)
-        for r in records:
-            mask = format_mask(r.bitmask, config.ways_per_socket)
-            w.writerow([fmt_float(r.time_ns), r.pid, r.event, r.socket, r.clos, mask,
-                        r.scenario.value, int(r.satisfied)])
+    """The run's non-default config lines, then one `record` line per
+    AllocationRecord."""
+    out = _config_lines(_non_default(config))
+    out += [_render("record", *r) for r in records]
+    _write_lines(path, out)
 
 
-def read_alloc_log(path: str) -> list[AllocationRecord]:
-    """Parse the CSV columns back; the fields the CSV does not carry
-    (req_ways, granted_ways, alpha, changed) come back zeroed."""
-    scen = {s.value: s for s in Scenario}
-    out = []
-    reader = csv.reader(io.StringIO(_text(path), newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        _fail(path, reader.line_num, str(exc))
-    if not rows or tuple(rows[0]) != ALLOC_LOG_COLUMNS:
-        raise SchemaError("%s: bad allocation log header" % path)
-    for no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(ALLOC_LOG_COLUMNS):
-            _fail(path, no, "expected %d columns" % len(ALLOC_LOG_COLUMNS))
-        if row[6] not in scen:
-            _fail(path, no, "unknown scenario %r" % row[6])
-        *head, scenario, satisfied = [
-            _value(path, no, col, typ, tok)
-            for col, typ, tok in zip(ALLOC_LOG_COLUMNS, _ALLOC_LOG_TYPES, row)
-        ]
-        out.append(AllocationRecord(
-            *head, scen[scenario], bool(satisfied),
-            req_ways=0, granted_ways=0, alpha=0.0, changed=False,
-        ))
-    return out
+def read_alloc_log(path: str) -> tuple[list[AllocationRecord], SystemConfig]:
+    """Returns (records, config), equal to what `write_alloc_log` was given."""
+    rd = _Reader(path, {"config", "record"})
+    cfg, lines = _leading_config(rd, "records")
+    return [AllocationRecord._make(args) for _, _, args in lines], cfg
 
 
 def write_table_csv(path: str, header, rows) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .apportion import ReuseClass
+from .apportion import ReuseClass, SystemConfig
 from .errors import FootprintUnanalyzable, OracleTooLarge, SchemaError
 
 VALID_ELEMENT_SIZES = (1, 2, 4, 8, 16)
@@ -285,7 +285,7 @@ def _union_array_shapes(shapes, line_size):
     return nbytes, _interval_lines(merged, line_size), False
 
 
-def footprint_closed_form(nest: LoopNest, line_size: int = 64) -> FootprintValue:
+def footprint_closed_form(nest: LoopNest, line_size: int = SystemConfig.line_size) -> FootprintValue:
     """Distinct bytes and cache lines the nest touches, without enumeration.
 
     Single-index references count exactly (stride arithmetic); references
@@ -319,7 +319,7 @@ def footprint_closed_form(nest: LoopNest, line_size: int = 64) -> FootprintValue
     return FootprintValue(total_bytes, total_lines, exact and not any_estimated)
 
 
-def indirect_default_footprint(nest: LoopNest, line_size: int = 64) -> FootprintValue:
+def indirect_default_footprint(nest: LoopNest, line_size: int = SystemConfig.line_size) -> FootprintValue:
     """Fallback footprint for nests with indirect accesses: the sum of the
     declared array extents.  Raises FootprintUnanalyzable if any accessed
     array lacks a declaration."""
@@ -343,7 +343,7 @@ def indirect_default_footprint(nest: LoopNest, line_size: int = 64) -> Footprint
 
 
 def footprint_enumerate(
-    nest: LoopNest, line_size: int = 64, cap: int = 10**6
+    nest: LoopNest, line_size: int = SystemConfig.line_size, cap: int = 10**6
 ) -> FootprintValue:
     """Brute-force oracle: walk every iteration, collect the distinct byte
     set, count exactly.  Raises OracleTooLarge past `cap` statement-iterations
@@ -557,7 +557,7 @@ def compute_srd(nest: LoopNest) -> SRDResult:
     return SRDResult(tuple(pairs), has_indirect)
 
 
-def classify_reuse(srd: SRDResult, delta: float = 1000.0) -> ReuseClass:
+def classify_reuse(srd: SRDResult, delta: float = SystemConfig.srd_delta) -> ReuseClass:
     """REUSE iff any reuse distance exceeds `delta` or any access is indirect
     (an unanalyzable pattern is assumed to reuse); STREAM otherwise."""
     if delta <= 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .apportion import SystemConfig
 from .errors import CurveIncomplete, SchemaError
 
 MONOTONE_TOL = 1e-6
@@ -98,7 +99,7 @@ def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
     return alpha
 
 
-def detect_max_ways(curve: WayTimeCurve, epsilon: float = 0.05) -> int:
+def detect_max_ways(curve: WayTimeCurve, epsilon: float = SystemConfig.saturation_epsilon) -> int:
     """Saturation point: the way count past which no step of the curve
     improves time by at least `epsilon` relative.  Floor of 2: an insensitive
     process still occupies two ways (below that the cache degenerates)."""

@@ -52,7 +52,7 @@ from .apportion import (
     Apportioner,
     ReuseClass,
     SystemConfig,
-    mask_width,
+    best_window,
 )
 from .errors import TraceError
 from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
@@ -169,7 +169,7 @@ def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float,
     return alpha, mw
 
 
-def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = 1.25) -> float:
+def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = SystemConfig.dm_penalty) -> float:
     """Execution speed (work units per ns) at a way count.  One way behaves
     like a directly-mapped cache: t(2) stretched by the penalty factor."""
     if ways < 1:
@@ -189,7 +189,7 @@ def effective_ways(mask: int, claims, reuse: bool) -> int:
     this one included.
     """
     if not reuse:
-        return mask_width(mask)
+        return mask.bit_count()
     ways_at = {}  # claim count k -> ways of the mask held by k reuse phases
     for way in range(mask.bit_length()):
         if mask >> way & 1:
@@ -335,7 +335,7 @@ class _Policy:
 
     def row(self, run):
         """The width-timeline entry of an admitted run."""
-        return (run.alpha, run.max_ways, mask_width(self.place.mask_of[run.pid]))
+        return (run.alpha, run.max_ways, self.place.mask_of[run.pid].bit_count())
 
     def log(self):
         """(records, apportion count, largest CLOS group, warnings)."""
@@ -360,9 +360,7 @@ class _MaxWays(_Policy):
         used = 0
         for pid in self.place.pids[sid]:
             used |= self.place.mask_of[pid]
-        ways = min(run.max_ways, self.ways)
-        windows = [((1 << ways) - 1) << s for s in range(self.ways - ways + 1)]
-        return min(windows, key=lambda m: mask_width(m & used))
+        return best_window(self.ways, min(run.max_ways, self.ways), used, used)
 
 
 class _Reactive(_Policy):

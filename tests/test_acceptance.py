@@ -301,10 +301,10 @@ def test_c06_hand_traced_fixtures(tmp_path):
     bad = []
     for name in names:
         ap, cfg = replay_fixture(name)
-        out = tmp_path / ("%s.csv" % name)
+        out = tmp_path / ("%s.log" % name)
         write_alloc_log(ap.records, str(out), cfg)
         expected = open(
-            os.path.join(os.path.dirname(__file__), "fixtures", "%s.expected.csv" % name),
+            os.path.join(os.path.dirname(__file__), "fixtures", "%s.expected.log" % name),
             encoding="utf-8",
         ).read()
         if out.read_text(encoding="utf-8") != expected:
@@ -410,14 +410,14 @@ def test_c10_determinism(tmp_path):
         workdir = tmp_path / ("run%d" % k)
         workdir.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-m", "cacheways.cli", "simulate", "--mix", mixpath, "--log", "alloc.csv"],
+            [sys.executable, "-m", "cacheways.cli", "simulate", "--mix", mixpath, "--log", "alloc.log"],
             capture_output=True,
             cwd=str(workdir),
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-        logs.append((workdir / "alloc.csv").read_bytes())
+        logs.append((workdir / "alloc.log").read_bytes())
     ok = outputs[0] == outputs[1] and logs[0] == logs[1]
     report(
         10,

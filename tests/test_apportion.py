@@ -15,9 +15,8 @@ from cacheways.apportion import (
     Scenario,
     SystemConfig,
     adjusted_footprint,
+    best_window,
     classify_scenario,
-    format_mask,
-    mask_width,
     required_ways,
 )
 from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
@@ -91,9 +90,13 @@ def test_required_ways_rejects_bad_fraction():
 
 
 def test_mask_helpers():
-    assert mask_width(0b0111000) == 3
-    assert format_mask(0b111, 11) == "0x007"
-    assert format_mask(0, 11) == "0x000"
+    # the one window rule: least overlap with `hot`, then with `used`, then
+    # the lowest start
+    assert best_window(11, 3, 0, 0) == 0b111
+    assert best_window(6, 2, 0b110000, 0b110011) == 0b001100
+    assert best_window(8, 4, 0b00111111, 0b11111111) == 0b11110000
+    assert best_window(5, 2, 0b00100, 0b11111) == 0b00011
+    assert best_window(4, 4, 0b1111, 0b1111) == 0b1111
 
 
 # -- bitmask placement --------------------------------------------------------
@@ -231,7 +234,7 @@ def test_pcca_computes_only_the_changing_fraction(monkeypatch):
 def test_granted_ways_caps_at_saturation():
     ap = Apportioner(one_socket())
     (rec,) = ap.ipca_batch(0.0, [(0, 0.0, 2, 8 * MIB, REUSE, 1.0)])
-    assert clos_of(ap, 0).width >= 2
+    assert clos_of(ap, 0).mask.bit_count() >= 2
     assert rec.granted_ways == 2
 
 

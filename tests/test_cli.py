@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import glob
 import os
 import random
 import subprocess
@@ -22,7 +23,7 @@ from cacheways.loops import (
     MemoryAccess,
     Statement,
 )
-from cacheways.simulate import MixSpec, PhaseSpec, Policy, ProcessSpec, run_mix
+from cacheways.simulate import MixSpec, PhaseSpec, Policy, ProcessSpec, mix_config, run_mix
 from cacheways.timing import TrainingSample
 
 from support import child_env, read_model, way_time_curve
@@ -140,7 +141,22 @@ def test_analyze_requires_matching_curve(tmp_path, analyze_inputs, capsys):
     write_curves({"n0": way_time_curve({2: 1.0})}, cpath)
     code = main(["analyze", "--nests", npath, "--curves", cpath, "--out", str(tmp_path / "o.txt")])
     assert code == 2
-    assert "no way-time curve" in capsys.readouterr().err
+    assert "short.txt: no way-time curve named 'n1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, message", [
+    ("stmt 1\naccess A read 3 0 i 1\n", "nest 'a': element size 3 not in"),
+    ("stmt 2\naccess A read 8 0 i 1\n", "nest 'a' statement 0 depth 2 outside 1..1"),
+], ids=["element-size", "stmt-depth"])
+def test_analyze_pins_nest_faults_to_their_line(tmp_path, analyze_inputs, capsys, body, message):
+    _, cpath = analyze_inputs
+    npath = tmp_path / "nests.txt"
+    npath.write_text("format-version 1\n# one loop\nnest a\narray A 64 8\nloop i 8\n" + body + "end\n",
+                     encoding="utf-8")
+    out = tmp_path / "app.mix"
+    assert main(["analyze", "--nests", str(npath), "--curves", cpath, "--out", str(out)]) == 2
+    assert "nests.txt:3: " + message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
@@ -225,6 +241,22 @@ def test_fit_timing_recovers_exact_model(tmp_path, capsys):
     assert model.coefficients == pytest.approx((5.0, 2.0, 3.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sample 1 2 5\nsample 10 20 5 100\n", "test.txt:3: sample arity 3 != 2"),
+    ("# no sample yet\n", "test.txt:1: no sample in the file"),
+], ids=["depth", "empty"])
+def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, text, message):
+    train, test = str(tmp_path / "train.txt"), tmp_path / "test.txt"
+    write_samples([TrainingSample((u1, u2), 1.0 + u1 + u1 * u2) for u1, u2 in ((1, 2), (3, 1), (2, 5), (4, 4))], train)
+    test.write_text("format-version 1\n" + text, encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", train, "--out", str(out), "--test", str(test)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def mix_file(tmp_path, text=MIX_TEXT, name="tiny.mix"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -232,15 +264,27 @@ def mix_file(tmp_path, text=MIX_TEXT, name="tiny.mix"):
 
 
 def test_simulate_prints_report_and_log(tmp_path, capsys):
-    log = str(tmp_path / "alloc.csv")
+    log = str(tmp_path / "alloc.log")
     code = main(["simulate", "--mix", mix_file(tmp_path), "--log", log])
     assert code == 0
     text = capsys.readouterr().out
     assert "mix tiny (light) under comcas" in text
     assert "speedup vs running alone:" in text
     assert "apportionings:" in text
-    rows = formats.read_alloc_log(log)
-    assert rows and rows[0].event == "ipca"
+    records, cfg = formats.read_alloc_log(log)
+    assert records and records[0].event == "ipca"
+    assert cfg == SystemConfig(sockets=1)  # the mix's own config line
+
+
+@pytest.mark.parametrize("policy", cli.POLICIES)
+def test_simulate_log_reads_back_as_the_run(tmp_path, capsys, policy):
+    log = str(tmp_path / "alloc.log")
+    bundled = os.path.join(os.path.dirname(__file__), os.pardir, "mixes", "*", "*.mix")
+    for path in sorted(glob.glob(bundled)):
+        assert main(["simulate", "--mix", path, "--policy", policy, "--log", log]) == 0
+        mix = formats.read_mix(path)
+        cfg = mix_config(mix, SystemConfig())
+        assert formats.read_alloc_log(log) == (run_mix(mix, Policy(policy), cfg).records, cfg), path
 
 
 def test_simulate_is_deterministic(tmp_path, capsys):
@@ -248,9 +292,9 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     logs = []
     outs = []
     for k in range(2):
-        log = str(tmp_path / ("l%d.csv" % k))
+        log = str(tmp_path / ("l%d.log" % k))
         assert main(["simulate", "--mix", mix, "--log", log]) == 0
-        outs.append(capsys.readouterr().out.replace("l%d.csv" % k, "LOG"))
+        outs.append(capsys.readouterr().out.replace("l%d.log" % k, "LOG"))
         logs.append(open(log, "rb").read())
     assert outs[0] == outs[1]
     assert logs[0] == logs[1]
@@ -457,7 +501,7 @@ def test_config_file_and_mix_config_line_give_equal_reports(tmp_path, capsys):
     cfg.write_text("format-version 1\nconfig ways_per_socket 16\n", encoding="utf-8")
     in_mix = mix_file(tmp_path, ROUTE_MIX.replace("config sockets 1\n", "config sockets 1\nconfig ways_per_socket 16\n"))
     plain = mix_file(tmp_path, ROUTE_MIX, name="plain.mix")
-    files = [tmp_path / "log.csv", tmp_path / "rep.csv"]
+    files = [tmp_path / "alloc.log", tmp_path / "rep.csv"]
     for policy in ("comcas", "unpartitioned", "maxways", "reactive"):
         argv = ["simulate", "--policy", policy, "--log", str(files[0]), "--out", str(files[1])]
         via_mix = run_outputs(capsys, argv + ["--mix", in_mix], files)
@@ -523,7 +567,7 @@ def test_no_setting_is_dead(tmp_path, capsys, key):
     write_curves({"rows": way_time_curve({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
     mix = mix_file(tmp_path, KNOBS_MIX)
     cfg = tmp_path / "sys.cfg"
-    files = [tmp_path / "app.mix", tmp_path / "log.csv", tmp_path / "rep.csv"]
+    files = [tmp_path / "app.mix", tmp_path / "alloc.log", tmp_path / "rep.csv"]
     commands = (
         ["analyze", "--nests", nests, "--curves", curves, "--out", str(files[0])],
         ["simulate", "--mix", mix, "--policy", "comcas", "--log", str(files[1]), "--out", str(files[2])],
@@ -642,7 +686,7 @@ def test_mix_config_line_outranks_config_file(tmp_path, capsys, key):
     root.mkdir()
     pin = "config %s %r\n" % (key, getattr(SystemConfig(), key))
     mix = mix_file(root, KNOBS_MIX.replace("mix knobs heavy\n", "mix knobs heavy\n" + pin), name="knobs.mix")
-    files = [tmp_path / "log.csv", tmp_path / "rep.csv"]
+    files = [tmp_path / "alloc.log", tmp_path / "rep.csv"]
     simulate = ["simulate", "--mix", mix, "--log", str(files[0]), "--out", str(files[1])]
     alone = run_outputs(capsys, simulate, files)
     assert alone[0] == 0
@@ -759,7 +803,7 @@ def test_commands_call_perfbench_patch_points_through_the_module(
     argv = {
         "analyze": ["analyze", "--nests", nests, "--curves", curves, "--out", str(tmp_path / "a.mix")],
         "fit-timing": ["fit-timing", "--samples", sample_file(tmp_path), "--out", str(tmp_path / "m.txt")],
-        "simulate": ["simulate", "--mix", mix_file(tmp_path), "--log", str(tmp_path / "l.csv"),
+        "simulate": ["simulate", "--mix", mix_file(tmp_path), "--log", str(tmp_path / "l.log"),
                      "--out", str(tmp_path / "r.csv")],
     }[PATCH_POINTS[name]]
     assert cli.main(argv) == 0

@@ -1,9 +1,12 @@
 """Replay hand-worked event fixtures and compare the allocation log
-record-for-record against expected CSVs.
+byte for byte against the expected logs.
 
-Every expected file under tests/fixtures/ was written out by hand from the
-allocation rules before being run; the derivations live as comments in the
-matching .events file.
+Every expected file under tests/fixtures/ was first written out by hand from
+the allocation rules before being run, as a CSV of each record's first eight
+fields; the derivations live as comments in the matching .events file, which
+also state each record's req-ways, granted-ways, alpha and changed.  The
+`.expected.log` files are those CSVs converted to the allocation log's
+`record` lines, all twelve fields each.
 """
 
 import glob
@@ -41,11 +44,11 @@ def replay_fixture(name):
 @pytest.mark.parametrize("name", fixture_names())
 def test_fixture_log_matches(name, tmp_path):
     ap, cfg = replay_fixture(name)
-    out = tmp_path / ("%s.csv" % name)
+    out = tmp_path / ("%s.log" % name)
     write_alloc_log(ap.records, str(out), cfg)
     produced = out.read_text(encoding="utf-8")
     expected = open(
-        os.path.join(FIXDIR, "%s.expected.csv" % name), encoding="utf-8"
+        os.path.join(FIXDIR, "%s.expected.log" % name), encoding="utf-8"
     ).read()
     assert produced == expected
 

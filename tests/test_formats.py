@@ -12,7 +12,8 @@ from dataclasses import replace
 
 import pytest
 
-from cacheways.apportion import Apportioner, ReuseClass, SystemConfig, replay_events
+from cacheways import formats
+from cacheways.apportion import Apportioner, ReuseClass, Scenario, SystemConfig, replay_events
 from cacheways.errors import SchemaError
 from cacheways.formats import (
     fmt_float,
@@ -468,42 +469,15 @@ def test_alloc_log_round_trip(tmp_path):
     )
     ev, cfg = read_events(src)
     ap = replay_events(ev, cfg)
-    path = str(tmp_path / "log.csv")
+    path = str(tmp_path / "alloc.log")
     write_alloc_log(ap.records, path, cfg)
-    back = read_alloc_log(path)
-    assert len(back) == len(ap.records)
-    for orig, rt in zip(ap.records, back):
-        assert (rt.time_ns, rt.pid, rt.event) == (orig.time_ns, orig.pid, orig.event)
-        assert (rt.socket, rt.clos, rt.bitmask) == (
-            orig.socket, orig.clos, orig.bitmask,
-        )
-        assert rt.scenario == orig.scenario
-        assert rt.satisfied == orig.satisfied
-
-
-def test_alloc_log_errors(tmp_path):
-    with pytest.raises(SchemaError, match="header"):
-        read_alloc_log(write_text(tmp_path, "a.csv", "time,pid\n"))
-    head = "timestamp,pid,event,socket,clos,bitmask,scenario,satisfied\n"
-    with pytest.raises(SchemaError, match="expected 8 columns"):
-        read_alloc_log(write_text(tmp_path, "b.csv", head + "0,0,ipca\n"))
-    with pytest.raises(SchemaError, match="unknown scenario"):
-        read_alloc_log(
-            write_text(
-                tmp_path, "c.csv", head + "0,0,ipca,0,0,0x003,sideways,1\n"
-            )
-        )
-    with pytest.raises(SchemaError, match=r"c?:\d+|invalid"):
-        read_alloc_log(
-            write_text(
-                tmp_path, "d.csv", head + "0,zz,ipca,0,0,0x003,overlapping,1\n"
-            )
-        )
-    for t in ("nan", "inf"):
-        with pytest.raises(SchemaError, match=r"e\.csv:2: timestamp"):
-            read_alloc_log(
-                write_text(tmp_path, "e.csv", head + t + ",0,ipca,0,0,0x003,overlapping,1\n")
-            )
+    back, back_cfg = read_alloc_log(path)
+    assert (back, back_cfg) == (ap.records, cfg)
+    assert [list(map(type, r)) for r in back] == [list(map(type, r)) for r in ap.records]
+    assert open(path, encoding="utf-8").read().splitlines()[1:3] == [
+        "config sockets 1",
+        "record 0 0 ipca 0 0 0xf full-disjoint 1 4 4 2.5 1",
+    ]
 
 
 def test_table_csv_renders_floats_round_trip(tmp_path):
@@ -536,6 +510,7 @@ MALFORMED = {
     "mix-category": (read_mix, V + ">mix m bogus\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-repeated-pid": (read_mix, MIX_HEAD + "phase p 1 reuse 1\npoint 2 1\n>process 0\nphase q 1 reuse 1\npoint 2 1\nend"),
     "model-residual": (read_model, V + ">residual\ncoefficients 1"),
+    "samples-empty": (read_samples, ">" + V + "# no sample yet"),
     "end-arguments": (read_curves, V + "curve a\npoint 2 1\n>end a"),
     "mix-config": (read_mix, V + "mix m light\n>config ways_per_socket 1\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),
     "config-file": (read_config, V + "config sockets 1\n>config ways_per_socket 1"),
@@ -575,10 +550,39 @@ MALFORMED.update(
     )
 )
 
+# an allocation log's record with one field replaced
+LOG_RECORD = "record 0 0 ipca 0 0 0x3 overlapping 1 2 2 0.5 1".split()
+MALFORMED.update(
+    ("log-" + name, (read_alloc_log, V + "config sockets 1\n>" + " ".join(LOG_RECORD[:i] + [tok] + LOG_RECORD[i + 1:])))
+    for name, (i, tok) in {
+        "time-nan": (1, "nan"), "time-inf": (1, "inf"), "pid": (2, "zz"), "event": (3, "admit"),
+        "mask": (6, "0xg"), "mask-negative": (6, "-0x1"), "scenario": (7, "sideways"),
+        "satisfied": (8, "2"), "alpha-negative": (11, "-1"), "changed": (12, "true"),
+    }.items()
+)
+MALFORMED.update({
+    "log-csv": (read_alloc_log, ">timestamp,pid,event,socket,clos,bitmask,scenario,satisfied\n0,0,ipca,0,0,0x003,overlapping,1"),
+    "log-arity": (read_alloc_log, V + ">record 0 0 ipca 0 0 0x3 overlapping 1"),
+    "log-keyword": (read_alloc_log, V + ">ipca 0 0 0 2 64 reuse 1"),
+    "log-config": (read_alloc_log, V + ">config sockets 0\n" + " ".join(LOG_RECORD)),
+    "log-config-after-record": (read_alloc_log, V + " ".join(LOG_RECORD) + "\n>config sockets 1"),
+})
+
 
 MESSAGES = {
     "mix-unmixed-ns": "unknown keyword 'unmixed-ns'",
     "mix-repeated-alpha-after-phase": "repeated alpha; first at line 4",
+    "log-time-nan": "record: bad value 'nan', expected a finite number",
+    "log-event": "record: bad value 'admit', expected ipca|pcca|release",
+    "log-mask": "record: bad value '0xg', expected a hex mask >= 0",
+    "log-mask-negative": "record: bad value '-0x1', expected a hex mask >= 0",
+    "log-scenario": "record: bad value 'sideways', expected full-disjoint|overlapping|underutilized",
+    "log-satisfied": "record: bad value '2', expected 0|1",
+    "log-changed": "record: bad value 'true', expected 0|1",
+    "log-csv": "expected 'format-version 1'",
+    "log-arity": "record takes t pid event",
+    "log-keyword": "unknown keyword 'ipca'",
+    "log-config-after-record": "config lines must precede records",
 }
 
 
@@ -622,6 +626,51 @@ def test_non_utf8_bytes_name_their_line(tmp_path):
     p.write_bytes(b"format-version 1\r\ncurve a\r\npoint 2 \xff\r\nend\r\n")
     with pytest.raises(SchemaError, match=r"c\.txt:3: not UTF-8"):
         read_curves(str(p))
+
+
+# -- the grammar --------------------------------------------------------------------
+
+# a random value of each argument type, as the reader returns it
+TYPE_VALUES = {
+    "name": lambda rng: rng.choice(("a", "n0", "hot-loop", "x_1", "0x1")),
+    "int": lambda rng: rng.randint(-10**12, 10**12),
+    "float": lambda rng: rng.choice((0.0, -2.5, 1 / 3, 1e-300, -6.02e23, rng.uniform(-1e9, 1e9))),
+    "bytes": lambda rng: rng.randint(0, 1 << 40),
+    "ways": lambda rng: rng.randint(1, 64),
+    "positive": lambda rng: rng.choice((5e-324, 1 / 3, rng.uniform(1e-9, 1e12))),
+    "nonneg": lambda rng: rng.choice((0.0, 1 / 3, rng.uniform(0.0, 1e12))),
+    "reuse": lambda rng: rng.choice(list(ReuseClass)),
+    "estimated": lambda rng: "estimated",
+    "mask": lambda rng: rng.choice((0, 1, rng.getrandbits(64))),
+    "scenario": lambda rng: rng.choice(list(Scenario)),
+    "event": lambda rng: rng.choice(("ipca", "pcca", "release")),
+    "flag": lambda rng: rng.choice((False, True)),
+}
+
+
+def test_every_keyword_line_reads_back_value_equal(tmp_path):
+    """For every keyword and every arity up to 16 that the grammar allows, a
+    rendered line reads back through the one reader with equal values of
+    the same types."""
+    assert set(TYPE_VALUES) == set(formats._TYPES)
+    rng = random.Random(20)
+    path = str(tmp_path / "line.txt")
+    arities = {}
+    for kw in formats._KEYWORDS:
+        for n in range(17):
+            shape = formats._shape(kw, n)
+            if shape is None:
+                continue
+            arities.setdefault(kw, []).append(n)
+            for _ in range(4):
+                vals = [TYPE_VALUES[t](rng) for t in shape[0]]
+                write_text(tmp_path, "line.txt", V + formats._render(kw, *vals) + "\n")
+                ((no, back_kw, back),) = formats._Reader(path, {kw}).lines
+                assert (no, back_kw, back) == (2, kw, vals)
+                assert list(map(type, back)) == list(map(type, vals))
+    assert set(arities) == set(formats._KEYWORDS)
+    assert arities["record"] == [12] and arities["loop"] == [2, 3]
+    assert arities["access"] == [4, 6, 8, 10, 12, 14, 16]
 
 
 # -- mutation fuzz ------------------------------------------------------------------
