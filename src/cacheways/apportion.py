@@ -177,13 +177,9 @@ class ProcessState:
 
 class AllocationRecord(NamedTuple):
     """One allocation decision.  The allocation log carries every field,
-    one `record` line each.  Of the fields past `satisfied` only `changed`
-    is read in the package: the simulator's comcas policy skips read-back
-    after a pcca that moved no mask, and otherwise reads back the record's
-    `socket` and `clos` (and `Apportioner.grown`).  `req_ways`,
-    `granted_ways` and `alpha` serve readers of the log and callers
-    inspecting `Apportioner.records`; the deficit metric integrates the
-    width timeline and the apportion count is
+    one `record` line each, and no policy reads a record back: the CLOS an
+    operation moved are `Apportioner.moved`, the deficit metric integrates
+    the width timeline and the apportion count is
     `Apportioner.apportion_count`."""
 
     time_ns: float
@@ -244,7 +240,9 @@ class Apportioner:
         self.warnings: list[str] = []
         self.apportion_count = 0
         self.max_clos_group_size = 0
-        self.grown: ClosState | None = None  # the CLOS the last pcca or release grew
+        # (socket id, CLOS) of each CLOS whose mask the last operation
+        # changed or that it gave a member: all a reader need refresh
+        self.moved: list[tuple[int, ClosState]] = []
 
     # -- queries ------------------------------------------------------------
 
@@ -326,13 +324,12 @@ class Apportioner:
             removed += 1
         return removed
 
-    def _transfer_freed(self, sock: SocketState, freed: int) -> ClosState | None:
+    def _transfer_freed(self, sock: SocketState, freed: int) -> None:
         """Freed ways go to the most unsatisfied CLOS on the socket: maximal
         member alpha, then largest deficit, then lowest id.  Capped at its
-        deficit; whatever cannot extend its run contiguously stays free.
-        Returns the CLOS that grew, if any."""
+        deficit; whatever cannot extend its run contiguously stays free."""
         if freed <= 0:
-            return None
+            return
         target = best = None
         for c in sock.occupied:
             deficit = c.demand_ways - c.mask.bit_count()
@@ -341,8 +338,7 @@ class Apportioner:
                 if best is None or key < best:
                     target, best = c, key
         if target is not None and self._extend_in_place(sock, target, min(freed, -best[1])):
-            return target
-        return None
+            self.moved.append((sock.sid, target))
 
     # -- admission (ipca) -----------------------------------------------------
 
@@ -380,14 +376,12 @@ class Apportioner:
         uncrowded = len(empty) > (
             self.config.clos_occupancy_threshold * self.config.clos_per_socket
         )
-        if uncrowded:
-            if p.reuse is ReuseClass.REUSE:
-                return empty[0], "fresh"
-            if compat:
-                return self._pick_compatible(compat, p), "join"
+        if uncrowded and p.reuse is ReuseClass.REUSE:
             return empty[0], "fresh"
         if compat:
             return self._pick_compatible(compat, p), "join"
+        if uncrowded:
+            return empty[0], "fresh"
         # crowded and nothing compatible: squeeze into the least-alpha CLOS
         room = [c for c in sock.occupied if len(c.members) < self.config.gfactor]
         if room:
@@ -417,6 +411,7 @@ class Apportioner:
                 clos.demand_ways = new_demand
                 self._extend_in_place(sock, clos, new_demand - clos.mask.bit_count())
         p.clos_id = clos.clos_id
+        self.moved.append((sock.sid, clos))
         self.max_clos_group_size = max(self.max_clos_group_size, len(clos.members))
         return clos
 
@@ -432,6 +427,7 @@ class Apportioner:
         takes an arrival only while it has room (`SocketState.free_cores`),
         so every placement finds a CLOS seat.
         """
+        self.moved = []
         arrivals = sorted(arrivals, key=lambda a: a[0])
         for pid, *_ in arrivals:
             if pid in self.procs:
@@ -448,13 +444,8 @@ class Apportioner:
             ):
                 sid = 0
             else:
-                sid = None
-                for s in self.sockets:
-                    if prov_cores[s.sid] > 0 and (
-                        sid is None or prov_cores[s.sid] > prov_cores[sid]
-                    ):
-                        sid = s.sid
-                if sid is None:
+                sid = max(prov_cores, key=lambda s: (prov_cores[s], -s))
+                if prov_cores[sid] <= 0:
                     raise AdmissionRejected("no socket has a free core or CLOS seat")
             prov_cores[sid] -= 1
             prov_free[sid] = max(0, prov_free[sid] - max_ways)
@@ -501,9 +492,9 @@ class Apportioner:
         """Re-apportion one process after a phase change, recomputing its own
         fraction only.  Demand moves of less than hysteresis_ways are ignored;
         growth extends the CLOS run in place; shrink frees ways from the right
-        end and hands them to the most unsatisfied CLOS.  Only that shrink
-        moves another CLOS's ways (`grown`), so an unchanged record moved no
-        mask."""
+        end and hands them to the most unsatisfied CLOS.  `moved` holds each
+        CLOS whose mask changed."""
+        self.moved = []
         p = self._proc(pid)
         p.mass, p.reuse = adjusted_footprint(nbytes, reuse, self.config), reuse
         p.predicted_end = time_ns + predicted_ns
@@ -514,20 +505,22 @@ class Apportioner:
         before = clos.mask
         cur = before.bit_count()
         demand = clos.demand_ways = self._demand(clos)
-        self.grown = None
         if abs(req - cur) >= self.config.hysteresis_ways:
             if req > cur:
                 self._extend_in_place(sock, clos, demand - cur)
             else:
-                freed = self._shrink_from_right(clos, cur - max(demand, 1))
-                self.grown = self._transfer_freed(sock, freed)
+                self._transfer_freed(sock, self._shrink_from_right(clos, cur - max(demand, 1)))
+        if clos.mask != before:
+            self.moved.append((sock.sid, clos))
         return self._record(time_ns, p, "pcca", sock, clos, clos.mask != before)
 
     # -- release --------------------------------------------------------------
 
     def release_process(self, time_ns: float, pid: int) -> AllocationRecord:
         """Retire a process: membership shrinks, an emptied CLOS is reclaimed
-        and its ways recycled via the most-unsatisfied rule (`grown`)."""
+        and its ways recycled via the most-unsatisfied rule.  `moved` holds
+        the CLOS they grew, if any."""
+        self.moved = []
         p = self._proc(pid)
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
@@ -535,11 +528,10 @@ class Apportioner:
         clos.members.remove(pid)
         sock.processes.remove(pid)
         del self.procs[pid]
-        self.grown = None
         if not clos.members:
             sock.occupied.remove(clos)
             clos.mask = clos.demand_ways = 0
-            self.grown = self._transfer_freed(sock, before.bit_count())
+            self._transfer_freed(sock, before.bit_count())
         else:
             clos.demand_ways = self._demand(clos)
         return self._record(time_ns, p, "release", sock, clos, clos.mask != before)

@@ -126,7 +126,7 @@ def _read_config(path) -> SystemConfig:
 def _cmd_analyze(args) -> int:
     _load("loops")
     cfg = _read_config(args.config)
-    nests = formats.read_nests(args.nests)
+    nests = formats.read_nests(args.nests, cfg.line_size)
     curves = formats.read_curves(args.curves)
     phases = []
     for nest in nests:
@@ -259,21 +259,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# a report's columns with compare's speedups over unpartitioned after end_ns
 COMPARE_HEADER = (
-    "mix",
-    "category",
-    "policy",
-    "interval_ns",
-    "end_ns",
-    "speedup_vs_unpartitioned",
-    "speedup_vs_unpartitioned_tweighted",
-    "speedup_vs_alone",
-    "speedup_vs_alone_tweighted",
-    "fairness",
-    "sla_ok",
-    "worst_slowdown",
-    "deficit",
-    "apportionings",
+    REPORT_HEADER[:5]
+    + ("speedup_vs_unpartitioned", "speedup_vs_unpartitioned_tweighted")
+    + REPORT_HEADER[5:]
 )
 
 AGGREGATE_HEADER = (

@@ -323,7 +323,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # loop nests
 # ---------------------------------------------------------------------------
 
-def read_nests(path: str) -> list[LoopNest]:
+def read_nests(path: str, line_size: int = SystemConfig.line_size) -> list[LoopNest]:
+    """The nests, each access's element size dividing `line_size`."""
     # imported here, not at the top, so that a command that reads no nest
     # never loads the loop analysis
     from .loops import Affine, ArrayDecl, Bound, LoopLevel, LoopNest, MemoryAccess, Statement, validate_nest
@@ -331,7 +332,7 @@ def read_nests(path: str) -> list[LoopNest]:
     rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
     for name, opener, body, end in _blocks(rd, "nest"):
-        loops, stmts, arrays = [], [], []
+        loops, stmts, arrays, sizes = [], [], [], []
         for no, kw, args in body:
             if kw == "array":
                 arrays.append(ArrayDecl(*args))
@@ -343,18 +344,20 @@ def read_nests(path: str) -> list[LoopNest]:
                 stmts.append(([], args[0]))
             elif not stmts:
                 rd.fail(no, "%s outside a stmt" % kw)
-            elif kw == "access":
-                array, kind, size, const, *pairs = args
-                sub = Affine(const, tuple(zip(pairs[::2], pairs[1::2])))
+            else:  # access, whose subscript follows the size, or access-indirect
+                array, kind, size, *sub = args
+                sub = Affine(sub[0], tuple(zip(sub[1::2], sub[2::2]))) if sub else None
                 stmts[-1][0].append(MemoryAccess(array, size, sub, kind))
-            else:
-                array, kind, size = args
-                stmts[-1][0].append(MemoryAccess(array, size, None, kind))
+                sizes.append((no, size))
         if not loops:
             rd.fail(end, "nest %r has no loops" % name)
         statements = tuple(Statement(tuple(accs), depth) for accs, depth in stmts)
         nest = LoopNest(name, tuple(loops), statements, tuple(arrays))
         rd.build(opener, "", validate_nest, nest)
+        # after validate_nest, so a size it rejects, 0 included, keeps its message
+        for no, size in sizes:
+            if line_size % size:
+                rd.fail(no, "line size %d not a multiple of element size %d" % (line_size, size))
         nests.append(nest)
     if not nests:
         rd.fail(rd.last, "no nest in the file")

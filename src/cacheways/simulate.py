@@ -30,8 +30,8 @@ reads neither, derives nothing.
 Four policies choose masks:
   * comcas        probe-guided: the Apportioner places arrivals in batches,
                   re-apportions at every phase change and recycles releases;
-                  after each operation the placement reads back the masks
-                  of the CLOS it can have moved,
+                  after each operation the placement reads back the CLOS
+                  it moved,
   * unpartitioned every process holds the full socket mask,
   * maxways       every process statically holds a best-fit window of its
                   saturation way count,
@@ -469,10 +469,7 @@ class _Reactive(_Policy):
 
 class _ComCas(_Policy):
     """The Apportioner places every arrival and owns its masks; after each
-    operation the placement reads back the CLOS it can have changed: every
-    CLOS of every socket after an admission; after a phase change that moved
-    a mask, the run's own CLOS and the one its freed ways grew; after a
-    release, the CLOS the freed ways grew."""
+    operation every member of each CLOS it moved reads its mask back."""
 
     def __init__(self, place: _Placement, policy: Policy):
         super().__init__(place, policy)
@@ -483,13 +480,11 @@ class _ComCas(_Policy):
 
     def admit(self, t, runs):
         self.ap.ipca_batch(t, [(r.pid, r.alpha, r.max_ways, *self._announce(r)) for r in runs])
-        for sock in self.ap.sockets:
-            self._read_back(sock.sid, sock.clos)
+        self._read_back()
 
     def phase_change(self, t, run):
-        rec = self.ap.pcca(t, run.pid, *self._announce(run))
-        if rec.changed:
-            self._read_back(rec.socket, (self.ap.sockets[rec.socket].clos[rec.clos], self.ap.grown))
+        self.ap.pcca(t, run.pid, *self._announce(run))
+        self._read_back()
 
     def _announce(self, run):
         """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
@@ -500,14 +495,13 @@ class _ComCas(_Policy):
 
     def release(self, t, run, sid):
         self.ap.release_process(t, run.pid)
-        self._read_back(sid, (self.ap.grown,))
+        self._read_back()
 
-    def _read_back(self, sid, closes):
-        """Give every member of each of `closes` (None: skipped) its CLOS mask."""
-        for clos in closes:
-            if clos is not None:
-                for pid in clos.members:
-                    self.place.put(pid, sid, clos.mask)
+    def _read_back(self):
+        """Give every member of each CLOS the last operation moved its mask."""
+        for sid, clos in self.ap.moved:
+            for pid in clos.members:
+                self.place.put(pid, sid, clos.mask)
 
     def row(self, run):
         """Granted ways are the CLOS width, capped at the saturation point."""

@@ -30,6 +30,26 @@ def clos_of(ap, pid):
     return ap.sockets[p.socket_id].clos[p.clos_id]
 
 
+def checking_moved(method):
+    """Apportioner `method` (ipca_batch, pcca or release_process), checking
+    after each call that `moved` names exactly the occupied CLOS whose mask
+    changed or that gained a member, against a snapshot taken before it."""
+
+    def checked(ap, *args):
+        before = {(s.sid, c.clos_id): (c.mask, set(c.members)) for s in ap.sockets for c in s.occupied}
+        out = method(ap, *args)
+        changed = set()
+        for s in ap.sockets:
+            for c in s.occupied:
+                mask, members = before.get((s.sid, c.clos_id), (None, set()))
+                if c.mask != mask or not members.issuperset(c.members):
+                    changed.add((s.sid, c.clos_id))
+        assert {(sid, c.clos_id) for sid, c in ap.moved} == changed, (method.__name__, args)
+        return out
+
+    return checked
+
+
 def write_nests(nests, path):
     out = []
     for nest in nests:

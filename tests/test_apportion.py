@@ -22,7 +22,7 @@ from cacheways.apportion import (
 from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
 
 from oracles import cache_fractions, is_contiguous
-from support import clos_of
+from support import checking_moved, clos_of
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
 
@@ -316,3 +316,38 @@ def test_engine_invariants_random_walk(rng):
     assert events[: len(arrivals)] == ["ipca"] * len(arrivals)
     changed = sum(1 for r in ap.records if r.changed and r.event in ("ipca", "pcca"))
     assert ap.apportion_count == changed
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_moved_names_each_clos_an_operation_changed(rng):
+    cfg = SystemConfig(
+        sockets=rng.choice([1, 2]),
+        cores_per_socket=rng.randint(2, 8),
+        clos_per_socket=rng.randint(1, 4),
+        ways_per_socket=rng.choice([4, 11]),
+        gfactor=rng.randint(1, 3),
+        hysteresis_ways=rng.randint(0, 2),
+    )
+    ap = Apportioner(cfg)
+    ipca, pcca, release = (
+        checking_moved(getattr(Apportioner, op)) for op in ("ipca_batch", "pcca", "release_process")
+    )
+    t, next_pid = 0.0, 0
+    for _ in range(rng.randint(5, 40)):
+        t += rng.uniform(1.0, 1e8)
+        room = sum(s.free_cores for s in ap.sockets)
+        kind = rng.random()
+        if room and (kind < 0.3 or not ap.procs):
+            n = rng.randint(1, min(3, room))
+            ipca(ap, t, [
+                (next_pid + k, rng.choice([0.0, 0.5, 2.0, 8.0]), rng.randint(2, 5),
+                 rng.randint(0, 8) * MIB, rng.choice([REUSE, STREAM]), rng.uniform(1e6, 1e9))
+                for k in range(n)
+            ])
+            next_pid += n
+        elif kind < 0.5:
+            release(ap, t, rng.choice(sorted(ap.procs)))
+        else:
+            pcca(ap, t, rng.choice(sorted(ap.procs)), rng.randint(0, 8) * MIB,
+                 rng.choice([REUSE, STREAM]), rng.uniform(1e6, 1e9))

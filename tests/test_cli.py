@@ -159,6 +159,23 @@ def test_analyze_pins_nest_faults_to_their_line(tmp_path, analyze_inputs, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("access", ["access A read 16 0 i 1", "access-indirect A read 16"],
+                         ids=["access", "access-indirect"])
+def test_analyze_pins_an_element_size_the_config_line_size_rejects(tmp_path, analyze_inputs, capsys, access):
+    _, cpath = analyze_inputs
+    npath = tmp_path / "nests.txt"
+    npath.write_text("format-version 1\n# one loop\nnest a\narray A 64 16\nloop i 8\nstmt 1\n%s\nend\n" % access,
+                     encoding="utf-8")
+    config = str(tmp_path / "line24.txt")
+    write_config(SystemConfig(line_size=24), config)
+    out = tmp_path / "app.mix"
+    argv = ["analyze", "--nests", str(npath), "--curves", cpath, "--out", str(out), "--config", config]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s:7: line size 24 not a multiple of element size 16" % npath), err
+    assert not out.exists()
+
+
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     code = main(
         [

@@ -14,10 +14,10 @@ import os
 
 import pytest
 
-from cacheways.apportion import AdmissionRejected, replay_events
+from cacheways.apportion import AdmissionRejected, Apportioner, replay_events
 from cacheways.formats import read_events, write_alloc_log
 
-from support import clos_of
+from support import checking_moved, clos_of
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -51,6 +51,13 @@ def test_fixture_log_matches(name, tmp_path):
         os.path.join(FIXDIR, "%s.expected.log" % name), encoding="utf-8"
     ).read()
     assert produced == expected
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fixture_operations_name_the_clos_they_moved(name, monkeypatch):
+    for op in ("ipca_batch", "pcca", "release_process"):
+        monkeypatch.setattr(Apportioner, op, checking_moved(getattr(Apportioner, op)))
+    replay_fixture(name)
 
 
 def test_gfactor_cap_rejects_third_arrival():

@@ -543,6 +543,36 @@ def test_comcas_phase_change_reads_back_only_the_clos_that_moved(monkeypatch):
     assert seen == [(128.0, True, [1, 2], [1, 2]), (288.0, False, [], [])]
 
 
+def test_comcas_admission_reads_back_only_the_clos_it_moved(monkeypatch):
+    # t=0: stream pid 0 (max-ways 2) takes 0x003 and reuse pid 1 (max-ways
+    # 3) 0x01c.  t=128: stream pid 2 also wants 2 ways and joins pid 0's
+    # CLOS, so the arrival reads back pid 0 and pid 2, not pid 1
+    puts, seen = [], []
+    real_put, real_admit = simulate._Placement.put, simulate._ComCas.admit
+
+    def counting_put(self, pid, sid, mask):
+        puts.append(pid)
+        real_put(self, pid, sid, mask)
+
+    def watched_admit(self, t, runs):
+        puts.clear()
+        real_admit(self, t, runs)
+        seen.append((t, sorted(puts)))
+
+    monkeypatch.setattr(simulate._Placement, "put", counting_put)
+    monkeypatch.setattr(simulate._ComCas, "admit", watched_admit)
+    stream = ReuseClass.STREAM
+    rep = run_mix(mix_of(
+        ProcessSpec(pid=0, alpha=1.0, max_ways=2, phases=(phase("s0", 8 * MIB, {2: 1024.0}, reuse=stream),)),
+        ProcessSpec(pid=1, alpha=1.0, max_ways=3, phases=(phase("r1", 2 * MIB, {2: 1024.0}),)),
+        ProcessSpec(pid=2, alpha=1.0, max_ways=2, start_ns=128.0,
+                    phases=(phase("s2", 8 * MIB, {2: 1024.0}, reuse=stream),)),
+        sockets=1,
+    ), Policy("comcas"))
+    assert [(r.clos, r.bitmask) for r in rep.records[:3]] == [(0, 0x003), (1, 0x01c), (0, 0x003)]
+    assert seen == [(0.0, [0, 1]), (128.0, [0, 2])]
+
+
 def test_a_loop_iteration_that_moves_nothing_is_a_trace_error(monkeypatch):
     # a clock whose tick never advances and moves nothing would spin the
     # loop at one instant forever
