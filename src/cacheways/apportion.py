@@ -6,6 +6,13 @@ the socket's adjusted footprint mass.  Initial placement (ipca) runs once per
 process; phase changes re-apportion (pcca) with hysteresis; releases recycle
 ways toward the most unsatisfied CLOS.
 
+A CLOS's demand is the largest req_ways among its members, derived at each
+read.  An admission seats a process by the first of five outcomes that
+applies: a fresh CLOS if the socket is uncrowded and the process reuses its
+data; else joining a compatible CLOS (a free seat and the same demand); else
+a fresh CLOS if the socket is uncrowded; else overflow into the lowest-alpha
+CLOS with a free seat; else a fresh CLOS.
+
 Every process stores the fraction computed at its own last (re)apportioning
 event.  Right after a simultaneous admission those stored fractions sum to 1;
 as other processes change phases the stored values go stale, and their sum
@@ -127,7 +134,6 @@ class ClosState:
     clos_id: int
     members: list[int] = field(default_factory=list)
     mask: int = 0
-    demand_ways: int = 0
 
 
 @dataclass
@@ -332,7 +338,7 @@ class Apportioner:
             return
         target = best = None
         for c in sock.occupied:
-            deficit = c.demand_ways - c.mask.bit_count()
+            deficit = self._demand(c) - c.mask.bit_count()
             if deficit > 0:
                 key = (-self._clos_alpha(c), -deficit, c.clos_id)
                 if best is None or key < best:
@@ -341,14 +347,6 @@ class Apportioner:
             self.moved.append((sock.sid, target))
 
     # -- admission (ipca) -----------------------------------------------------
-
-    def _compatible_clos(self, sock: SocketState, p: ProcessState) -> list[ClosState]:
-        return [
-            c
-            for c in sock.occupied
-            if len(c.members) < self.config.gfactor
-            and c.demand_ways == p.req_ways
-        ]
 
     def _pick_compatible(self, cands: list[ClosState], p: ProcessState) -> ClosState:
         def dt(clos: ClosState) -> float:
@@ -369,47 +367,47 @@ class Apportioner:
 
         return min(cands, key=lambda c: (ratio(c), c.clos_id))
 
-    def _select_clos(self, sock: SocketState, p: ProcessState):
-        """Returns (clos, mode) with mode in fresh | join | overflow."""
-        empty = [c for c in sock.clos if not c.members]
-        compat = self._compatible_clos(sock, p)
-        uncrowded = len(empty) > (
-            self.config.clos_occupancy_threshold * self.config.clos_per_socket
-        )
-        if uncrowded and p.reuse is ReuseClass.REUSE:
-            return empty[0], "fresh"
-        if compat:
-            return self._pick_compatible(compat, p), "join"
-        if uncrowded:
-            return empty[0], "fresh"
-        # crowded and nothing compatible: squeeze into the least-alpha CLOS
-        room = [c for c in sock.occupied if len(c.members) < self.config.gfactor]
-        if room:
-            target = min(room, key=lambda c: (self._clos_alpha(c), c.clos_id))
-            return target, "overflow"
-        return empty[0], "fresh"  # some CLOS is empty: the socket had room
-
     def _place(self, sock: SocketState, p: ProcessState) -> ClosState:
-        clos, mode = self._select_clos(sock, p)
-        if mode == "fresh":
-            clos.demand_ways = p.req_ways
+        """Seat p in one CLOS of its socket, by the first outcome that applies:
+
+        1. a fresh CLOS, if the socket is uncrowded and p reuses its data;
+        2. else join a compatible CLOS, one with a free seat and a demand
+           equal to p's req_ways (`_pick_compatible` chooses among them);
+        3. else a fresh CLOS, if the socket is uncrowded;
+        4. else overflow into the lowest-alpha CLOS with a free seat, which
+           grows in place when p raises its demand;
+        5. else a fresh CLOS (the admission room left one empty).
+
+        Uncrowded means more empty CLOS than clos_occupancy_threshold of
+        them.  A fresh CLOS takes p's req_ways, or every free way if fewer.
+        """
+        cfg = self.config
+        empty = [c for c in sock.clos if not c.members]
+        uncrowded = len(empty) > cfg.clos_occupancy_threshold * cfg.clos_per_socket
+        seated = [c for c in sock.occupied if len(c.members) < cfg.gfactor]
+        compat = [] if uncrowded and p.reuse is ReuseClass.REUSE else [
+            c for c in seated if self._demand(c) == p.req_ways
+        ]
+        if compat:
+            clos = self._pick_compatible(compat, p)
+            clos.members.append(p.pid)
+        elif seated and not uncrowded:
+            clos = min(seated, key=lambda c: (self._clos_alpha(c), c.clos_id))
+            self.warnings.append(
+                "pid %d overflows into CLOS %d on socket %d (no compatible CLOS)"
+                % (p.pid, clos.clos_id, sock.sid)
+            )
+            raised = p.req_ways > self._demand(clos)
+            clos.members.append(p.pid)
+            if raised:
+                self._extend_in_place(sock, clos, p.req_ways - clos.mask.bit_count())
+        else:
+            clos = empty[0]
             free = sock.free_ways
             width = min(p.req_ways, free) if free >= 1 else p.req_ways
             clos.members.append(p.pid)
             sock.occupied.append(clos)
             clos.mask = self.generate_bitmask(sock, clos.clos_id, width)
-        elif mode == "join":
-            clos.members.append(p.pid)
-        else:  # overflow
-            self.warnings.append(
-                "pid %d overflows into CLOS %d on socket %d (no compatible CLOS)"
-                % (p.pid, clos.clos_id, sock.sid)
-            )
-            clos.members.append(p.pid)
-            new_demand = max(clos.demand_ways, p.req_ways)
-            if new_demand > clos.demand_ways:
-                clos.demand_ways = new_demand
-                self._extend_in_place(sock, clos, new_demand - clos.mask.bit_count())
         p.clos_id = clos.clos_id
         self.moved.append((sock.sid, clos))
         self.max_clos_group_size = max(self.max_clos_group_size, len(clos.members))
@@ -504,7 +502,7 @@ class Apportioner:
         req = p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
         before = clos.mask
         cur = before.bit_count()
-        demand = clos.demand_ways = self._demand(clos)
+        demand = self._demand(clos)
         if abs(req - cur) >= self.config.hysteresis_ways:
             if req > cur:
                 self._extend_in_place(sock, clos, demand - cur)
@@ -530,10 +528,8 @@ class Apportioner:
         del self.procs[pid]
         if not clos.members:
             sock.occupied.remove(clos)
-            clos.mask = clos.demand_ways = 0
+            clos.mask = 0
             self._transfer_freed(sock, before.bit_count())
-        else:
-            clos.demand_ways = self._demand(clos)
         return self._record(time_ns, p, "release", sock, clos, clos.mask != before)
 
     # -- record keeping ---------------------------------------------------------
@@ -551,7 +547,7 @@ class Apportioner:
         rec = AllocationRecord._make((
             time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
             classify_scenario([self.procs[pid].fraction for pid in sock.processes]),
-            width >= clos.demand_ways, p.req_ways,
+            not clos.members or width >= self._demand(clos), p.req_ways,
             0 if event == "release" else width if width <= p.max_ways else p.max_ways,
             p.alpha, changed,
         ))

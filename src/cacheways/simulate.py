@@ -285,26 +285,20 @@ class _Placement:
             eff[pid] = memo[key]
         return eff
 
-    def free_cores(self, sid: int) -> int:
-        return self.config.cores_per_socket - len(self.pids[sid])
-
-    def least_loaded(self) -> int:
-        """The socket with the most free cores, the lowest id on ties."""
-        return max(range(self.config.sockets), key=lambda s: (self.free_cores(s), -s))
-
 
 class _Policy:
-    """Places each arrival on the least-loaded socket with the mask
-    `mask(sid, run)` chooses, and never moves it.  Subclasses choose the mask
-    and may change masks at phase changes, releases and ticks.  A policy with
-    a clock names the time of its next tick in `next_tick` (None: no tick
-    due) and its period in `interval_ns`, which the report records.
+    """Places each arrival on the socket with the most room, the lowest id
+    on ties, with the mask `mask(sid, run)` chooses, and never moves it.
+    Subclasses choose the mask and may change masks at phase changes,
+    releases and ticks.  A policy with a clock names the time of its next
+    tick in `next_tick` (None: no tick due) and its period in
+    `interval_ns`, which the report records.
 
     `sensitivity(proc)` gives the (alpha, max_ways) pair a run carries, once
     per process before the first event; a policy that reads neither returns
     (None, None) and so skips deriving it from the curves.  `room(sid)` is
-    how many more runs a socket admits now; an arrival beyond the room of
-    every socket waits for a release.
+    how many more runs a socket admits now, by default its free cores; an
+    arrival beyond the room of every socket waits for a release.
     """
 
     next_tick = interval_ns = None
@@ -317,11 +311,11 @@ class _Policy:
         return process_sensitivity(proc, self.place.config)
 
     def room(self, sid):
-        return self.place.free_cores(sid)
+        return self.place.config.cores_per_socket - len(self.place.pids[sid])
 
     def admit(self, t, runs):
         for r in runs:
-            sid = self.place.least_loaded()
+            sid = max(range(self.place.config.sockets), key=lambda s: (self.room(s), -s))
             self.place.put(r.pid, sid, self.mask(sid, r))
 
     def phase_change(self, t, run):
@@ -373,10 +367,11 @@ class _Reactive(_Policy):
     total deficit by one.
 
     The clock is this policy's own and ticks on multiples of the interval.
-    The proxy reads only the widths and each process's alpha and max-ways,
-    which change only at ticks, admissions and releases.  So a tick that
-    moves no way stops the clock, and the next admission or release restarts
-    it at the first multiple after its time.  Hence every run ends.
+    The proxy reads only the widths (the bit counts of the masks in the
+    placement) and each process's alpha and max-ways, which change only at
+    ticks, admissions and releases.  So a tick that moves no way stops the
+    clock, and the next admission or release restarts it at the first
+    multiple after its time.  Hence every run ends.
 
     Every process holds at least 1 way, as CAT requires a nonempty mask.
     When a socket holds more processes than ways, each gets 1 way and the
@@ -391,7 +386,6 @@ class _Reactive(_Policy):
         self.interval_ns = policy.interval_ns
         self.tick_no = None  # grid points passed; None while the clock is stopped
         self.runs: dict[int, _Run] = {}
-        self.widths: dict[int, int] = {}
 
     @property
     def next_tick(self):
@@ -407,62 +401,57 @@ class _Reactive(_Policy):
             if (self.tick_no + 1) * self.interval_ns <= t:  # the float quotient fell short
                 self.tick_no += 1
 
+    def mask(self, sid, run):
+        return 0  # admit re-splits the socket
+
     def admit(self, t, runs):
+        super().admit(t, runs)
         for r in runs:
-            self.place.put(r.pid, self.place.least_loaded(), 0)  # masked below
             self.runs[r.pid] = r
         for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
-            pids = self.place.pids[sid]
-            base, rem = divmod(self.ways, len(pids))
-            for i, pid in enumerate(pids):
-                self.widths[pid] = max(1, base + (1 if i >= len(pids) - rem else 0))
-            self._repack(sid)
+            n = len(self.place.pids[sid])
+            base, rem = divmod(self.ways, n)
+            self._repack(sid, [max(1, base + (i >= n - rem)) for i in range(n)])
         self._restart(t)
 
-    def _repack(self, sid):
+    def _widths(self, sid):
+        """The width of each pid's mask on the socket, in pid order."""
+        mask_of = self.place.mask_of
+        return [mask_of[pid].bit_count() for pid in self.place.pids[sid]]
+
+    def _repack(self, sid, widths):
+        """Lay the socket's pids out contiguously in pid order, with these
+        widths, wrapping to way 0 when a mask would pass the last way."""
         start = 0
-        for pid in self.place.pids[sid]:
-            w = self.widths[pid]
+        for pid, w in zip(self.place.pids[sid], widths):
             if start + w > self.ways:
                 start = 0
             self.place.put(pid, sid, ((1 << w) - 1) << start)
             start += w
 
     def release(self, t, run, sid):
-        del self.runs[run.pid], self.widths[run.pid]
-        self._repack(sid)
+        del self.runs[run.pid]
+        self._repack(sid, self._widths(sid))
         self._restart(t)
 
     def tick(self, t):
         moved = False
         for sid in range(self.place.config.sockets):
-            pids = self.place.pids[sid]
-            if not pids:
+            runs = [self.runs[pid] for pid in self.place.pids[sid]]
+            widths = self._widths(sid)
+            need = [r.alpha * max(0, r.max_ways - w) for r, w in zip(runs, widths)]
+            if max(need, default=0) <= 0:
                 continue
-
-            def proxy(pid):
-                r = self.runs[pid]
-                return r.alpha * max(0, r.max_ways - self.widths[pid])
-
-            deficient = [pid for pid in pids if proxy(pid) > 0]
-            if not deficient:
-                continue
-            recipient = min(deficient, key=lambda pid: (-proxy(pid), pid))
-            free = self.ways - sum(self.widths[p] for p in pids)
-            if free >= 1:
-                self.widths[recipient] += 1
-            else:
+            if sum(widths) >= self.ways:  # no free way: a donor gives one
                 donors = [
-                    pid for pid in pids
-                    if self.widths[pid] >= 2
-                    and (self.runs[pid].alpha == 0 or self.widths[pid] > self.runs[pid].max_ways)
+                    i for i, (r, w) in enumerate(zip(runs, widths))
+                    if w >= 2 and (r.alpha == 0 or w > r.max_ways)
                 ]
                 if not donors:
                     continue
-                donor = min(donors, key=lambda pid: (-self.widths[pid], pid))
-                self.widths[donor] -= 1
-                self.widths[recipient] += 1
-            self._repack(sid)
+                widths[min(donors, key=lambda i: (-widths[i], i))] -= 1
+            widths[need.index(max(need))] += 1  # the neediest, the lowest pid on ties
+            self._repack(sid, widths)
             moved = True
         self.tick_no = self.tick_no + 1 if moved else None
 
