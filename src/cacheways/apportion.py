@@ -419,21 +419,23 @@ class Apportioner:
 
         Sockets are chosen for the whole batch first (reserving each pick's
         max_ways provisionally, so one socket does not swallow every
-        cache-sensitive arrival); fractions are then computed per socket over
-        the full resident population, which makes them sum to exactly 1 when
-        the machine starts empty.  Placement runs in pid order.  A socket
+        cache-sensitive arrival), before any state changes, so a rejected
+        batch leaves none of its arrivals behind.  Then, socket by socket,
+        the arrivals join the socket, their fractions are computed over the
+        full resident population, which makes them sum to exactly 1 when
+        the machine starts empty, and each is seated in pid order.  A socket
         takes an arrival only while it has room (`SocketState.free_cores`),
         so every placement finds a CLOS seat.
         """
         self.moved = []
         arrivals = sorted(arrivals, key=lambda a: a[0])
-        for pid, *_ in arrivals:
-            if pid in self.procs:
+        for i, (pid, *_) in enumerate(arrivals):
+            if pid in self.procs or i and arrivals[i - 1][0] == pid:
                 raise TraceError("pid %r admitted twice" % (pid,))
 
         prov_free = {s.sid: s.free_ways for s in self.sockets}
         prov_cores = {s.sid: s.free_cores for s in self.sockets}
-        placed: dict[int, ProcessState] = {}
+        chosen: list[ProcessState] = []
         for pid, alpha, max_ways, nbytes, reuse, predicted_ns in arrivals:
             if (
                 alpha > self.config.alpha_socket_threshold
@@ -447,7 +449,7 @@ class Apportioner:
                     raise AdmissionRejected("no socket has a free core or CLOS seat")
             prov_cores[sid] -= 1
             prov_free[sid] = max(0, prov_free[sid] - max_ways)
-            p = ProcessState(
+            chosen.append(ProcessState(
                 pid=pid,
                 alpha=alpha,
                 max_ways=max_ways,
@@ -455,26 +457,20 @@ class Apportioner:
                 reuse=reuse,
                 socket_id=sid,
                 predicted_end=time_ns + predicted_ns,
-            )
-            self.procs[pid] = p
-            self.sockets[sid].processes.append(pid)
-            placed[pid] = p
+            ))
 
         records = []
         for sock in self.sockets:
-            new_here = [pid for pid in sock.processes if pid in placed]
-            if not new_here:
-                continue
-            for pid in new_here:
-                placed[pid].fraction = self._fraction(sock, placed[pid])
-            for pid in new_here:
-                p = placed[pid]
+            new_here = [p for p in chosen if p.socket_id == sock.sid]
+            for p in new_here:
+                self.procs[p.pid] = p
+                sock.processes.append(p.pid)
+            for p in new_here:
+                p.fraction = self._fraction(sock, p)
+            for p in new_here:
                 p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
                 clos = self._place(sock, p)
-                rec = self._record(
-                    time_ns, p, "ipca", sock, clos, changed=True
-                )
-                records.append(rec)
+                records.append(self._record(time_ns, p, "ipca", sock, clos, changed=True))
         return records
 
     # -- phase change (pcca) ----------------------------------------------------

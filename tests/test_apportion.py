@@ -185,6 +185,42 @@ def test_admission_fails_without_free_core():
         ap.ipca_batch(1.0, [(1, 0.0, 2, MIB, REUSE, 1.0)])
 
 
+def placement_state(ap):
+    """Everything a batch admission may change, copied."""
+    return (
+        {pid: repr(p) for pid, p in ap.procs.items()},
+        [
+            (list(s.processes), [(c.clos_id, list(c.members), c.mask) for c in s.occupied])
+            for s in ap.sockets
+        ],
+        list(ap.records),
+    )
+
+
+@pytest.mark.parametrize("cores, resident", [(1, []), (2, [5])])
+def test_a_rejected_batch_changes_nothing(cores, resident):
+    ap = Apportioner(one_socket(cores_per_socket=cores))
+    ap.ipca_batch(0.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in resident])
+    before = placement_state(ap)
+    with pytest.raises(AdmissionRejected):
+        ap.ipca_batch(1.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in (0, 1)])
+    assert placement_state(ap) == before
+    with pytest.raises(NotPlaced):
+        ap.release_process(2.0, 0)
+    ap.ipca_batch(3.0, [(0, 0.0, 2, MIB, REUSE, 1.0)])  # the room is still there
+    assert ap.procs[0].clos_id >= 0
+
+
+def test_a_batch_naming_a_pid_twice_is_rejected_whole():
+    ap = Apportioner(one_socket())
+    ap.ipca_batch(0.0, [(5, 0.0, 2, MIB, REUSE, 1.0)])
+    before = placement_state(ap)
+    with pytest.raises(TraceError, match="pid 0 admitted twice"):
+        ap.ipca_batch(1.0, [(0, 0.0, 2, MIB, REUSE, 1.0), (1, 0.0, 2, MIB, REUSE, 1.0),
+                            (0, 0.0, 3, 2 * MIB, STREAM, 1.0)])
+    assert placement_state(ap) == before
+
+
 def test_gfactor_never_exceeded():
     cfg = one_socket(clos_per_socket=1, gfactor=2)
     ap = Apportioner(cfg)
