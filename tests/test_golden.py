@@ -8,7 +8,8 @@ their reactive runs end only because a tick that moves no way stops the
 clock and a donor never gives a way it needs.
 A change to the engine that claims to keep its outputs must keep every
 digest.  A deliberate output change regenerates the table, which rewrites
-it and lists on stderr each entry that moved, is new or is gone:
+it, lists on stderr each entry that moved, is new or is gone, and ends with
+one tally line such as `44 moved, 0 new, 0 gone`:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -90,19 +91,26 @@ def test_reports_match_golden_digests():
 
 
 def regenerate():
-    """Rewrite the table; name each entry whose digest changed on stderr."""
+    """Rewrite the table; name each entry whose digest changed on stderr,
+    then tally them."""
     with open(TABLE) as fh:
         old = json.load(fh)
     now = table()
+    tally = {"moved": 0, "new": 0, "gone": 0}
     for name in sorted(old.keys() | now.keys()):
         was, new = old.get(name, {}), now.get(name, {})
         for label in sorted(was.keys() | new.keys()):
             if label not in was:
-                print("%s %s: new" % (name, label), file=sys.stderr)
+                kind = "new"
             elif label not in new:
-                print("%s %s: gone" % (name, label), file=sys.stderr)
+                kind = "gone"
             elif was[label] != new[label]:
-                print("%s %s: moved" % (name, label), file=sys.stderr)
+                kind = "moved"
+            else:
+                continue
+            tally[kind] += 1
+            print("%s %s: %s" % (name, label, kind), file=sys.stderr)
+    print(", ".join("%d %s" % (n, kind) for kind, n in tally.items()), file=sys.stderr)
     with open(TABLE, "w") as fh:
         json.dump(now, fh, indent=1, sort_keys=True)
         fh.write("\n")
