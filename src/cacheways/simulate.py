@@ -524,7 +524,6 @@ class _Run:
     phase_idx: int = 0
     work_rem: float = 0.0
     speed: float = 0.0
-    started_at: float = 0.0
 
     @property
     def phase(self) -> PhaseSpec:
@@ -587,7 +586,7 @@ def run_mix(
                 ctl.phase_change(now, r)
             else:
                 active.remove(r)
-                completions[r.pid] = now - r.started_at
+                completions[r.pid] = now - r.spec.start_ns  # a wait for room counts
                 ctl.release(now, r, place.drop(r.pid))
                 changed = True
 
@@ -606,7 +605,6 @@ def run_mix(
             batch, waiting = [runs[pid] for pid in pids[:room]], pids[room:]
             if batch:
                 for r in batch:
-                    r.started_at = now
                     r.work_rem = r.phase.work
                 ctl.admit(now, batch)
                 active.extend(batch)

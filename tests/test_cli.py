@@ -352,9 +352,15 @@ def test_an_arrival_at_the_grouping_cap_waits(tmp_path, capsys, policy):
     code = main(["simulate", "--mix", mix_file(tmp_path, GROUPING_CAP_MIX), "--policy", policy])
     out = capsys.readouterr().out
     assert code == 0
-    assert "pid 2: 300 ns mixed" in out
     if policy == "comcas":  # one run at a time: 100 + 400 + 300 ns
         assert "finished at 800 ns" in out
+        # a mixed time counts from arrival, so the waits show as slowdown
+        assert "pid 1: 500 ns mixed, 400 ns alone, slowdown 1.2500" in out
+        assert "pid 2: 800 ns mixed, 300 ns alone, slowdown 2.6667" in out
+        assert "SLA (1.15x): FAIL" in out
+    else:
+        assert "pid 2: 300 ns mixed" in out
+        assert "SLA (1.15x): pass" in out
 
 
 @pytest.mark.parametrize("policy", ["comcas", "unpartitioned", "maxways", "reactive"])

@@ -289,9 +289,9 @@ def test_admission_queue_respects_core_capacity():
     rep = run_mix(
         mix_of(*procs, sockets=1, cores_per_socket=1), Policy("unpartitioned")
     )
-    # one core: the three run back to back; completions are per-process
-    # durations from their own admission instants
-    assert rep.completions == {0: 256.0, 1: 512.0, 2: 1024.0}
+    # one core: the three run back to back; completions count from each
+    # process's arrival at t=0, so the waits for the core count too
+    assert rep.completions == {0: 256.0, 1: 768.0, 2: 1792.0}
     assert rep.end_time == 256.0 + 512.0 + 1024.0
 
 
