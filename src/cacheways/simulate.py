@@ -109,7 +109,7 @@ class SimReport:
     category: str
     policy: str
     interval_ns: float | None
-    completions: dict[int, float]
+    completions: dict[int, float]  # pid -> its end less its arrival (start_ns)
     unmixed: dict[int, float]
     records: list[AllocationRecord]
     width_timeline: list[tuple[float, dict[int, tuple[float, int, int]]]]
@@ -411,7 +411,7 @@ class _Reactive(_Policy):
         for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
             n = len(self.place.pids[sid])
             base, rem = divmod(self.ways, n)
-            self._repack(sid, [max(1, base + (i >= n - rem)) for i in range(n)])
+            self._repack(sid, [max(1, base + (1 if i >= n - rem else 0)) for i in range(n)])
         self._restart(t)
 
     def _widths(self, sid):
