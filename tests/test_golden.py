@@ -1,4 +1,4 @@
-"""Golden digests of the simulator's reports.
+"""Golden digests of the simulator's reports and of the CLI's outputs.
 
 One sha256 per (input, policy) over the repr of the whole SimReport, for the
 bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
@@ -6,21 +6,34 @@ seeded draws of churn_mix and a socket whose one CLOS seat makes arrivals
 wait, under every policy and under reactive at a 50 ns interval as well.  The bundled mixes' phases last ~1e8 ns, so at 50 ns
 their reactive runs end only because a tick that moves no way stops the
 clock and a donor never gives a way it needs.
-A change to the engine that claims to keep its outputs must keep every
-digest.  A deliberate output change regenerates the table, which rewrites
-it, lists on stderr each entry that moved, is new or is gone, and ends with
-one tally line such as `44 moved, 0 new, 0 gone`:
+
+A second table holds one sha256 per CLI run, through `cli.main` in process,
+over its exit code, stdout, stderr and each file it wrote (relative name and
+bytes), with the temporary output directory and the mixes directory replaced
+by placeholders.  The runs: for each bundled mix, `simulate --log --out`
+under every policy, `compare --out`, and `compare --out` over maxways and
+comcas at a 30 ms interval; then `sweep --out` over every mix, under every
+policy and under reactive and comcas.
+
+A change that claims to keep its outputs must keep every digest of both
+tables.  A deliberate output change regenerates them, which rewrites both,
+lists on stderr each entry that moved, is new or is gone, and ends with one
+tally line over both, such as `44 moved, 0 new, 0 gone`:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import glob
 import hashlib
+import io
 import json
 import os
 import random
 import sys
+import tempfile
 
+from cacheways import cli
 from cacheways.errors import CacheWaysError
 from cacheways.formats import read_mix
 from cacheways.simulate import Policy, ProcessSpec, run_mix
@@ -29,6 +42,7 @@ from test_simulate import MIB, churn_mix, mix_of, phase, random_mix
 HERE = os.path.dirname(os.path.abspath(__file__))
 MIXDIR = os.path.join(HERE, os.pardir, "mixes")
 TABLE = os.path.join(HERE, "golden_digests.json")
+CLI_TABLE = os.path.join(HERE, "golden_cli.json")
 
 POLICIES = {
     "comcas": Policy("comcas"),
@@ -76,44 +90,111 @@ def table():
     }
 
 
-def test_reports_match_golden_digests():
-    with open(TABLE) as fh:
+def cli_runs():
+    """(name, label, argv) of every CLI run; `{out}` in an argument is the
+    run's own empty output directory."""
+    paths = sorted(glob.glob(os.path.join(MIXDIR, "*", "*.mix")))
+    for path in paths:
+        name = os.path.relpath(path, MIXDIR)[: -len(".mix")].replace(os.sep, "/")
+        for pol in cli.POLICIES:
+            yield name, "simulate " + pol, [
+                "simulate", "--mix", path, "--policy", pol,
+                "--log", "{out}/alloc.log", "--out", "{out}/report.csv",
+            ]
+        yield name, "compare", ["compare", "--mix", path, "--out", "{out}/cmp.csv"]
+        yield name, "compare maxways,comcas@30", [
+            "compare", "--mix", path, "--policies", "maxways,comcas",
+            "--interval-ms", "30", "--out", "{out}/cmp.csv",
+        ]
+    yield "sweep", "all", ["sweep", "--mixes", MIXDIR, "--out", "{out}"]
+    yield "sweep", "reactive,comcas", [
+        "sweep", "--mixes", MIXDIR, "--policies", "reactive,comcas", "--out", "{out}",
+    ]
+
+
+def cli_digest(argv):
+    """sha256 over the exit code, stdout, stderr and written files of one
+    in-process `cli.main(argv)`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([a.replace("{out}", tmp) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        h = hashlib.sha256()
+        for text in (repr(code), out.getvalue(), err.getvalue()):
+            text = text.replace(tmp, "<out>").replace(MIXDIR, "<mixes>")
+            h.update(repr(text).encode())
+        for rel in sorted(
+            os.path.relpath(os.path.join(d, f), tmp) for d, _, fs in os.walk(tmp) for f in fs
+        ):
+            with open(os.path.join(tmp, rel), "rb") as fh:
+                h.update(repr((rel.replace(os.sep, "/"), fh.read())).encode())
+    return h.hexdigest()
+
+
+def cli_table():
+    out: dict = {}
+    for name, label, argv in cli_runs():
+        out.setdefault(name, {})[label] = cli_digest(argv)
+    return out
+
+
+TABLES = ((TABLE, table), (CLI_TABLE, cli_table))
+
+
+def moved_entries(path, make):
+    with open(path) as fh:
         golden = json.load(fh)
-    now = table()
+    now = make()
     assert now.keys() == golden.keys()
-    moved = [
+    return [
         "%s %s" % (name, label)
         for name in golden
         for label in golden[name]
         if now[name].get(label) != golden[name][label]
     ]
+
+
+def test_reports_match_golden_digests():
+    moved = moved_entries(TABLE, table)
     assert not moved, "reports moved for: " + ", ".join(moved)
 
 
+def test_cli_outputs_match_golden_digests():
+    moved = moved_entries(CLI_TABLE, cli_table)
+    assert not moved, "CLI outputs moved for: " + ", ".join(moved)
+
+
 def regenerate():
-    """Rewrite the table; name each entry whose digest changed on stderr,
-    then tally them."""
-    with open(TABLE) as fh:
-        old = json.load(fh)
-    now = table()
+    """Rewrite both tables; name each entry whose digest changed on stderr,
+    then tally them over both."""
     tally = {"moved": 0, "new": 0, "gone": 0}
-    for name in sorted(old.keys() | now.keys()):
-        was, new = old.get(name, {}), now.get(name, {})
-        for label in sorted(was.keys() | new.keys()):
-            if label not in was:
-                kind = "new"
-            elif label not in new:
-                kind = "gone"
-            elif was[label] != new[label]:
-                kind = "moved"
-            else:
-                continue
-            tally[kind] += 1
-            print("%s %s: %s" % (name, label, kind), file=sys.stderr)
+    for path, make in TABLES:
+        try:
+            with open(path) as fh:
+                old = json.load(fh)
+        except FileNotFoundError:
+            old = {}
+        now = make()
+        for name in sorted(old.keys() | now.keys()):
+            was, new = old.get(name, {}), now.get(name, {})
+            for label in sorted(was.keys() | new.keys()):
+                if label not in was:
+                    kind = "new"
+                elif label not in new:
+                    kind = "gone"
+                elif was[label] != new[label]:
+                    kind = "moved"
+                else:
+                    continue
+                tally[kind] += 1
+                print("%s %s: %s" % (name, label, kind), file=sys.stderr)
+        with open(path, "w") as fh:
+            json.dump(now, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     print(", ".join("%d %s" % (n, kind) for kind, n in tally.items()), file=sys.stderr)
-    with open(TABLE, "w") as fh:
-        json.dump(now, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 if __name__ == "__main__":
