@@ -7,6 +7,10 @@ Subcommands: analyze, fit-timing, simulate, compare, sweep.  Exit codes:
 Speedup columns always carry both interpretations of the mean: equal
 per-process weights and unmixed-time weights.
 
+A report row maps each column name to its value, in CSV order, and its
+names are the CSV header; every printed or averaged value is read by name.
+So a new report column is one entry in `_report_row`.
+
 Each command loads only the modules it runs.  The loop analysis (`loops`)
 and the timing model (`timing`) are the compiler front end: `analyze` loads
 only the first, `fit-timing` only the second, and `simulate`, `compare` and
@@ -183,50 +187,43 @@ def _load_run(path: str, base: SystemConfig):
     return mix, mix_config(mix, base)
 
 
-def _report_row(report, *vs_base):
-    """One CSV row of a report: its run, then `vs_base` (compare's speedups
-    over unpartitioned, if any), then its metrics from the speedups over
-    running alone to the apportion count."""
+def _report_row(report, base=None) -> dict:
+    """Every CSV column of one run, by name, in CSV order: its run, then its
+    speedups over `base` (the unpartitioned run) when given, then its metrics
+    from the speedups over running alone to the apportion count."""
     mixed, unmixed = report.completions, report.unmixed
     ok, ratios = sla_check(mixed, unmixed)
-    return (
-        report.mix_name,
-        report.category,
-        report.policy,
-        report.interval_ns if report.interval_ns is not None else "",
-        report.end_time,
-        *vs_base,
-        weighted_speedup(unmixed, mixed),
-        weighted_speedup(unmixed, mixed, weights=unmixed),
-        jain_fairness(throughputs(mixed, unmixed)),
-        int(ok),
-        max(ratios.values()),
-        deficit_proxy(report.width_timeline, report.end_time),
-        report.apportion_count,
+    row = {
+        "mix": report.mix_name,
+        "category": report.category,
+        "policy": report.policy,
+        "interval_ns": report.interval_ns if report.interval_ns is not None else "",
+        "end_ns": report.end_time,
+    }
+    if base is not None:
+        row["speedup_vs_unpartitioned"] = weighted_speedup(base.completions, mixed)
+        row["speedup_vs_unpartitioned_tweighted"] = weighted_speedup(base.completions, mixed, weights=unmixed)
+    row.update(
+        speedup_vs_alone=weighted_speedup(unmixed, mixed),
+        speedup_vs_alone_tweighted=weighted_speedup(unmixed, mixed, weights=unmixed),
+        fairness=jain_fairness(throughputs(mixed, unmixed)),
+        sla_ok=int(ok),
+        worst_slowdown=max(ratios.values()),
+        deficit=deficit_proxy(report.width_timeline, report.end_time),
+        apportionings=report.apportion_count,
     )
+    return row
 
 
-REPORT_HEADER = (
-    "mix",
-    "category",
-    "policy",
-    "interval_ns",
-    "end_ns",
-    "speedup_vs_alone",
-    "speedup_vs_alone_tweighted",
-    "fairness",
-    "sla_ok",
-    "worst_slowdown",
-    "deficit",
-    "apportionings",
-)
+def _write_rows(path, rows) -> None:
+    """Rows of one shape as a CSV whose header is their column names."""
+    formats.write_table_csv(path, tuple(rows[0]), [tuple(r.values()) for r in rows])
 
 
 def _cmd_simulate(args) -> int:
     mix, cfg = _load_run(args.mix, _read_config(args.config))
     report = run_mix(mix, Policy(args.policy, args.interval_ns), cfg)
     row = _report_row(report)
-    ws, ws_tw, jain, ok, worst, deficit = row[5:11]
     print("mix %s (%s) under %s" % (report.mix_name, report.category, report.policy))
     print("finished at %.6g ns" % report.end_time)
     for pid in sorted(report.completions):
@@ -241,11 +238,12 @@ def _cmd_simulate(args) -> int:
         )
     print(
         "speedup vs running alone: %.4f equal-weight, %.4f time-weighted"
-        % (ws, ws_tw)
+        % (row["speedup_vs_alone"], row["speedup_vs_alone_tweighted"])
     )
-    print("fairness: %.4f" % jain)
-    print("SLA (%.2fx): %s, worst slowdown %.4f" % (SLA_FACTOR, "pass" if ok else "FAIL", worst))
-    print("unmet-demand integral: %.6g" % deficit)
+    print("fairness: %.4f" % row["fairness"])
+    print("SLA (%.2fx): %s, worst slowdown %.4f"
+          % (SLA_FACTOR, "pass" if row["sla_ok"] else "FAIL", row["worst_slowdown"]))
+    print("unmet-demand integral: %.6g" % row["deficit"])
     if report.policy == "comcas":
         print("apportionings: %d, largest shared group: %d" % (report.apportion_count, report.max_clos_group_size))
     for msg in report.warnings:
@@ -254,28 +252,9 @@ def _cmd_simulate(args) -> int:
         formats.write_alloc_log(report.records, args.log, cfg)
         print("wrote allocation log to %s" % args.log)
     if args.out:
-        formats.write_table_csv(args.out, REPORT_HEADER, [row])
+        _write_rows(args.out, [row])
         print("wrote report to %s" % args.out)
     return 0
-
-
-# a report's columns with compare's speedups over unpartitioned after end_ns
-COMPARE_HEADER = (
-    REPORT_HEADER[:5]
-    + ("speedup_vs_unpartitioned", "speedup_vs_unpartitioned_tweighted")
-    + REPORT_HEADER[5:]
-)
-
-AGGREGATE_HEADER = (
-    "category",
-    "policy",
-    "mixes",
-    "mean_speedup_vs_unpartitioned",
-    "mean_speedup_vs_alone",
-    "mean_fairness",
-    "sla_pass_rate",
-    "mean_deficit",
-)
 
 
 def _parse_policies(text: str) -> list[str]:
@@ -292,17 +271,10 @@ def _parse_policies(text: str) -> list[str]:
 
 def _compare_rows(mix, policies, interval_ns, cfg):
     base = run_mix(mix, Policy("unpartitioned"), cfg)
-    rows = []
-    for kind in policies:
-        report = (
-            base if kind == "unpartitioned" else run_mix(mix, Policy(kind, interval_ns), cfg)
-        )
-        ws_base = weighted_speedup(base.completions, report.completions)
-        ws_base_tw = weighted_speedup(
-            base.completions, report.completions, weights=report.unmixed
-        )
-        rows.append(_report_row(report, ws_base, ws_base_tw))
-    return rows
+    return [
+        _report_row(base if kind == "unpartitioned" else run_mix(mix, Policy(kind, interval_ns), cfg), base)
+        for kind in policies
+    ]
 
 
 def _cmd_compare(args) -> int:
@@ -315,34 +287,43 @@ def _cmd_compare(args) -> int:
         print(
             widths
             % (
-                row[2],
-                "%.4g" % (row[4] / 1e6),
-                "%.4f" % row[5],
-                "%.4f" % row[7],
-                "%.4f" % row[9],
-                "ok" if row[10] else "FAIL",
-                "%.3g" % row[12],
+                row["policy"],
+                "%.4g" % (row["end_ns"] / 1e6),
+                "%.4f" % row["speedup_vs_unpartitioned"],
+                "%.4f" % row["speedup_vs_alone"],
+                "%.4f" % row["fairness"],
+                "ok" if row["sla_ok"] else "FAIL",
+                "%.3g" % row["deficit"],
             )
         )
     if args.out:
-        formats.write_table_csv(args.out, COMPARE_HEADER, rows)
+        _write_rows(args.out, rows)
         print("wrote %s" % args.out)
     return 0
 
 
 def _aggregate_rows(rows, policies):
+    """One row per (category, policy) that ran, averaging compare's columns."""
     groups: dict[tuple[str, str], list] = {}
     for r in rows:
-        groups.setdefault((r[1], r[2]), []).append(r)
+        groups.setdefault((r["category"], r["policy"]), []).append(r)
     out = []
     for cat in CATEGORIES:
         for pol in policies:
             rs = groups.get((cat, pol))
             if not rs:
                 continue
-            n = len(rs)
-            mean = lambda idx: math.fsum(r[idx] for r in rs) / n
-            out.append((cat, pol, n, mean(5), mean(7), mean(9), mean(10), mean(12)))
+            mean = lambda col: math.fsum(r[col] for r in rs) / len(rs)
+            out.append({
+                "category": cat,
+                "policy": pol,
+                "mixes": len(rs),
+                "mean_speedup_vs_unpartitioned": mean("speedup_vs_unpartitioned"),
+                "mean_speedup_vs_alone": mean("speedup_vs_alone"),
+                "mean_fairness": mean("fairness"),
+                "sla_pass_rate": mean("sla_ok"),
+                "mean_deficit": mean("deficit"),
+            })
     return out
 
 
@@ -361,20 +342,20 @@ def _cmd_sweep(args) -> int:
         path_of[mix.name] = path
         rows.extend(_compare_rows(mix, policies, args.interval_ns, cfg))
     # rows go by mix name, which need not follow the path order
-    rows.sort(key=lambda r: (r[0], policies.index(r[2])))
+    rows.sort(key=lambda r: (r["mix"], policies.index(r["policy"])))
     agg = _aggregate_rows(rows, policies)
     by_cat: dict[str, list] = {}
     for a in agg:
-        by_cat.setdefault(a[0], []).append(a)
+        by_cat.setdefault(a["category"], []).append(a)
     for cat, cat_rows in by_cat.items():
-        cells = "  ".join("%s %.4f" % (a[1], a[3]) for a in cat_rows)
-        print("%-8s (%d mixes)  %s" % (cat, cat_rows[0][2], cells))
+        cells = "  ".join("%s %.4f" % (a["policy"], a["mean_speedup_vs_unpartitioned"]) for a in cat_rows)
+        print("%-8s (%d mixes)  %s" % (cat, cat_rows[0]["mixes"], cells))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         mixes_csv = os.path.join(args.out, "sweep-mixes.csv")
         cats_csv = os.path.join(args.out, "sweep-categories.csv")
-        formats.write_table_csv(mixes_csv, COMPARE_HEADER, rows)
-        formats.write_table_csv(cats_csv, AGGREGATE_HEADER, agg)
+        _write_rows(mixes_csv, rows)
+        _write_rows(cats_csv, agg)
         print("wrote %s and %s" % (mixes_csv, cats_csv))
     return 0
 
