@@ -371,7 +371,8 @@ class _Reactive(_Policy):
     placement) and each process's alpha and max-ways, which change only at
     ticks, admissions and releases.  So a tick that moves no way stops the
     clock, and the next admission or release restarts it at the first
-    multiple after its time.  Hence every run ends.
+    multiple after its time, or at its time when the interval is finer than
+    the float spacing there.  Hence every run ends.
 
     Every process holds at least 1 way, as CAT requires a nonempty mask.
     When a socket holds more processes than ways, each gets 1 way and the
@@ -385,11 +386,12 @@ class _Reactive(_Policy):
         super().__init__(place, policy)
         self.interval_ns = policy.interval_ns
         self.tick_no = None  # grid points passed; None while the clock is stopped
+        self.started = 0.0  # the time of the last restart
         self.runs: dict[int, _Run] = {}
 
     @property
     def next_tick(self):
-        return None if self.tick_no is None else (self.tick_no + 1) * self.interval_ns
+        return None if self.tick_no is None else max(self.started, (self.tick_no + 1) * self.interval_ns)
 
     def _restart(self, t):
         """After an admission or release at `t`: stop the clock if nothing
@@ -397,7 +399,7 @@ class _Reactive(_Policy):
         if not self.runs:
             self.tick_no = None
         elif self.tick_no is None:
-            self.tick_no = int(t // self.interval_ns)
+            self.tick_no, self.started = int(t // self.interval_ns), t
             if (self.tick_no + 1) * self.interval_ns <= t:  # the float quotient fell short
                 self.tick_no += 1
 
@@ -611,9 +613,9 @@ def run_mix(
                 active.sort(key=lambda r: r.pid)
                 changed = True
 
-        # each iteration passes time, ends a phase, takes an arrival or
-        # moves the policy's clock; anything else would repeat forever
-        if stalled and not ending and not due and ctl.next_tick == tick:
+        # each iteration passes time, ends a phase, takes an arrival or moves
+        # the policy's clock or a mask; anything else would repeat forever
+        if stalled and not ending and not due and ctl.next_tick == tick and not place.dirty:
             raise TraceError("mix %r: nothing moves at t=%r ns" % (mix.name, now))
 
         if place.dirty:

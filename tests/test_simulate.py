@@ -1,6 +1,8 @@
 """Engine-level tests: every completion time asserted here was traced by hand
 with power-of-two phase times so the arithmetic is exact in floats."""
 
+import glob
+import os
 import random
 from dataclasses import replace
 from unittest.mock import patch
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cacheways import simulate
 from cacheways.apportion import ReuseClass, SystemConfig
 from cacheways.errors import TraceError
+from cacheways.formats import read_mix
 from cacheways.simulate import (
     MixSpec,
     PhaseSpec,
@@ -464,6 +467,42 @@ def test_reactive_clock_resumes_after_idle_gap():
     for pid in (1, 2):
         assert late.completions[pid] == pytest.approx(early.completions[pid], rel=1e-9)
         assert rep.completions[pid] == late.completions[pid]
+
+
+MIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "mixes")
+
+
+def late_start_mix(curve0):
+    """pid 0 from t=0 and pid 1, insensitive, from 12345.678 ns to its
+    release at 1012345.678 ns; a grid of 1e-14 ns is far finer than the
+    float spacing at either instant."""
+    return mix_of(
+        ProcessSpec(pid=0, phases=(phase("a", MIB, curve0),)),
+        ProcessSpec(pid=1, phases=(phase("b", MIB, {2: 1e6}),), start_ns=12345.678),
+        sockets=1,
+    )
+
+
+@pytest.mark.parametrize("mix", [
+    *(pytest.param(read_mix(path), id=os.path.basename(path)[: -len(".mix")])
+      for path in sorted(glob.glob(os.path.join(MIXDIR, "*", "*.mix")))),
+    pytest.param(late_start_mix({2: 4e6, 10: 1e6}), id="late-start-sensitive"),
+    pytest.param(late_start_mix({2: 4e6}), id="late-start-insensitive"),
+])
+def test_reactive_at_an_interval_finer_than_the_float_spacing_ends(monkeypatch, mix):
+    # a restart ticks at its own time when the next grid point rounds to it
+    # or below, and a tick that changed a mask is progress even though the
+    # next grid point is the same float; so the run ends, and its clock
+    # never runs backwards
+    seen = []
+    for name in ("admit", "release", "tick"):
+        real = getattr(simulate._Reactive, name)
+        monkeypatch.setattr(simulate._Reactive, name,
+                            lambda self, t, *rest, _real=real: seen.append(t) or _real(self, t, *rest))
+    rep = run_mix(mix, Policy("reactive", interval_ns=1e-14))
+    assert seen == sorted(seen)
+    times = [t for t, _ in rep.width_timeline]
+    assert times == sorted(times)
 
 
 def test_event_cost_follows_the_touched_socket(monkeypatch):
