@@ -114,7 +114,7 @@ _KEYWORDS = {
     "alpha": ("nonneg", "value"),
     "max-ways": ("ways", "ways"),
     "fixed-ns": ("positive", "ns"),
-    "sample": ("float float (float)...", "bounds... observed-time"),
+    "sample": ("nonneg nonneg (nonneg)...", "bounds... observed-time"),
     "residual": ("float", "value"),
     "coefficients": ("(float)...", "c0 [c1 ...]"),
     "config": ("name name", "key value"),

@@ -261,7 +261,8 @@ def test_fit_timing_recovers_exact_model(tmp_path, capsys):
 @pytest.mark.parametrize("text, message", [
     ("sample 1 2 5\nsample 10 20 5 100\n", "test.txt:3: sample arity 3 != 2"),
     ("# no sample yet\n", "test.txt:1: no sample in the file"),
-], ids=["depth", "empty"])
+    ("sample 5 -2 100\n", "test.txt:2: sample: bad value '-2', expected a finite number >= 0"),
+], ids=["depth", "empty", "negative"])
 def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, text, message):
     train, test = str(tmp_path / "train.txt"), tmp_path / "test.txt"
     write_samples([TrainingSample((u1, u2), 1.0 + u1 + u1 * u2) for u1, u2 in ((1, 2), (3, 1), (2, 5), (4, 4))], train)
@@ -270,6 +271,17 @@ def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, tex
     assert main(["fit-timing", "--samples", train, "--out", str(out), "--test", str(test)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fit_timing_rejects_a_negative_training_sample_before_writing(tmp_path, capsys):
+    train = tmp_path / "train.txt"
+    train.write_text("format-version 1\nsample -5 100\n", encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "train.txt:2: sample: bad value '-5', expected a finite number >= 0" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

@@ -511,6 +511,8 @@ MALFORMED = {
     "mix-repeated-pid": (read_mix, MIX_HEAD + "phase p 1 reuse 1\npoint 2 1\n>process 0\nphase q 1 reuse 1\npoint 2 1\nend"),
     "model-residual": (read_model, V + ">residual\ncoefficients 1"),
     "samples-empty": (read_samples, ">" + V + "# no sample yet"),
+    "samples-bound-negative": (read_samples, V + "sample 1 2 10\n>sample -5 2 100"),
+    "samples-time-negative": (read_samples, V + ">sample 1 2 -1"),
     "end-arguments": (read_curves, V + "curve a\npoint 2 1\n>end a"),
     "mix-config": (read_mix, V + "mix m light\n>config ways_per_socket 1\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend"),
     "config-file": (read_config, V + "config sockets 1\n>config ways_per_socket 1"),
@@ -572,6 +574,8 @@ MALFORMED.update({
 MESSAGES = {
     "mix-unmixed-ns": "unknown keyword 'unmixed-ns'",
     "mix-repeated-alpha-after-phase": "repeated alpha; first at line 4",
+    "samples-bound-negative": "sample: bad value '-5', expected a finite number >= 0",
+    "samples-time-negative": "sample: bad value '-1', expected a finite number >= 0",
     "log-time-nan": "record: bad value 'nan', expected a finite number",
     "log-event": "record: bad value 'admit', expected ipca|pcca|release",
     "log-mask": "record: bad value '0xg', expected a hex mask >= 0",
