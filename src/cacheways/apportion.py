@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
+from .errors import CacheWaysError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def replay_events(events, config: SystemConfig | None = None) -> "Apportioner":
         elif kind == "release":
             ap.release_process(t, *args)
         else:
-            raise TraceError("unknown event kind %r" % (kind,))
+            raise CacheWaysError("unknown event kind %r" % (kind,))
     return ap
 
 
@@ -255,7 +255,7 @@ class Apportioner:
     def _proc(self, pid: int) -> ProcessState:
         p = self.procs.get(pid)
         if p is None:
-            raise NotPlaced("pid %r is not placed" % (pid,))
+            raise CacheWaysError("pid %r is not placed" % (pid,))
         return p
 
     def _demand(self, clos: ClosState) -> int:
@@ -286,9 +286,9 @@ class Apportioner:
         """
         w_total = self.config.ways_per_socket
         if ways > w_total:
-            raise BitmaskOverflow("%d ways > socket capacity %d" % (ways, w_total))
+            raise CacheWaysError("%d ways > socket capacity %d" % (ways, w_total))
         if ways < 1:
-            raise BitmaskOverflow("cannot place an empty bitmask")
+            raise CacheWaysError("cannot place an empty bitmask")
         others = [
             c for c in sock.occupied if c.clos_id != clos_id and c.mask
         ]
@@ -431,7 +431,7 @@ class Apportioner:
         arrivals = sorted(arrivals, key=lambda a: a[0])
         for i, (pid, *_) in enumerate(arrivals):
             if pid in self.procs or i and arrivals[i - 1][0] == pid:
-                raise TraceError("pid %r admitted twice" % (pid,))
+                raise CacheWaysError("pid %r admitted twice" % (pid,))
 
         prov_free = {s.sid: s.free_ways for s in self.sockets}
         prov_cores = {s.sid: s.free_cores for s in self.sockets}
@@ -446,7 +446,7 @@ class Apportioner:
             else:
                 sid = max(prov_cores, key=lambda s: (prov_cores[s], -s))
                 if prov_cores[sid] <= 0:
-                    raise AdmissionRejected("no socket has a free core or CLOS seat")
+                    raise CacheWaysError("no socket has a free core or CLOS seat")
             prov_cores[sid] -= 1
             prov_free[sid] = max(0, prov_free[sid] - max_ways)
             chosen.append(ProcessState(

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .apportion import ReuseClass, SystemConfig
-from .errors import FootprintUnanalyzable, OracleTooLarge, SchemaError
+from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
 
 VALID_ELEMENT_SIZES = (1, 2, 4, 8, 16)
 
@@ -346,7 +346,7 @@ def footprint_enumerate(
     nest: LoopNest, line_size: int = SystemConfig.line_size, cap: int = 10**6
 ) -> FootprintValue:
     """Brute-force oracle: walk every iteration, collect the distinct byte
-    set, count exactly.  Raises OracleTooLarge past `cap` statement-iterations
+    set, count exactly.  Raises CacheWaysError past `cap` statement-iterations
     and SchemaError on estimated bounds (an estimate has nothing to walk)."""
     validate_nest(nest)
     _check_line_size(nest, line_size)
@@ -362,7 +362,7 @@ def footprint_enumerate(
             iters *= lv.upper_bound.value
         work += iters
     if work > cap:
-        raise OracleTooLarge("%d statement-iterations exceed cap %d" % (work, cap))
+        raise CacheWaysError("%d statement-iterations exceed cap %d" % (work, cap))
 
     elements: dict[str, set] = {}
     for stmt in nest.statements:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import MetricArity, MetricUndefined
+from .errors import CacheWaysError
 
 SLA_FACTOR = 1.15
 
@@ -22,20 +22,20 @@ def weighted_speedup(
     returns exactly 1.0.
     """
     if set(baseline) != set(candidate):
-        raise MetricArity("speedup needs the same process set on both sides")
+        raise CacheWaysError("speedup needs the same process set on both sides")
     if not baseline:
-        raise MetricArity("speedup of an empty mix is undefined")
+        raise CacheWaysError("speedup of an empty mix is undefined")
     if weights is not None and set(weights) != set(baseline):
-        raise MetricArity("weights must cover exactly the process set")
+        raise CacheWaysError("weights must cover exactly the process set")
     logs = []
     total = 0.0
     for pid in baseline:
         b, c = baseline[pid], candidate[pid]
         if b <= 0 or c <= 0:
-            raise MetricUndefined("pid %d: non-positive completion time" % pid)
+            raise CacheWaysError("pid %d: non-positive completion time" % pid)
         w = 1.0 if weights is None else weights[pid]
         if w <= 0:
-            raise MetricUndefined("pid %d: non-positive weight" % pid)
+            raise CacheWaysError("pid %d: non-positive weight" % pid)
         total += w
         if b == c:
             logs.append(0.0)
@@ -49,9 +49,9 @@ def jain_fairness(values: list[float]) -> float:
     """Jain's index of a throughput-like sample, in (0, 1]; 1 is exact
     equality.  Computed as 1 / (1 + cv^2) with the population deviation."""
     if not values:
-        raise MetricArity("fairness of an empty sample is undefined")
+        raise CacheWaysError("fairness of an empty sample is undefined")
     if any(v <= 0 for v in values):
-        raise MetricUndefined("fairness needs positive values")
+        raise CacheWaysError("fairness needs positive values")
     if all(v == values[0] for v in values):
         return 1.0
     n = len(values)
@@ -66,11 +66,11 @@ def sla_check(
     """Per-process slowdown against the run-alone time.  Passes when every
     process stayed within `factor` of its unmixed completion."""
     if set(mixed) != set(unmixed):
-        raise MetricArity("SLA needs the same process set on both sides")
+        raise CacheWaysError("SLA needs the same process set on both sides")
     ratios = {}
     for pid in sorted(mixed):
         if unmixed[pid] <= 0:
-            raise MetricUndefined("pid %d: non-positive unmixed time" % pid)
+            raise CacheWaysError("pid %d: non-positive unmixed time" % pid)
         ratios[pid] = mixed[pid] / unmixed[pid]
     return all(r <= factor for r in ratios.values()), ratios
 

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .apportion import SystemConfig
-from .errors import CurveIncomplete, SchemaError
+from .errors import CacheWaysError, SchemaError
 
 MONOTONE_TOL = 1e-6
 
@@ -52,7 +52,7 @@ class WayTimeCurve:
         """Time at an arbitrary way count >= 2: exact at observed points,
         linear between them, flat beyond the last one."""
         if ways < 2:
-            raise CurveIncomplete("time_at needs ways >= 2, got %d" % ways)
+            raise CacheWaysError("time_at needs ways >= 2, got %d" % ways)
         pts = self.points
         if ways <= pts[0][0]:
             return pts[0][1]
@@ -86,11 +86,11 @@ def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
     max_ways = 2 (empty sum).  Requires observations at both 2 and max_ways.
     """
     if max_ways < 2:
-        raise CurveIncomplete("max_ways must be >= 2")
+        raise CacheWaysError("max_ways must be >= 2")
     pts = [(w, t) for w, t in curve.points if w <= max_ways]
     observed = {w for w, _ in pts}
     if 2 not in observed or max_ways not in observed:
-        raise CurveIncomplete(
+        raise CacheWaysError(
             "curve must cover 2..%d (observed %s)" % (max_ways, sorted(observed))
         )
     alpha = 0.0

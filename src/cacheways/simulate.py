@@ -54,7 +54,7 @@ from .apportion import (
     SystemConfig,
     best_window,
 )
-from .errors import TraceError
+from .errors import CacheWaysError
 from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
 
 CATEGORIES = ("light", "medium", "heavy")
@@ -98,9 +98,9 @@ class Policy:
 
     def __post_init__(self):
         if self.kind not in _POLICIES:
-            raise TraceError("unknown policy %r" % (self.kind,))
+            raise CacheWaysError("unknown policy %r" % (self.kind,))
         if not (math.isfinite(self.interval_ns) and self.interval_ns > 0):
-            raise TraceError("policy interval must be positive and finite")
+            raise CacheWaysError("policy interval must be positive and finite")
 
 
 @dataclass
@@ -121,21 +121,21 @@ class SimReport:
 
 def validate_mix(mix: MixSpec) -> None:
     if mix.category not in CATEGORIES:
-        raise TraceError("mix %r: category %r" % (mix.name, mix.category))
+        raise CacheWaysError("mix %r: category %r" % (mix.name, mix.category))
     if not mix.processes:
-        raise TraceError("mix %r has no processes" % mix.name)
+        raise CacheWaysError("mix %r has no processes" % mix.name)
     seen = set()
     for proc in mix.processes:
         if proc.pid in seen:
-            raise TraceError("mix %r: duplicate pid %d" % (mix.name, proc.pid))
+            raise CacheWaysError("mix %r: duplicate pid %d" % (mix.name, proc.pid))
         seen.add(proc.pid)
         if not proc.phases:
-            raise TraceError("mix %r: pid %d has no phases" % (mix.name, proc.pid))
+            raise CacheWaysError("mix %r: pid %d has no phases" % (mix.name, proc.pid))
         if not math.isfinite(proc.start_ns):
-            raise TraceError("mix %r: pid %d start must be finite" % (mix.name, proc.pid))
+            raise CacheWaysError("mix %r: pid %d start must be finite" % (mix.name, proc.pid))
         for ph in proc.phases:
             if not (math.isfinite(ph.work) and ph.work > 0):
-                raise TraceError(
+                raise CacheWaysError(
                     "mix %r: pid %d phase %r work must be positive and finite"
                     % (mix.name, proc.pid, ph.phase_id)
                 )
@@ -173,7 +173,7 @@ def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = SystemConfig.dm
     """Execution speed (work units per ns) at a way count.  One way behaves
     like a directly-mapped cache: t(2) stretched by the penalty factor."""
     if ways < 1:
-        raise TraceError("phase %r: ways must be >= 1" % phase.phase_id)
+        raise CacheWaysError("phase %r: ways must be >= 1" % phase.phase_id)
     if ways == 1:
         t = phase.curve.time_at(2) * dm_penalty
     else:
@@ -195,7 +195,7 @@ def effective_ways(mask: int, claims, reuse: bool) -> int:
         if mask >> way & 1:
             k = claims[way]
             if k < 1:
-                raise TraceError("way %d of mask %#x has no reuse claim" % (way, mask))
+                raise CacheWaysError("way %d of mask %#x has no reuse claim" % (way, mask))
             ways_at[k] = ways_at.get(k, 0) + 1
     num, den = 0, 1  # the running sum of n_k / k is num / den
     for k, n in ways_at.items():
@@ -564,7 +564,7 @@ def run_mix(
         if tick is not None:
             cands.append(tick)
         if not cands:
-            raise TraceError(
+            raise CacheWaysError(
                 "mix %r: waiting processes can never be admitted" % mix.name
             )
         t = min(cands)
@@ -616,7 +616,7 @@ def run_mix(
         # each iteration passes time, ends a phase, takes an arrival or moves
         # the policy's clock or a mask; anything else would repeat forever
         if stalled and not ending and not due and ctl.next_tick == tick and not place.dirty:
-            raise TraceError("mix %r: nothing moves at t=%r ns" % (mix.name, now))
+            raise CacheWaysError("mix %r: nothing moves at t=%r ns" % (mix.name, now))
 
         if place.dirty:
             # speeds and rows of the pids whose effective ways can have moved

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
-from .errors import AccuracyUndefined, ArityError, FitSingular
+from .errors import CacheWaysError
 
 RIDGE = 1e-12  # stabilizer on the normal equations: minimizes |Xc - y|^2 + RIDGE |c|^2
 EPS = sys.float_info.epsilon
@@ -31,7 +31,7 @@ def make_features(bounds: Sequence[float]) -> tuple[float, ...]:
     acc = 1.0
     for b in bounds:
         if b < 0:
-            raise ArityError("negative trip count %r" % (b,))
+            raise CacheWaysError("negative trip count %r" % (b,))
         acc *= b
         feats.append(acc)
     return tuple(feats)
@@ -56,17 +56,17 @@ class TrainingSample:
 def fit_timing(samples: Sequence[TrainingSample]) -> TimingModel:
     """Least-squares fit of the coefficients over the samples.
 
-    Deterministic for a fixed sample order.  Raises FitSingular when the
+    Deterministic for a fixed sample order.  Raises CacheWaysError when the
     design matrix is rank-deficient (too few or affinely dependent samples).
     """
     if not samples:
-        raise FitSingular("no training samples")
+        raise CacheWaysError("no training samples")
     depth = len(samples[0].bounds)
     rows = []
     y = []
     for s in samples:
         if len(s.bounds) != depth:
-            raise ArityError(
+            raise CacheWaysError(
                 "sample arity %d != %d" % (len(s.bounds), depth)
             )
         rows.append((1.0,) + make_features(s.bounds))
@@ -74,7 +74,7 @@ def fit_timing(samples: Sequence[TrainingSample]) -> TimingModel:
     ncoef = depth + 1
     rank, coef = _ridge_svd(rows, y)
     if rank < ncoef:
-        raise FitSingular(
+        raise CacheWaysError(
             "design matrix rank-deficient for %d coefficients" % ncoef
         )
     resid = math.sqrt(sum((_dot(r, coef) - t) ** 2 for r, t in zip(rows, y)) / len(y))
@@ -128,7 +128,7 @@ def _ridge_svd(rows: list[tuple[float, ...]], y: list[float]) -> tuple[int, list
 def predict_phase_time(model: TimingModel, bounds: Sequence[float]) -> float:
     """Evaluate the model at the given trip counts; clamps below at 0."""
     if len(bounds) != model.depth:
-        raise ArityError(
+        raise CacheWaysError(
             "got %d bounds for a depth-%d model" % (len(bounds), model.depth)
         )
     feats = make_features(bounds)
@@ -148,5 +148,5 @@ def timing_accuracy(model: TimingModel, test_samples: Sequence[TrainingSample]) 
         pred = predict_phase_time(model, s.bounds)
         scores.append(max(0.0, 1.0 - abs(pred - s.observed_time) / s.observed_time))
     if not scores:
-        raise AccuracyUndefined("every observed time is zero")
+        raise CacheWaysError("every observed time is zero")
     return 100.0 * sum(scores) / len(scores)

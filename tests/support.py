@@ -2,9 +2,13 @@
 inputs and readers for the command outputs, built on the package's grammar
 so that a round trip checks the grammar the commands use."""
 
+import contextlib
 import os
 
+import pytest
+
 import cacheways
+from cacheways.errors import CacheWaysError, SchemaError
 from cacheways.formats import _config_lines, _non_default, _Reader, _render, _write_lines
 from cacheways.sensitivity import WayTimeCurve
 from cacheways.timing import TimingModel
@@ -17,6 +21,15 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+@contextlib.contextmanager
+def raises_fault(match):
+    """pytest.raises(CacheWaysError, match=match) for a fault the CLI exits
+    3 on: the error must not be a SchemaError, which exits 2."""
+    with pytest.raises(CacheWaysError, match=match) as info:
+        yield info
+    assert not isinstance(info.value, SchemaError), info.value
 
 
 def way_time_curve(times):

@@ -14,7 +14,8 @@ import subprocess
 import sys
 import time
 
-from cacheways.apportion import AdmissionRejected, Apportioner, ReuseClass, SystemConfig
+from cacheways.apportion import Apportioner, ReuseClass, SystemConfig
+from cacheways.errors import CacheWaysError
 from cacheways.formats import read_mix
 from cacheways.loops import (
     compute_srd,
@@ -249,8 +250,8 @@ def drive_stream(seed, n_events):
             batch = [arrival() for _ in range(k)]
             try:
                 ap.ipca_batch(t, batch)
-            except AdmissionRejected:
-                pass
+            except CacheWaysError as exc:  # only a full machine refuses a batch
+                assert str(exc) == "no socket has a free core or CLOS seat"
             live = set(ap.procs)  # check_invariants records each first socket
             done += k
             if op == "batch":

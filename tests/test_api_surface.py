@@ -1,7 +1,8 @@
 """Every public function, class and method of `src/cacheways` has a caller
 outside the tests: in `src/` outside its own body, in `demos/`, or in
-`perfbench/` (its `test_*.py` excluded); and each subcommand takes exactly
-the options listed in `OPTIONS`."""
+`perfbench/` (its `test_*.py` excluded); every exception class is caught
+there by name; and each subcommand takes exactly the options listed in
+`OPTIONS`."""
 
 import argparse
 import ast
@@ -42,6 +43,18 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                     uncalled.add(node.name)
     assert not uncalled - EXEMPT, "only the tests call %s" % sorted(uncalled - EXEMPT)
     assert not EXEMPT - uncalled, "exempt names with a caller: %s" % sorted(EXEMPT - uncalled)
+
+
+def test_every_error_class_is_caught_outside_the_tests():
+    # a class exists only where some caller tells it apart from the others
+    (defined,) = [{node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+                  for _, tree in trees("src/cacheways/errors.py")]
+    caught = set()
+    for _, tree in trees("src/cacheways/*.py", "demos/*.py", "perfbench/*.py"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.type))
+    assert defined <= caught, "no caller catches %s" % sorted(defined - caught)
 
 
 # each command's option strings; a new flag is a deliberate change to this table

@@ -19,10 +19,10 @@ from cacheways.apportion import (
     classify_scenario,
     required_ways,
 )
-from cacheways.errors import AdmissionRejected, BitmaskOverflow, NotPlaced, SchemaError, TraceError
+from cacheways.errors import SchemaError
 
 from oracles import cache_fractions, is_contiguous
-from support import checking_moved, clos_of
+from support import checking_moved, clos_of, raises_fault
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
 
@@ -138,9 +138,9 @@ def test_bitmask_overlap_lands_on_lowest_alpha_region():
 
 def test_bitmask_rejects_oversize():
     ap = Apportioner(one_socket())
-    with pytest.raises(BitmaskOverflow):
+    with raises_fault("12 ways > socket capacity 11"):
         ap.generate_bitmask(ap.sockets[0], 0, 12)
-    with pytest.raises(BitmaskOverflow):
+    with raises_fault("cannot place an empty bitmask"):
         ap.generate_bitmask(ap.sockets[0], 0, 0)
 
 
@@ -149,7 +149,7 @@ def test_bitmask_rejects_oversize():
 def test_double_admission_rejected():
     ap = Apportioner(one_socket())
     ap.ipca_batch(0.0, [(7, 0.0, 2, MIB, REUSE, 1.0)])
-    with pytest.raises(TraceError):
+    with raises_fault("pid 7 admitted twice"):
         ap.ipca_batch(1.0, [(7, 0.0, 2, MIB, REUSE, 1.0)])
 
 
@@ -181,7 +181,7 @@ def test_admission_fails_without_free_core():
     cfg = SystemConfig(sockets=1, cores_per_socket=1)
     ap = Apportioner(cfg)
     ap.ipca_batch(0.0, [(0, 0.0, 2, MIB, REUSE, 1.0)])
-    with pytest.raises(AdmissionRejected):
+    with raises_fault("no socket has a free core or CLOS seat"):
         ap.ipca_batch(1.0, [(1, 0.0, 2, MIB, REUSE, 1.0)])
 
 
@@ -202,10 +202,10 @@ def test_a_rejected_batch_changes_nothing(cores, resident):
     ap = Apportioner(one_socket(cores_per_socket=cores))
     ap.ipca_batch(0.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in resident])
     before = placement_state(ap)
-    with pytest.raises(AdmissionRejected):
+    with raises_fault("no socket has a free core or CLOS seat"):
         ap.ipca_batch(1.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in (0, 1)])
     assert placement_state(ap) == before
-    with pytest.raises(NotPlaced):
+    with raises_fault("is not placed"):
         ap.release_process(2.0, 0)
     ap.ipca_batch(3.0, [(0, 0.0, 2, MIB, REUSE, 1.0)])  # the room is still there
     assert ap.procs[0].clos_id >= 0
@@ -215,7 +215,7 @@ def test_a_batch_naming_a_pid_twice_is_rejected_whole():
     ap = Apportioner(one_socket())
     ap.ipca_batch(0.0, [(5, 0.0, 2, MIB, REUSE, 1.0)])
     before = placement_state(ap)
-    with pytest.raises(TraceError, match="pid 0 admitted twice"):
+    with raises_fault("pid 0 admitted twice"):
         ap.ipca_batch(1.0, [(0, 0.0, 2, MIB, REUSE, 1.0), (1, 0.0, 2, MIB, REUSE, 1.0),
                             (0, 0.0, 3, 2 * MIB, STREAM, 1.0)])
     assert placement_state(ap) == before
@@ -226,7 +226,7 @@ def test_gfactor_never_exceeded():
     ap = Apportioner(cfg)
     ap.ipca_batch(0.0, [(0, 0.0, 2, MIB, REUSE, 1.0)])
     ap.ipca_batch(1.0, [(1, 0.0, 2, MIB, REUSE, 1.0)])
-    with pytest.raises(AdmissionRejected):
+    with raises_fault("no socket has a free core or CLOS seat"):
         ap.ipca_batch(2.0, [(2, 0.0, 2, MIB, REUSE, 1.0)])
     assert ap.max_clos_group_size == 2
 
@@ -276,7 +276,7 @@ def test_granted_ways_caps_at_saturation():
 
 def test_unplaced_pid_raises():
     ap = Apportioner(one_socket())
-    with pytest.raises(NotPlaced):
+    with raises_fault("is not placed"):
         ap.pcca(0.0, 3, MIB, REUSE, 1.0)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from cacheways import cli, formats
 from cacheways.apportion import Apportioner, ReuseClass, SystemConfig
-from cacheways.errors import AdmissionRejected
+from cacheways.errors import CacheWaysError
 from cacheways.cli import main
 from cacheways.loops import (
     Affine,
@@ -345,7 +345,7 @@ def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys, monkeypatch):
     # no mix reaches a rejection now (an arrival waits for room), so the
     # allocator is made to raise one
     def reject(self, t, arrivals):
-        raise AdmissionRejected("no socket has a free core or CLOS seat")
+        raise CacheWaysError("no socket has a free core or CLOS seat")
 
     monkeypatch.setattr(Apportioner, "ipca_batch", reject)
     code = main(["simulate", "--mix", mix_file(tmp_path)])

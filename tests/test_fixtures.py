@@ -14,10 +14,10 @@ import os
 
 import pytest
 
-from cacheways.apportion import AdmissionRejected, Apportioner, replay_events
+from cacheways.apportion import Apportioner, replay_events
 from cacheways.formats import read_events, write_alloc_log
 
-from support import checking_moved, clos_of
+from support import checking_moved, clos_of, raises_fault
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -62,7 +62,7 @@ def test_fixture_operations_name_the_clos_they_moved(name, monkeypatch):
 
 def test_gfactor_cap_rejects_third_arrival():
     events, cfg = read_events(os.path.join(FIXDIR, "05-gfactor-cap.events"))
-    with pytest.raises(AdmissionRejected):
+    with raises_fault("no socket has a free core or CLOS seat"):
         replay_events(events, cfg)
 
 

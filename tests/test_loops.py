@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cacheways.apportion import ReuseClass
-from cacheways.errors import FootprintUnanalyzable, OracleTooLarge, SchemaError
+from cacheways.errors import FootprintUnanalyzable, SchemaError
 from cacheways.loops import (
     Affine,
     ArrayDecl,
@@ -23,6 +23,7 @@ from cacheways.loops import (
     validate_nest,
 )
 from oracles import brute_footprint, iteration_trace, random_affine_nest, strict_gaps, two_statement_nest
+from support import raises_fault
 
 
 def simple_nest(bound, sub, es=8, name="n", extra=()):
@@ -211,7 +212,7 @@ def test_indirect_default_requires_declaration():
 
 def test_enumerate_cap_enforced():
     nest = simple_nest(1000, Affine(0, (("i", 1),)))
-    with pytest.raises(OracleTooLarge):
+    with raises_fault("1000 statement-iterations exceed cap 999"):
         footprint_enumerate(nest, cap=999)
 
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from cacheways.errors import MetricArity, MetricUndefined
 from cacheways.metrics import (
     SLA_FACTOR,
     deficit_proxy,
@@ -13,6 +12,8 @@ from cacheways.metrics import (
     throughputs,
     weighted_speedup,
 )
+
+from support import raises_fault
 
 
 def test_weighted_speedup_identity_is_exactly_one():
@@ -37,13 +38,13 @@ def test_weighted_speedup_reciprocal_symmetry():
 
 
 def test_weighted_speedup_arity_errors():
-    with pytest.raises(MetricArity):
+    with raises_fault("speedup needs the same process set on both sides"):
         weighted_speedup({0: 1.0}, {1: 1.0})
-    with pytest.raises(MetricArity):
+    with raises_fault("speedup of an empty mix is undefined"):
         weighted_speedup({}, {})
-    with pytest.raises(MetricUndefined):
+    with raises_fault("pid 0: non-positive completion time"):
         weighted_speedup({0: 0.0}, {0: 1.0})
-    with pytest.raises(MetricUndefined):
+    with raises_fault("pid 0: non-positive completion time"):
         weighted_speedup({0: 1.0}, {0: -2.0})
 
 
@@ -62,9 +63,9 @@ def test_weighted_speedup_explicit_weights():
 
 def test_weighted_speedup_weight_errors():
     base = {0: 1.0, 1: 2.0}
-    with pytest.raises(MetricArity):
+    with raises_fault("weights must cover exactly the process set"):
         weighted_speedup(base, base, weights={0: 1.0})
-    with pytest.raises(MetricUndefined):
+    with raises_fault("pid 1: non-positive weight"):
         weighted_speedup(base, base, weights={0: 1.0, 1: 0.0})
 
 
@@ -81,9 +82,9 @@ def test_jain_known_values():
 
 
 def test_jain_errors():
-    with pytest.raises(MetricArity):
+    with raises_fault("fairness of an empty sample is undefined"):
         jain_fairness([])
-    with pytest.raises(MetricUndefined):
+    with raises_fault("fairness needs positive values"):
         jain_fairness([1.0, 0.0])
 
 
@@ -98,9 +99,9 @@ def test_sla_boundary_inclusive():
 def test_sla_custom_factor_and_errors():
     ok, ratios = sla_check({0: 150.0, 1: 90.0}, {0: 100.0, 1: 100.0}, factor=1.5)
     assert ok and ratios == {0: 1.5, 1: 0.9}
-    with pytest.raises(MetricArity):
+    with raises_fault("SLA needs the same process set on both sides"):
         sla_check({0: 1.0}, {1: 1.0})
-    with pytest.raises(MetricUndefined):
+    with raises_fault("pid 0: non-positive unmixed time"):
         sla_check({0: 1.0}, {0: 0.0})
 
 

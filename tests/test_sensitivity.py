@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cacheways.errors import CurveIncomplete, SchemaError
+from cacheways.errors import SchemaError
 from cacheways.sensitivity import (
     WayTimeCurve,
     assemble_attributes,
@@ -11,7 +11,7 @@ from cacheways.sensitivity import (
     detect_max_ways,
 )
 from oracles import alpha_reference
-from support import way_time_curve as curve
+from support import raises_fault, way_time_curve as curve
 
 
 # -- curve construction -------------------------------------------------------
@@ -67,7 +67,7 @@ def test_time_at_flat_beyond_last_point():
 
 def test_time_at_rejects_below_two():
     c = curve({2: 20.0})
-    with pytest.raises(CurveIncomplete):
+    with raises_fault("time_at needs ways >= 2, got 1"):
         c.time_at(1)
 
 
@@ -113,14 +113,14 @@ def test_alpha_ignores_points_past_max_ways():
 
 def test_alpha_requires_endpoint_observations():
     c = curve({2: 100.0, 4: 60.0})
-    with pytest.raises(CurveIncomplete):
+    with raises_fault("curve must cover 2..3"):
         compute_alpha(c, 3)
-    with pytest.raises(CurveIncomplete):
+    with raises_fault("curve must cover 2..5"):
         compute_alpha(c, 5)
 
 
 def test_alpha_rejects_max_ways_below_two():
-    with pytest.raises(CurveIncomplete):
+    with raises_fault("max_ways must be >= 2"):
         compute_alpha(curve({2: 10.0}), 1)
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from cacheways import simulate
 from cacheways.apportion import ReuseClass, SystemConfig
-from cacheways.errors import TraceError
 from cacheways.formats import read_mix
 from cacheways.simulate import (
     MixSpec,
@@ -28,7 +27,7 @@ from cacheways.simulate import (
     validate_mix,
 )
 from oracles import brute_effective_ways, process_sensitivity_reference
-from support import way_time_curve
+from support import raises_fault, way_time_curve
 
 MIB = 1 << 20
 
@@ -54,7 +53,7 @@ def test_phase_speed_one_way_pays_dm_penalty():
 
 
 def test_phase_speed_rejects_zero_ways():
-    with pytest.raises(TraceError):
+    with raises_fault("ways must be >= 1"):
         phase_speed(phase("p", MIB, {2: 400.0}), 0)
 
 
@@ -84,7 +83,7 @@ def test_effective_ways_splits_reuse_only():
 
 def test_effective_ways_requires_membership():
     # a reuse phase is itself a claimant of every way it holds
-    with pytest.raises(TraceError):
+    with raises_fault("has no reuse claim"):
         effective_ways(0x3, [1, 0], True)
 
 
@@ -124,32 +123,32 @@ def test_mix_config_overrides():
 def test_validate_mix_rejects_bad_category():
     m = mix_of(ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}),)))
     m.category = "enormous"
-    with pytest.raises(TraceError, match="category"):
+    with raises_fault("category"):
         validate_mix(m)
 
 
 def test_validate_mix_rejects_empty_and_duplicates():
-    with pytest.raises(TraceError, match="no processes"):
+    with raises_fault("no processes"):
         validate_mix(MixSpec(name="m", category="light", processes=()))
     p = ProcessSpec(pid=3, phases=(phase("a", MIB, {2: 1.0}),))
-    with pytest.raises(TraceError, match="duplicate pid"):
+    with raises_fault("duplicate pid"):
         validate_mix(mix_of(p, p))
-    with pytest.raises(TraceError, match="no phases"):
+    with raises_fault("no phases"):
         validate_mix(mix_of(ProcessSpec(pid=0, phases=())))
     for work in (0.0, float("nan"), float("inf")):
         bad = ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}, work=work),))
-        with pytest.raises(TraceError, match="work"):
+        with raises_fault("work"):
             validate_mix(mix_of(bad))
     late = ProcessSpec(pid=0, phases=(phase("a", MIB, {2: 1.0}),), start_ns=float("nan"))
-    with pytest.raises(TraceError, match="start"):
+    with raises_fault("start"):
         validate_mix(mix_of(late))
 
 
 def test_policy_validation():
-    with pytest.raises(TraceError):
+    with raises_fault("unknown policy 'roundrobin'"):
         Policy("roundrobin")
     for bad in (0.0, -5.0, float("nan"), float("inf")):
-        with pytest.raises(TraceError, match="interval"):
+        with raises_fault("interval"):
             Policy("reactive", interval_ns=bad)
     assert Policy("reactive").interval_ns == 5e8
 
@@ -621,7 +620,7 @@ def test_a_loop_iteration_that_moves_nothing_is_a_trace_error(monkeypatch):
 
     monkeypatch.setitem(simulate._POLICIES, "unpartitioned", Stuck)
     proc = ProcessSpec(pid=0, phases=(phase("p", MIB, {2: 1024.0}),))
-    with pytest.raises(TraceError, match="mix 'stuck': nothing moves at t=64.0 ns"):
+    with raises_fault("mix 'stuck': nothing moves at t=64.0 ns"):
         run_mix(mix_of(proc, name="stuck"), Policy("unpartitioned"))
 
 
