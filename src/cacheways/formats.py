@@ -11,13 +11,15 @@ flag, possibly a repeated tail) and a usage string for errors.
 
 One reader, `_Reader`, checks each line's keyword, arity, types, ranges and
 finiteness against that table and hands back typed lines with their line
-numbers.  It knows no keyword by name but the version line.  A rule that
-spans lines lives in the one function that assembles its block: `read_mix`
-rejects a field set twice in one process or phase, `_config` types each
-config value by its key, `_leading_config` splits off the config lines that
-open an event trace or allocation log, and nests and curves share one
-`opener <name> ... end` block splitter.  Any malformed line, a truncated one
-included, raises SchemaError naming the file and line.
+numbers.  It knows no keyword by name but the version line.  A rule the
+table cannot state lives in the one function that assembles its block:
+`read_mix` rejects a field set twice in one process or phase, a phase whose
+speed at a curve point and a process whose earliest end leave the float
+range, `read_samples` a sample whose trip-count products do, `_config`
+types each config value by its key, `_leading_config` splits off the config
+lines that open an event trace or allocation log, and nests and curves
+share one `opener <name> ... end` block splitter.  Any malformed line, a
+truncated one included, raises SchemaError naming the file and line.
 
 There is one reader or writer per file a command reads or writes, plus the
 event-trace functions and `read_alloc_log`, which serve the allocation
@@ -34,6 +36,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
@@ -84,7 +87,8 @@ _TYPES = {
     "name": (str, str, "a name"),
     "int": (int, "%d".__mod__, "an integer"),
     "float": (_finite, fmt_float, "a finite number"),
-    "bytes": (partial(_checked, int, lambda v: v >= 0), "%d".__mod__, "an integer >= 0"),
+    "bytes": (partial(_checked, int, lambda v: 0 <= v <= sys.float_info.max), "%d".__mod__,
+              "an integer >= 0 within the float range"),
     "ways": (partial(_checked, int, lambda v: v >= 1), "%d".__mod__, "an integer >= 1"),
     "positive": (partial(_checked, _finite, lambda v: v > 0), fmt_float, "a finite number > 0"),
     "nonneg": (partial(_checked, _finite, lambda v: v >= 0), fmt_float, "a finite number >= 0"),
@@ -385,7 +389,7 @@ def read_curves(path: str) -> dict[str, WayTimeCurve]:
 
 def read_samples(path: str, depth: int | None = None) -> list[TrainingSample]:
     """The samples, all of one depth: `depth` when given, else the first's."""
-    from .timing import TrainingSample  # as in read_nests: only fit-timing loads the model
+    from .timing import TrainingSample, make_features  # as in read_nests: only fit-timing loads the model
 
     rd = _Reader(path, {"sample"})
     samples: list[TrainingSample] = []
@@ -393,6 +397,8 @@ def read_samples(path: str, depth: int | None = None) -> list[TrainingSample]:
         depth = depth or len(bounds)
         if len(bounds) != depth:
             rd.fail(no, "sample arity %d != %d" % (len(bounds), depth))
+        if not all(map(math.isfinite, make_features(bounds))):
+            rd.fail(no, "sample: a product of its trip counts leaves the float range")
         samples.append(TrainingSample(tuple(bounds), observed))
     if not samples:
         rd.fail(rd.last, "no sample in the file")
@@ -485,11 +491,15 @@ def _process(rd: _Reader, proc: tuple) -> ProcessSpec:
     vals = {kw: val for kw, (_, val) in fields.items()}
     start = vals.get("start", 0.0)
     # no phase runs faster than its curve's smallest time; a start that
-    # absorbs even that would end the process at the instant it started
-    shortest = min(t for ph in specs for _, t in ph.curve.points)
+    # absorbs even that would end the process at the instant it started,
+    # and a start plus all of them past the float range ends it at inf
+    times = [min(t for _, t in ph.curve.points) for ph in specs]
+    shortest = min(times)
     if start + shortest == start:  # only a start line can: every time is > 0
         rd.fail(fields["start"][0], "start %s: process %d's shortest phase (%s ns) would not move the clock"
                 % (fmt_float(start), pid, fmt_float(shortest)))
+    if sum(times, start) == math.inf:
+        rd.fail(no, "process %d: its start plus its phases' shortest times leaves the float range" % pid)
     return ProcessSpec(
         pid=pid,
         phases=specs,
@@ -504,6 +514,9 @@ def _phase(phase: tuple) -> PhaseSpec:
     if not points:
         raise SchemaError("no curve points")
     curve = WayTimeCurve(tuple(sorted(points)))
+    for ways, t in curve.points:
+        if not 0 < work / t < math.inf:
+            raise SchemaError("work %r over %r ns at %d ways is not a positive finite speed" % (work, t, ways))
     _, fixed_ns = fields.get("fixed-ns", (None, None))
     return PhaseSpec(phase_id, work, reuse, nbytes, curve, fixed_ns)
 

@@ -535,14 +535,23 @@ class _Run:
 def run_mix(
     mix: MixSpec, policy: Policy, config: SystemConfig | None = None
 ) -> SimReport:
-    """Co-execute the mix under one policy; fully deterministic."""
+    """Co-execute the mix under one policy; fully deterministic.  A phase
+    whose one-way speed, or an event whose time, leaves the float range is
+    a CacheWaysError naming the mix."""
     validate_mix(mix)
     cfg = mix_config(mix, config)
     place = _Placement(cfg)
     ctl = _POLICIES[policy.kind](place, policy)
 
+    inf = math.inf
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
+        # once per phase, not in phase_speed: its slowest speed, on one way,
+        # is work / (t(2) * dm_penalty), and a curve's first point is t(2)
+        for ph in proc.phases:
+            if not 0 < ph.work / (ph.curve.points[0][1] * cfg.dm_penalty) < inf:
+                raise CacheWaysError("mix %r: pid %d phase %r: its speed on one way leaves the float range"
+                                     % (mix.name, proc.pid, ph.phase_id))
         alpha, maxw = ctl.sensitivity(proc)
         runs[proc.pid] = _Run(spec=proc, pid=proc.pid, alpha=alpha, max_ways=maxw)
 
@@ -568,6 +577,8 @@ def run_mix(
                 "mix %r: waiting processes can never be admitted" % mix.name
             )
         t = min(cands)
+        if not t < inf:
+            raise CacheWaysError("mix %r: the next event after t=%r ns leaves the float range" % (mix.name, now))
 
         # elapse work to t; the ending set is exact, not tolerance-based
         stalled, dt = t <= now, t - now

@@ -262,7 +262,8 @@ def test_fit_timing_recovers_exact_model(tmp_path, capsys):
     ("sample 1 2 5\nsample 10 20 5 100\n", "test.txt:3: sample arity 3 != 2"),
     ("# no sample yet\n", "test.txt:1: no sample in the file"),
     ("sample 5 -2 100\n", "test.txt:2: sample: bad value '-2', expected a finite number >= 0"),
-], ids=["depth", "empty", "negative"])
+    ("sample 1e300 1e300 10\n", "test.txt:2: sample: a product of its trip counts leaves the float range"),
+], ids=["depth", "empty", "negative", "overflow"])
 def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, text, message):
     train, test = str(tmp_path / "train.txt"), tmp_path / "test.txt"
     write_samples([TrainingSample((u1, u2), 1.0 + u1 + u1 * u2) for u1, u2 in ((1, 2), (3, 1), (2, 5), (4, 4))], train)
@@ -282,6 +283,19 @@ def test_fit_timing_rejects_a_negative_training_sample_before_writing(tmp_path, 
     assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "train.txt:2: sample: bad value '-5', expected a finite number >= 0" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fit_timing_rejects_an_overflowing_training_sample_at_its_line(tmp_path, capsys):
+    # u1*u2 of the last sample is inf; it used to read as a rank-deficient design
+    train = tmp_path / "train.txt"
+    train.write_text("format-version 1\nsample 1 2 10\nsample 3 1 20\nsample 2 5 30\nsample 4 4 50\n"
+                     "sample 1e300 1e300 10\n", encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "train.txt:6: sample: a product of its trip counts leaves the float range" in captured.err
     assert captured.out == ""
     assert not out.exists()
 
@@ -339,6 +353,38 @@ def test_simulate_bad_mix_line_is_exit_2(tmp_path, capsys, edit, message):
     code = main(["simulate", "--mix", mix_file(tmp_path, MIX_TEXT.replace(*edit))])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def far_mix(*lines, config=(), procs=1):
+    """Mix `far`: `procs` processes, each of these lines."""
+    body = [line for pid in range(procs) for line in ("process %d" % pid, *lines)]
+    return "\n".join(["format-version 1", "mix far light", *config, *body, "end", ""])
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (far_mix("phase a 1e-320 reuse 1000", "point 2 1e300"), 2,
+     "far.mix:4: phase 'a': work 1e-320 over 1e+300 ns at 2 ways is not a positive finite speed"),
+    (far_mix("phase a 1e308 reuse 1000", "point 2 1e-300"), 2,
+     "far.mix:4: phase 'a': work 1e+308 over 1e-300 ns at 2 ways is not a positive finite speed"),
+    (far_mix("phase a 1 reuse 1000", "point 2 100",
+             config=("config dm_penalty 1e308", "config ways_per_socket 2", "config sockets 1"), procs=3), 3,
+     "error: mix 'far': pid 0 phase 'a': its speed on one way leaves the float range"),
+    (far_mix("phase x 1 reuse 1000", "point 2 1e308", "phase x 1 reuse 1000", "point 2 1e308"), 2,
+     "far.mix:3: process 0: its start plus its phases' shortest times leaves the float range"),
+    (far_mix("start 1e308", "phase x 1 reuse 1000", "point 2 1e308"), 2,
+     "far.mix:3: process 0: its start plus its phases' shortest times leaves the float range"),
+    (far_mix("phase a 100 reuse %d" % 10**400, "point 2 100"), 2,
+     "far.mix:4: phase: bad value '1%s', expected an integer >= 0 within the float range" % ("0" * 400)),
+], ids=["speed-zero", "speed-inf", "one-way-speed-zero", "clock-inf", "start-clock-inf", "bytes-past-float"])
+def test_a_number_past_the_float_range_is_rejected_before_any_output(tmp_path, capsys, text, code, message):
+    path = mix_file(tmp_path, text, "far.mix")
+    out = tmp_path / "report.csv"
+    for argv in (["compare"], *(["simulate", "--policy", p] for p in cli.POLICIES)):
+        assert main([*argv, "--mix", path, "--out", str(out)]) == code, argv
+        captured = capsys.readouterr()
+        assert message in captured.err, argv
+        assert captured.out == ""
+        assert not out.exists()
 
 
 def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import glob
 import os
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -542,6 +543,18 @@ MALFORMED = {
     "mix-start-absorbed-negative": (read_mix, MIX_HEAD + ">start -1e308\nphase p 1 reuse 1\npoint 2 1\nend"),
     "mix-start-absorbed-late-phase": (
         read_mix, MIX_HEAD + "phase p 1 reuse 1\npoint 2 1000\n>start 1e17\nphase q 1 reuse 1\npoint 2 8\nend"),
+    # numbers whose speed, clock or float mass leave the float range
+    "mix-phase-speed-zero": (read_mix, MIX_HEAD + ">phase p 1e-320 reuse 1000\npoint 2 1e300\nend"),
+    "mix-phase-speed-inf": (read_mix, MIX_HEAD + ">phase p 1e308 reuse 1000\npoint 2 1e-300\nend"),
+    "mix-phase-speed-inf-late-point": (read_mix, MIX_HEAD + ">phase p 1e300 reuse 1000\npoint 2 1\npoint 5 1e-10\nend"),
+    "mix-clock-past-float-range": (
+        read_mix, V + "mix m light\n>process 0\nphase p 1 reuse 1\npoint 2 1e308\nphase q 1 reuse 1\npoint 2 1e308\nend"),
+    "mix-start-past-float-range": (read_mix, V + "mix m light\n>process 0\nstart 1e308\nphase p 1 reuse 1\npoint 2 1e308\nend"),
+    "mix-phase-bytes-past-float-range": (read_mix, MIX_HEAD + ">phase p 1 reuse %d\npoint 2 1\nend" % 10**400),
+    "events-ipca-bytes-past-float-range": (read_events, V + ">ipca 0 0 0 2 %d reuse 1" % 10**400),
+    "events-pcca-bytes-past-float-range": (read_events, V + "ipca 0 0 0 2 64 reuse 1\n>pcca 1 0 %d reuse 1" % 10**400),
+    "samples-product-past-float-range": (read_samples, V + "sample 1 2 10\n>sample 1e300 1e300 10"),
+    "samples-product-nan": (read_samples, V + ">sample 1e300 1e300 0 10"),
 }
 # a SystemConfig value out of range is pinned to its config line
 MALFORMED.update(
@@ -587,6 +600,16 @@ MESSAGES = {
     "log-arity": "record takes t pid event",
     "log-keyword": "unknown keyword 'ipca'",
     "log-config-after-record": "config lines must precede records",
+    "mix-phase-speed-zero": "phase 'p': work 1e-320 over 1e+300 ns at 2 ways is not a positive finite speed",
+    "mix-phase-speed-inf": "phase 'p': work 1e+308 over 1e-300 ns at 2 ways is not a positive finite speed",
+    "mix-phase-speed-inf-late-point": "phase 'p': work 1e+300 over 1e-10 ns at 5 ways is not a positive finite speed",
+    "mix-clock-past-float-range": "process 0: its start plus its phases' shortest times leaves the float range",
+    "mix-start-past-float-range": "process 0: its start plus its phases' shortest times leaves the float range",
+    "mix-phase-bytes-past-float-range": "phase: bad value '%d', expected an integer >= 0 within the float range" % 10**400,
+    "events-ipca-bytes-past-float-range": "ipca: bad value '%d', expected an integer >= 0 within the float range" % 10**400,
+    "events-pcca-bytes-past-float-range": "pcca: bad value '%d', expected an integer >= 0 within the float range" % 10**400,
+    "samples-product-past-float-range": "sample: a product of its trip counts leaves the float range",
+    "samples-product-nan": "sample: a product of its trip counts leaves the float range",
 }
 
 
@@ -623,6 +646,16 @@ def test_start_that_the_shortest_phase_moves_parses(tmp_path):
     text = MIX_HEAD + "start 1e17\nphase p 1 reuse 1\npoint 2 1000\npoint 3 16\nend\n"
     mix = read_mix(write_text(tmp_path, "ok.mix", text))
     assert mix.processes[0].start_ns == 1e17
+
+
+def test_values_at_the_edge_of_the_float_range_parse(tmp_path):
+    # the largest byte count a float holds, a speed and a clock just inside the range
+    top = int(sys.float_info.max)
+    text = MIX_HEAD + "phase p 1 reuse %d\npoint 2 8e307\nphase q 1 reuse 1\npoint 2 8e307\n" % top
+    text += "phase r 1e-300 reuse 1\npoint 2 1e20\nend\n"  # speed 1e-320, a subnormal
+    mix = read_mix(write_text(tmp_path, "ok.mix", text))
+    assert [ph.nbytes for ph in mix.processes[0].phases] == [top, 1, 1]
+    assert read_samples(write_text(tmp_path, "ok.txt", V + "sample 1e154 1e154 10\n"))[0].bounds == (1e154, 1e154)
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):

@@ -624,6 +624,24 @@ def test_a_loop_iteration_that_moves_nothing_is_a_trace_error(monkeypatch):
         run_mix(mix_of(proc, name="stuck"), Policy("unpartitioned"))
 
 
+@pytest.mark.parametrize("kind", sorted(simulate._POLICIES))
+def test_a_one_way_speed_past_the_float_range_names_its_phase(kind):
+    # t(2) * 1e308 is inf, so the third process on two ways would run at speed 0
+    procs = [ProcessSpec(pid=pid, phases=(phase("a", MIB, {2: 100.0}),)) for pid in range(3)]
+    mix = mix_of(*procs, name="far", dm_penalty=1e308, ways_per_socket=2, sockets=1)
+    with raises_fault("mix 'far': pid 0 phase 'a': its speed on one way leaves the float range"):
+        run_mix(mix, Policy(kind))
+
+
+@pytest.mark.parametrize("kind", sorted(simulate._POLICIES))
+def test_a_clock_past_the_float_range_ends_the_run(kind):
+    # each phase is fast only past two ways, which a two-way socket never grants
+    slow = phase("a", MIB, {2: 1e308, 3: 1.0})
+    mix = mix_of(ProcessSpec(pid=0, phases=(slow, slow)), name="far", ways_per_socket=2, sockets=1)
+    with raises_fault(r"mix 'far': the next event after t=1e\+308 ns leaves the float range"):
+        run_mix(mix, Policy(kind))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_placement_claims_follow_every_change(data):
