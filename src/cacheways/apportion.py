@@ -13,10 +13,9 @@ data; else joining a compatible CLOS (a free seat and the same demand); else
 a fresh CLOS if the socket is uncrowded; else overflow into the lowest-alpha
 CLOS with a free seat; else a fresh CLOS.
 
-Every process stores the fraction computed at its own last (re)apportioning
-event.  Right after a simultaneous admission those stored fractions sum to 1;
-as other processes change phases the stored values go stale, and their sum
-drifting above or below 1 is exactly what the occupancy scenario classifies.
+Each record's occupancy scenario is read from its socket's occupied CLOS
+masks after the operation: overlapping if two CLOS share a way, else
+underutilized if a way is free, else full-disjoint.
 
 The engine is a single-owner state machine: one mutator at a time, driven
 single-threaded by the simulator.
@@ -87,24 +86,11 @@ class Scenario(Enum):
     UNDERUTILIZED = "underutilized"
 
 
-SCENARIO_TOL = 1e-9
-
-
 def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> float:
     """Footprint mass entering the fraction: reuse counts in full, streaming
     is discounted by the configured scaling factor."""
     scale = 1.0 if reuse is ReuseClass.REUSE else config.scaling_factor_stream
     return nbytes * scale
-
-
-def classify_scenario(fractions) -> Scenario:
-    """Occupancy scenario from a collection of stored fractions."""
-    total = math.fsum(fractions)
-    if total > 1.0 + SCENARIO_TOL:
-        return Scenario.OVERLAPPING
-    if total < 1.0 - SCENARIO_TOL:
-        return Scenario.UNDERUTILIZED
-    return Scenario.FULL_DISJOINT
 
 
 def required_ways(fraction: float, config: SystemConfig, max_ways: int) -> int:
@@ -530,6 +516,18 @@ class Apportioner:
 
     # -- record keeping ---------------------------------------------------------
 
+    def _scenario(self, sock: SocketState) -> Scenario:
+        """The socket's occupancy, read from its occupied CLOS masks."""
+        used = shared = 0
+        for c in sock.occupied:
+            shared |= used & c.mask
+            used |= c.mask
+        if shared:
+            return Scenario.OVERLAPPING
+        if used.bit_count() < self.config.ways_per_socket:
+            return Scenario.UNDERUTILIZED
+        return Scenario.FULL_DISJOINT
+
     def _record(
         self,
         time_ns: float,
@@ -542,7 +540,7 @@ class Apportioner:
         width = clos.mask.bit_count()
         rec = AllocationRecord._make((
             time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
-            classify_scenario([self.procs[pid].fraction for pid in sock.processes]),
+            self._scenario(sock),
             not clos.members or width >= self._demand(clos), p.req_ways,
             0 if event == "release" else width if width <= p.max_ways else p.max_ways,
             p.alpha, changed,

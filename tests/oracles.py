@@ -10,7 +10,7 @@ so that its floats compare with ==.
 import math
 from fractions import Fraction
 
-from cacheways.apportion import ReuseClass
+from cacheways.apportion import ReuseClass, Scenario
 from cacheways.loops import (
     Affine,
     Bound,
@@ -144,6 +144,18 @@ def cache_fractions(active, config):
     if total == 0:
         return {pid: 1.0 / len(adjusted) for pid in adjusted}
     return {pid: v / total for pid, v in adjusted.items()}
+
+
+def scenario(masks, ways):
+    """Occupancy of a socket whose occupied CLOS hold `masks`, by counting
+    how many of them hold each way: overlapping if some way has two
+    holders, else underutilized if some way has none, else full-disjoint."""
+    holders = [sum(mask >> w & 1 for mask in masks) for w in range(ways)]
+    if max(holders) > 1:
+        return Scenario.OVERLAPPING
+    if min(holders) == 0:
+        return Scenario.UNDERUTILIZED
+    return Scenario.FULL_DISJOINT
 
 
 def is_contiguous(mask):

@@ -16,12 +16,11 @@ from cacheways.apportion import (
     SystemConfig,
     adjusted_footprint,
     best_window,
-    classify_scenario,
     required_ways,
 )
 from cacheways.errors import SchemaError
 
-from oracles import cache_fractions, is_contiguous
+from oracles import cache_fractions, is_contiguous, scenario
 from support import checking_moved, clos_of, raises_fault
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
@@ -63,11 +62,32 @@ def test_cache_fractions_zero_mass_splits_evenly():
     assert fr == cache_fractions(phases, one_socket()) == {0: 0.5, 1: 0.5}
 
 
-def test_scenario_boundaries():
-    assert classify_scenario([0.5, 0.5]) is Scenario.FULL_DISJOINT
-    assert classify_scenario([0.5, 0.5 + 2e-9]) is Scenario.OVERLAPPING
-    assert classify_scenario([0.5, 0.5 - 2e-9]) is Scenario.UNDERUTILIZED
-    assert classify_scenario([1.0 + 5e-10]) is Scenario.FULL_DISJOINT
+def scenarios_of(*batches):
+    """Each record's scenario after one ipca_batch per batch, at t = 0, 1, ..."""
+    ap = Apportioner(one_socket())
+    for t, batch in enumerate(batches):
+        ap.ipca_batch(float(t), batch)
+    return [r.scenario for r in ap.records]
+
+
+def test_scenario_read_from_the_masks():
+    # a full socket: one CLOS of all 11 ways
+    assert scenarios_of([(0, 0.0, 11, MIB, REUSE, 1.0)]) == [Scenario.FULL_DISJOINT]
+    # a free way (0xff), a full disjoint socket (0xff, 0x700), a shared way
+    # (0xf lands on the lowest-alpha CLOS's region)
+    assert scenarios_of(
+        [(0, 1.0, 8, 8 * MIB, REUSE, 1.0)],
+        [(1, 2.0, 8, 8 * MIB, REUSE, 1.0)],
+        [(2, 0.0, 4, 16 * MIB, REUSE, 1.0)],
+    ) == [Scenario.UNDERUTILIZED, Scenario.FULL_DISJOINT, Scenario.OVERLAPPING]
+
+
+def test_two_disjoint_clos_with_free_ways_log_underutilized():
+    # masks 0xf and 0xf0 leave 3 of 11 ways free, whatever the shares sum to
+    ap = Apportioner(one_socket())
+    recs = ap.ipca_batch(0.0, [(pid, 1.0, 4, 8 * MIB, REUSE, 1.0) for pid in (0, 1)])
+    assert [r.bitmask for r in recs] == [0xF, 0xF0]
+    assert [r.scenario for r in recs] == [Scenario.UNDERUTILIZED] * 2
 
 
 def test_required_ways_rounds_half_up():
@@ -285,8 +305,13 @@ def test_unplaced_pid_raises():
 def check_invariants(ap, first_socket):
     """Each CLOS has at most gfactor members and a contiguous in-range mask,
     non-empty when it has members; each placed process is listed by its
-    socket and its CLOS, and never changes socket."""
+    socket and its CLOS, and never changes socket; the last record's
+    scenario is the one its socket's masks show."""
     top = 1 << ap.config.ways_per_socket
+    if ap.records:
+        last = ap.records[-1]
+        masks = [c.mask for c in ap.sockets[last.socket].clos if c.members]
+        assert last.scenario is scenario(masks, ap.config.ways_per_socket)
     for sock in ap.sockets:
         for clos in sock.clos:
             assert is_contiguous(clos.mask) and clos.mask < top, "mask %#x" % clos.mask

@@ -477,7 +477,7 @@ def test_alloc_log_round_trip(tmp_path):
     assert [list(map(type, r)) for r in back] == [list(map(type, r)) for r in ap.records]
     assert open(path, encoding="utf-8").read().splitlines()[1:3] == [
         "config sockets 1",
-        "record 0 0 ipca 0 0 0xf full-disjoint 1 4 4 2.5 1",
+        "record 0 0 ipca 0 0 0xf underutilized 1 4 4 2.5 1",
     ]
 
 
