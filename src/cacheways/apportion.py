@@ -1,10 +1,10 @@
 """Fractional cache apportioning and the CLOS allocation engine.
 
 Processes are admitted to sockets, grouped into Class-of-Service (CLOS)
-partitions, and granted contiguous runs of cache ways sized by their share of
-the socket's adjusted footprint mass.  Initial placement (ipca) runs once per
-process; phase changes re-apportion (pcca) with hysteresis; releases recycle
-ways toward the most unsatisfied CLOS.
+partitions, and granted contiguous runs of cache ways sized by their share,
+never stored, of the socket's integer footprint masses.  Initial placement
+(ipca) runs once per process; phase changes re-apportion (pcca) with
+hysteresis; releases recycle ways toward the most unsatisfied CLOS.
 
 A CLOS's demand is the largest req_ways among its members, derived at each
 read.  An admission seats a process by the first of five outcomes that
@@ -12,10 +12,6 @@ applies: a fresh CLOS if the socket is uncrowded and the process reuses its
 data; else joining a compatible CLOS (a free seat and the same demand); else
 a fresh CLOS if the socket is uncrowded; else overflow into the lowest-alpha
 CLOS with a free seat; else a fresh CLOS.
-
-Each record's occupancy scenario is read from its socket's occupied CLOS
-masks after the operation: overlapping if two CLOS share a way, else
-underutilized if a way is free, else full-disjoint.
 
 The engine is a single-owner state machine: one mutator at a time, driven
 single-threaded by the simulator.
@@ -81,26 +77,29 @@ class ReuseClass(Enum):
 
 
 class Scenario(Enum):
+    """A socket's occupancy, read from its CLOS masks: overlapping if two share
+    a way, else underutilized if a way is free, else full-disjoint."""
+
     FULL_DISJOINT = "full-disjoint"
     OVERLAPPING = "overlapping"
     UNDERUTILIZED = "underutilized"
 
 
-def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> float:
-    """Footprint mass entering the fraction: reuse counts in full, streaming
-    is discounted by the configured scaling factor."""
-    scale = 1.0 if reuse is ReuseClass.REUSE else config.scaling_factor_stream
-    return nbytes * scale
+def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> int:
+    """Footprint mass, an integer: with num/den the exact scaling_factor_stream,
+    reuse weighs nbytes x den and a stream nbytes x num."""
+    num, den = config.scaling_factor_stream.as_integer_ratio()
+    return nbytes * (den if reuse is ReuseClass.REUSE else num)
 
 
-def required_ways(fraction: float, config: SystemConfig, max_ways: int) -> int:
-    """Way demand: the fraction of the socket's ways, rounded half-up, floored
-    at 1 and capped at the process's saturation point."""
-    if not -1e-12 <= fraction <= 1 + 1e-12:
-        raise SchemaError("fraction %r outside [0, 1]" % (fraction,))
+def required_ways(mass: int, total: int, config: SystemConfig, max_ways: int) -> int:
+    """Way demand: mass/total of the socket's ways rounded half-up, floored at
+    1 and capped at max_ways.  Two exact halves ask for a way more than the
+    socket has: 15 and 7 MiB of reuse on 11 ways are 7.5 + 3.5, so 8 + 4."""
+    if not (0 <= mass <= total and total > 0):
+        raise SchemaError("share %r/%r outside [0, 1]" % (mass, total))
     # conditionals, not min/max: this runs at every phase change
-    fraction = 0.0 if fraction < 0.0 else 1.0 if fraction > 1.0 else fraction
-    rounded = math.floor(fraction * config.ways_per_socket + 0.5) or 1
+    rounded = (2 * mass * config.ways_per_socket + total) // (2 * total) or 1
     return rounded if rounded < max_ways else max_ways
 
 
@@ -158,12 +157,11 @@ class ProcessState:
     pid: int
     alpha: float
     max_ways: int
-    mass: float  # adjusted_footprint of the current phase
+    mass: int  # adjusted_footprint of the current phase
     reuse: ReuseClass
     socket_id: int = -1
     clos_id: int = -1
     req_ways: int = 0
-    fraction: float = 0.0
     predicted_end: float = 0.0
 
 
@@ -256,12 +254,12 @@ class Apportioner:
     def _clos_alpha(self, clos: ClosState) -> float:
         return max([self.procs[m].alpha for m in clos.members], default=0.0)
 
-    def _fraction(self, sock: SocketState, p: ProcessState) -> float:
-        """p's share of the socket's stored masses, summed in socket order:
-        bit-equal to the reference `cache_fractions` in tests/oracles.py."""
-        procs = self.procs
-        total = sum([procs[pid].mass for pid in sock.processes])
-        return p.mass / total if total else 1.0 / len(sock.processes)
+    def _required(self, sock: SocketState, p: ProcessState) -> int:
+        """p's way demand from its share of the socket's masses (an even split
+        when they are all zero)."""
+        total = sum([self.procs[pid].mass for pid in sock.processes])
+        mass, total = (p.mass, total) if total else (1, len(sock.processes))
+        return required_ways(mass, total, self.config, p.max_ways)
 
     # -- bitmask placement ----------------------------------------------------
 
@@ -407,9 +405,9 @@ class Apportioner:
         max_ways provisionally, so one socket does not swallow every
         cache-sensitive arrival), before any state changes, so a rejected
         batch leaves none of its arrivals behind.  Then, socket by socket,
-        the arrivals join the socket, their fractions are computed over the
-        full resident population, which makes them sum to exactly 1 when
-        the machine starts empty, and each is seated in pid order.  A socket
+        the arrivals join the socket, each one's share is read over the full
+        resident population, so the shares sum to exactly 1 when the
+        machine starts empty, and each is seated in pid order.  A socket
         takes an arrival only while it has room (`SocketState.free_cores`),
         so every placement finds a CLOS seat.
         """
@@ -452,9 +450,7 @@ class Apportioner:
                 self.procs[p.pid] = p
                 sock.processes.append(p.pid)
             for p in new_here:
-                p.fraction = self._fraction(sock, p)
-            for p in new_here:
-                p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
+                p.req_ways = self._required(sock, p)
                 clos = self._place(sock, p)
                 records.append(self._record(time_ns, p, "ipca", sock, clos, changed=True))
         return records
@@ -469,8 +465,8 @@ class Apportioner:
         reuse: ReuseClass,
         predicted_ns: float,
     ) -> AllocationRecord:
-        """Re-apportion one process after a phase change, recomputing its own
-        fraction only.  Demand moves of less than hysteresis_ways are ignored;
+        """Re-apportion one process after a phase change, reading its own
+        share only.  Demand moves of less than hysteresis_ways are ignored;
         growth extends the CLOS run in place; shrink frees ways from the right
         end and hands them to the most unsatisfied CLOS.  `moved` holds each
         CLOS whose mask changed."""
@@ -480,8 +476,7 @@ class Apportioner:
         p.predicted_end = time_ns + predicted_ns
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
-        p.fraction = self._fraction(sock, p)
-        req = p.req_ways = required_ways(p.fraction, self.config, p.max_ways)
+        req = p.req_ways = self._required(sock, p)
         before = clos.mask
         cur = before.bit_count()
         demand = self._demand(clos)
@@ -517,16 +512,15 @@ class Apportioner:
     # -- record keeping ---------------------------------------------------------
 
     def _scenario(self, sock: SocketState) -> Scenario:
-        """The socket's occupancy, read from its occupied CLOS masks."""
+        """The socket's occupancy after an operation, from its occupied CLOS."""
         used = shared = 0
         for c in sock.occupied:
             shared |= used & c.mask
             used |= c.mask
         if shared:
             return Scenario.OVERLAPPING
-        if used.bit_count() < self.config.ways_per_socket:
-            return Scenario.UNDERUTILIZED
-        return Scenario.FULL_DISJOINT
+        full = used.bit_count() == self.config.ways_per_socket
+        return Scenario.FULL_DISJOINT if full else Scenario.UNDERUTILIZED
 
     def _record(
         self,

@@ -133,17 +133,29 @@ def brute_effective_ways(mask, claims):
 
 
 def cache_fractions(active, config):
-    """{pid: share of the socket} over (pid, bytes, reuse class) triples:
-    each adjusted footprint (streams scaled down) over their sum in the given
-    order; all-zero footprints split evenly."""
-    adjusted = {
-        pid: nbytes * (1.0 if reuse is ReuseClass.REUSE else config.scaling_factor_stream)
+    """{pid: exact share of the socket} over (pid, bytes, reuse class)
+    triples: each footprint, a stream's scaled by the exact value of
+    scaling_factor_stream, over their sum."""
+    scale = Fraction(config.scaling_factor_stream)
+    return exact_shares({
+        pid: nbytes * (1 if reuse is ReuseClass.REUSE else scale)
         for pid, nbytes, reuse in active
-    }
-    total = sum(adjusted.values())
+    })
+
+
+def exact_shares(masses):
+    """{pid: mass / total} over a socket's {pid: mass} as Fractions; all-zero
+    masses split evenly."""
+    total = sum(masses.values())
     if total == 0:
-        return {pid: 1.0 / len(adjusted) for pid in adjusted}
-    return {pid: v / total for pid, v in adjusted.items()}
+        return {pid: Fraction(1, len(masses)) for pid in masses}
+    return {pid: Fraction(m) / total for pid, m in masses.items()}
+
+
+def half_up_ways(share, ways, max_ways):
+    """A share's way demand: share x ways rounded half-up as an exact
+    rational, then at least 1 and at most max_ways."""
+    return min(max_ways, max(1, math.floor(share * ways + Fraction(1, 2))))
 
 
 def scenario(masks, ways):

@@ -34,6 +34,7 @@ from cacheways.timing import TrainingSample, fit_timing, make_features, timing_a
 
 from oracles import (
     alpha_reference,
+    cache_fractions,
     iteration_trace,
     random_affine_nest,
     strict_gaps,
@@ -221,7 +222,7 @@ def drive_stream(seed, n_events):
     next_pid = 0
     done = 0
     t = 0.0
-    fraction_sum_checked = False
+    share_sum_checked = False
 
     def arrival():
         nonlocal next_pid
@@ -257,11 +258,11 @@ def drive_stream(seed, n_events):
             if op == "batch":
                 for sock in ap.sockets:
                     if sock.processes:
-                        s = math.fsum(
-                            ap.procs[pid].fraction for pid in sock.processes
-                        )
-                        assert abs(s - 1.0) <= 1e-9, "t=0 fractions sum to %r" % s
-                fraction_sum_checked = True
+                        s = sum(cache_fractions(
+                            [(a[0], a[3], a[4]) for a in batch if a[0] in sock.processes], cfg
+                        ).values())
+                        assert s == 1, "t=0 shares sum to %r" % s
+                share_sum_checked = True
         elif op == "pcca":
             pid = rng.choice(sorted(live))
             nbytes = rng.choice(BYTES_CHOICES)
@@ -275,7 +276,7 @@ def drive_stream(seed, n_events):
             done += 1
         check_invariants(ap, first_socket)
         t += rng.uniform(1.0, 1000.0)
-    assert fraction_sum_checked
+    assert share_sum_checked
     return done, len(ap.records)
 
 

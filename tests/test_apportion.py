@@ -20,7 +20,9 @@ from cacheways.apportion import (
 )
 from cacheways.errors import SchemaError
 
-from oracles import cache_fractions, is_contiguous, scenario
+from fractions import Fraction
+
+from oracles import cache_fractions, exact_shares, half_up_ways, is_contiguous, scenario
 from support import checking_moved, clos_of, raises_fault
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
@@ -37,29 +39,38 @@ def one_socket(**kw):
 
 def test_adjusted_footprint_discounts_streams():
     cfg = SystemConfig()
-    assert adjusted_footprint(1000, REUSE, cfg) == 1000.0
-    assert adjusted_footprint(1000, STREAM, cfg) == 100.0
+    reuse, stream = adjusted_footprint(1000, REUSE, cfg), adjusted_footprint(1000, STREAM, cfg)
+    assert type(reuse) is int and type(stream) is int
+    # a stream weighs exactly the float 0.1 of a reuse phase of its size
+    assert Fraction(stream, reuse) == Fraction(cfg.scaling_factor_stream)
 
 
-def admitted_fractions(phases):
-    """{pid: stored fraction} after one ipca_batch of (pid, bytes, reuse) on one socket."""
+def admitted_req_ways(phases):
+    """{pid: req_ways} after one ipca_batch of (pid, bytes, reuse) on one
+    11-way socket, every max-ways 11."""
     ap = Apportioner(one_socket())
-    ap.ipca_batch(0.0, [(pid, 0.0, 4, nbytes, reuse, 1.0) for pid, nbytes, reuse in phases])
-    return {pid: p.fraction for pid, p in ap.procs.items()}
+    ap.ipca_batch(0.0, [(pid, 0.0, 11, nbytes, reuse, 1.0) for pid, nbytes, reuse in phases])
+    return {pid: p.req_ways for pid, p in ap.procs.items()}
 
 
 def test_cache_fractions_sum_to_one():
     phases = [(0, 3 * MIB, REUSE), (1, MIB, REUSE), (2, 4 * MIB, STREAM)]
-    fr = admitted_fractions(phases)
-    assert fr == cache_fractions(phases, one_socket())
-    assert sum(fr.values()) == pytest.approx(1.0)
-    assert fr[0] == pytest.approx(3 * MIB / (4 * MIB + 0.4 * MIB))
+    fr = cache_fractions(phases, one_socket())
+    assert sum(fr.values()) == 1
+    assert admitted_req_ways(phases) == {pid: half_up_ways(fr[pid], 11, 11) for pid in fr}
+    # the float 0.1 is a little above 1/10, so the stream weighs a little
+    # over 0.4 MiB: pid0's 3/4.4 of 11 ways falls just short of 7.5, pid1's
+    # 1/4.4 just short of 2.5, and both round down
+    assert fr[0] * 11 < Fraction(15, 2) and fr[1] * 11 < Fraction(5, 2)
+    assert admitted_req_ways(phases) == {0: 7, 1: 2, 2: 1}
 
 
 def test_cache_fractions_zero_mass_splits_evenly():
     phases = [(0, 0, REUSE), (1, 0, REUSE)]
-    fr = admitted_fractions(phases)
-    assert fr == cache_fractions(phases, one_socket()) == {0: 0.5, 1: 0.5}
+    fr = cache_fractions(phases, one_socket())
+    assert fr == {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    # 5.5 of 11 ways rounds half-up to 6
+    assert admitted_req_ways(phases) == {0: 6, 1: 6}
 
 
 def scenarios_of(*batches):
@@ -92,21 +103,40 @@ def test_two_disjoint_clos_with_free_ways_log_underutilized():
 
 def test_required_ways_rounds_half_up():
     cfg = SystemConfig(ways_per_socket=10)
-    assert required_ways(0.25, cfg, 99) == 3  # 2.5 rounds up
-    assert required_ways(0.24, cfg, 99) == 2
-    assert required_ways(0.06, cfg, 99) == 1
-    assert required_ways(0.0, cfg, 99) == 1  # floor of one way
-    assert required_ways(1.0, cfg, 99) == 10
+    assert required_ways(1, 4, cfg, 99) == 3  # 2.5 rounds up
+    assert required_ways(24, 100, cfg, 99) == 2
+    assert required_ways(6, 100, cfg, 99) == 1
+    assert required_ways(0, 5, cfg, 99) == 1  # floor of one way
+    assert required_ways(7, 7, cfg, 99) == 10
+    for ways in (10, 11, 20):
+        cfg = SystemConfig(ways_per_socket=ways)
+        for total in range(1, 45):
+            for mass in range(total + 1):
+                assert required_ways(mass, total, cfg, 99) == half_up_ways(
+                    Fraction(mass, total), ways, 99
+                ), (mass, total, ways)
 
 
 def test_required_ways_caps_at_saturation():
     cfg = SystemConfig(ways_per_socket=10)
-    assert required_ways(0.9, cfg, 4) == 4
+    assert required_ways(9, 10, cfg, 4) == 4
 
 
 def test_required_ways_rejects_bad_fraction():
-    with pytest.raises(SchemaError):
-        required_ways(1.5, SystemConfig(), 4)
+    for mass, total in ((3, 2), (-1, 2), (0, 0)):
+        with pytest.raises(SchemaError):
+            required_ways(mass, total, SystemConfig(), 4)
+
+
+def test_exact_halves_round_up_past_the_socket():
+    # 15 + 7 MiB of reuse on 11 ways are exactly 7.5 + 3.5 ways: half-up asks
+    # for 8 + 4 of 11, so the second CLOS gets the 3 left and runs short
+    ap = Apportioner(one_socket())
+    recs = ap.ipca_batch(0.0, [(0, 0.0, 11, 15 * MIB, REUSE, 1.0),
+                               (1, 0.0, 11, 7 * MIB, REUSE, 1.0)])
+    assert [r.req_ways for r in recs] == [8, 4]
+    assert [r.bitmask for r in recs] == [0x0FF, 0x700]
+    assert [r.satisfied for r in recs] == [True, False]
 
 
 def test_mask_helpers():
@@ -262,13 +292,20 @@ def test_batch_fraction_sum_is_exactly_one_per_socket():
     ]
     ap.ipca_batch(0.0, arrivals)
     for sock in ap.sockets:
-        total = sum(ap.procs[pid].fraction for pid in sock.processes)
-        assert abs(total - 1.0) <= 1e-9
+        fr = cache_fractions(
+            [(pid, nbytes, reuse) for pid, _, _, nbytes, reuse, _ in arrivals
+             if pid in sock.processes],
+            ap.config,
+        )
+        assert sum(fr.values()) == 1
+        for pid in sock.processes:
+            assert ap.procs[pid].req_ways == half_up_ways(fr[pid], 11, 3)
 
 
 def test_pcca_computes_only_the_changing_fraction(monkeypatch):
     # a phase change re-weighs one process: one adjusted_footprint call,
-    # over the masses the socket already holds, bit-equal to cache_fractions
+    # over the masses the socket already holds, and the exact half-up of
+    # its cache_fractions share
     ap = Apportioner(one_socket())
     ap.ipca_batch(0.0, [(pid, 0.0, 4, (pid + 1) * MIB, REUSE, 1.0) for pid in range(4)])
     calls = []
@@ -282,7 +319,7 @@ def test_pcca_computes_only_the_changing_fraction(monkeypatch):
     ap.pcca(1.0, 2, 5 * MIB, STREAM, 1.0)
     assert calls == [5 * MIB]
     now = [(0, MIB, REUSE), (1, 2 * MIB, REUSE), (2, 5 * MIB, STREAM), (3, 4 * MIB, REUSE)]
-    assert ap.procs[2].fraction == cache_fractions(now, ap.config)[2]
+    assert ap.procs[2].req_ways == half_up_ways(cache_fractions(now, ap.config)[2], 11, 4)
 
 
 # -- queries ------------------------------------------------------------------
@@ -306,12 +343,23 @@ def check_invariants(ap, first_socket):
     """Each CLOS has at most gfactor members and a contiguous in-range mask,
     non-empty when it has members; each placed process is listed by its
     socket and its CLOS, and never changes socket; the last record's
-    scenario is the one its socket's masks show."""
-    top = 1 << ap.config.ways_per_socket
+    scenario is the one its socket's masks show; and each process the last
+    operation apportioned (its records are the ones at the last record's
+    time: the callers advance the clock between operations) asks for the
+    exact half-up of its share of its socket's masses."""
+    ways = ap.config.ways_per_socket
+    top = 1 << ways
     if ap.records:
         last = ap.records[-1]
         masks = [c.mask for c in ap.sockets[last.socket].clos if c.members]
-        assert last.scenario is scenario(masks, ap.config.ways_per_socket)
+        assert last.scenario is scenario(masks, ways)
+    for rec in reversed(ap.records):
+        if rec.time_ns != last.time_ns:
+            break
+        if rec.event != "release":
+            p = ap.procs[rec.pid]
+            shares = exact_shares({pid: ap.procs[pid].mass for pid in ap.sockets[rec.socket].processes})
+            assert rec.req_ways == p.req_ways == half_up_ways(shares[rec.pid], ways, p.max_ways)
     for sock in ap.sockets:
         for clos in sock.clos:
             assert is_contiguous(clos.mask) and clos.mask < top, "mask %#x" % clos.mask
@@ -349,9 +397,11 @@ def test_engine_invariants_random_walk(rng):
     socket_of = {}
     check_invariants(ap, socket_of)
     for sock in ap.sockets:
-        total = sum(ap.procs[pid].fraction for pid in sock.processes)
         if sock.processes:
-            assert abs(total - 1.0) <= 1e-9
+            fr = cache_fractions(
+                [(a[0], a[3], a[4]) for a in arrivals if a[0] in sock.processes], cfg
+            )
+            assert sum(fr.values()) == 1
 
     alive = set(range(n))
     t = 0.0
@@ -377,6 +427,18 @@ def test_engine_invariants_random_walk(rng):
     assert events[: len(arrivals)] == ["ipca"] * len(arrivals)
     changed = sum(1 for r in ap.records if r.changed and r.event in ("ipca", "pcca"))
     assert ap.apportion_count == changed
+
+
+def test_engine_invariants_over_small_reuse_pairs():
+    # every pair of reuse phases of 1..30 bytes on one socket, so the exact
+    # ties a float share rounds wrongly (15 + 7 on 11 ways) are among them
+    for ways in (11, 20):
+        cfg = one_socket(ways_per_socket=ways)
+        for a in range(1, 31):
+            for b in range(1, 31):
+                ap = Apportioner(cfg)
+                ap.ipca_batch(0.0, [(0, 0.0, ways, a, REUSE, 1.0), (1, 0.0, ways, b, REUSE, 1.0)])
+                check_invariants(ap, {})
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -317,7 +317,7 @@ def comcas_mix():
 
 
 def test_comcas_phase_change_blocked_then_completes():
-    # t=0: fractions 0.25/0.75 -> pid0 [0..2], pid1 [3..10].
+    # t=0: shares 0.25/0.75 -> pid0 [0..2], pid1 [3..10].
     # t=512: pid0 enters an 8MiB phase, wants 4 ways but both neighbours are
     # walls: the re-apportion is recorded unchanged and unsatisfied, and the
     # phase runs at 3 ways: t(3)=1024 -> done at 1536.  pid1 is untouched.
