@@ -83,7 +83,8 @@ def deficit_proxy(
     sum_p alpha_p * max(0, required_p - granted_p) over the run.
 
     The timeline holds (timestamp, {pid: (alpha, required, granted)})
-    snapshots; each snapshot is in force until the next one.
+    snapshots; each snapshot is in force until the next one.  An integral
+    past the float range is an error, not inf.
     """
     if end_time <= 0 or not width_timeline:
         return 0.0
@@ -97,6 +98,8 @@ def deficit_proxy(
             alpha * max(0, req - granted) for alpha, req, granted in snap.values()
         )
         total += span * level
+    if not math.isfinite(total):
+        raise CacheWaysError("the unmet-demand integral leaves the float range")
     return total
 
 

@@ -13,7 +13,7 @@ from cacheways.cli import _build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Only the allocation fixtures call these today; ROADMAP item 8 may give them
+# Only the allocation fixtures call these today; ROADMAP item 10 may give them
 # a caller through a `simulate --trace` file.
 EXEMPT = {"read_events", "write_events", "replay_events", "read_alloc_log"}
 

@@ -387,6 +387,30 @@ def test_a_number_past_the_float_range_is_rejected_before_any_output(tmp_path, c
         assert not out.exists()
 
 
+def test_an_unmet_demand_integral_past_the_float_range_is_exit_3(tmp_path, capsys):
+    # each phase's alpha is about 1e299 ns per way, so comcas's and
+    # reactive's unmet-demand integral over a finite run passes the float range
+    path = mix_file(tmp_path, far_mix("phase x 1 reuse 1000", "point 2 1e300", "point 11 1e290",
+                                      procs=3), "far.mix")
+    out, log = tmp_path / "out", tmp_path / "alloc.log"
+    for argv, policy in (
+        (["compare", "--mix", path], "comcas"),
+        (["simulate", "--mix", path, "--policy", "comcas", "--log", str(log)], "comcas"),
+        (["simulate", "--mix", path, "--policy", "reactive"], "reactive"),
+        (["sweep", "--mixes", str(tmp_path)], "comcas"),
+    ):
+        assert main([*argv, "--out", str(out)]) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: mix 'far' under %s: the unmet-demand integral leaves the float range\n" % policy
+        ), argv
+        assert captured.out == ""
+        assert not out.exists() and not log.exists()
+    # the policies that leave no demand unmet still report
+    assert main(["simulate", "--mix", path, "--policy", "maxways"]) == 0
+    assert "unmet-demand integral: 0\n" in capsys.readouterr().out
+
+
 def test_simulate_admission_rejection_is_exit_3(tmp_path, capsys, monkeypatch):
     # no mix reaches a rejection now (an arrival waits for room), so the
     # allocator is made to raise one

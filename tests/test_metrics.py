@@ -121,6 +121,12 @@ def test_deficit_proxy_clamps():
     assert deficit_proxy([(0.0, {0: (1.0, 2, 5)})], 10.0) == 0.0
 
 
+def test_deficit_proxy_past_the_float_range_raises():
+    # each factor is finite; their product is not
+    with raises_fault("the unmet-demand integral leaves the float range"):
+        deficit_proxy([(0.0, {0: (1e300, 11, 1)})], 1e300)
+
+
 def test_throughputs_orders_by_pid():
     comp = {2: 4.0, 0: 2.0}
     assert throughputs(comp, {0: 1.0, 2: 1.0}) == [0.5, 0.25]
