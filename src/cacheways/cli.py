@@ -190,9 +190,13 @@ def _load_run(path: str, base: SystemConfig):
 def _report_row(report, base=None) -> dict:
     """Every CSV column of one run, by name, in CSV order: its run, then its
     speedups over `base` (the unpartitioned run) when given, then its metrics
-    from the speedups over running alone to the apportion count.  A metric
-    that fails names the run's mix and policy."""
+    from the speedups over running alone to the apportion count."""
     mixed, unmixed = report.completions, report.unmixed
+    ok, ratios = sla_check(mixed, unmixed)
+    try:
+        deficit = deficit_proxy(report.width_timeline, report.end_time)
+    except CacheWaysError as exc:
+        raise CacheWaysError("mix %r under %s: %s" % (report.mix_name, report.policy, exc)) from None
     row = {
         "mix": report.mix_name,
         "category": report.category,
@@ -200,22 +204,18 @@ def _report_row(report, base=None) -> dict:
         "interval_ns": report.interval_ns if report.interval_ns is not None else "",
         "end_ns": report.end_time,
     }
-    try:
-        ok, ratios = sla_check(mixed, unmixed)
-        if base is not None:
-            row["speedup_vs_unpartitioned"] = weighted_speedup(base.completions, mixed)
-            row["speedup_vs_unpartitioned_tweighted"] = weighted_speedup(base.completions, mixed, weights=unmixed)
-        row.update(
-            speedup_vs_alone=weighted_speedup(unmixed, mixed),
-            speedup_vs_alone_tweighted=weighted_speedup(unmixed, mixed, weights=unmixed),
-            fairness=jain_fairness(throughputs(mixed, unmixed)),
-            sla_ok=int(ok),
-            worst_slowdown=max(ratios.values()),
-            deficit=deficit_proxy(report.width_timeline, report.end_time),
-            apportionings=report.apportion_count,
-        )
-    except CacheWaysError as exc:
-        raise CacheWaysError("mix %r under %s: %s" % (report.mix_name, report.policy, exc)) from None
+    if base is not None:
+        row["speedup_vs_unpartitioned"] = weighted_speedup(base.completions, mixed)
+        row["speedup_vs_unpartitioned_tweighted"] = weighted_speedup(base.completions, mixed, weights=unmixed)
+    row.update(
+        speedup_vs_alone=weighted_speedup(unmixed, mixed),
+        speedup_vs_alone_tweighted=weighted_speedup(unmixed, mixed, weights=unmixed),
+        fairness=jain_fairness(throughputs(mixed, unmixed)),
+        sla_ok=int(ok),
+        worst_slowdown=max(ratios.values()),
+        deficit=deficit,
+        apportionings=report.apportion_count,
+    )
     return row
 
 
