@@ -5,6 +5,8 @@ covers the pure helpers and targeted engine behaviors, plus the randomized
 invariant sweep.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,8 +21,6 @@ from cacheways.apportion import (
     required_ways,
 )
 from cacheways.errors import SchemaError
-
-from fractions import Fraction
 
 from oracles import cache_fractions, exact_shares, half_up_ways, is_contiguous, scenario
 from support import checking_moved, clos_of, raises_fault
@@ -353,13 +353,13 @@ def check_invariants(ap, first_socket):
         last = ap.records[-1]
         masks = [c.mask for c in ap.sockets[last.socket].clos if c.members]
         assert last.scenario is scenario(masks, ways)
-    for rec in reversed(ap.records):
-        if rec.time_ns != last.time_ns:
-            break
-        if rec.event != "release":
-            p = ap.procs[rec.pid]
-            shares = exact_shares({pid: ap.procs[pid].mass for pid in ap.sockets[rec.socket].processes})
-            assert rec.req_ways == p.req_ways == half_up_ways(shares[rec.pid], ways, p.max_ways)
+        for rec in reversed(ap.records):
+            if rec.time_ns != last.time_ns:
+                break
+            if rec.event != "release":
+                p = ap.procs[rec.pid]
+                shares = exact_shares({pid: ap.procs[pid].mass for pid in ap.sockets[rec.socket].processes})
+                assert rec.req_ways == p.req_ways == half_up_ways(shares[rec.pid], ways, p.max_ways)
     for sock in ap.sockets:
         for clos in sock.clos:
             assert is_contiguous(clos.mask) and clos.mask < top, "mask %#x" % clos.mask
