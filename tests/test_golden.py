@@ -15,15 +15,22 @@ under every policy, `compare --out`, and `compare --out` over maxways and
 comcas at a 30 ms interval; then `sweep --out` over every mix, under every
 policy and under reactive and comcas.
 
-A change that claims to keep its outputs must keep every digest of both
-tables.  A deliberate output change regenerates them, which rewrites both,
-lists on stderr each entry that moved, is new or is gone, and ends with one
-tally line over both, such as `44 moved, 0 new, 0 gone`:
+A third table holds one sha256 per seed 0-299 over the loop analysis of a
+draw of oracles.random_affine_nest, mutated so that some bounds are 0 or
+estimated, some subscripts are indirect and some constants shift: the repr of
+`footprint_closed_form` at line sizes 16 and 64 and of `compute_srd`, or of
+the error a call raised.
+
+A change that claims to keep its outputs must keep every digest of the three
+tables.  A deliberate output change regenerates them, which rewrites all
+three, lists on stderr each entry that moved, is new or is gone, and ends
+with one tally line over all three, such as `44 moved, 0 new, 0 gone`:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
+import dataclasses
 import glob
 import hashlib
 import io
@@ -36,13 +43,16 @@ import tempfile
 from cacheways import cli
 from cacheways.errors import CacheWaysError
 from cacheways.formats import read_mix
+from cacheways.loops import Bound, compute_srd, footprint_closed_form
 from cacheways.simulate import Policy, ProcessSpec, run_mix
+from oracles import random_affine_nest
 from test_simulate import MIB, churn_mix, mix_of, phase, random_mix
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 MIXDIR = os.path.join(HERE, os.pardir, "mixes")
 TABLE = os.path.join(HERE, "golden_digests.json")
 CLI_TABLE = os.path.join(HERE, "golden_cli.json")
+LOOPS_TABLE = os.path.join(HERE, "golden_loops.json")
 
 POLICIES = {
     "comcas": Policy("comcas"),
@@ -141,7 +151,65 @@ def cli_table():
     return out
 
 
-TABLES = ((TABLE, table), (CLI_TABLE, cli_table))
+def mutated_nest(seed):
+    """random_affine_nest's draw for `seed`, then, from the same generator,
+    with a small probability each: a bound 0 or estimated, an access made
+    indirect or a repeat of an earlier one, and a constant shifted."""
+    rng = random.Random(seed)
+    nest = random_affine_nest(rng, "random-%d" % seed)
+    loops = []
+    for lv in nest.loops:
+        r = rng.random()
+        if r < 0.08:
+            lv = dataclasses.replace(lv, upper_bound=Bound(0))
+        elif r < 0.16:
+            lv = dataclasses.replace(lv, upper_bound=Bound(lv.upper_bound.value, estimated=True))
+        loops.append(lv)
+    stmts = []
+    listed = []  # every access so far, in list order
+    for stmt in nest.statements:
+        accesses = []
+        for acc in stmt.accesses:
+            r = rng.random()
+            if r < 0.06:
+                acc = dataclasses.replace(acc, subscript=None)
+            elif r < 0.3 and listed:
+                # repeat an earlier reference, so same-iteration pairs occur
+                acc = dataclasses.replace(rng.choice(listed), kind=acc.kind)
+            if r < 0.45 and acc.subscript is not None and rng.random() < 0.5:
+                sub = acc.subscript
+                acc = dataclasses.replace(
+                    acc, subscript=dataclasses.replace(sub, const=sub.const + rng.randint(-3, 3))
+                )
+            accesses.append(acc)
+            listed.append(acc)
+        stmts.append(dataclasses.replace(stmt, accesses=tuple(accesses)))
+    return dataclasses.replace(nest, loops=tuple(loops), statements=tuple(stmts))
+
+
+def loops_digest(nest):
+    h = hashlib.sha256()
+    for call in (
+        lambda: footprint_closed_form(nest, 16),
+        lambda: footprint_closed_form(nest, 64),
+        lambda: compute_srd(nest),
+    ):
+        try:
+            text = repr(call())
+        except CacheWaysError as exc:  # an unanalyzable nest is an output too
+            text = "raised " + repr(exc)
+        h.update(repr(text).encode())
+    return h.hexdigest()
+
+
+def loops_table():
+    return {
+        "random-%d" % seed: {"analysis": loops_digest(mutated_nest(seed))}
+        for seed in range(300)
+    }
+
+
+TABLES = ((TABLE, table), (CLI_TABLE, cli_table), (LOOPS_TABLE, loops_table))
 
 
 def moved_entries(path, make):
@@ -167,9 +235,14 @@ def test_cli_outputs_match_golden_digests():
     assert not moved, "CLI outputs moved for: " + ", ".join(moved)
 
 
+def test_loop_analysis_matches_golden_digests():
+    moved = moved_entries(LOOPS_TABLE, loops_table)
+    assert not moved, "loop analysis moved for: " + ", ".join(moved)
+
+
 def regenerate():
-    """Rewrite both tables; name each entry whose digest changed on stderr,
-    then tally them over both."""
+    """Rewrite every table; name each entry whose digest changed on stderr,
+    then tally them over all of them."""
     tally = {"moved": 0, "new": 0, "gone": 0}
     for path, make in TABLES:
         try:

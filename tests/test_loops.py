@@ -308,6 +308,27 @@ def test_srd_same_iteration_pair_counts_offset():
     assert zero_level[0].srd == 2
 
 
+def test_srd_same_iteration_pair_across_depths():
+    # the first i iteration runs A[i] B[i] (S1), then C[j] A[i] (S2) at j=0,
+    # so the second A sits at list position 3, three accesses after the first
+    def read(array, idx):
+        return MemoryAccess(array, 8, Affine(0, ((idx, 1),)))
+
+    nest = LoopNest(
+        "deeper",
+        (LoopLevel("i", Bound(4)), LoopLevel("j", Bound(3))),
+        (
+            Statement((read("A", "i"), read("B", "i")), 1),
+            Statement((read("C", "j"), read("A", "i")), 2),
+        ),
+    )
+    assert set(compute_srd(nest).pairs) == {
+        ReusePair("A", 0, 0, 1, 1, 0, 0, 3),
+        ReusePair("A", 1, 1, 1, 1, 2, 1, 2),
+        ReusePair("C", 1, 0, 1, 0, 1, 1, 6),
+    }
+
+
 def test_srd_no_reuse_yields_no_pairs():
     res = compute_srd(simple_nest(10, Affine(0, (("i", 1),))))
     assert res.pairs == ()
