@@ -3,11 +3,15 @@
 A nest is a list of perfectly nested, normalized loops (lower bound 0, unit
 step) plus statements attached to nesting levels.  Statements at depth k run,
 in list order, at the top of each iteration of loop k, before loop k+1 starts.
-From that structure this module computes:
+Depths never decrease down the list, so the first iteration of every loop runs
+the nest's accesses in list order.  From that structure this module computes:
 
   * the memory footprint in distinct bytes and cache lines, both as a closed
     form and by brute-force enumeration (the oracle the closed form is
-    validated against),
+    validated against).  The closed form reduces each reference to one
+    progression, `count` runs of `width` bytes one every `stride` bytes:
+    exact for a single index, a flagged overcount (the bounding box) for two
+    or more,
   * symbolic reuse distances (count of memory accesses separating two touches
     of the same address) and the stream/reuse classification they imply.
 
@@ -19,6 +23,7 @@ space, and footprints of different arrays add.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .apportion import ReuseClass, SystemConfig
@@ -159,27 +164,9 @@ def _check_line_size(nest: LoopNest, line_size: int) -> None:
 # footprint
 # ---------------------------------------------------------------------------
 
-# Byte-space shapes a reference can reduce to.  Dense intervals are
-# [start, end) byte ranges; progressions are `count` elements of width
-# `width` placed every `stride` bytes from `start` (width <= stride).
-@dataclass(frozen=True)
-class _Dense:
-    start: int
-    end: int
-    exact: bool = True
-
-
-@dataclass(frozen=True)
-class _Prog:
-    start: int
-    stride: int
-    count: int
-    width: int
-
-
 def _access_shape(acc: MemoryAccess, enclosing: list[LoopLevel]):
-    """Reduce one affine reference to a byte-space shape, or None when the
-    iteration domain is empty."""
+    """Reduce one affine reference to a progression (start, stride, count,
+    width, exact), or None when the iteration domain is empty."""
     sub = acc.subscript
     es = acc.element_size
     terms = []
@@ -189,19 +176,14 @@ def _access_shape(acc: MemoryAccess, enclosing: list[LoopLevel]):
         c = sub.coeff(lv.index_name)
         if c != 0 and lv.upper_bound.value >= 2:
             terms.append((c, lv.upper_bound.value))
-    base = sub.const
-    if not terms:
-        return _Dense(base * es, base * es + es)
-    if len(terms) == 1:
-        c, u = terms[0]
-        lo = base + min(0, c * (u - 1))
-        if abs(c) == 1:
-            return _Dense(lo * es, (lo + u) * es)
-        return _Prog(lo * es, abs(c) * es, u, es)
+    lo = sub.const + sum(min(0, c * (u - 1)) for c, u in terms)
+    if len(terms) <= 1:
+        c, u = terms[0] if terms else (1, 1)
+        return lo * es, abs(c) * es, u, es, True
     # two or more index variables: bounding box, flagged inexact
-    lo = base + sum(min(0, c * (u - 1)) for c, u in terms)
-    hi = base + sum(max(0, c * (u - 1)) for c, u in terms)
-    return _Dense(lo * es, (hi + 1) * es, exact=False)
+    hi = sub.const + sum(max(0, c * (u - 1)) for c, u in terms)
+    width = (hi - lo + 1) * es
+    return lo * es, width, 1, width, False
 
 
 def _merge_intervals(ivals):
@@ -215,74 +197,44 @@ def _merge_intervals(ivals):
     return out
 
 
-def _interval_lines(merged, line_size):
-    """Distinct line count of a merged byte-interval union."""
-    runs = []
-    for s, e in merged:
-        runs.append((s // line_size, (e - 1) // line_size))
-    total = 0
-    for lo, hi in _merge_intervals([(a, b + 1) for a, b in runs]):
-        total += hi - lo
-    return total
+def _interval_lines(ivals, line_size):
+    """Distinct line count of a union of byte intervals."""
+    lines = _merge_intervals([(s // line_size, (e - 1) // line_size + 1) for s, e in ivals])
+    return sum(hi - lo for lo, hi in lines)
+
+
+def _covers(shapes):
+    """Each progression's covering byte interval [start, end of its last run)."""
+    return [(start, start + stride * (count - 1) + width) for start, stride, count, width, *_ in shapes]
 
 
 def _union_array_shapes(shapes, line_size):
-    """Exact-when-possible union of one array's shapes.
+    """Union of one array's progressions: (bytes, lines, exact).
 
-    Returns (bytes, lines, exact).  Three regimes:
-      * all dense: interval union, exact;
-      * all progressions with one (stride, width, residue): union in stride
-        space, exact, with lines exact via the stride-vs-line dichotomy;
-      * anything mixed: every shape widens to its covering interval and the
-        result is flagged inexact (a pure overcount).
+    Progressions sharing one (stride, width, start mod stride) with gaps
+    between runs unite exactly in stride space.  Any other set widens each
+    progression to its covering interval; that union is exact when every
+    shape was an exact contiguous run and is otherwise flagged inexact (a
+    pure overcount).
     """
-    exact = all(isinstance(s, _Dense) and s.exact for s in shapes)
-    dense_ok = all(isinstance(s, _Dense) for s in shapes)
-    if dense_ok:
-        merged = _merge_intervals([(s.start, s.end) for s in shapes])
-        nbytes = sum(e - s for s, e in merged)
-        return nbytes, _interval_lines(merged, line_size), exact
+    kinds = {(stride, width, start % stride) for start, stride, _, width, _ in shapes}
+    stride, width, residue = next(iter(kinds))
+    if len(kinds) == 1 and stride > width:
+        runs = _merge_intervals(
+            [((start - residue) // stride, (start - residue) // stride + count)
+             for start, _, count, _, _ in shapes]
+        )
+        count = sum(e - s for s, e in runs)
+        if stride >= line_size:
+            return count * width, count, True  # every element owns a distinct line
+        # consecutive elements land on the same or the next line, so each
+        # run touches exactly the lines of its covering interval
+        cover = _covers((residue + stride * ts, stride, te - ts, width) for ts, te in runs)
+        return count * width, _interval_lines(cover, line_size), True
 
-    progs = [s for s in shapes if isinstance(s, _Prog)]
-    if len(progs) == len(shapes):
-        strides = {p.stride for p in progs}
-        widths = {p.width for p in progs}
-        residues = {p.start % p.stride for p in progs}
-        if len(strides) == 1 and len(widths) == 1 and len(residues) == 1:
-            stride = strides.pop()
-            width = widths.pop()
-            residue = residues.pop()
-            tvals = []
-            for p in progs:
-                t0 = (p.start - residue) // stride
-                tvals.append((t0, t0 + p.count))
-            merged_t = _merge_intervals(tvals)
-            count = sum(e - s for s, e in merged_t)
-            nbytes = count * width
-            if stride < line_size:
-                # consecutive elements land on the same or the next line, so
-                # each run touches a contiguous line range
-                line_ivals = []
-                for ts, te in merged_t:
-                    first = residue + stride * ts
-                    last = residue + stride * (te - 1)
-                    line_ivals.append((first // line_size, (last + width - 1) // line_size + 1))
-                lines = sum(e - s for s, e in _merge_intervals(line_ivals))
-            else:
-                # stride >= line size: every element owns a distinct line
-                lines = count
-            return nbytes, lines, True
-
-    # mixed shapes: widen everything to covering intervals, overcount
-    ivals = []
-    for s in shapes:
-        if isinstance(s, _Dense):
-            ivals.append((s.start, s.end))
-        else:
-            ivals.append((s.start, s.start + s.stride * (s.count - 1) + s.width))
-    merged = _merge_intervals(ivals)
-    nbytes = sum(e - s for s, e in merged)
-    return nbytes, _interval_lines(merged, line_size), False
+    merged = _merge_intervals(_covers(shapes))
+    exact = all(ex and stride == width for _, stride, _, width, ex in shapes)
+    return sum(e - s for s, e in merged), _interval_lines(merged, line_size), exact
 
 
 def footprint_closed_form(nest: LoopNest, line_size: int = SystemConfig.line_size) -> FootprintValue:
@@ -424,10 +376,6 @@ class SRDResult:
         return tuple(p.srd for p in self.pairs)
 
 
-def _bound(nest: LoopNest, level: int) -> int:
-    return nest.loops[level - 1].upper_bound.value
-
-
 def _per_iteration_accesses(nest: LoopNest, level: int) -> int:
     """Accesses contributed by one iteration of loop `level`.
 
@@ -441,38 +389,10 @@ def _per_iteration_accesses(nest: LoopNest, level: int) -> int:
     for stmt in nest.statements:
         n = len(stmt.accesses)
         if stmt.depth > level:
-            iters = 1
-            for k in range(level + 1, stmt.depth + 1):
-                iters *= _bound(nest, k)
-            inner += n * iters
+            inner += n * math.prod(lv.upper_bound.value for lv in nest.loops[level : stmt.depth])
         elif stmt.depth == level:
             own += n
-    return inner if inner > 0 else own
-
-
-def _first_position(nest: LoopNest, stmt_idx: int, acc_idx: int, level: int) -> int:
-    """Access-count offset of the first occurrence of an access within one
-    iteration of loop `level` (statements at a level run before the deeper
-    loop starts)."""
-    pos = 0
-    for si, stmt in enumerate(nest.statements):
-        if stmt.depth != level:
-            continue
-        if si == stmt_idx:
-            return pos + acc_idx
-        pos += len(stmt.accesses)
-    # target sits deeper; every statement at this level precedes it
-    return pos + _first_position(nest, stmt_idx, acc_idx, level + 1)
-
-
-def _coeff_vectors_equal(nest, stmt_a, acc_a, stmt_b, acc_b) -> bool:
-    names = [lv.index_name for lv in nest.loops]
-    sa = stmt_a.accesses[acc_a].subscript
-    sb = stmt_b.accesses[acc_b].subscript
-    for name in names:
-        if sa.coeff(name) != sb.coeff(name):
-            return False
-    return True
+    return inner or own
 
 
 def compute_srd(nest: LoopNest) -> SRDResult:
@@ -480,78 +400,59 @@ def compute_srd(nest: LoopNest) -> SRDResult:
 
     The value for a pair carried by loop `level` at iteration distance d is
     d * per_iteration_accesses(level): the dominant traffic separating two
-    consecutive touches of one address.  Indirect accesses contribute no pair
-    but set has_indirect (they classify as reuse downstream).  Pairs with no
-    repeated address are simply absent.
+    consecutive touches of one address; a pair within one iteration is
+    separated by the difference of the accesses' list positions, as list
+    order is execution order.  Indirect accesses contribute no pair but set
+    has_indirect (they classify as reuse downstream).  Pairs with no repeated
+    address are simply absent.
     """
     validate_nest(nest)
+    names = [lv.index_name for lv in nest.loops]
     pairs = []
     has_indirect = False
-    occurrences = []  # (stmt_idx, acc_idx), statements with a live domain only
+    live = []  # (stmt_idx, acc_idx, depth, access, list position) of live accesses
+    position = 0
     for si, stmt in enumerate(nest.statements):
-        if any(lv.upper_bound.value == 0 for lv in nest.loops[: stmt.depth]):
-            continue
-        for ai, acc in enumerate(stmt.accesses):
-            if acc.indirect:
-                has_indirect = True
-            else:
-                occurrences.append((si, ai))
+        if all(lv.upper_bound.value for lv in nest.loops[: stmt.depth]):
+            for ai, acc in enumerate(stmt.accesses):
+                if acc.indirect:
+                    has_indirect = True
+                else:
+                    live.append((si, ai, stmt.depth, acc, position + ai))
+        position += len(stmt.accesses)
 
     # self reuse: the address is fixed along some enclosing loop
-    for si, ai in occurrences:
-        stmt = nest.statements[si]
-        acc = stmt.accesses[ai]
-        carrier = 0
-        for level in range(stmt.depth, 0, -1):
+    for si, ai, depth, acc, _ in live:
+        for level in range(depth, 0, -1):
             lv = nest.loops[level - 1]
             if lv.upper_bound.value >= 2 and acc.subscript.coeff(lv.index_name) == 0:
-                carrier = level
+                srd = _per_iteration_accesses(nest, level)
+                pairs.append(ReusePair(acc.array, si, ai, si, ai, level, 1, srd))
                 break
-        if carrier:
-            srd = _per_iteration_accesses(nest, carrier)
-            pairs.append(
-                ReusePair(acc.array, si, ai, si, ai, carrier, 1, srd)
-            )
 
-    # cross reuse: two references whose subscripts differ by a constant
-    for i in range(len(occurrences)):
-        for j in range(i + 1, len(occurrences)):
-            sa_i, aa_i = occurrences[i]
-            sb_i, ab_i = occurrences[j]
-            stmt_a = nest.statements[sa_i]
-            stmt_b = nest.statements[sb_i]
-            acc_a = stmt_a.accesses[aa_i]
-            acc_b = stmt_b.accesses[ab_i]
-            if acc_a.array != acc_b.array:
+    # cross reuse: two references whose subscripts differ by a constant; a is
+    # listed first, so it sits at the common depth and before b in iteration
+    for i, (sa, aa, depth, acc_a, pa) in enumerate(live):
+        sub_a = acc_a.subscript
+        for sb, ab, _, acc_b, pb in live[i + 1 :]:
+            sub_b = acc_b.subscript
+            if (acc_a.array, acc_a.element_size) != (acc_b.array, acc_b.element_size):
                 continue
-            if acc_a.element_size != acc_b.element_size:
+            if any(sub_a.coeff(name) != sub_b.coeff(name) for name in names):
                 continue
-            if not _coeff_vectors_equal(nest, stmt_a, aa_i, stmt_b, ab_i):
-                continue
-            delta = acc_b.subscript.const - acc_a.subscript.const
-            common_depth = min(stmt_a.depth, stmt_b.depth)
+            delta = sub_b.const - sub_a.const
             if delta == 0:
-                pa = _first_position(nest, sa_i, aa_i, 1)
-                pb = _first_position(nest, sb_i, ab_i, 1)
-                pairs.append(
-                    ReusePair(
-                        acc_a.array, sa_i, aa_i, sb_i, ab_i, 0, 0, abs(pb - pa)
-                    )
-                )
+                pairs.append(ReusePair(acc_a.array, sa, aa, sb, ab, 0, 0, pb - pa))
                 continue
-            for level in range(common_depth, 0, -1):
+            for level in range(depth, 0, -1):
                 lv = nest.loops[level - 1]
-                c = acc_a.subscript.coeff(lv.index_name)
+                c = sub_a.coeff(lv.index_name)
                 if c == 0 or delta % c != 0:
                     continue
-                d = delta // c
-                if d != 0 and abs(d) < lv.upper_bound.value:
-                    srd = _per_iteration_accesses(nest, level) * abs(d)
-                    pairs.append(
-                        ReusePair(
-                            acc_a.array, sa_i, aa_i, sb_i, ab_i, level, abs(d), srd
-                        )
-                    )
+                d = abs(delta // c)
+                if d != 0 and d < lv.upper_bound.value:
+                    srd = _per_iteration_accesses(nest, level) * d
+                    pairs.append(ReusePair(acc_a.array, sa, aa, sb, ab, level, d, srd))
                     break
 
     return SRDResult(tuple(pairs), has_indirect)
