@@ -15,11 +15,11 @@ numbers.  It knows no keyword by name but the version line.  A rule the
 table cannot state lives in the one function that assembles its block:
 `read_mix` rejects a field set twice in one process or phase, a phase whose
 speed at a curve point and a process whose earliest end leave the float
-range, `read_samples` a sample whose trip-count products do, `_config`
-types each config value by its key, `_leading_config` splits off the config
-lines that open an event trace or allocation log, and nests and curves
-share one `opener <name> ... end` block splitter.  Any malformed line, a
-truncated one included, raises SchemaError naming the file and line.
+range, `read_samples` a sample whose trip-count products or their squares
+do, `_config` types each config value by its key, `_leading_config` splits
+off the config lines that open an event trace or allocation log, and nests
+and curves share one `opener <name> ... end` block splitter.  Any malformed
+line, a truncated one included, raises SchemaError naming the file and line.
 
 There is one reader or writer per file a command reads or writes, plus the
 event-trace functions and `read_alloc_log`, which serve the allocation
@@ -397,8 +397,9 @@ def read_samples(path: str, depth: int | None = None) -> list[TrainingSample]:
         depth = depth or len(bounds)
         if len(bounds) != depth:
             rd.fail(no, "sample arity %d != %d" % (len(bounds), depth))
-        if not all(map(math.isfinite, make_features(bounds))):
-            rd.fail(no, "sample: a product of its trip counts leaves the float range")
+        # the fit squares each product, so its square must stay in the float range too
+        if not all(math.isfinite(u * u) for u in make_features(bounds)):
+            rd.fail(no, "sample: a product of its trip counts leaves the float range when squared")
         samples.append(TrainingSample(tuple(bounds), observed))
     if not samples:
         rd.fail(rd.last, "no sample in the file")

@@ -263,7 +263,8 @@ def test_fit_timing_recovers_exact_model(tmp_path, capsys):
     ("# no sample yet\n", "test.txt:1: no sample in the file"),
     ("sample 5 -2 100\n", "test.txt:2: sample: bad value '-2', expected a finite number >= 0"),
     ("sample 1e300 1e300 10\n", "test.txt:2: sample: a product of its trip counts leaves the float range"),
-], ids=["depth", "empty", "negative", "overflow"])
+    ("sample 1e160 1 10\n", "test.txt:2: sample: a product of its trip counts leaves the float range when squared"),
+], ids=["depth", "empty", "negative", "overflow", "square-overflow"])
 def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, text, message):
     train, test = str(tmp_path / "train.txt"), tmp_path / "test.txt"
     write_samples([TrainingSample((u1, u2), 1.0 + u1 + u1 * u2) for u1, u2 in ((1, 2), (3, 1), (2, 5), (4, 4))], train)
@@ -296,6 +297,19 @@ def test_fit_timing_rejects_an_overflowing_training_sample_at_its_line(tmp_path,
     assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert "train.txt:6: sample: a product of its trip counts leaves the float range" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fit_timing_rejects_a_training_sample_whose_square_overflows_at_its_line(tmp_path, capsys):
+    # u1*u2 of the last sample is 1e300; the fit squares it past the float range
+    train = tmp_path / "train.txt"
+    train.write_text("format-version 1\nsample 1 2 10\nsample 3 1 20\nsample 2 5 30\nsample 4 4 50\n"
+                     "sample 1e200 1e100 10\n", encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "train.txt:6: sample: a product of its trip counts leaves the float range when squared" in captured.err
     assert captured.out == ""
     assert not out.exists()
 

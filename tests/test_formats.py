@@ -555,6 +555,9 @@ MALFORMED = {
     "events-pcca-bytes-past-float-range": (read_events, V + "ipca 0 0 0 2 64 reuse 1\n>pcca 1 0 %d reuse 1" % 10**400),
     "samples-product-past-float-range": (read_samples, V + "sample 1 2 10\n>sample 1e300 1e300 10"),
     "samples-product-nan": (read_samples, V + ">sample 1e300 1e300 0 10"),
+    # finite products whose squares, which the fit takes, are not
+    "samples-square-past-float-range": (read_samples, V + "sample 1 2 10\n>sample 1e200 1e100 10"),
+    "samples-square-past-float-range-single": (read_samples, V + ">sample 1e160 10"),
 }
 # a SystemConfig value out of range is pinned to its config line
 MALFORMED.update(
@@ -610,6 +613,8 @@ MESSAGES = {
     "events-pcca-bytes-past-float-range": "pcca: bad value '%d', expected an integer >= 0 within the float range" % 10**400,
     "samples-product-past-float-range": "sample: a product of its trip counts leaves the float range",
     "samples-product-nan": "sample: a product of its trip counts leaves the float range",
+    "samples-square-past-float-range": "sample: a product of its trip counts leaves the float range when squared",
+    "samples-square-past-float-range-single": "sample: a product of its trip counts leaves the float range when squared",
 }
 
 
@@ -649,13 +654,14 @@ def test_start_that_the_shortest_phase_moves_parses(tmp_path):
 
 
 def test_values_at_the_edge_of_the_float_range_parse(tmp_path):
-    # the largest byte count a float holds, a speed and a clock just inside the range
+    # the largest byte count a float holds, a speed and a clock just inside the
+    # range, and a trip-count product whose square, which the fit takes, is too
     top = int(sys.float_info.max)
     text = MIX_HEAD + "phase p 1 reuse %d\npoint 2 8e307\nphase q 1 reuse 1\npoint 2 8e307\n" % top
     text += "phase r 1e-300 reuse 1\npoint 2 1e20\nend\n"  # speed 1e-320, a subnormal
     mix = read_mix(write_text(tmp_path, "ok.mix", text))
     assert [ph.nbytes for ph in mix.processes[0].phases] == [top, 1, 1]
-    assert read_samples(write_text(tmp_path, "ok.txt", V + "sample 1e154 1e154 10\n"))[0].bounds == (1e154, 1e154)
+    assert read_samples(write_text(tmp_path, "ok.txt", V + "sample 1e77 1.3e77 10\n"))[0].bounds == (1e77, 1.3e77)
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):
