@@ -392,7 +392,7 @@ def _per_iteration_accesses(nest: LoopNest, level: int) -> int:
             inner += n * math.prod(lv.upper_bound.value for lv in nest.loops[level : stmt.depth])
         elif stmt.depth == level:
             own += n
-    return inner or own
+    return inner if inner > 0 else own
 
 
 def compute_srd(nest: LoopNest) -> SRDResult:
