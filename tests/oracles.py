@@ -132,6 +132,28 @@ def brute_effective_ways(mask, claims):
     return max(1, math.floor(total))
 
 
+def brute_refresh(place, is_reuse):
+    """A stand-in for `_Placement.refresh` that remembers nothing: recount
+    each socket's reuse claims per way from every placed pid's mask and
+    phase (`is_reuse(pid)`), and return the effective ways of every placed
+    pid, a stream's being its mask's bit count.  Clears `dirty` and `moved`
+    as refresh does, and leaves the placement's own claim counts alone."""
+    reuse = {pid: is_reuse(pid) for pid in place.socket_of}
+    ways = place.config.ways_per_socket
+    claims = [[0] * ways for _ in place.pids]
+    for pid, sid in place.socket_of.items():
+        if reuse[pid]:
+            for w in range(ways):
+                claims[sid][w] += place.mask_of[pid] >> w & 1
+    place.dirty.clear()
+    place.moved.clear()
+    return {
+        pid: brute_effective_ways(place.mask_of[pid], claims[sid]) if reuse[pid]
+        else bin(place.mask_of[pid]).count("1")
+        for pid, sid in place.socket_of.items()
+    }
+
+
 def cache_fractions(active, config):
     """{pid: exact share of the socket} over (pid, bytes, reuse class)
     triples: each footprint, a stream's scaled by the exact value of

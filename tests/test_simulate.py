@@ -26,7 +26,7 @@ from cacheways.simulate import (
     run_unmixed,
     validate_mix,
 )
-from oracles import brute_effective_ways, process_sensitivity_reference
+from oracles import brute_effective_ways, brute_refresh, process_sensitivity_reference
 from support import raises_fault, way_time_curve
 
 MIB = 1 << 20
@@ -865,3 +865,17 @@ def test_shifting_every_start_shifts_nothing_else(make_mix, label):
         for pid, done in early.completions.items():
             assert moved.completions[pid] == pytest.approx(done, rel=1e-9), (seed, pid)
         assert moved.end_time - shift == pytest.approx(early.end_time, rel=1e-9), seed
+
+
+@pytest.mark.parametrize("label", sorted(SHIFT_POLICIES))
+@pytest.mark.parametrize("make_mix", (random_mix, churn_mix, many_socket_mix))
+def test_refresh_matches_a_brute_recount(monkeypatch, make_mix, label):
+    # refresh re-derives only the runs whose effective ways can have moved;
+    # recounting every claim and re-deriving every placed run at each event
+    # gives the same report
+    pol = SHIFT_POLICIES[label]
+    mixes = [make_mix(random.Random(seed)) for seed in range(24)]
+    fast = [repr(run_mix(m, pol)) for m in mixes]
+    monkeypatch.setattr(simulate._Placement, "refresh", brute_refresh)
+    for seed, (m, want) in enumerate(zip(mixes, fast)):
+        assert repr(run_mix(m, pol)) == want, seed
