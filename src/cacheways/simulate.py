@@ -19,9 +19,11 @@ gets the exact integer floor of sum(1/k) over the ways of its mask, where k
 is the number of reuse phases holding that way (itself included), and never
 less than 1.  Claim counts are kept per socket and way.  After each event the
 rule is re-evaluated only for the processes whose mask or phase changed and
-for the reuse phases holding a way whose claim count changed.  The width
-timeline gains a snapshot only when such a re-evaluation changed a row or a
-process was admitted or completed.
+for the reuse phases holding a way whose claim count changed, and it is
+memoized for the whole run on the mask and its socket's claim counts.  A
+run's speed is recomputed only when its phase, mask or presence changed or
+its effective ways did.  The width timeline gains a snapshot only when a
+row changed or a process was admitted or completed.
 
 A run pays only for what its policy reads: each policy derives the
 (alpha, max_ways) pair itself, once per process, and `unpartitioned`, which
@@ -218,7 +220,9 @@ class _Placement:
     """Which socket and which way mask each admitted pid holds, each socket's
     pids in ascending order, and each socket's reuse claim count per way.
     The `dirty` pids are those whose mask, phase or presence changed since
-    the last `refresh`, which settles their claims."""
+    the last `refresh`, which settles their claims.  It also keeps each
+    placed pid's last effective ways and, for the whole run, the contention
+    rule's result per (mask, claim counts of its socket)."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -229,6 +233,8 @@ class _Placement:
         self.claimed: dict[int, int] = {}  # pid -> its mask counted in claims, or 0
         self.moved: dict[int, int] = {}  # socket -> ways whose claim count changed
         self.dirty: set[int] = set()
+        self.eff_of: dict[int, int] = {}  # pid -> its effective ways at the last refresh
+        self.memo: dict[tuple, int] = {}  # (mask, its socket's claims) -> a reuse phase's ways
 
     def put(self, pid: int, sid: int, mask: int) -> None:
         """Give `pid` `mask` on socket `sid`, dirtying the pid if that
@@ -249,6 +255,7 @@ class _Placement:
         self.pids[sid].remove(pid)
         self._claim(sid, pid, 0)
         self.dirty.add(pid)
+        self.eff_of.pop(pid, None)
         return sid
 
     def _claim(self, sid: int, pid: int, mask: int) -> None:
@@ -263,9 +270,13 @@ class _Placement:
 
     def refresh(self, is_reuse) -> dict[int, int]:
         """Settle the dirty pids' claims (`is_reuse(pid)`: does its phase
-        reuse?) and return the effective ways of every placed pid that can
+        reuse?) and re-derive the effective ways of every placed pid that can
         have moved: the dirty ones and the reuse holders of each way whose
-        claim count changed.  One effective_ways per (socket, mask, reuse)."""
+        claim count changed.  Return those of the dirty pids and of the pids
+        whose effective ways differ from the last refresh; a run's speed and
+        row depend on nothing else.  A stream phase sees its mask's bit
+        count; a reuse phase's ways come from the run-long memo, looked up
+        once per (socket, mask) in one refresh."""
         stale = {}  # pid -> reuse
         for pid in self.dirty:
             if pid in self.socket_of:
@@ -275,15 +286,23 @@ class _Placement:
             for pid in self.pids[sid]:
                 if self.claimed.get(pid, 0) & ways:
                     stale[pid] = True
-        self.dirty.clear()
         self.moved.clear()
-        eff, memo = {}, {}
+        out, seen = {}, {}  # seen: (socket, mask) -> a reuse phase's ways in this refresh
         for pid, reuse in stale.items():
-            key = (self.socket_of[pid], self.mask_of[pid], reuse)
-            if key not in memo:
-                memo[key] = effective_ways(key[1], self.claims[key[0]], reuse)
-            eff[pid] = memo[key]
-        return eff
+            sid, mask = self.socket_of[pid], self.mask_of[pid]
+            if not reuse:
+                eff = mask.bit_count()
+            elif (sid, mask) in seen:
+                eff = seen[sid, mask]
+            else:
+                key = (mask, tuple(self.claims[sid]))
+                if key not in self.memo:  # a rule that raises stores nothing
+                    self.memo[key] = effective_ways(mask, self.claims[sid], True)
+                eff = seen[sid, mask] = self.memo[key]
+            if pid in self.dirty or self.eff_of.get(pid) != eff:
+                out[pid] = self.eff_of[pid] = eff
+        self.dirty.clear()
+        return out
 
 
 class _Policy:
@@ -630,7 +649,7 @@ def run_mix(
             raise CacheWaysError("mix %r: nothing moves at t=%r ns" % (mix.name, now))
 
         if place.dirty:
-            # speeds and rows of the pids whose effective ways can have moved
+            # speeds and rows of the dirty pids and of those whose effective ways moved
             for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
                 r = runs[pid]
                 r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)

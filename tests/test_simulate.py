@@ -524,16 +524,25 @@ def test_event_cost_follows_the_touched_socket(monkeypatch):
 
 def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
     # pid 0 holds ways 0-3 and pid 1 ways 4-7 of one socket; pid 1's phases
-    # flip between reuse and stream, which moves claims on its ways only, so
-    # pid 0's effective ways are evaluated once, at its admission
-    masks = []
-    real = simulate.effective_ways
+    # flip between reuse and stream, which moves claims on its ways only.  So
+    # refresh hands back pid 0 only at its admission, pid 1 at its admission
+    # and at each of its 49 phase changes, and nothing at the two releases;
+    # and the rule is evaluated once per (mask, claims) state: every reuse
+    # phase of pid 1 sees the claims of the first
+    calls, handed = [], []
+    real_rule, real_refresh = simulate.effective_ways, simulate._Placement.refresh
 
     def counting(mask, claims, reuse):
-        masks.append(mask)
-        return real(mask, claims, reuse)
+        calls.append((mask, tuple(claims)))
+        return real_rule(mask, claims, reuse)
+
+    def watched(self, is_reuse):
+        out = real_refresh(self, is_reuse)
+        handed.append(sorted(out))
+        return out
 
     monkeypatch.setattr(simulate, "effective_ways", counting)
+    monkeypatch.setattr(simulate._Placement, "refresh", watched)
     long = ProcessSpec(pid=0, phases=(phase("long", MIB, {2: 2.0 ** 20}),), alpha=1.0, max_ways=4)
     flips = tuple(
         phase("s%d" % k, MIB, {2: 128.0}, reuse=(ReuseClass.REUSE, ReuseClass.STREAM)[k % 2])
@@ -542,8 +551,9 @@ def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
     short = ProcessSpec(pid=1, phases=flips, alpha=1.0, max_ways=4)
     rep = run_mix(mix_of(long, short, sockets=1), Policy("maxways"))
     assert rep.completions == {1: 50 * 128.0, 0: 2.0 ** 20}
-    assert masks.count(0x00F) == 1
-    assert masks.count(0x0F0) == 50
+    assert handed == [[0, 1]] + [[1]] * 49 + [[], []]
+    both = (1,) * 8 + (0,) * 3
+    assert sorted(calls) == [(0x00F, both), (0x0F0, both)]
 
 
 def test_comcas_phase_change_reads_back_only_the_clos_that_moved(monkeypatch):
