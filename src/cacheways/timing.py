@@ -56,8 +56,10 @@ class TrainingSample:
 def fit_timing(samples: Sequence[TrainingSample]) -> TimingModel:
     """Least-squares fit of the coefficients over the samples.
 
-    Deterministic for a fixed sample order.  Raises CacheWaysError when the
-    design matrix is rank-deficient (too few or affinely dependent samples).
+    Deterministic for a fixed sample order.  Raises CacheWaysError when a
+    feature's sum of squares over the samples leaves the float range, which
+    no sweep can rotate, and when the design matrix is rank-deficient (too
+    few or affinely dependent samples).
     """
     if not samples:
         raise CacheWaysError("no training samples")
@@ -71,6 +73,9 @@ def fit_timing(samples: Sequence[TrainingSample]) -> TimingModel:
             )
         rows.append((1.0,) + make_features(s.bounds))
         y.append(float(s.observed_time))
+    for i, col in enumerate(list(zip(*rows))[1:], 1):
+        if not math.isfinite(_dot(col, col)):
+            raise CacheWaysError("feature u%d: its sum of squares over the samples leaves the float range" % i)
     ncoef = depth + 1
     rank, coef = _ridge_svd(rows, y)
     if rank < ncoef:

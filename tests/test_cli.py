@@ -314,6 +314,23 @@ def test_fit_timing_rejects_a_training_sample_whose_square_overflows_at_its_line
     assert not out.exists()
 
 
+def test_fit_timing_rejects_a_feature_whose_sum_of_squares_overflows(tmp_path, capsys):
+    # every sample passes read_samples, but u1's squares sum past the float
+    # range; the fit used to end in a ZeroDivisionError traceback
+    train = tmp_path / "train.txt"
+    train.write_text("format-version 1\n"
+                     "sample 1.1694168355914049e+154 1 0 283.9\n"
+                     "sample 74.7 0 1 711.9\n"
+                     "sample 0 7.615149903541562e+153 62.4 141.5\n"
+                     "sample 1.2412457692364477e+154 0 4.426801626989733e+153 819.7\n", encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", str(train), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: feature u1: its sum of squares over the samples leaves the float range\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def mix_file(tmp_path, text=MIX_TEXT, name="tiny.mix"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
