@@ -20,10 +20,10 @@ is the number of reuse phases holding that way (itself included), and never
 less than 1.  Claim counts are kept per socket and way.  After each event the
 rule is re-evaluated only for the processes whose mask or phase changed and
 for the reuse phases holding a way whose claim count changed, and it is
-memoized for the whole run on the mask and its socket's claim counts.  A
-run's speed is recomputed only when its phase, mask or presence changed or
-its effective ways did.  The width timeline gains a snapshot only when a
-row changed or a process was admitted or completed.
+memoized for the whole run on the mask and the claim counts on its span.
+A run's speed is recomputed only when its phase, mask or presence changed
+or its effective ways did.  The width timeline gains a snapshot only when
+a row changed or a process was admitted or completed.
 
 A run pays only for what its policy reads: each policy derives the
 (alpha, max_ways) pair itself, once per process, and `unpartitioned`, which
@@ -222,7 +222,7 @@ class _Placement:
     The `dirty` pids are those whose mask, phase or presence changed since
     the last `refresh`, which settles their claims.  It also keeps each
     placed pid's last effective ways and, for the whole run, the contention
-    rule's result per (mask, claim counts of its socket)."""
+    rule's result per mask and claim counts over the mask's span."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -234,7 +234,7 @@ class _Placement:
         self.moved: dict[int, int] = {}  # socket -> ways whose claim count changed
         self.dirty: set[int] = set()
         self.eff_of: dict[int, int] = {}  # pid -> its effective ways at the last refresh
-        self.memo: dict[tuple, int] = {}  # (mask, its socket's claims) -> a reuse phase's ways
+        self.memo: dict[tuple, int] = {}  # (mask, claims on its span) -> a reuse phase's ways
 
     def put(self, pid: int, sid: int, mask: int) -> None:
         """Give `pid` `mask` on socket `sid`, dirtying the pid if that
@@ -295,7 +295,8 @@ class _Placement:
             elif (sid, mask) in seen:
                 eff = seen[sid, mask]
             else:
-                key = (mask, tuple(self.claims[sid]))
+                low = (mask & -mask).bit_length() - 1  # claims off the mask's span cannot move its ways
+                key = (mask, tuple(self.claims[sid][low:mask.bit_length()]))
                 if key not in self.memo:  # a rule that raises stores nothing
                     self.memo[key] = effective_ways(mask, self.claims[sid], True)
                 eff = seen[sid, mask] = self.memo[key]
