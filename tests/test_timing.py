@@ -77,19 +77,17 @@ def test_fit_rejects_rank_deficiency():
         fit_timing([])
 
 
-# each square is finite, but the squares of u1 sum past the float range and
-# u3 is all zero; the sweep used to divide by a zero inner product
-INFINITE_NORM_SAMPLES = [
-    TrainingSample((1.1694168355914049e+154, 1.0, 0.0), 283.9),
-    TrainingSample((74.7, 0.0, 1.0), 711.9),
-    TrainingSample((0.0, 7.615149903541562e+153, 62.4), 141.5),
-    TrainingSample((1.2412457692364477e+154, 0.0, 4.426801626989733e+153), 819.7),
-]
-
-
 def test_fit_rejects_a_feature_whose_sum_of_squares_leaves_the_float_range():
+    # each square is finite, but the squares of u1 sum past the float range
+    # and u3 is all zero; the sweep used to divide by a zero inner product
+    samples = [
+        TrainingSample((1.1694168355914049e+154, 1.0, 0.0), 283.9),
+        TrainingSample((74.7, 0.0, 1.0), 711.9),
+        TrainingSample((0.0, 7.615149903541562e+153, 62.4), 141.5),
+        TrainingSample((1.2412457692364477e+154, 0.0, 4.426801626989733e+153), 819.7),
+    ]
     with raises_fault("feature u1: its sum of squares over the samples leaves the float range"):
-        fit_timing(INFINITE_NORM_SAMPLES)
+        fit_timing(samples)
 
 
 @pytest.mark.parametrize("bounds", [
