@@ -26,6 +26,12 @@ from typing import NamedTuple
 
 from .errors import CacheWaysError, SchemaError
 
+# the defaults of the SystemConfig fields that functions also take alone
+LINE_SIZE = 64
+DM_PENALTY = 1.25
+SRD_DELTA = 1000.0
+SATURATION_EPSILON = 0.05
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -33,15 +39,15 @@ class SystemConfig:
     cores_per_socket: int = 14
     clos_per_socket: int = 16
     ways_per_socket: int = 11
-    line_size: int = 64
+    line_size: int = LINE_SIZE
     gfactor: int = 4
     scaling_factor_stream: float = 0.1
     clos_occupancy_threshold: float = 0.75
     hysteresis_ways: int = 1
     alpha_socket_threshold: float = 1.0
-    dm_penalty: float = 1.25
-    srd_delta: float = 1000.0
-    saturation_epsilon: float = 0.05
+    dm_penalty: float = DM_PENALTY
+    srd_delta: float = SRD_DELTA
+    saturation_epsilon: float = SATURATION_EPSILON
 
     def __post_init__(self):
         if self.ways_per_socket < 2:

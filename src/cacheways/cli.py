@@ -40,7 +40,7 @@ from .metrics import (
     weighted_speedup,
 )
 from .sensitivity import assemble_attributes
-from .simulate import _POLICIES, CATEGORIES, PhaseSpec, Policy, mix_config, run_mix
+from .simulate import _POLICIES, CATEGORIES, INTERVAL_NS, PhaseSpec, Policy, mix_config, run_mix
 
 POLICIES = tuple(_POLICIES)
 
@@ -80,7 +80,7 @@ def interval_ns(text: str) -> float:
 
 def _add_run_options(sub) -> None:
     sub.add_argument("--config", help="system config file; the mix's own config lines outrank it")
-    sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=Policy.interval_ns,
+    sub.add_argument("--interval-ms", dest="interval_ns", type=interval_ns, default=INTERVAL_NS,
                      help="reactive controller period in ms")
 
 

@@ -41,7 +41,7 @@ from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .apportion import AllocationRecord, ReuseClass, Scenario, SystemConfig
+from .apportion import LINE_SIZE, AllocationRecord, ReuseClass, Scenario, SystemConfig
 from .errors import SchemaError
 from .sensitivity import WayTimeCurve
 from .simulate import CATEGORIES, MixSpec, PhaseSpec, ProcessSpec
@@ -327,7 +327,7 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # loop nests
 # ---------------------------------------------------------------------------
 
-def read_nests(path: str, line_size: int = SystemConfig.line_size) -> list[LoopNest]:
+def read_nests(path: str, line_size: int = LINE_SIZE) -> list[LoopNest]:
     """The nests, each access's element size dividing `line_size`."""
     # imported here, not at the top, so that a command that reads no nest
     # never loads the loop analysis

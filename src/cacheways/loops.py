@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .apportion import ReuseClass, SystemConfig
+from .apportion import LINE_SIZE, SRD_DELTA, ReuseClass
 from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
 
 VALID_ELEMENT_SIZES = (1, 2, 4, 8, 16)
@@ -237,7 +237,7 @@ def _union_array_shapes(shapes, line_size):
     return sum(e - s for s, e in merged), _interval_lines(merged, line_size), exact
 
 
-def footprint_closed_form(nest: LoopNest, line_size: int = SystemConfig.line_size) -> FootprintValue:
+def footprint_closed_form(nest: LoopNest, line_size: int = LINE_SIZE) -> FootprintValue:
     """Distinct bytes and cache lines the nest touches, without enumeration.
 
     Single-index references count exactly (stride arithmetic); references
@@ -271,7 +271,7 @@ def footprint_closed_form(nest: LoopNest, line_size: int = SystemConfig.line_siz
     return FootprintValue(total_bytes, total_lines, exact and not any_estimated)
 
 
-def indirect_default_footprint(nest: LoopNest, line_size: int = SystemConfig.line_size) -> FootprintValue:
+def indirect_default_footprint(nest: LoopNest, line_size: int = LINE_SIZE) -> FootprintValue:
     """Fallback footprint for nests with indirect accesses: the sum of the
     declared array extents.  Raises FootprintUnanalyzable if any accessed
     array lacks a declaration."""
@@ -295,7 +295,7 @@ def indirect_default_footprint(nest: LoopNest, line_size: int = SystemConfig.lin
 
 
 def footprint_enumerate(
-    nest: LoopNest, line_size: int = SystemConfig.line_size, cap: int = 10**6
+    nest: LoopNest, line_size: int = LINE_SIZE, cap: int = 10**6
 ) -> FootprintValue:
     """Brute-force oracle: walk every iteration, collect the distinct byte
     set, count exactly.  Raises CacheWaysError past `cap` statement-iterations
@@ -458,7 +458,7 @@ def compute_srd(nest: LoopNest) -> SRDResult:
     return SRDResult(tuple(pairs), has_indirect)
 
 
-def classify_reuse(srd: SRDResult, delta: float = SystemConfig.srd_delta) -> ReuseClass:
+def classify_reuse(srd: SRDResult, delta: float = SRD_DELTA) -> ReuseClass:
     """REUSE iff any reuse distance exceeds `delta` or any access is indirect
     (an unanalyzable pattern is assumed to reuse); STREAM otherwise."""
     if delta <= 0:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .apportion import SystemConfig
+from .apportion import SATURATION_EPSILON
 from .errors import CacheWaysError, SchemaError
 
 MONOTONE_TOL = 1e-6
@@ -99,7 +99,7 @@ def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
     return alpha
 
 
-def detect_max_ways(curve: WayTimeCurve, epsilon: float = SystemConfig.saturation_epsilon) -> int:
+def detect_max_ways(curve: WayTimeCurve, epsilon: float = SATURATION_EPSILON) -> int:
     """Saturation point: the way count past which no step of the curve
     improves time by at least `epsilon` relative.  Floor of 2: an insensitive
     process still occupies two ways (below that the cache degenerates)."""

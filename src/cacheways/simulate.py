@@ -50,6 +50,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .apportion import (
+    DM_PENALTY,
     AllocationRecord,
     Apportioner,
     ReuseClass,
@@ -60,6 +61,7 @@ from .errors import CacheWaysError
 from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
 
 CATEGORIES = ("light", "medium", "heavy")
+INTERVAL_NS = 5e8  # the reactive controller period, unless a run names one
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ class MixSpec:
 @dataclass(frozen=True)
 class Policy:
     kind: str  # comcas | unpartitioned | maxways | reactive
-    interval_ns: float = 5e8
+    interval_ns: float = INTERVAL_NS
 
     def __post_init__(self):
         if self.kind not in _POLICIES:
@@ -171,7 +173,7 @@ def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float,
     return alpha, mw
 
 
-def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = SystemConfig.dm_penalty) -> float:
+def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = DM_PENALTY) -> float:
     """Execution speed (work units per ns) at a way count.  One way behaves
     like a directly-mapped cache: t(2) stretched by the penalty factor."""
     if ways < 1:
