@@ -67,17 +67,26 @@ class WayTimeCurve:
         return t0 + frac * (t1 - t0)
 
     def times(self, ways: int) -> list[float]:
-        """[time_at(w) for w in 2..ways] in one walk over the points, with
-        the same operations, so every value is bit-equal to time_at's."""
+        """[time_at(w) for w in 2..ways] in one straight walk over the
+        points: each observed time is appended, a gap wider than one way is
+        filled with time_at's own expression (so every value is bit-equal to
+        it), the walk stops at the first point past `ways`, and one list
+        product pads the flat tail."""
+        if ways < 2:
+            return []
         pts = self.points
-        out = [pts[0][1]] if ways >= 2 else []
-        for (w0, t0), (w1, t1) in zip(pts, pts[1:]):
-            span, dt = w1 - w0, t1 - t0
-            out += [t0 + (w - w0) / span * dt for w in range(w0 + 1, min(w1, ways + 1))]
+        w0, t0 = pts[0]
+        out = [t0]
+        for w1, t1 in pts[1:]:
+            if w1 - w0 > 1:
+                span, dt = w1 - w0, t1 - t0
+                for w in range(w0 + 1, w1 if w1 <= ways else ways + 1):
+                    out.append(t0 + (w - w0) / span * dt)
             if w1 > ways:
                 return out
             out.append(t1)
-        return out + [pts[-1][1]] * (ways - 1 - len(out))
+            w0, t0 = w1, t1
+        return out + [t0] * (ways - w0)
 
 
 def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:

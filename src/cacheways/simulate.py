@@ -155,7 +155,8 @@ def mix_config(mix: MixSpec, base: SystemConfig | None = None) -> SystemConfig:
 def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float, int]:
     """Process-level (alpha, max_ways): explicit values win, otherwise they
     are derived from the pointwise sum of the process's phase curves over
-    2..W, one walk per curve.  A derived alpha covers 2..max_ways with
+    2..W, one straight walk per curve (`WayTimeCurve.times`), so a run pays
+    for each phase's curve once.  A derived alpha covers 2..max_ways with
     max_ways clamped into 2..W, so an explicit max-ways past the socket's
     ways, or below 2, still runs.  Only the policies that read the pair
     call this (see `_Policy.sensitivity`)."""

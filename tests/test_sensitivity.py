@@ -84,8 +84,12 @@ def way_time_curves(draw, max_way=24):
 @given(way_time_curves())
 @example(curve({2: 7.0}))
 @example(curve({2: 9.0, 5: 6.0, 6: 5.0, 11: 1.0}))
+@example(curve({2: 9.0, 11: 1.0}))
+@example(curve({2: 8.0, 5: 4.0, 6: 3.0}))
 def test_times_equals_time_at_at_every_width(c):
-    # every width below, at and past the last point, the empty table included
+    # every width below, at and past the last point, the empty table
+    # included: below 11, {2: 9, 11: 1} stops inside its one wide gap, and
+    # {2: 8, 5: 4, 6: 3} ends a gap at a probed width
     for w in range(1, c.last_way + 4):
         assert c.times(w) == [c.time_at(v) for v in range(2, w + 1)]
 
