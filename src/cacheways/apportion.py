@@ -134,6 +134,7 @@ class SocketState:
     clos: list[ClosState] = field(default_factory=list)
     processes: list[int] = field(default_factory=list)
     occupied: list[ClosState] = field(default_factory=list)  # the CLOS with members
+    mass: int = 0  # the residents' masses summed, kept by each admission, pcca and release
 
     def __post_init__(self):
         if not self.clos:
@@ -261,9 +262,9 @@ class Apportioner:
         return max([self.procs[m].alpha for m in clos.members], default=0.0)
 
     def _required(self, sock: SocketState, p: ProcessState) -> int:
-        """p's way demand from its share of the socket's masses (an even split
-        when they are all zero)."""
-        total = sum([self.procs[pid].mass for pid in sock.processes])
+        """p's way demand from its share of the socket's running mass (an
+        even split when every resident's mass is zero), read in O(1)."""
+        total = sock.mass
         mass, total = (p.mass, total) if total else (1, len(sock.processes))
         return required_ways(mass, total, self.config, p.max_ways)
 
@@ -455,10 +456,11 @@ class Apportioner:
             for p in new_here:
                 self.procs[p.pid] = p
                 sock.processes.append(p.pid)
+                sock.mass += p.mass
             for p in new_here:
                 p.req_ways = self._required(sock, p)
                 clos = self._place(sock, p)
-                records.append(self._record(time_ns, p, "ipca", sock, clos, changed=True))
+                records.append(self._record(time_ns, p, "ipca", sock, clos, True, self._demand(clos)))
         return records
 
     # -- phase change (pcca) ----------------------------------------------------
@@ -472,15 +474,19 @@ class Apportioner:
         predicted_ns: float,
     ) -> AllocationRecord:
         """Re-apportion one process after a phase change, reading its own
-        share only.  Demand moves of less than hysteresis_ways are ignored;
+        share only: the socket's running mass moves by the difference of p's
+        masses, so no other resident's mass is read, and the CLOS's demand is
+        read once.  Demand moves of less than hysteresis_ways are ignored;
         growth extends the CLOS run in place; shrink frees ways from the right
         end and hands them to the most unsatisfied CLOS.  `moved` holds each
         CLOS whose mask changed."""
         self.moved = []
         p = self._proc(pid)
-        p.mass, p.reuse = adjusted_footprint(nbytes, reuse, self.config), reuse
-        p.predicted_end = time_ns + predicted_ns
         sock = self.sockets[p.socket_id]
+        mass = adjusted_footprint(nbytes, reuse, self.config)
+        sock.mass += mass - p.mass
+        p.mass, p.reuse = mass, reuse
+        p.predicted_end = time_ns + predicted_ns
         clos = sock.clos[p.clos_id]
         req = p.req_ways = self._required(sock, p)
         before = clos.mask
@@ -493,7 +499,7 @@ class Apportioner:
                 self._transfer_freed(sock, self._shrink_from_right(clos, cur - max(demand, 1)))
         if clos.mask != before:
             self.moved.append((sock.sid, clos))
-        return self._record(time_ns, p, "pcca", sock, clos, clos.mask != before)
+        return self._record(time_ns, p, "pcca", sock, clos, clos.mask != before, demand)
 
     # -- release --------------------------------------------------------------
 
@@ -508,12 +514,14 @@ class Apportioner:
         before = clos.mask
         clos.members.remove(pid)
         sock.processes.remove(pid)
+        sock.mass -= p.mass
         del self.procs[pid]
         if not clos.members:
             sock.occupied.remove(clos)
             clos.mask = 0
             self._transfer_freed(sock, before.bit_count())
-        return self._record(time_ns, p, "release", sock, clos, clos.mask != before)
+        demand = self._demand(clos) if clos.members else 0
+        return self._record(time_ns, p, "release", sock, clos, clos.mask != before, demand)
 
     # -- record keeping ---------------------------------------------------------
 
@@ -536,12 +544,15 @@ class Apportioner:
         sock: SocketState,
         clos: ClosState,
         changed: bool,
+        demand: int,
     ) -> AllocationRecord:
+        """Log one operation; `demand` is the CLOS's, as the caller read it
+        (0 for a CLOS its release emptied, which is always satisfied)."""
         width = clos.mask.bit_count()
         rec = AllocationRecord._make((
             time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
             self._scenario(sock),
-            not clos.members or width >= self._demand(clos), p.req_ways,
+            width >= demand, p.req_ways,
             0 if event == "release" else width if width <= p.max_ways else p.max_ways,
             p.alpha, changed,
         ))

@@ -240,7 +240,7 @@ def placement_state(ap):
     return (
         {pid: repr(p) for pid, p in ap.procs.items()},
         [
-            (list(s.processes), [(c.clos_id, list(c.members), c.mask) for c in s.occupied])
+            (list(s.processes), s.mass, [(c.clos_id, list(c.members), c.mask) for c in s.occupied])
             for s in ap.sockets
         ],
         list(ap.records),
@@ -322,6 +322,33 @@ def test_pcca_computes_only_the_changing_fraction(monkeypatch):
     assert ap.procs[2].req_ways == half_up_ways(cache_fractions(now, ap.config)[2], 11, 4)
 
 
+def test_pcca_reads_no_other_residents_mass():
+    # the socket keeps its masses summed, so a phase change on a socket of
+    # 14 residents reads the changing process's mass only, whether its CLOS
+    # grows, shrinks and hands ways on, or stays
+    ap = Apportioner(one_socket())
+    ap.ipca_batch(0.0, [(pid, 0.0, 11, (pid % 5 + 1) * MIB, REUSE, 1.0) for pid in range(14)])
+    reads = []
+
+    class CountingMass(apportion.ProcessState):
+        def __getattribute__(self, name):
+            if name == "mass":
+                reads.append(object.__getattribute__(self, "pid"))
+            return object.__getattribute__(self, name)
+
+    for pid in range(14):
+        if pid != 13:
+            ap.procs[pid].__class__ = CountingMass
+    widths = []
+    for t, nbytes, reuse in [(1.0, 40 * MIB, REUSE), (2.0, MIB, STREAM), (3.0, 0, REUSE), (4.0, 9 * MIB, REUSE)]:
+        ap.pcca(t, 13, nbytes, reuse, 1.0)
+        assert reads == [], "pcca read the mass of pids %s" % sorted(set(reads))
+        check_invariants(ap, {})  # sums every resident's mass itself
+        reads.clear()
+        widths.append(clos_of(ap, 13).mask.bit_count())
+    assert widths == [6, 1, 1, 2]  # pid 13's CLOS 3 has free ways beside it
+
+
 # -- queries ------------------------------------------------------------------
 
 def test_granted_ways_caps_at_saturation():
@@ -342,7 +369,8 @@ def test_unplaced_pid_raises():
 def check_invariants(ap, first_socket):
     """Each CLOS has at most gfactor members and a contiguous in-range mask,
     non-empty when it has members; each placed process is listed by its
-    socket and its CLOS, and never changes socket; the last record's
+    socket and its CLOS, and never changes socket; each socket's running
+    mass is the sum of its residents' masses; the last record's
     scenario is the one its socket's masks show; and each process the last
     operation apportioned (its records are the ones at the last record's
     time: the callers advance the clock between operations) asks for the
@@ -369,6 +397,7 @@ def check_invariants(ap, first_socket):
                 assert (ap.procs[pid].socket_id, ap.procs[pid].clos_id) == (sock.sid, clos.clos_id)
         for pid in sock.processes:
             assert ap.procs[pid].socket_id == sock.sid
+        assert sock.mass == sum(ap.procs[pid].mass for pid in sock.processes), "socket %d" % sock.sid
     for pid, p in ap.procs.items():
         assert pid in clos_of(ap, pid).members
         assert first_socket.setdefault(pid, p.socket_id) == p.socket_id, "pid %d hopped sockets" % pid
@@ -456,7 +485,7 @@ def test_moved_names_each_clos_an_operation_changed(rng):
     ipca, pcca, release = (
         checking_moved(getattr(Apportioner, op)) for op in ("ipca_batch", "pcca", "release_process")
     )
-    t, next_pid = 0.0, 0
+    t, next_pid, socket_of = 0.0, 0, {}
     for _ in range(rng.randint(5, 40)):
         t += rng.uniform(1.0, 1e8)
         room = sum(s.free_cores for s in ap.sockets)
@@ -474,3 +503,4 @@ def test_moved_names_each_clos_an_operation_changed(rng):
         else:
             pcca(ap, t, rng.choice(sorted(ap.procs)), rng.randint(0, 8) * MIB,
                  rng.choice([REUSE, STREAM]), rng.uniform(1e6, 1e9))
+        check_invariants(ap, socket_of)
