@@ -109,15 +109,26 @@ def required_ways(mass: int, total: int, config: SystemConfig, max_ways: int) ->
     return rounded if rounded < max_ways else max_ways
 
 
+def free_window(ways: int, width: int, used: int) -> int:
+    """The lowest contiguous run of `width` of `ways` ways that overlaps
+    nothing of `used`, or 0 when every run does."""
+    run = (1 << width) - 1
+    for start in range(ways - width + 1):
+        if not run << start & used:
+            return run << start
+    return 0
+
+
 def best_window(ways: int, width: int, hot: int, used: int) -> int:
     """The contiguous run of `width` of `ways` ways that overlaps `hot`
-    least, then `used` least, then starts lowest."""
+    least, then `used` least, then starts lowest.  A run that overlaps
+    neither has the smallest key, so the first one (`free_window`) ends
+    the search; only when there is none are all runs scored."""
     run = (1 << width) - 1
-    start = min(
+    return free_window(ways, width, hot | used) or run << min(
         range(ways - width + 1),
         key=lambda s: ((run << s & hot).bit_count(), (run << s & used).bit_count()),
     )
-    return run << start
 
 
 @dataclass
@@ -131,14 +142,13 @@ class ClosState:
 class SocketState:
     sid: int
     config: SystemConfig
+    # the CLOS built so far, CLOS i at index i: the list starts empty and
+    # grows by one only when every listed CLOS has members (`_place`)
     clos: list[ClosState] = field(default_factory=list)
     processes: list[int] = field(default_factory=list)
     occupied: list[ClosState] = field(default_factory=list)  # the CLOS with members
     mass: int = 0  # the residents' masses summed, kept by each admission, pcca and release
-
-    def __post_init__(self):
-        if not self.clos:
-            self.clos = [ClosState(i) for i in range(self.config.clos_per_socket)]
+    scenario: Scenario = Scenario.UNDERUTILIZED  # the masks' occupancy at the last record
 
     @property
     def used_mask(self) -> int:
@@ -274,23 +284,23 @@ class Apportioner:
         """Deterministic contiguous placement: first fit over free ways; when
         overlap is unavoidable it lands on the lowest-alpha CLOS's region
         first.  Scored as (overlap outside that region, total overlap, start).
+        A free window has the smallest score, so it is asked for first, and
+        only a socket without one reads the other CLOS's alphas.
         """
         w_total = self.config.ways_per_socket
         if ways > w_total:
             raise CacheWaysError("%d ways > socket capacity %d" % (ways, w_total))
         if ways < 1:
             raise CacheWaysError("cannot place an empty bitmask")
-        others = [
-            c for c in sock.occupied if c.clos_id != clos_id and c.mask
-        ]
+        others = [c for c in sock.occupied if c.clos_id != clos_id and c.mask]
         used_all = 0
         for c in others:
             used_all |= c.mask
-        lowest_mask = 0
-        if others:
-            lowest = min(others, key=lambda c: (self._clos_alpha(c), c.clos_id))
-            lowest_mask = lowest.mask
-        return best_window(w_total, ways, used_all & ~lowest_mask, used_all)
+        window = free_window(w_total, ways, used_all)
+        if window:
+            return window
+        lowest = min(others, key=lambda c: (self._clos_alpha(c), c.clos_id))
+        return best_window(w_total, ways, used_all & ~lowest.mask, used_all)
 
     def _extend_in_place(self, sock: SocketState, clos: ClosState, add: int) -> int:
         """Grow a CLOS run into adjacent free ways, right side first.  Returns
@@ -369,16 +379,21 @@ class Apportioner:
            grows in place when p raises its demand;
         5. else a fresh CLOS (the admission room left one empty).
 
-        Uncrowded means more empty CLOS than clos_occupancy_threshold of
-        them.  A fresh CLOS takes p's req_ways, or every free way if fewer.
+        Uncrowded means that the empty CLOS, clos_per_socket less the
+        occupied ones, are more than clos_occupancy_threshold of
+        clos_per_socket.  A fresh CLOS is the lowest-id empty one, appended
+        to the socket's list when every listed CLOS has members; the
+        admission room leaves an id for it.  It takes p's req_ways, or every
+        free way if fewer.
         """
         cfg = self.config
-        empty = [c for c in sock.clos if not c.members]
-        uncrowded = len(empty) > cfg.clos_occupancy_threshold * cfg.clos_per_socket
-        seated = [c for c in sock.occupied if len(c.members) < cfg.gfactor]
-        compat = [] if uncrowded and p.reuse is ReuseClass.REUSE else [
-            c for c in seated if self._demand(c) == p.req_ways
+        empty = cfg.clos_per_socket - len(sock.occupied)  # listed or not yet built
+        uncrowded = empty > cfg.clos_occupancy_threshold * cfg.clos_per_socket
+        # an uncrowded socket seats a reuse arrival in a fresh CLOS unasked
+        seated = [] if uncrowded and p.reuse is ReuseClass.REUSE else [
+            c for c in sock.occupied if len(c.members) < cfg.gfactor
         ]
+        compat = [c for c in seated if self._demand(c) == p.req_ways]
         if compat:
             clos = self._pick_compatible(compat, p)
             clos.members.append(p.pid)
@@ -393,7 +408,9 @@ class Apportioner:
             if raised:
                 self._extend_in_place(sock, clos, p.req_ways - clos.mask.bit_count())
         else:
-            clos = empty[0]
+            if len(sock.occupied) == len(sock.clos):
+                sock.clos.append(ClosState(len(sock.clos)))
+            clos = next(c for c in sock.clos if not c.members)
             free = sock.free_ways
             width = min(p.req_ways, free) if free >= 1 else p.req_ways
             clos.members.append(p.pid)
@@ -547,11 +564,17 @@ class Apportioner:
         demand: int,
     ) -> AllocationRecord:
         """Log one operation; `demand` is the CLOS's, as the caller read it
-        (0 for a CLOS its release emptied, which is always satisfied)."""
+        (0 for a CLOS its release emptied, which is always satisfied).  The
+        scenario is re-read from the masks only when the operation `changed`
+        one (an admission always counts as changed): every mask an operation
+        moves is on its own socket, and every operation ends with a record
+        there, so otherwise the socket's kept scenario still holds."""
         width = clos.mask.bit_count()
+        if changed:
+            sock.scenario = self._scenario(sock)
         rec = AllocationRecord._make((
             time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
-            self._scenario(sock),
+            sock.scenario,
             width >= demand, p.req_ways,
             0 if event == "release" else width if width <= p.max_ways else p.max_ways,
             p.alpha, changed,

@@ -36,13 +36,7 @@ class WayTimeCurve:
             raise SchemaError("curve way counts must be strictly increasing")
         if ways[0] != 2:
             raise SchemaError("curve must start at 2 ways, got %d" % ways[0])
-        prev = None
-        for w, t in self.points:
-            if t <= 0:
-                raise SchemaError("curve time must be positive at w=%d" % w)
-            if prev is not None and t > prev * (1.0 + MONOTONE_TOL):
-                raise SchemaError("curve time increases at w=%d" % w)
-            prev = t
+        check_times(self.points)
 
     @property
     def last_way(self) -> int:
@@ -89,36 +83,67 @@ class WayTimeCurve:
         return out + [t0] * (ways - w0)
 
 
+def check_times(points) -> None:
+    """The time rules of a way-time table, (ways, time) points in way order:
+    every time is positive, and none exceeds the one before it by more than
+    MONOTONE_TOL relative.  A parsed curve and `process_sensitivity`'s
+    summed table both answer to them."""
+    prev = None
+    for w, t in points:
+        if t <= 0:
+            raise SchemaError("curve time must be positive at w=%d" % w)
+        if prev is not None and t > prev * (1.0 + MONOTONE_TOL):
+            raise SchemaError("curve time increases at w=%d" % w)
+        prev = t
+
+
+def alpha_sum(points, max_ways: int) -> float:
+    """Sensitivity factor of a table of (ways, time) points in strictly
+    increasing way order: sum of |t_i - t_prev| / (w_i - w_prev) over the
+    points up to max_ways, which must include both 2 and max_ways."""
+    if max_ways < 2:
+        raise CacheWaysError("max_ways must be >= 2")
+    rest = iter(points)
+    w0, t0 = first = next(rest, (0, 0.0))  # an empty table covers nothing
+    alpha = 0.0
+    for w1, t1 in rest:
+        if w1 > max_ways:
+            break
+        alpha += abs(t1 - t0) / (w1 - w0)
+        w0, t0 = w1, t1
+    # in way order, 2 and max_ways are observed iff they are the ends
+    if first[0] != 2 or w0 != max_ways:
+        raise CacheWaysError("curve must cover 2..%d (observed %s)"
+                             % (max_ways, [w for w, _ in points if w <= max_ways]))
+    return alpha
+
+
+def saturation_ways(points, epsilon: float) -> int:
+    """Saturation point of a table of (ways, time) points in way order: the
+    way count past which no step improves time by at least `epsilon`
+    relative, and at least 2."""
+    if epsilon <= 0:
+        raise SchemaError("epsilon must be positive")
+    best = 2
+    for (w0, t0), (w1, t1) in zip(points, points[1:]):
+        if (t0 - t1) / t0 >= epsilon:
+            best = w1
+    return best
+
+
 def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
     """Sensitivity factor: sum of |t_i - t_prev| / (w_i - w_prev) over the
     curve's observed points up to max_ways.  Zero for flat curves and for
     max_ways = 2 (empty sum).  Requires observations at both 2 and max_ways.
     """
-    if max_ways < 2:
-        raise CacheWaysError("max_ways must be >= 2")
-    pts = [(w, t) for w, t in curve.points if w <= max_ways]
-    observed = {w for w, _ in pts}
-    if 2 not in observed or max_ways not in observed:
-        raise CacheWaysError(
-            "curve must cover 2..%d (observed %s)" % (max_ways, sorted(observed))
-        )
-    alpha = 0.0
-    for (w0, t0), (w1, t1) in zip(pts, pts[1:]):
-        alpha += abs(t1 - t0) / (w1 - w0)
-    return alpha
+    return alpha_sum(curve.points, max_ways)
 
 
 def detect_max_ways(curve: WayTimeCurve, epsilon: float = SATURATION_EPSILON) -> int:
     """Saturation point: the way count past which no step of the curve
     improves time by at least `epsilon` relative.  Floor of 2: an insensitive
     process still occupies two ways (below that the cache degenerates)."""
-    if epsilon <= 0:
-        raise SchemaError("epsilon must be positive")
-    best = 2
-    for (w0, t0), (w1, t1) in zip(curve.points, curve.points[1:]):
-        if (t0 - t1) / t0 >= epsilon:
-            best = w1
-    return best
+    return saturation_ways(curve.points, epsilon)
 
 
 def assemble_attributes(curve: WayTimeCurve, epsilon: float) -> tuple[float, int]:

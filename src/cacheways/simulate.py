@@ -47,6 +47,7 @@ Reports are bit-reproducible for identical inputs.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field, replace
 
 from .apportion import (
@@ -58,7 +59,7 @@ from .apportion import (
     best_window,
 )
 from .errors import CacheWaysError
-from .sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
+from .sensitivity import WayTimeCurve, alpha_sum, check_times, saturation_ways
 
 CATEGORIES = ("light", "medium", "heavy")
 INTERVAL_NS = 5e8  # the reactive controller period, unless a run names one
@@ -156,21 +157,24 @@ def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float,
     """Process-level (alpha, max_ways): explicit values win, otherwise they
     are derived from the pointwise sum of the process's phase curves over
     2..W, one straight walk per curve (`WayTimeCurve.times`), so a run pays
-    for each phase's curve once.  A derived alpha covers 2..max_ways with
-    max_ways clamped into 2..W, so an explicit max-ways past the socket's
-    ways, or below 2, still runs.  Only the policies that read the pair
-    call this (see `_Policy.sensitivity`)."""
+    for each phase's curve once.  The summed table answers to a curve's
+    time rules (`check_times`) and is read as it is, with no curve built
+    around it: its ways 2..W are in order by construction.  A derived alpha
+    covers 2..max_ways with max_ways clamped into 2..W, so an explicit
+    max-ways past the socket's ways, or below 2, still runs.  Only the
+    policies that read the pair call this (see `_Policy.sensitivity`)."""
     if proc.alpha is not None and proc.max_ways is not None:
         return proc.alpha, proc.max_ways
     ways = config.ways_per_socket
     columns = zip(*[ph.curve.times(ways) for ph in proc.phases])
-    curve = WayTimeCurve(tuple(enumerate(map(sum, columns), 2)))
+    points = list(enumerate(map(sum, columns), 2))
+    check_times(points)
     mw = proc.max_ways
     if mw is None:
-        mw = detect_max_ways(curve, config.saturation_epsilon)
+        mw = saturation_ways(points, config.saturation_epsilon)
     alpha = proc.alpha
     if alpha is None:
-        alpha = compute_alpha(curve, min(max(mw, 2), ways))
+        alpha = alpha_sum(points, min(max(mw, 2), ways))
     return alpha, mw
 
 
@@ -244,8 +248,7 @@ class _Placement:
         changes anything.  No policy moves a placed pid to another socket."""
         if pid not in self.socket_of:
             self.socket_of[pid] = sid
-            self.pids[sid].append(pid)
-            self.pids[sid].sort()
+            insort(self.pids[sid], pid)
         elif self.mask_of[pid] == mask:
             return
         self.mask_of[pid] = mask
@@ -262,14 +265,22 @@ class _Placement:
         return sid
 
     def _claim(self, sid: int, pid: int, mask: int) -> None:
-        """Count `mask` (0: nothing) as `pid`'s claim in place of its last."""
+        """Count `mask` (0: nothing) as `pid`'s claim in place of its last.
+        A run of ways wholly gained or wholly lost moves by one slice over
+        its span; a mask that moves within itself, way by way."""
         old, self.claimed[pid] = self.claimed.get(pid, 0), mask
         moved, claims = old ^ mask, self.claims[sid]
-        for way in range(moved.bit_length()):
-            if moved >> way & 1:
-                claims[way] += 1 if mask >> way & 1 else -1
-        if moved:
-            self.moved[sid] = self.moved.get(sid, 0) | moved
+        if not moved:
+            return
+        low = moved & -moved
+        if old and mask or moved + low & moved:  # both held, or a gap in the run
+            for way in range(moved.bit_length()):
+                if moved >> way & 1:
+                    claims[way] += 1 if mask >> way & 1 else -1
+        else:
+            lo, hi, step = low.bit_length() - 1, moved.bit_length(), 1 if mask else -1
+            claims[lo:hi] = [k + step for k in claims[lo:hi]]
+        self.moved[sid] = self.moved.get(sid, 0) | moved
 
     def refresh(self, is_reuse) -> dict[int, int]:
         """Settle the dirty pids' claims (`is_reuse(pid)`: does its phase
@@ -540,7 +551,7 @@ _POLICIES = {
 # engine
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Run:
     spec: ProcessSpec
     pid: int
@@ -549,10 +560,18 @@ class _Run:
     phase_idx: int = 0
     work_rem: float = 0.0
     speed: float = 0.0
+    reuse: bool = False  # does the current phase reuse its data? kept by `enter`
 
     @property
     def phase(self) -> PhaseSpec:
         return self.spec.phases[self.phase_idx]
+
+    def enter(self, phase_idx: int) -> None:
+        """Start phase `phase_idx` with all its work left."""
+        self.phase_idx = phase_idx
+        ph = self.spec.phases[phase_idx]
+        self.work_rem = ph.work
+        self.reuse = ph.reuse is ReuseClass.REUSE
 
 
 def run_mix(
@@ -616,8 +635,7 @@ def run_mix(
         changed = False  # did the active set or a timeline row change?
         for r in ending:
             if r.phase_idx + 1 < len(r.spec.phases):
-                r.phase_idx += 1
-                r.work_rem = r.phase.work
+                r.enter(r.phase_idx + 1)
                 place.dirty.add(r.pid)
                 ctl.phase_change(now, r)
             else:
@@ -641,7 +659,7 @@ def run_mix(
             batch, waiting = [runs[pid] for pid in pids[:room]], pids[room:]
             if batch:
                 for r in batch:
-                    r.work_rem = r.phase.work
+                    r.enter(0)
                 ctl.admit(now, batch)
                 active.extend(batch)
                 active.sort(key=lambda r: r.pid)
@@ -654,7 +672,7 @@ def run_mix(
 
         if place.dirty:
             # speeds and rows of the dirty pids and of those whose effective ways moved
-            for pid, eff in place.refresh(lambda pid: runs[pid].phase.reuse is ReuseClass.REUSE).items():
+            for pid, eff in place.refresh(lambda pid: runs[pid].reuse).items():
                 r = runs[pid]
                 r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)
                 row = ctl.row(r)

@@ -192,6 +192,17 @@ def scenario(masks, ways):
     return Scenario.FULL_DISJOINT
 
 
+def brute_window(ways, width, hot, used):
+    """The run of `width` of `ways` ways with the least (hot overlap, used
+    overlap, start), every start scored, overlaps counted way by way."""
+    def key(start):
+        span = range(start, start + width)
+        return (sum(hot >> w & 1 for w in span), sum(used >> w & 1 for w in span), start)
+
+    start = min(range(ways - width + 1), key=key)
+    return sum(1 << w for w in range(start, start + width))
+
+
 def is_contiguous(mask):
     """True when the set bits of `mask` form one run (or there are none)."""
     return "0" not in bin(mask)[2:].strip("0")

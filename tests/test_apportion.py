@@ -5,6 +5,7 @@ covers the pure helpers and targeted engine behaviors, plus the randomized
 invariant sweep.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,12 @@ from cacheways.apportion import (
     SystemConfig,
     adjusted_footprint,
     best_window,
+    free_window,
     required_ways,
 )
 from cacheways.errors import SchemaError
 
-from oracles import cache_fractions, exact_shares, half_up_ways, is_contiguous, scenario
+from oracles import brute_window, cache_fractions, exact_shares, half_up_ways, is_contiguous, scenario
 from support import checking_moved, clos_of, raises_fault
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
@@ -149,6 +151,20 @@ def test_mask_helpers():
     assert best_window(4, 4, 0b1111, 0b1111) == 0b1111
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 20).flatmap(lambda ways: st.tuples(
+    st.just(ways), st.integers(0, (1 << ways) - 1), st.integers(0, (1 << ways) - 1))))
+def test_best_window_matches_a_scan_of_every_start(case):
+    # hot within used, as both callers pass it; every width of the socket
+    ways, used, keep = case
+    hot = used & keep
+    for width in range(1, ways + 1):
+        want = brute_window(ways, width, hot, used)
+        assert best_window(ways, width, hot, used) == want, (width, hot, used)
+        free = brute_window(ways, width, 0, used)
+        assert free_window(ways, width, used) == (0 if free & used else free), (width, used)
+
+
 # -- bitmask placement --------------------------------------------------------
 
 def test_bitmask_first_fit_from_low_end():
@@ -184,6 +200,50 @@ def test_bitmask_overlap_lands_on_lowest_alpha_region():
     # cheaper, since any other start costs more hot overlap
     mask = ap.generate_bitmask(sock, 9, 4)
     assert mask == 0b11110000
+
+
+def unshortened_bitmask(ap, sock, clos_id, ways):
+    """generate_bitmask's rule scored in full: the region of the other CLOS
+    with the lowest (member alpha, id) is cold, the rest of the other CLOS's
+    ways hot, and every start is scored."""
+    others = [c for c in sock.occupied if c.clos_id != clos_id and c.mask]
+    used = 0
+    for c in others:
+        used |= c.mask
+    lowest = min(others, default=None,
+                 key=lambda c: (max(ap.procs[m].alpha for m in c.members), c.clos_id))
+    return brute_window(ap.config.ways_per_socket, ways, used & ~(lowest.mask if lowest else 0), used)
+
+
+def test_bitmask_matches_the_unshortened_rule_over_op_streams(monkeypatch):
+    # crowded sockets (2-4 CLOS of one seat each on 2-4 ways, and more
+    # arrivals over a stream than ways) leave no free window at some
+    # placements, so the scored branch runs as well as the first fit
+    real, blocked = Apportioner.generate_bitmask, []
+
+    def checked(self, sock, clos_id, ways):
+        want = unshortened_bitmask(self, sock, clos_id, ways)
+        used = 0
+        for c in sock.occupied:
+            used |= c.mask if c.clos_id != clos_id else 0
+        blocked.append(brute_window(self.config.ways_per_socket, ways, 0, used) & used != 0)
+        got = real(self, sock, clos_id, ways)
+        assert got == want, (sock.sid, clos_id, ways, [(c.clos_id, c.mask) for c in sock.occupied])
+        return got
+
+    monkeypatch.setattr(Apportioner, "generate_bitmask", checked)
+    for seed in range(60):
+        rng = random.Random(seed)
+        crowded = seed % 2 == 0
+        op_stream(Apportioner(SystemConfig(
+            sockets=rng.choice([1, 2]),
+            cores_per_socket=rng.randint(2, 8),
+            clos_per_socket=rng.randint(2, 4) if crowded else rng.randint(1, 16),
+            ways_per_socket=rng.randint(2, 4) if crowded else rng.choice([4, 11]),
+            gfactor=1 if crowded else rng.randint(1, 3),
+            hysteresis_ways=rng.randint(0, 2),
+        )), rng)
+    assert 0 < blocked.count(True) < len(blocked), "both branches ran"
 
 
 def test_bitmask_rejects_oversize():
@@ -370,8 +430,10 @@ def check_invariants(ap, first_socket):
     """Each CLOS has at most gfactor members and a contiguous in-range mask,
     non-empty when it has members; each placed process is listed by its
     socket and its CLOS, and never changes socket; each socket's running
-    mass is the sum of its residents' masses; the last record's
-    scenario is the one its socket's masks show; and each process the last
+    mass is the sum of its residents' masses; each socket lists its CLOS
+    as ids 0..n-1 with n at most clos_per_socket, and its occupied CLOS are
+    the listed ones with members; each socket's kept scenario, and so the
+    last record's, is the one its masks show; and each process the last
     operation apportioned (its records are the ones at the last record's
     time: the callers advance the clock between operations) asks for the
     exact half-up of its share of its socket's masses."""
@@ -389,6 +451,11 @@ def check_invariants(ap, first_socket):
                 shares = exact_shares({pid: ap.procs[pid].mass for pid in ap.sockets[rec.socket].processes})
                 assert rec.req_ways == p.req_ways == half_up_ways(shares[rec.pid], ways, p.max_ways)
     for sock in ap.sockets:
+        assert [c.clos_id for c in sock.clos] == list(range(len(sock.clos))), "socket %d" % sock.sid
+        assert len(sock.clos) <= ap.config.clos_per_socket
+        assert [c for c in sock.occupied if sock.clos[c.clos_id] is c] == sock.occupied
+        assert sorted(c.clos_id for c in sock.occupied) == [c.clos_id for c in sock.clos if c.members]
+        assert sock.scenario is scenario([c.mask for c in sock.occupied], ways), "socket %d" % sock.sid
         for clos in sock.clos:
             assert is_contiguous(clos.mask) and clos.mask < top, "mask %#x" % clos.mask
             assert len(clos.members) <= ap.config.gfactor
@@ -401,6 +468,70 @@ def check_invariants(ap, first_socket):
     for pid, p in ap.procs.items():
         assert pid in clos_of(ap, pid).members
         assert first_socket.setdefault(pid, p.socket_id) == p.socket_id, "pid %d hopped sockets" % pid
+
+
+def test_clos_are_built_on_demand_and_reused_lowest_first():
+    # one seat per CLOS and 4 CLOS: each arrival alone takes the lowest id
+    # free, a released id goes out again first, and no fifth CLOS is built
+    ap = Apportioner(one_socket(clos_per_socket=4, gfactor=1, cores_per_socket=4))
+    sock, socket_of = ap.sockets[0], {}
+    assert sock.clos == []
+    for pid in range(4):
+        (rec,) = ap.ipca_batch(float(pid), [(pid, 0.0, 2, MIB, REUSE, 1.0)])
+        assert rec.clos == pid and len(sock.clos) == pid + 1
+        check_invariants(ap, socket_of)
+    ap.release_process(4.0, 2)
+    ap.release_process(5.0, 1)
+    check_invariants(ap, socket_of)
+    assert [r.clos for r in ap.ipca_batch(6.0, [(pid, 0.0, 2, MIB, REUSE, 1.0) for pid in (4, 5)])] == [1, 2]
+    check_invariants(ap, socket_of)
+    with raises_fault("no socket has a free core or CLOS seat"):
+        ap.ipca_batch(7.0, [(6, 0.0, 2, MIB, REUSE, 1.0)])
+    assert [c.clos_id for c in sock.clos] == [0, 1, 2, 3]
+
+
+# -- cost pins: each operation pays only for what it decides ----------------
+
+def test_an_apportioner_builds_no_clos_before_an_admission(monkeypatch):
+    built = []
+    real = apportion.ClosState.__init__
+
+    def counting(self, *args, **kw):
+        built.append(args)
+        real(self, *args, **kw)
+
+    monkeypatch.setattr(apportion.ClosState, "__init__", counting)
+    Apportioner(SystemConfig())
+    assert built == []
+
+
+def test_an_uncrowded_batch_with_free_windows_reads_no_alpha(monkeypatch):
+    # four reuse arrivals of equal mass each want 3 of 11 ways; each finds a
+    # free window, the last one the 2 ways left
+    calls = []
+    real = Apportioner._clos_alpha
+    monkeypatch.setattr(Apportioner, "_clos_alpha", lambda self, c: calls.append(c.clos_id) or real(self, c))
+    ap = Apportioner(one_socket())
+    recs = ap.ipca_batch(0.0, [(pid, 1.0, 11, MIB, REUSE, 1.0) for pid in range(4)])
+    assert [r.bitmask for r in recs] == [0x7, 0x38, 0x1C0, 0x600]
+    assert calls == []
+
+
+def test_an_operation_that_moves_no_mask_reads_no_scenario(monkeypatch):
+    # a phase change to the same footprint, and a release that leaves its
+    # CLOS a member, keep the socket's scenario; one that grows a mask
+    # reads it again
+    ap = Apportioner(one_socket(gfactor=2))
+    ap.ipca_batch(0.0, [(pid, 0.0, 11, MIB, STREAM, 1.0) for pid in range(3)])
+    assert clos_of(ap, 0) is clos_of(ap, 1)
+    calls = []
+    real = Apportioner._scenario
+    monkeypatch.setattr(Apportioner, "_scenario", lambda self, sock: calls.append(sock.sid) or real(self, sock))
+    quiet = [ap.pcca(1.0, 2, MIB, STREAM, 1.0), ap.release_process(2.0, 1)]
+    assert [(r.changed, r.scenario) for r in quiet] == [(False, Scenario.UNDERUTILIZED)] * 2
+    assert calls == []
+    check_invariants(ap, {})
+    assert ap.pcca(3.0, 2, 40 * MIB, REUSE, 1.0).changed and calls == [0]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -481,9 +612,15 @@ def test_moved_names_each_clos_an_operation_changed(rng):
         gfactor=rng.randint(1, 3),
         hysteresis_ways=rng.randint(0, 2),
     )
-    ap = Apportioner(cfg)
+    op_stream(Apportioner(cfg), rng, checking_moved)
+
+
+def op_stream(ap, rng, wrap=lambda method: method):
+    """5-40 random admissions, phase changes and releases on `ap`, each
+    Apportioner method passed through `wrap`, checking the invariants after
+    every operation."""
     ipca, pcca, release = (
-        checking_moved(getattr(Apportioner, op)) for op in ("ipca_batch", "pcca", "release_process")
+        wrap(getattr(Apportioner, op)) for op in ("ipca_batch", "pcca", "release_process")
     )
     t, next_pid, socket_of = 0.0, 0, {}
     for _ in range(rng.randint(5, 40)):

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from cacheways import simulate
 from cacheways.apportion import ReuseClass, SystemConfig
+from cacheways.errors import SchemaError
 from cacheways.formats import read_mix
+from cacheways.sensitivity import WayTimeCurve
 from cacheways.simulate import (
     MixSpec,
     PhaseSpec,
@@ -215,6 +217,41 @@ def test_process_sensitivity_matches_reference(rnd):
     )
     cfg = SystemConfig(ways_per_socket=ways, saturation_epsilon=rnd.choice((0.01, 0.05, 0.2)))
     assert process_sensitivity(p, cfg) == process_sensitivity_reference(p, cfg)
+
+
+def test_process_sensitivity_checks_the_summed_times():
+    # each phase's time rises from 2 to 3 ways by just under the tolerance,
+    # so both curves parse, but their rounded sums rise by just over it: the
+    # summed table fails the curve's own rule, at the same w and in the
+    # same words
+    p = ProcessSpec(pid=0, phases=(
+        phase("a", MIB, {2: 7.873971570789526, 3: 7.873979444761096}),
+        phase("b", MIB, {2: 3.2956212316547955, 3: 3.295624527276027}),
+    ))
+    with pytest.raises(SchemaError, match=r"^curve time increases at w=3$"):
+        process_sensitivity(p, SystemConfig())
+    with pytest.raises(SchemaError, match=r"^curve time increases at w=3$"):
+        process_sensitivity_reference(p, SystemConfig())
+
+
+@pytest.mark.parametrize("kind", ["comcas", "unpartitioned", "maxways", "reactive"])
+def test_a_run_builds_no_curve_after_parsing(monkeypatch, kind):
+    # sensitivity is read off the summed table itself, not a curve built
+    # and validated around it
+    procs = [
+        ProcessSpec(pid=pid, phases=tuple(phase("p%d.%d" % (pid, k), MIB, {2: 256.0, 4: 128.0}) for k in range(4)))
+        for pid in range(3)
+    ]
+    built = []
+    real = WayTimeCurve.__post_init__
+
+    def counting(self):
+        built.append(self.points)
+        real(self)
+
+    monkeypatch.setattr(WayTimeCurve, "__post_init__", counting)
+    run_mix(mix_of(*procs, sockets=1), Policy(kind))
+    assert built == []
 
 
 @pytest.mark.parametrize("kind, calls", [
@@ -657,11 +694,14 @@ def test_a_clock_past_the_float_range_ends_the_run(kind):
 def test_placement_claims_follow_every_change(data):
     # random puts, drops and reuse flips, refreshed at random points: the
     # claim counts always equal a recount, and every placed pid's last
-    # refreshed effective ways equal the exact rule on the current claims
+    # refreshed effective ways equal the exact rule on the current claims.
+    # Masks are windows, as every policy places them, or any non-empty set
+    # of ways, gaps included
     ways, sockets = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 3))
     place = simulate._Placement(SystemConfig(sockets=sockets, ways_per_socket=ways))
-    window = st.integers(1, ways).flatmap(
-        lambda w: st.integers(0, ways - w).map(lambda s: ((1 << w) - 1) << s)
+    window = st.one_of(
+        st.integers(1, ways).flatmap(lambda w: st.integers(0, ways - w).map(lambda s: ((1 << w) - 1) << s)),
+        st.integers(1, (1 << ways) - 1),
     )
     reuse, known = {}, {}
     for step in data.draw(st.lists(st.sampled_from("pdfr"), max_size=40)) + ["r"]:
