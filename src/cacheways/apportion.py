@@ -82,6 +82,11 @@ class ReuseClass(Enum):
     REUSE = "reuse"
 
 
+# read once per phase change: an Enum member read off its class costs
+# about 0.1 us on Python 3.11, a module global under a tenth of that
+_REUSE = ReuseClass.REUSE
+
+
 class Scenario(Enum):
     """A socket's occupancy, read from its CLOS masks: overlapping if two share
     a way, else underutilized if a way is free, else full-disjoint."""
@@ -95,7 +100,7 @@ def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> 
     """Footprint mass, an integer: with num/den the exact scaling_factor_stream,
     reuse weighs nbytes x den and a stream nbytes x num."""
     num, den = config.scaling_factor_stream.as_integer_ratio()
-    return nbytes * (den if reuse is ReuseClass.REUSE else num)
+    return nbytes * (den if reuse is _REUSE else num)
 
 
 def required_ways(mass: int, total: int, config: SystemConfig, max_ways: int) -> int:
@@ -253,11 +258,8 @@ class Apportioner:
 
     # -- queries ------------------------------------------------------------
 
-    def _proc(self, pid: int) -> ProcessState:
-        p = self.procs.get(pid)
-        if p is None:
-            raise CacheWaysError("pid %r is not placed" % (pid,))
-        return p
+    def _unplaced(self, pid: int):
+        raise CacheWaysError("pid %r is not placed" % (pid,))
 
     def _demand(self, clos: ClosState) -> int:
         """The largest req_ways of the CLOS's members (at least one)."""
@@ -274,9 +276,9 @@ class Apportioner:
     def _required(self, sock: SocketState, p: ProcessState) -> int:
         """p's way demand from its share of the socket's running mass (an
         even split when every resident's mass is zero), read in O(1)."""
-        total = sock.mass
-        mass, total = (p.mass, total) if total else (1, len(sock.processes))
-        return required_ways(mass, total, self.config, p.max_ways)
+        if sock.mass:
+            return required_ways(p.mass, sock.mass, self.config, p.max_ways)
+        return required_ways(1, len(sock.processes), self.config, p.max_ways)
 
     # -- bitmask placement ----------------------------------------------------
 
@@ -368,7 +370,7 @@ class Apportioner:
 
         return min(cands, key=lambda c: (ratio(c), c.clos_id))
 
-    def _place(self, sock: SocketState, p: ProcessState) -> ClosState:
+    def _place(self, sock: SocketState, p: ProcessState) -> tuple[ClosState, bool]:
         """Seat p in one CLOS of its socket, by the first outcome that applies:
 
         1. a fresh CLOS, if the socket is uncrowded and p reuses its data;
@@ -385,6 +387,9 @@ class Apportioner:
         to the socket's list when every listed CLOS has members; the
         admission room leaves an id for it.  It takes p's req_ways, or every
         free way if fewer.
+
+        Returns the CLOS and whether the seat moved a mask: a fresh CLOS
+        always does, an overflow only when it grew in place.
         """
         cfg = self.config
         empty = cfg.clos_per_socket - len(sock.occupied)  # listed or not yet built
@@ -394,6 +399,7 @@ class Apportioner:
             c for c in sock.occupied if len(c.members) < cfg.gfactor
         ]
         compat = [c for c in seated if self._demand(c) == p.req_ways]
+        moved = False
         if compat:
             clos = self._pick_compatible(compat, p)
             clos.members.append(p.pid)
@@ -406,7 +412,7 @@ class Apportioner:
             raised = p.req_ways > self._demand(clos)
             clos.members.append(p.pid)
             if raised:
-                self._extend_in_place(sock, clos, p.req_ways - clos.mask.bit_count())
+                moved = self._extend_in_place(sock, clos, p.req_ways - clos.mask.bit_count()) > 0
         else:
             if len(sock.occupied) == len(sock.clos):
                 sock.clos.append(ClosState(len(sock.clos)))
@@ -416,10 +422,11 @@ class Apportioner:
             clos.members.append(p.pid)
             sock.occupied.append(clos)
             clos.mask = self.generate_bitmask(sock, clos.clos_id, width)
+            moved = True
         p.clos_id = clos.clos_id
         self.moved.append((sock.sid, clos))
         self.max_clos_group_size = max(self.max_clos_group_size, len(clos.members))
-        return clos
+        return clos, moved
 
     def ipca_batch(self, time_ns: float, arrivals) -> list[AllocationRecord]:
         """Admit a batch of processes arriving simultaneously; each arrival
@@ -441,13 +448,13 @@ class Apportioner:
             if pid in self.procs or i and arrivals[i - 1][0] == pid:
                 raise CacheWaysError("pid %r admitted twice" % (pid,))
 
-        prov_free = {s.sid: s.free_ways for s in self.sockets}
+        free0 = self.sockets[0].free_ways  # the only socket whose free ways steer a pick
         prov_cores = {s.sid: s.free_cores for s in self.sockets}
         chosen: list[ProcessState] = []
         for pid, alpha, max_ways, nbytes, reuse, predicted_ns in arrivals:
             if (
                 alpha > self.config.alpha_socket_threshold
-                and prov_free[0] > max_ways
+                and free0 > max_ways
                 and prov_cores[0] > 0
             ):
                 sid = 0
@@ -456,7 +463,8 @@ class Apportioner:
                 if prov_cores[sid] <= 0:
                     raise CacheWaysError("no socket has a free core or CLOS seat")
             prov_cores[sid] -= 1
-            prov_free[sid] = max(0, prov_free[sid] - max_ways)
+            if sid == 0:
+                free0 = max(0, free0 - max_ways)
             chosen.append(ProcessState(
                 pid=pid,
                 alpha=alpha,
@@ -476,8 +484,8 @@ class Apportioner:
                 sock.mass += p.mass
             for p in new_here:
                 p.req_ways = self._required(sock, p)
-                clos = self._place(sock, p)
-                records.append(self._record(time_ns, p, "ipca", sock, clos, True, self._demand(clos)))
+                clos, moved = self._place(sock, p)
+                records.append(self._record(time_ns, p, "ipca", sock, clos, True, self._demand(clos), moved))
         return records
 
     # -- phase change (pcca) ----------------------------------------------------
@@ -497,8 +505,8 @@ class Apportioner:
         growth extends the CLOS run in place; shrink frees ways from the right
         end and hands them to the most unsatisfied CLOS.  `moved` holds each
         CLOS whose mask changed."""
-        self.moved = []
-        p = self._proc(pid)
+        self.moved = moved = []
+        p = self.procs.get(pid) or self._unplaced(pid)
         sock = self.sockets[p.socket_id]
         mass = adjusted_footprint(nbytes, reuse, self.config)
         sock.mass += mass - p.mass
@@ -509,14 +517,16 @@ class Apportioner:
         before = clos.mask
         cur = before.bit_count()
         demand = self._demand(clos)
+        changed = False
         if abs(req - cur) >= self.config.hysteresis_ways:
             if req > cur:
                 self._extend_in_place(sock, clos, demand - cur)
             else:
                 self._transfer_freed(sock, self._shrink_from_right(clos, cur - max(demand, 1)))
-        if clos.mask != before:
-            self.moved.append((sock.sid, clos))
-        return self._record(time_ns, p, "pcca", sock, clos, clos.mask != before, demand)
+            changed = clos.mask != before
+            if changed:
+                moved.append((sock.sid, clos))
+        return self._record(time_ns, p, "pcca", sock, clos, changed, demand, changed)
 
     # -- release --------------------------------------------------------------
 
@@ -525,7 +535,7 @@ class Apportioner:
         and its ways recycled via the most-unsatisfied rule.  `moved` holds
         the CLOS they grew, if any."""
         self.moved = []
-        p = self._proc(pid)
+        p = self.procs.get(pid) or self._unplaced(pid)
         sock = self.sockets[p.socket_id]
         clos = sock.clos[p.clos_id]
         before = clos.mask
@@ -538,7 +548,8 @@ class Apportioner:
             clos.mask = 0
             self._transfer_freed(sock, before.bit_count())
         demand = self._demand(clos) if clos.members else 0
-        return self._record(time_ns, p, "release", sock, clos, clos.mask != before, demand)
+        changed = clos.mask != before
+        return self._record(time_ns, p, "release", sock, clos, changed, demand, changed)
 
     # -- record keeping ---------------------------------------------------------
 
@@ -562,19 +573,24 @@ class Apportioner:
         clos: ClosState,
         changed: bool,
         demand: int,
+        reread: bool,
     ) -> AllocationRecord:
         """Log one operation; `demand` is the CLOS's, as the caller read it
-        (0 for a CLOS its release emptied, which is always satisfied).  The
-        scenario is re-read from the masks only when the operation `changed`
-        one (an admission always counts as changed): every mask an operation
-        moves is on its own socket, and every operation ends with a record
-        there, so otherwise the socket's kept scenario still holds."""
+        (0 for a CLOS its release emptied, which is always satisfied).
+
+        Two flags: `changed` is the record's own field and counts toward
+        `apportion_count`; it holds when a phase change or release moved its
+        CLOS's mask, and on every admission.  `reread` holds when the step
+        logged moved any mask, and only then is the scenario re-read from
+        the masks: every mask a step moves is on the socket of the record
+        that follows it, so otherwise the socket's kept scenario still
+        holds.  The flags differ only for an admission that joined a CLOS
+        and moved no mask."""
         width = clos.mask.bit_count()
-        if changed:
+        if reread:
             sock.scenario = self._scenario(sock)
         rec = AllocationRecord._make((
-            time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask,
-            sock.scenario,
+            time_ns, p.pid, event, sock.sid, clos.clos_id, clos.mask, sock.scenario,
             width >= demand, p.req_ways,
             0 if event == "release" else width if width <= p.max_ways else p.max_ways,
             p.alpha, changed,

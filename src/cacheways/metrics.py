@@ -83,21 +83,28 @@ def deficit_proxy(
     sum_p alpha_p * max(0, required_p - granted_p) over the run.
 
     The timeline holds (timestamp, {pid: (alpha, required, granted)})
-    snapshots; each snapshot is in force until the next one.  An integral
-    past the float range is an error, not inf.
+    snapshots; each snapshot is in force until the next one, the last until
+    `end_time`.  An integral past the float range is an error, not inf.
+
+    Each level hands `fsum` only the rows short of ways, and in place the
+    rows whose alpha is not finite (alpha * 0 is nan, and a nan term resets
+    fsum's partial sums).  That is bit-exact: every other row's term is a
+    zero of either sign, which leaves the running exact sum that `fsum`
+    rounds once at the end as it is, and the total starts at +0.0, so a
+    level that is a zero of either sign leaves the total as it is too.
     """
     if end_time <= 0 or not width_timeline:
         return 0.0
     total = 0.0
-    for i, (t0, snap) in enumerate(width_timeline):
-        t1 = width_timeline[i + 1][0] if i + 1 < len(width_timeline) else end_time
-        span = max(0.0, t1 - t0)
-        if span == 0.0:
-            continue
-        level = math.fsum(
-            alpha * max(0, req - granted) for alpha, req, granted in snap.values()
-        )
-        total += span * level
+    ends = [t for t, _ in width_timeline[1:]]
+    ends.append(end_time)
+    for (t0, snap), t1 in zip(width_timeline, ends):
+        if t1 > t0:  # a zero or negative span adds nothing
+            total += (t1 - t0) * math.fsum([
+                alpha * (req - granted if req > granted else 0)
+                for alpha, req, granted in snap.values()
+                if req > granted or alpha - alpha  # inf - inf and nan - nan are nan, true
+            ])
     if not math.isfinite(total):
         raise CacheWaysError("the unmet-demand integral leaves the float range")
     return total

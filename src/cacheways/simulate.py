@@ -508,8 +508,13 @@ class _ComCas(_Policy):
         self._read_back()
 
     def phase_change(self, t, run):
-        self.ap.pcca(t, run.pid, *self._announce(run))
-        self._read_back()
+        """Re-apportion the run at the phase `_announce` reads; most phase
+        changes move no mask, and those read nothing back."""
+        nbytes, reuse, ns = self._announce(run)  # a plain call: f(*args) costs twice as much
+        ap = self.ap
+        ap.pcca(t, run.pid, nbytes, reuse, ns)
+        if ap.moved:
+            self._read_back()
 
     def _announce(self, run):
         """(nbytes, reuse, predicted ns) of the run's phase.  A phase without
@@ -661,8 +666,8 @@ def run_mix(
                 for r in batch:
                     r.enter(0)
                 ctl.admit(now, batch)
-                active.extend(batch)
-                active.sort(key=lambda r: r.pid)
+                for r in batch:  # into pid order
+                    insort(active, r, key=lambda r: r.pid)
                 changed = True
 
         # each iteration passes time, ends a phase, takes an arrival or moves

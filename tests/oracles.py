@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from cacheways.apportion import ReuseClass, Scenario
+from cacheways.errors import CacheWaysError
 from cacheways.loops import (
     Affine,
     Bound,
@@ -201,6 +202,26 @@ def brute_window(ways, width, hot, used):
 
     start = min(range(ways - width + 1), key=key)
     return sum(1 << w for w in range(start, start + width))
+
+
+def brute_deficit(width_timeline, end_time):
+    """The unmet-demand integral as first written: every row of a snapshot
+    enters its level, a satisfied one as alpha * 0."""
+    if end_time <= 0 or not width_timeline:
+        return 0.0
+    total = 0.0
+    for i, (t0, snap) in enumerate(width_timeline):
+        t1 = width_timeline[i + 1][0] if i + 1 < len(width_timeline) else end_time
+        span = max(0.0, t1 - t0)
+        if span == 0.0:
+            continue
+        level = math.fsum(
+            alpha * max(0, req - granted) for alpha, req, granted in snap.values()
+        )
+        total += span * level
+    if not math.isfinite(total):
+        raise CacheWaysError("the unmet-demand integral leaves the float range")
+    return total
 
 
 def is_contiguous(mask):

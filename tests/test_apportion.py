@@ -534,6 +534,61 @@ def test_an_operation_that_moves_no_mask_reads_no_scenario(monkeypatch):
     assert ap.pcca(3.0, 2, 40 * MIB, REUSE, 1.0).changed and calls == [0]
 
 
+def test_an_admission_that_moves_no_mask_reads_no_scenario(monkeypatch):
+    # two stream arrivals of one demand: the first takes a fresh CLOS and
+    # reads the scenario, the second joins that CLOS, moves no mask and
+    # reads none, while its record still counts as changed
+    ap = Apportioner(one_socket())
+    calls = []
+    real = Apportioner._scenario
+    monkeypatch.setattr(Apportioner, "_scenario", lambda self, sock: calls.append(len(self.records)) or real(self, sock))
+    recs = ap.ipca_batch(0.0, [(pid, 0.0, 11, MIB, STREAM, 1.0) for pid in range(2)])
+    assert [(r.clos, r.changed, r.scenario) for r in recs] == [(0, True, Scenario.UNDERUTILIZED)] * 2
+    assert calls == [0]
+    assert ap.apportion_count == 2
+    check_invariants(ap, {})
+
+
+def test_choosing_sockets_reads_only_socket_0s_free_ways(monkeypatch):
+    # only socket 0's free ways steer a pick, so a two-socket batch reads
+    # no other socket's before it seats its first arrival
+    reads, seated = [], []
+    real_free, real_place = apportion.SocketState.free_ways, Apportioner._place
+    monkeypatch.setattr(apportion.SocketState, "free_ways",
+                        property(lambda sock: reads.append((sock.sid, len(seated))) or real_free.fget(sock)))
+    monkeypatch.setattr(Apportioner, "_place", lambda self, sock, p: seated.append(p.pid) or real_place(self, sock, p))
+    ap = Apportioner(SystemConfig())
+    # alpha 2 asks for socket 0 while it has more than 3 free ways left
+    ap.ipca_batch(0.0, [(pid, 2.0, 3, MIB, REUSE, 1.0) for pid in range(4)])
+    assert [ap.procs[pid].socket_id for pid in range(4)] == [0, 0, 0, 1]
+    assert [sid for sid, n in reads if n == 0] == [0]
+
+
+def test_admissions_that_move_no_mask_keep_the_scenario(monkeypatch):
+    # small groups on few CLOS, so that many arrivals join or overflow into
+    # a CLOS without moving a mask; `check_invariants` compares each
+    # socket's kept scenario with its masks after every operation
+    quiet = []
+    real = Apportioner._place
+
+    def place(self, sock, p):
+        clos, moved = real(self, sock, p)
+        quiet.append(not moved)
+        return clos, moved
+
+    monkeypatch.setattr(Apportioner, "_place", place)
+    for seed in range(60):
+        rng = random.Random(seed)
+        op_stream(Apportioner(SystemConfig(
+            sockets=rng.choice([1, 2]),
+            cores_per_socket=rng.randint(4, 12),
+            clos_per_socket=rng.randint(1, 4),
+            ways_per_socket=rng.choice([4, 11]),
+            gfactor=rng.randint(2, 4),
+        )), rng)
+    assert sum(quiet) > 100 and len(quiet) - sum(quiet) > 100
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.randoms(use_true_random=False))
 def test_engine_invariants_random_walk(rng):

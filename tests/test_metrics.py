@@ -1,9 +1,13 @@
 """Outcome metrics, checked against small hand-computed samples."""
 
 import math
+import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from cacheways import metrics
+from cacheways.errors import CacheWaysError
 from cacheways.metrics import (
     SLA_FACTOR,
     deficit_proxy,
@@ -13,6 +17,7 @@ from cacheways.metrics import (
     weighted_speedup,
 )
 
+from oracles import brute_deficit
 from support import raises_fault
 
 
@@ -125,6 +130,66 @@ def test_deficit_proxy_past_the_float_range_raises():
     # each factor is finite; their product is not
     with raises_fault("the unmet-demand integral leaves the float range"):
         deficit_proxy([(0.0, {0: (1e300, 11, 1)})], 1e300)
+
+
+def deficit_outcome(integral, timeline, end_time):
+    """The integral's value, bit for bit, or the error it raises."""
+    try:
+        return integral(timeline, end_time).hex()
+    except (CacheWaysError, ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+ALPHAS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-12, -5e-324, 5e-324, 0.25, 1.0, 3.5, 1e300]),
+    st.floats(min_value=-1e-6, max_value=100.0, allow_nan=False),
+    st.sampled_from([math.inf, math.nan]),  # alpha * 0 is nan: the row stays
+)
+SNAPSHOTS = st.dictionaries(  # empty snapshots, satisfied and deficient rows
+    st.integers(0, 5), st.tuples(ALPHAS, st.integers(0, 12), st.integers(0, 12)), max_size=5
+)
+TIMES = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 2.5000000000000004, 1e9]), st.floats(0.0, 1e12))
+
+
+@st.composite
+def timelines(draw):
+    """A width timeline, its times in order so that repeats make zero spans,
+    and an end time: the last snapshot's, later, or not positive."""
+    times = sorted(draw(st.lists(TIMES, max_size=8)))
+    timeline = [(t, draw(SNAPSHOTS)) for t in times]
+    last = times[-1] if times else 0.0
+    end = draw(st.one_of(st.just(last), st.sampled_from([0.0, -1.0]), TIMES.map(lambda d: last + d)))
+    return timeline, end
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(timelines())
+@example(([(0.0, {0: (1e300, 11, 1)})], 1e300))  # the product leaves the float range
+@example(([(0.0, {0: (1.7e308, 2, 1), 1: (1.7e308, 2, 1)})], 1.0))  # so does a level
+@example(([(0.0, {0: (1e308, 2, 1), 1: (math.nan, 1, 1), 2: (1e308, 2, 1)})], 1.0))
+def test_deficit_proxy_is_bit_equal_to_the_every_row_integral(case):
+    # a satisfied row's nan term resets fsum's partial sums, so the last
+    # example overflows only if that row is dropped
+    timeline, end = case
+    assert deficit_outcome(deficit_proxy, timeline, end) == deficit_outcome(brute_deficit, timeline, end)
+
+
+def test_deficit_proxy_sums_only_the_rows_short_of_ways(monkeypatch):
+    terms = []
+
+    def fsum(values):
+        values = list(values)
+        terms.append(len(values))
+        return math.fsum(values)
+
+    monkeypatch.setattr(metrics, "math", types.SimpleNamespace(fsum=fsum, isfinite=math.isfinite))
+    timeline = [
+        (0.0, {0: (2.0, 4, 2), 1: (1.0, 3, 3), 2: (0.5, 1, 6)}),
+        (10.0, {0: (2.0, 4, 4), 1: (1.0, 3, 3)}),
+        (12.0, {0: (2.0, 4, 1), 1: (1.0, 5, 3), 2: (0.5, 2, 2)}),
+    ]
+    assert deficit_proxy(timeline, 20.0) == 10 * 4.0 + 8 * 8.0
+    assert terms == [1, 0, 2]
 
 
 def test_throughputs_orders_by_pid():

@@ -593,6 +593,17 @@ def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
     assert sorted(calls) == [(0x00F, both), (0x0F0, both)]
 
 
+def shrinking_mix():
+    """Two 6 MiB processes around pid 1, whose footprint drops to 0.25 MiB
+    at its first phase change and stays there at its second."""
+    big = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, 6 * MIB, {2: 1024.0}),), alpha=1.0, max_ways=11)
+           for pid in (0, 2)]
+    short = ProcessSpec(pid=1, alpha=1.0, max_ways=11, phases=(
+        phase("a", 6 * MIB, {2: 128.0}), phase("b", MIB // 4, {2: 128.0}), phase("c", MIB // 4, {2: 128.0}),
+    ))
+    return mix_of(big[0], short, big[1], sockets=1)
+
+
 def test_comcas_phase_change_reads_back_only_the_clos_that_moved(monkeypatch):
     # t=0: three 6 MiB shares of one 11-way socket want 4 ways each: pid 0
     # holds 0x00f, pid 1 0x0f0 and pid 2 the 3 ways left, 0x700.  t=128:
@@ -619,14 +630,30 @@ def test_comcas_phase_change_reads_back_only_the_clos_that_moved(monkeypatch):
 
     monkeypatch.setattr(simulate._Placement, "put", counting_put)
     monkeypatch.setattr(simulate._ComCas, "phase_change", watched_change)
-    big = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, 6 * MIB, {2: 1024.0}),), alpha=1.0, max_ways=11)
-           for pid in (0, 2)]
-    short = ProcessSpec(pid=1, alpha=1.0, max_ways=11, phases=(
-        phase("a", 6 * MIB, {2: 128.0}), phase("b", MIB // 4, {2: 128.0}), phase("c", MIB // 4, {2: 128.0}),
-    ))
-    rep = run_mix(mix_of(big[0], short, big[1], sockets=1), Policy("comcas"))
+    rep = run_mix(shrinking_mix(), Policy("comcas"))
     assert [r.bitmask for r in rep.records[3:5]] == [0x010, 0x010]
     assert seen == [(128.0, True, [1, 2], [1, 2]), (288.0, False, [], [])]
+
+
+def test_a_comcas_phase_change_that_moves_no_mask_calls_no_read_back(monkeypatch):
+    # the shrinking mix: pid 1's first phase change moves two CLOS and
+    # reads them back once; its second moves nothing and reads nothing
+    reads, seen = [], []
+    real_read, real_change = simulate._ComCas._read_back, simulate._ComCas.phase_change
+
+    def counting_read(self):
+        reads.append(len(self.ap.moved))
+        real_read(self)
+
+    def watched_change(self, t, run):
+        before = len(reads)
+        real_change(self, t, run)
+        seen.append((t, len(self.ap.moved), reads[before:]))
+
+    monkeypatch.setattr(simulate._ComCas, "_read_back", counting_read)
+    monkeypatch.setattr(simulate._ComCas, "phase_change", watched_change)
+    run_mix(shrinking_mix(), Policy("comcas"))
+    assert seen == [(128.0, 2, [2]), (288.0, 0, [])]
 
 
 def test_comcas_admission_reads_back_only_the_clos_it_moved(monkeypatch):
