@@ -82,11 +82,6 @@ class ReuseClass(Enum):
     REUSE = "reuse"
 
 
-# read once per phase change: an Enum member read off its class costs
-# about 0.1 us on Python 3.11, a module global under a tenth of that
-_REUSE = ReuseClass.REUSE
-
-
 class Scenario(Enum):
     """A socket's occupancy, read from its CLOS masks: overlapping if two share
     a way, else underutilized if a way is free, else full-disjoint."""
@@ -94,6 +89,13 @@ class Scenario(Enum):
     FULL_DISJOINT = "full-disjoint"
     OVERLAPPING = "overlapping"
     UNDERUTILIZED = "underutilized"
+
+
+# the members read per phase change or operation: an Enum member read off
+# its class costs about 0.1 us on Python 3.11, a module global under a
+# tenth of that
+_REUSE = ReuseClass.REUSE
+_FULL_DISJOINT, _OVERLAPPING, _UNDERUTILIZED = Scenario.FULL_DISJOINT, Scenario.OVERLAPPING, Scenario.UNDERUTILIZED
 
 
 def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> int:
@@ -395,7 +397,7 @@ class Apportioner:
         empty = cfg.clos_per_socket - len(sock.occupied)  # listed or not yet built
         uncrowded = empty > cfg.clos_occupancy_threshold * cfg.clos_per_socket
         # an uncrowded socket seats a reuse arrival in a fresh CLOS unasked
-        seated = [] if uncrowded and p.reuse is ReuseClass.REUSE else [
+        seated = [] if uncrowded and p.reuse is _REUSE else [
             c for c in sock.occupied if len(c.members) < cfg.gfactor
         ]
         compat = [c for c in seated if self._demand(c) == p.req_ways]
@@ -560,9 +562,9 @@ class Apportioner:
             shared |= used & c.mask
             used |= c.mask
         if shared:
-            return Scenario.OVERLAPPING
+            return _OVERLAPPING
         full = used.bit_count() == self.config.ways_per_socket
-        return Scenario.FULL_DISJOINT if full else Scenario.UNDERUTILIZED
+        return _FULL_DISJOINT if full else _UNDERUTILIZED
 
     def _record(
         self,

@@ -17,13 +17,17 @@ on which socket.  The engine keeps that placement and applies one contention
 rule to every policy: a streaming phase sees its whole mask; a reuse phase
 gets the exact integer floor of sum(1/k) over the ways of its mask, where k
 is the number of reuse phases holding that way (itself included), and never
-less than 1.  Claim counts are kept per socket and way.  After each event the
-rule is re-evaluated only for the processes whose mask or phase changed and
-for the reuse phases holding a way whose claim count changed, and it is
-memoized for the whole run on the mask and the claim counts on its span.
-A run's speed is recomputed only when its phase, mask or presence changed
-or its effective ways did.  The width timeline gains a snapshot only when
-a row changed or a process was admitted or completed.
+less than 1.  Claim counts are kept per socket and way, and each socket's
+reuse phases are grouped by the mask they claim: a group's ways depend only
+on its socket, its mask and the claim counts on the mask's span.  After each
+event the rule is read once for each group whose mask meets a way whose
+claim count changed, and for each new group; it is memoized for the whole
+run on the mask and the claim counts on its span.  A group hands its runs
+back only when its ways changed, and every run whose mask or phase changed
+is handed back.  A run's speed is recomputed only when its phase, mask or
+presence changed or its effective ways did.  The width timeline gains a
+snapshot, a copy of the active rows kept in pid order, only when a row
+changed or a process was admitted or completed.
 
 A run pays only for what its policy reads: each policy derives the
 (alpha, max_ways) pair itself, once per process, and `unpartitioned`, which
@@ -51,6 +55,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 
 from .apportion import (
+    _REUSE,
     DM_PENALTY,
     AllocationRecord,
     Apportioner,
@@ -227,9 +232,13 @@ class _Placement:
     """Which socket and which way mask each admitted pid holds, each socket's
     pids in ascending order, and each socket's reuse claim count per way.
     The `dirty` pids are those whose mask, phase or presence changed since
-    the last `refresh`, which settles their claims.  It also keeps each
-    placed pid's last effective ways and, for the whole run, the contention
-    rule's result per mask and claim counts over the mask's span."""
+    the last `refresh`, which settles their claims.  Each socket's reuse
+    holders are grouped by the mask they claim: a group's effective ways
+    depend only on its socket, its mask and the claim counts over the
+    mask's span, so each group keeps its ways from the last refresh and
+    goes, with them, when it empties.  For the whole run the placement
+    keeps the contention rule's result per mask and claim counts over the
+    mask's span."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -240,7 +249,8 @@ class _Placement:
         self.claimed: dict[int, int] = {}  # pid -> its mask counted in claims, or 0
         self.moved: dict[int, int] = {}  # socket -> ways whose claim count changed
         self.dirty: set[int] = set()
-        self.eff_of: dict[int, int] = {}  # pid -> its effective ways at the last refresh
+        # socket -> {claimed mask: [its ways at the last refresh (None: not yet), its pids]}
+        self.groups: list[dict[int, list]] = [{} for _ in range(config.sockets)]
         self.memo: dict[tuple, int] = {}  # (mask, claims on its span) -> a reuse phase's ways
 
     def put(self, pid: int, sid: int, mask: int) -> None:
@@ -261,17 +271,29 @@ class _Placement:
         self.pids[sid].remove(pid)
         self._claim(sid, pid, 0)
         self.dirty.add(pid)
-        self.eff_of.pop(pid, None)
         return sid
 
     def _claim(self, sid: int, pid: int, mask: int) -> None:
-        """Count `mask` (0: nothing) as `pid`'s claim in place of its last.
-        A run of ways wholly gained or wholly lost moves by one slice over
-        its span; a mask that moves within itself, way by way."""
+        """Count `mask` (0: nothing) as `pid`'s claim in place of its last,
+        and move the pid from its old mask's group to the new one's.  A run
+        of ways wholly gained or wholly lost moves by one slice over its
+        span; a mask that moves within itself, way by way."""
         old, self.claimed[pid] = self.claimed.get(pid, 0), mask
-        moved, claims = old ^ mask, self.claims[sid]
+        moved = old ^ mask
         if not moved:
             return
+        claims, groups = self.claims[sid], self.groups[sid]
+        if old:
+            group = groups[old]
+            group[1].remove(pid)
+            if not group[1]:
+                del groups[old]
+        if mask:
+            group = groups.get(mask)
+            if group is None:
+                groups[mask] = [None, {pid}]
+            else:
+                group[1].add(pid)
         low = moved & -moved
         if old and mask or moved + low & moved:  # both held, or a gap in the run
             for way in range(moved.bit_length()):
@@ -282,41 +304,52 @@ class _Placement:
             claims[lo:hi] = [k + step for k in claims[lo:hi]]
         self.moved[sid] = self.moved.get(sid, 0) | moved
 
+    def _rule(self, sid: int, mask: int) -> int:
+        """A reuse phase's ways on `mask` of socket `sid`, from the run-long
+        memo; claims off the mask's span cannot move them."""
+        low = (mask & -mask).bit_length() - 1
+        key = (mask, tuple(self.claims[sid][low:mask.bit_length()]))
+        ways = self.memo.get(key)
+        if ways is None:  # a rule that raises stores nothing
+            ways = self.memo[key] = effective_ways(mask, self.claims[sid], True)
+        return ways
+
     def refresh(self, is_reuse) -> dict[int, int]:
         """Settle the dirty pids' claims (`is_reuse(pid)`: does its phase
-        reuse?) and re-derive the effective ways of every placed pid that can
-        have moved: the dirty ones and the reuse holders of each way whose
-        claim count changed.  Return those of the dirty pids and of the pids
-        whose effective ways differ from the last refresh; a run's speed and
-        row depend on nothing else.  A stream phase sees its mask's bit
-        count; a reuse phase's ways come from the run-long memo, looked up
-        once per (socket, mask) in one refresh."""
-        stale = {}  # pid -> reuse
+        reuse?) and return the effective ways of the placed pids that can
+        have moved; a run's speed and row depend on nothing else.  Each
+        group whose mask meets a way whose claim count changed reads the
+        rule once, and hands back all its pids only if its ways changed.
+        Every placed dirty pid is handed back: a stream with its mask's bit
+        count, a reuse phase with its group's ways, read from the rule if
+        the group is new."""
+        out, joined = {}, []  # joined: (pid, socket, mask) of each placed dirty reuse pid
         for pid in self.dirty:
-            if pid in self.socket_of:
-                stale[pid] = is_reuse(pid)
-                self._claim(self.socket_of[pid], pid, self.mask_of[pid] if stale[pid] else 0)
-        for sid, ways in self.moved.items():
-            for pid in self.pids[sid]:
-                if self.claimed.get(pid, 0) & ways:
-                    stale[pid] = True
-        self.moved.clear()
-        out, seen = {}, {}  # seen: (socket, mask) -> a reuse phase's ways in this refresh
-        for pid, reuse in stale.items():
-            sid, mask = self.socket_of[pid], self.mask_of[pid]
-            if not reuse:
-                eff = mask.bit_count()
-            elif (sid, mask) in seen:
-                eff = seen[sid, mask]
+            sid = self.socket_of.get(pid)
+            if sid is None:
+                continue
+            mask = self.mask_of[pid]
+            if is_reuse(pid):
+                self._claim(sid, pid, mask)
+                joined.append((pid, sid, mask))
             else:
-                low = (mask & -mask).bit_length() - 1  # claims off the mask's span cannot move its ways
-                key = (mask, tuple(self.claims[sid][low:mask.bit_length()]))
-                if key not in self.memo:  # a rule that raises stores nothing
-                    self.memo[key] = effective_ways(mask, self.claims[sid], True)
-                eff = seen[sid, mask] = self.memo[key]
-            if pid in self.dirty or self.eff_of.get(pid) != eff:
-                out[pid] = self.eff_of[pid] = eff
+                self._claim(sid, pid, 0)
+                out[pid] = mask.bit_count()
         self.dirty.clear()
+        for sid, moved in self.moved.items():
+            for mask, group in self.groups[sid].items():
+                if mask & moved:
+                    ways = self._rule(sid, mask)
+                    if group[0] != ways:
+                        group[0] = ways
+                        for pid in group[1]:
+                            out[pid] = ways
+        self.moved.clear()
+        for pid, sid, mask in joined:
+            group = self.groups[sid][mask]
+            if group[0] is None:  # a new group on ways whose claims did not move
+                group[0] = self._rule(sid, mask)
+            out[pid] = group[0]
         return out
 
 
@@ -576,7 +609,7 @@ class _Run:
         self.phase_idx = phase_idx
         ph = self.spec.phases[phase_idx]
         self.work_rem = ph.work
-        self.reuse = ph.reuse is ReuseClass.REUSE
+        self.reuse = ph.reuse is _REUSE
 
 
 def run_mix(
@@ -609,7 +642,7 @@ def run_mix(
     completions: dict[int, float] = {}
     width_timeline: list[tuple[float, dict]] = []
     now = 0.0
-    rows: dict[int, tuple] = {}  # pid -> width-timeline row
+    rows: dict[int, tuple] = {}  # active pid -> width-timeline row, in pid order
 
     while pending or waiting or active:
         # candidate times for the next event: the phase ends come first
@@ -645,6 +678,7 @@ def run_mix(
                 ctl.phase_change(now, r)
             else:
                 active.remove(r)
+                del rows[r.pid]
                 completions[r.pid] = now - r.spec.start_ns  # a wait for room counts
                 ctl.release(now, r, place.drop(r.pid))
                 changed = True
@@ -654,7 +688,7 @@ def run_mix(
             ctl.tick(now)
 
         # admissions due now, plus deferred ones once a slot opened
-        due = []
+        due, admitted = [], False
         while pending and pending[-1][0] <= now:
             due.append(pending.pop()[1])
         if due or (changed and waiting):
@@ -668,7 +702,7 @@ def run_mix(
                 ctl.admit(now, batch)
                 for r in batch:  # into pid order
                     insort(active, r, key=lambda r: r.pid)
-                changed = True
+                changed = admitted = True
 
         # each iteration passes time, ends a phase, takes an arrival or moves
         # the policy's clock or a mask; anything else would repeat forever
@@ -684,9 +718,11 @@ def run_mix(
                 if rows.get(pid) != row:
                     rows[pid] = row
                     changed = True
+            if admitted:  # the admitted pids' rows went in last
+                rows = {r.pid: rows[r.pid] for r in active}
             # a new row or a new active set always makes a new snapshot
             if changed:
-                width_timeline.append((now, {r.pid: rows[r.pid] for r in active}))
+                width_timeline.append((now, dict(rows)))
 
     unmixed = {proc.pid: run_unmixed(proc, cfg) for proc in mix.processes}
     records, apportions, max_group, warnings = ctl.log()

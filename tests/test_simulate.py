@@ -593,6 +593,46 @@ def test_phase_change_cost_follows_the_claimed_ways(monkeypatch):
     assert sorted(calls) == [(0x00F, both), (0x0F0, both)]
 
 
+def test_a_flip_that_moves_no_group_ways_walks_no_resident(monkeypatch):
+    # one unpartitioned socket: pids 0-11 reuse through one long phase and
+    # pid 12's 50 short phases flip between stream and reuse.  Twelve or
+    # thirteen reuse holders of the full 11-way mask each get max(1,
+    # floor(11/n)) = 1 way, so the group's ways never change: each phase
+    # change hands back pid 12 alone, and no refresh walks the socket's
+    # pids.  One way costs no penalty here, so every time is a power of two
+    handed = []
+    real_init, real_refresh = simulate._Placement.__init__, simulate._Placement.refresh
+
+    class Walked(list):
+        walks = 0
+
+        def __iter__(self):
+            Walked.walks += 1
+            return super().__iter__()
+
+    def init(self, config):
+        real_init(self, config)
+        self.pids = [Walked() for _ in self.pids]
+
+    def watched(self, is_reuse):
+        out = real_refresh(self, is_reuse)
+        handed.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(simulate._Placement, "__init__", init)
+    monkeypatch.setattr(simulate._Placement, "refresh", watched)
+    residents = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, MIB, {2: 2.0 ** 20}),)) for pid in range(12)]
+    flips = tuple(
+        phase("f%d" % k, MIB, {2: 128.0}, reuse=(ReuseClass.STREAM, ReuseClass.REUSE)[k % 2])
+        for k in range(50)
+    )
+    mix = mix_of(*residents, ProcessSpec(pid=12, phases=flips), sockets=1, dm_penalty=1.0)
+    rep = run_mix(mix, Policy("unpartitioned"))
+    assert rep.completions == {12: 50 * 128.0, **{pid: 2.0 ** 20 for pid in range(12)}}
+    assert handed == [list(range(13))] + [[12]] * 49 + [[], []]
+    assert Walked.walks == 0
+
+
 def shrinking_mix():
     """Two 6 MiB processes around pid 1, whose footprint drops to 0.25 MiB
     at its first phase change and stays there at its second."""
@@ -720,10 +760,11 @@ def test_a_clock_past_the_float_range_ends_the_run(kind):
 @given(st.data())
 def test_placement_claims_follow_every_change(data):
     # random puts, drops and reuse flips, refreshed at random points: the
-    # claim counts always equal a recount, and every placed pid's last
-    # refreshed effective ways equal the exact rule on the current claims.
-    # Masks are windows, as every policy places them, or any non-empty set
-    # of ways, gaps included
+    # claim counts always equal a recount, the kept groups are the claimed
+    # masks regrouped, none of them empty, each with the exact rule's ways,
+    # and every placed pid's last refreshed effective ways equal the exact
+    # rule on the current claims.  Masks are windows, as every policy places
+    # them, or any non-empty set of ways, gaps included
     ways, sockets = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 3))
     place = simulate._Placement(SystemConfig(sockets=sockets, ways_per_socket=ways))
     window = st.one_of(
@@ -754,10 +795,36 @@ def test_placement_claims_follow_every_change(data):
                 holders = [place.mask_of[pid] for pid in place.pids[sid] if reuse[pid]]
                 recount = [sum(m >> w & 1 for m in holders) for w in range(ways)]
                 assert place.claims[sid] == recount
+                regrouped = {}
+                for pid in place.pids[sid]:
+                    if place.claimed.get(pid):
+                        regrouped.setdefault(place.claimed[pid], set()).add(pid)
+                assert {mask: pids for mask, (_, pids) in place.groups[sid].items()} == regrouped
+                for mask, (kept, _) in place.groups[sid].items():
+                    assert kept == brute_effective_ways(mask, place.claims[sid]), (sid, mask)
+            assert not any(place.claimed.get(pid) for pid in reuse if pid not in place.socket_of)
             for pid, sid in place.socket_of.items():
                 mask = place.mask_of[pid]
                 exact = brute_effective_ways(mask, place.claims[sid]) if reuse[pid] else bin(mask).count("1")
                 assert known[pid] == exact, (pid, mask, reuse[pid])
+
+
+@pytest.mark.parametrize("neighbour", [False, True])
+def test_a_group_narrowed_within_its_mask_reads_its_ways(neighbour):
+    # pid 0, the only holder of 0b0111, narrows to 0b0011: the moved way,
+    # 0b0100, does not meet the new mask, so only the dirty pid's own path
+    # can give its new group ways.  With pid 1 already holding 0b0011, pid
+    # 0 joins a group whose kept ways still hold
+    place = simulate._Placement(SystemConfig(sockets=1, ways_per_socket=4))
+    place.put(0, 0, 0b0111)
+    if neighbour:
+        place.put(1, 0, 0b0011)
+    assert place.refresh(lambda pid: True) == ({0: 2, 1: 1} if neighbour else {0: 3})
+    place.put(0, 0, 0b0011)
+    assert place.refresh(lambda pid: True) == {0: 1 if neighbour else 2}
+    assert {mask: (ways, pids) for mask, (ways, pids) in place.groups[0].items()} == {
+        0b0011: (1, {0, 1}) if neighbour else (2, {0})
+    }
 
 
 # -- determinism --------------------------------------------------------------
