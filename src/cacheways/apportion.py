@@ -307,32 +307,29 @@ class Apportioner:
         return best_window(w_total, ways, used_all & ~lowest.mask, used_all)
 
     def _extend_in_place(self, sock: SocketState, clos: ClosState, add: int) -> int:
-        """Grow a CLOS run into adjacent free ways, right side first.  Returns
-        the number of ways actually added."""
-        if add <= 0 or clos.mask == 0:
+        """Grow a CLOS run into adjacent free ways, above its top end first,
+        then below its bottom end.  Returns the number of ways added."""
+        mask = clos.mask
+        if add <= 0 or mask == 0:
             return 0
-        free = ~sock.used_mask & ((1 << self.config.ways_per_socket) - 1)
-        lo = (clos.mask & -clos.mask).bit_length() - 1
-        hi = clos.mask.bit_length() - 1
-        added = 0
-        while added < add and hi + 1 < self.config.ways_per_socket and free >> (hi + 1) & 1:
-            hi += 1
-            clos.mask |= 1 << hi
-            free &= ~(1 << hi)
-            added += 1
-        while added < add and lo - 1 >= 0 and free >> (lo - 1) & 1:
-            lo -= 1
-            clos.mask |= 1 << lo
-            free &= ~(1 << lo)
-            added += 1
-        return added
+        taken = sock.used_mask | -1 << self.config.ways_per_socket  # no way past the socket is free
+        lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length()  # the run is ways lo..hi-1
+        above = taken >> hi
+        up = (above & -above).bit_length() - 1  # the free ways just above the run
+        up = up if up < add else add
+        down = lo - (taken & (1 << lo) - 1).bit_length()  # the free ways just below it
+        down = down if down < add - up else add - up
+        clos.mask = (1 << hi + up) - (1 << lo - down)
+        return up + down
 
     def _shrink_from_right(self, clos: ClosState, remove: int) -> int:
-        removed = 0
-        while removed < remove and clos.mask:
-            hi = clos.mask.bit_length() - 1
-            clos.mask &= ~(1 << hi)
-            removed += 1
+        """Free `remove` ways, clamped into 0..width, from the top end of a
+        CLOS run.  Returns the number of ways freed."""
+        if remove <= 0:  # pcca passes a negative count when the CLOS demands more than it holds
+            return 0
+        width = clos.mask.bit_count()
+        removed = remove if remove < width else width
+        clos.mask &= (1 << clos.mask.bit_length() - removed) - 1
         return removed
 
     def _transfer_freed(self, sock: SocketState, freed: int) -> None:

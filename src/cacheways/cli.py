@@ -144,7 +144,7 @@ def _cmd_analyze(args) -> int:
         reuse = classify_reuse(srd, cfg.srd_delta)
         curve = curves[nest.name]
         alpha, max_ways = assemble_attributes(curve, cfg.saturation_epsilon)
-        full = curve.time_at(curve.last_way)
+        full = curve.points[-1][1]
         phases.append(PhaseSpec(nest.name, full, reuse, fp.bytes, curve, full))
         print(
             "%s: %d bytes / %d lines%s, %s, alpha %.6g, max-ways %d"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .apportion import SATURATION_EPSILON
 from .errors import CacheWaysError, SchemaError
 
 MONOTONE_TOL = 1e-6
@@ -37,10 +36,6 @@ class WayTimeCurve:
         if ways[0] != 2:
             raise SchemaError("curve must start at 2 ways, got %d" % ways[0])
         check_times(self.points)
-
-    @property
-    def last_way(self) -> int:
-        return self.points[-1][0]
 
     def time_at(self, ways: int) -> float:
         """Time at an arbitrary way count >= 2: exact at observed points,
@@ -131,22 +126,7 @@ def saturation_ways(points, epsilon: float) -> int:
     return best
 
 
-def compute_alpha(curve: WayTimeCurve, max_ways: int) -> float:
-    """Sensitivity factor: sum of |t_i - t_prev| / (w_i - w_prev) over the
-    curve's observed points up to max_ways.  Zero for flat curves and for
-    max_ways = 2 (empty sum).  Requires observations at both 2 and max_ways.
-    """
-    return alpha_sum(curve.points, max_ways)
-
-
-def detect_max_ways(curve: WayTimeCurve, epsilon: float = SATURATION_EPSILON) -> int:
-    """Saturation point: the way count past which no step of the curve
-    improves time by at least `epsilon` relative.  Floor of 2: an insensitive
-    process still occupies two ways (below that the cache degenerates)."""
-    return saturation_ways(curve.points, epsilon)
-
-
 def assemble_attributes(curve: WayTimeCurve, epsilon: float) -> tuple[float, int]:
     """The sensitivity pair (alpha, max-ways) of a phase's way-time curve."""
-    max_ways = detect_max_ways(curve, epsilon)
-    return compute_alpha(curve, max_ways), max_ways
+    max_ways = saturation_ways(curve.points, epsilon)
+    return alpha_sum(curve.points, max_ways), max_ways

@@ -12,8 +12,9 @@ settles every active run's work and collects the runs whose phase ends
 then.  A policy with a clock keeps it itself and names its next tick, which
 settles after the phase events of its instant.
 
-A policy only chooses which contiguous way mask each admitted process holds,
-on which socket.  The engine keeps that placement and applies one contention
+A policy only chooses which way mask each admitted process holds, on which
+socket; the placement rejects any mask but one run of contiguous ways, as
+CAT requires.  The engine keeps that placement and applies one contention
 rule to every policy: a streaming phase sees its whole mask; a reuse phase
 gets the exact integer floor of sum(1/k) over the ways of its mask, where k
 is the number of reuse phases holding that way (itself included), and never
@@ -195,25 +196,27 @@ def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = DM_PENALTY) -> 
     return phase.work / t
 
 
+def _check_run(mask: int, ways: int) -> None:
+    """A way mask is one run of the ways below `ways`, or 0."""
+    if mask & mask + (mask & -mask) or mask >> ways:
+        raise CacheWaysError("mask %#x is not one run of ways below way %d" % (mask, ways))
+
+
 def effective_ways(mask: int, claims, reuse: bool) -> int:
-    """Ways a phase effectively owns of its `mask` (the contention rule).
-    A streaming phase sees every way of it.  A reuse phase gets the exact
-    floor of sum(1 / claims[w]) over the ways w of its mask, and never less
-    than 1; `claims[w]` counts the reuse phases on the socket holding way w,
-    this one included.
-    """
+    """Ways a phase effectively owns of its `mask`, one run of the ways of
+    `claims` (the contention rule).  A streaming phase sees every way of it.
+    A reuse phase gets the exact floor of sum(1 / claims[w]) over the ways w
+    of its mask, and never less than 1; `claims[w]` counts the reuse phases
+    on the socket holding way w, this one included."""
+    _check_run(mask, len(claims))
     if not reuse:
         return mask.bit_count()
-    ways_at = {}  # claim count k -> ways of the mask held by k reuse phases
-    for way in range(mask.bit_length()):
-        if mask >> way & 1:
-            k = claims[way]
-            if k < 1:
-                raise CacheWaysError("way %d of mask %#x has no reuse claim" % (way, mask))
-            ways_at[k] = ways_at.get(k, 0) + 1
-    num, den = 0, 1  # the running sum of n_k / k is num / den
-    for k, n in ways_at.items():
-        num, den = num * k + n * den, den * k
+    lo = (mask & -mask).bit_length() - 1
+    num, den = 0, 1  # the running sum of 1 / k is num / den
+    for way, k in enumerate(claims[lo:mask.bit_length()], lo):
+        if k < 1:
+            raise CacheWaysError("way %d of mask %#x has no reuse claim" % (way, mask))
+        num, den = num * k + den, den * k
     return max(1, num // den)
 
 
@@ -229,16 +232,16 @@ def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 class _Placement:
-    """Which socket and which way mask each admitted pid holds, each socket's
-    pids in ascending order, and each socket's reuse claim count per way.
-    The `dirty` pids are those whose mask, phase or presence changed since
-    the last `refresh`, which settles their claims.  Each socket's reuse
-    holders are grouped by the mask they claim: a group's effective ways
-    depend only on its socket, its mask and the claim counts over the
-    mask's span, so each group keeps its ways from the last refresh and
-    goes, with them, when it empties.  For the whole run the placement
-    keeps the contention rule's result per mask and claim counts over the
-    mask's span."""
+    """Which socket and which way mask, one run of ways or 0 (see `put`),
+    each admitted pid holds, each socket's pids in ascending order, and
+    each socket's reuse claim count per way.  The `dirty` pids are those
+    whose mask, phase or presence changed since the last `refresh`, which
+    settles their claims.  Each socket's reuse holders are grouped by the
+    mask they claim: a group's effective ways depend only on its socket,
+    its mask and the claim counts over the mask's span, so each group
+    keeps its ways from the last refresh and goes, with them, when it
+    empties.  For the whole run the placement keeps the contention rule's
+    result per mask and claim counts over the mask's span."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
@@ -254,8 +257,10 @@ class _Placement:
         self.memo: dict[tuple, int] = {}  # (mask, claims on its span) -> a reuse phase's ways
 
     def put(self, pid: int, sid: int, mask: int) -> None:
-        """Give `pid` `mask` on socket `sid`, dirtying the pid if that
+        """Give `pid` `mask`, 0 or one run of ways (else a CacheWaysError
+        that changes nothing), on socket `sid`, dirtying the pid if that
         changes anything.  No policy moves a placed pid to another socket."""
+        _check_run(mask, self.config.ways_per_socket)
         if pid not in self.socket_of:
             self.socket_of[pid] = sid
             insort(self.pids[sid], pid)
@@ -274,35 +279,28 @@ class _Placement:
         return sid
 
     def _claim(self, sid: int, pid: int, mask: int) -> None:
-        """Count `mask` (0: nothing) as `pid`'s claim in place of its last,
-        and move the pid from its old mask's group to the new one's.  A run
-        of ways wholly gained or wholly lost moves by one slice over its
-        span; a mask that moves within itself, way by way."""
+        """Count `mask` (0: nothing) as `pid`'s claim in place of its last:
+        the old run's slice of claim counts loses 1 and the new run's gains
+        1, and the pid moves from the old mask's group to the new one's."""
         old, self.claimed[pid] = self.claimed.get(pid, 0), mask
-        moved = old ^ mask
-        if not moved:
+        if old == mask:
             return
         claims, groups = self.claims[sid], self.groups[sid]
         if old:
+            lo, hi = (old & -old).bit_length() - 1, old.bit_length()
+            claims[lo:hi] = [k - 1 for k in claims[lo:hi]]
             group = groups[old]
             group[1].remove(pid)
             if not group[1]:
                 del groups[old]
         if mask:
-            group = groups.get(mask)
-            if group is None:
-                groups[mask] = [None, {pid}]
+            lo, hi = (mask & -mask).bit_length() - 1, mask.bit_length()
+            claims[lo:hi] = [k + 1 for k in claims[lo:hi]]
+            if mask in groups:
+                groups[mask][1].add(pid)
             else:
-                group[1].add(pid)
-        low = moved & -moved
-        if old and mask or moved + low & moved:  # both held, or a gap in the run
-            for way in range(moved.bit_length()):
-                if moved >> way & 1:
-                    claims[way] += 1 if mask >> way & 1 else -1
-        else:
-            lo, hi, step = low.bit_length() - 1, moved.bit_length(), 1 if mask else -1
-            claims[lo:hi] = [k + step for k in claims[lo:hi]]
-        self.moved[sid] = self.moved.get(sid, 0) | moved
+                groups[mask] = [None, {pid}]
+        self.moved[sid] = self.moved.get(sid, 0) | old ^ mask
 
     def _rule(self, sid: int, mask: int) -> int:
         """A reuse phase's ways on `mask` of socket `sid`, from the run-long

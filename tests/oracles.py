@@ -20,7 +20,7 @@ from cacheways.loops import (
     MemoryAccess,
     Statement,
 )
-from cacheways.sensitivity import WayTimeCurve, compute_alpha, detect_max_ways
+from cacheways.sensitivity import WayTimeCurve, alpha_sum, saturation_ways
 
 
 def iteration_trace(nest):
@@ -119,10 +119,10 @@ def process_sensitivity_reference(proc, config):
     curve = WayTimeCurve(points)
     mw = proc.max_ways
     if mw is None:
-        mw = detect_max_ways(curve, config.saturation_epsilon)
+        mw = saturation_ways(curve.points, config.saturation_epsilon)
     alpha = proc.alpha
     if alpha is None:
-        alpha = compute_alpha(curve, min(max(mw, 2), config.ways_per_socket))
+        alpha = alpha_sum(curve.points, min(max(mw, 2), config.ways_per_socket))
     return alpha, mw
 
 
@@ -222,6 +222,38 @@ def brute_deficit(width_timeline, end_time):
     if not math.isfinite(total):
         raise CacheWaysError("the unmet-demand integral leaves the float range")
     return total
+
+
+def brute_extend(ways, mask, used, add):
+    """Grow the run `mask` of a `ways`-way socket into adjacent ways that
+    `used` leaves free, one way at a time: up from its top way, then down
+    from its bottom way, until `add` ways are added.  Returns (the new mask,
+    the ways added)."""
+    if add <= 0 or mask == 0:
+        return mask, 0
+    free = ~used & ((1 << ways) - 1)
+    lo = (mask & -mask).bit_length() - 1
+    hi = mask.bit_length() - 1
+    added = 0
+    while added < add and hi + 1 < ways and free >> (hi + 1) & 1:
+        hi += 1
+        mask |= 1 << hi
+        added += 1
+    while added < add and lo - 1 >= 0 and free >> (lo - 1) & 1:
+        lo -= 1
+        mask |= 1 << lo
+        added += 1
+    return mask, added
+
+
+def brute_shrink(mask, remove):
+    """Take the top way off `mask`, one at a time, `remove` times or until
+    nothing is left.  Returns (the new mask, the ways removed)."""
+    removed = 0
+    while removed < remove and mask:
+        mask &= ~(1 << mask.bit_length() - 1)
+        removed += 1
+    return mask, removed
 
 
 def is_contiguous(mask):

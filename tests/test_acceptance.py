@@ -28,7 +28,7 @@ from cacheways.metrics import (
     throughputs,
     weighted_speedup,
 )
-from cacheways.sensitivity import compute_alpha, detect_max_ways
+from cacheways.sensitivity import alpha_sum, saturation_ways
 from cacheways.simulate import Policy, run_mix
 from cacheways.timing import TrainingSample, fit_timing, make_features, timing_accuracy
 
@@ -184,16 +184,16 @@ def test_c04_alpha_and_max_ways():
     bad = []
     for _ in range(50):
         curve = random_monotone_curve(rng)
-        mw = detect_max_ways(curve, 0.05)
-        got = compute_alpha(curve, mw)
+        mw = saturation_ways(curve.points, 0.05)
+        got = alpha_sum(curve.points, mw)
         want = alpha_reference(curve.points, mw)
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-        seq = [detect_max_ways(curve, e) for e in eps_grid]
+        seq = [saturation_ways(curve.points, e) for e in eps_grid]
         if any(a < b for a, b in zip(seq, seq[1:])):
             bad.append((curve.points, seq))
     for flat_t in (1.0, 250.0, 9e8):
         flat = way_time_curve({2: flat_t, 5: flat_t, 11: flat_t})
-        if detect_max_ways(flat, 0.05) != 2 or compute_alpha(flat, 2) != 0.0:
+        if saturation_ways(flat.points, 0.05) != 2 or alpha_sum(flat.points, 2) != 0.0:
             bad.append(("flat", flat_t))
     ok = worst <= 1e-12 and not bad
     report(

@@ -17,6 +17,8 @@ from cacheways.apportion import (
     ReuseClass,
     Scenario,
     SystemConfig,
+    ClosState,
+    SocketState,
     adjusted_footprint,
     best_window,
     free_window,
@@ -24,7 +26,16 @@ from cacheways.apportion import (
 )
 from cacheways.errors import SchemaError
 
-from oracles import brute_window, cache_fractions, exact_shares, half_up_ways, is_contiguous, scenario
+from oracles import (
+    brute_extend,
+    brute_shrink,
+    brute_window,
+    cache_fractions,
+    exact_shares,
+    half_up_ways,
+    is_contiguous,
+    scenario,
+)
 from support import checking_moved, clos_of, raises_fault
 
 REUSE, STREAM = ReuseClass.REUSE, ReuseClass.STREAM
@@ -163,6 +174,42 @@ def test_best_window_matches_a_scan_of_every_start(case):
         assert best_window(ways, width, hot, used) == want, (width, hot, used)
         free = brute_window(ways, width, 0, used)
         assert free_window(ways, width, used) == (0 if free & used else free), (width, used)
+
+
+def runs_of(ways):
+    """Every run of a `ways`-way socket."""
+    return [((1 << width) - 1) << lo for width in range(1, ways + 1) for lo in range(ways - width + 1)]
+
+
+@pytest.mark.parametrize("ways", range(2, 11))
+def test_extend_in_place_matches_the_way_by_way_walk(ways):
+    # every run, every set of ways other CLOS take outside it, every add
+    # from -2 to ways + 1
+    ap = Apportioner(one_socket(ways_per_socket=ways))
+    full = (1 << ways) - 1
+    for run in runs_of(ways):
+        outside = full & ~run
+        for others in range(full + 1):
+            if others & ~outside:
+                continue
+            clos, other = ClosState(0), ClosState(1, mask=others)
+            sock = SocketState(0, ap.config, occupied=[clos, other])
+            for add in range(-2, ways + 2):
+                clos.mask = run
+                added = ap._extend_in_place(sock, clos, add)
+                assert (clos.mask, added) == brute_extend(ways, run, run | others, add), (run, others, add)
+
+
+@pytest.mark.parametrize("ways", range(2, 11))
+def test_shrink_from_right_matches_the_way_by_way_walk(ways):
+    # a negative count removes nothing, as pcca passes when another member
+    # demands more than the run holds
+    ap = Apportioner(one_socket(ways_per_socket=ways))
+    for run in runs_of(ways):
+        for remove in range(-2, ways + 2):
+            clos = ClosState(0, mask=run)
+            removed = ap._shrink_from_right(clos, remove)
+            assert (clos.mask, removed) == brute_shrink(run, remove), (run, remove)
 
 
 # -- bitmask placement --------------------------------------------------------

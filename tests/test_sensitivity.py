@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from cacheways.errors import SchemaError
 from cacheways.sensitivity import (
     WayTimeCurve,
+    alpha_sum,
     assemble_attributes,
-    compute_alpha,
-    detect_max_ways,
+    saturation_ways,
 )
 from oracles import alpha_reference
 from support import raises_fault, way_time_curve as curve
@@ -38,7 +38,7 @@ def test_curve_rejects_increase_beyond_tolerance():
 
 def test_curve_tolerates_tiny_jitter():
     c = curve({2: 10.0, 3: 10.0 * (1 + 5e-7)})
-    assert c.last_way == 3
+    assert c.points[-1][0] == 3
 
 
 def test_curve_rejects_duplicate_ways():
@@ -90,7 +90,7 @@ def test_times_equals_time_at_at_every_width(c):
     # every width below, at and past the last point, the empty table
     # included: below 11, {2: 9, 11: 1} stops inside its one wide gap, and
     # {2: 8, 5: 4, 6: 3} ends a gap at a probed width
-    for w in range(1, c.last_way + 4):
+    for w in range(1, c.points[-1][0] + 4):
         assert c.times(w) == [c.time_at(v) for v in range(2, w + 1)]
 
 
@@ -98,34 +98,34 @@ def test_times_equals_time_at_at_every_width(c):
 
 def test_alpha_sparse_curve():
     # 6 units of improvement over 2 ways
-    assert compute_alpha(curve({2: 20.0, 4: 14.0}), 4) == 3.0
+    assert alpha_sum(curve({2: 20.0, 4: 14.0}).points, 4) == 3.0
 
 
 def test_alpha_contiguous_curve():
     c = curve({2: 100.0, 3: 70.0, 4: 60.0, 5: 58.0})
-    assert compute_alpha(c, 5) == pytest.approx(30.0 + 10.0 + 2.0)
+    assert alpha_sum(c.points, 5) == pytest.approx(30.0 + 10.0 + 2.0)
 
 
 def test_alpha_flat_curve_is_zero():
-    assert compute_alpha(curve({2: 50.0}), 2) == 0.0
+    assert alpha_sum(curve({2: 50.0}).points, 2) == 0.0
 
 
 def test_alpha_ignores_points_past_max_ways():
     c = curve({2: 100.0, 3: 70.0, 4: 60.0})
-    assert compute_alpha(c, 3) == 30.0
+    assert alpha_sum(c.points, 3) == 30.0
 
 
 def test_alpha_requires_endpoint_observations():
     c = curve({2: 100.0, 4: 60.0})
     with raises_fault("curve must cover 2..3"):
-        compute_alpha(c, 3)
+        alpha_sum(c.points, 3)
     with raises_fault("curve must cover 2..5"):
-        compute_alpha(c, 5)
+        alpha_sum(c.points, 5)
 
 
 def test_alpha_rejects_max_ways_below_two():
     with raises_fault("max_ways must be >= 2"):
-        compute_alpha(curve({2: 10.0}), 1)
+        alpha_sum(curve({2: 10.0}).points, 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -141,8 +141,8 @@ def test_alpha_matches_rational_reference(rng):
         pts.append((w, t))
         t *= 1 - rng.uniform(0.0, 0.3)
     c = WayTimeCurve(tuple(pts))
-    mw = detect_max_ways(c)
-    got = compute_alpha(c, mw)
+    mw = saturation_ways(c.points, 0.05)
+    got = alpha_sum(c.points, mw)
     want = alpha_reference(pts, mw)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0) or got == want == 0.0
 
@@ -150,24 +150,24 @@ def test_alpha_matches_rational_reference(rng):
 # -- saturation ---------------------------------------------------------------
 
 def test_max_ways_flat_curve_floors_at_two():
-    assert detect_max_ways(curve({2: 50.0})) == 2
-    assert detect_max_ways(curve({2: 50.0, 3: 50.0, 4: 50.0})) == 2
+    assert saturation_ways(curve({2: 50.0}).points, 0.05) == 2
+    assert saturation_ways(curve({2: 50.0, 3: 50.0, 4: 50.0}).points, 0.05) == 2
 
 
 def test_max_ways_last_significant_step():
     c = curve({2: 200.0, 3: 112.0, 4: 102.0, 5: 100.0})
     # 2->3 44%, 3->4 8.9%, 4->5 2%: saturates at 4
-    assert detect_max_ways(c, epsilon=0.05) == 4
+    assert saturation_ways(c.points, 0.05) == 4
 
 
 def test_max_ways_sparse_steps_count_once():
     c = curve({2: 20.0, 4: 14.0})
-    assert detect_max_ways(c, epsilon=0.05) == 4
+    assert saturation_ways(c.points, 0.05) == 4
 
 
 def test_max_ways_epsilon_must_be_positive():
     with pytest.raises(SchemaError):
-        detect_max_ways(curve({2: 10.0}), epsilon=0.0)
+        saturation_ways(curve({2: 10.0}).points, 0.0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -180,7 +180,7 @@ def test_max_ways_monotone_in_epsilon(rng, e1, e2):
         pts.append((w, t))
         t *= 1 - rng.uniform(0.0, 0.4)
     c = WayTimeCurve(tuple(pts))
-    assert detect_max_ways(c, lo) >= detect_max_ways(c, hi)
+    assert saturation_ways(c.points, lo) >= saturation_ways(c.points, hi)
 
 
 # -- attribute assembly -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Engine-level tests: every completion time asserted here was traced by hand
 with power-of-two phase times so the arithmetic is exact in floats."""
 
+import copy
 import glob
 import os
 import random
@@ -28,7 +29,7 @@ from cacheways.simulate import (
     run_unmixed,
     validate_mix,
 )
-from oracles import brute_effective_ways, brute_refresh, process_sensitivity_reference
+from oracles import brute_effective_ways, brute_refresh, is_contiguous, process_sensitivity_reference
 from support import raises_fault, way_time_curve
 
 MIB = 1 << 20
@@ -92,14 +93,26 @@ def test_effective_ways_requires_membership():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_effective_ways_matches_exact_sum(data):
+    # a window, as every policy places, or any non-empty set of ways: one
+    # with a gap is no CAT mask and is rejected
     ways = data.draw(st.integers(2, 20))
-    if data.draw(st.booleans()):  # contiguous, as every policy places
+    if data.draw(st.booleans()):
         width = data.draw(st.integers(1, ways))
         mask = ((1 << width) - 1) << data.draw(st.integers(0, ways - width))
     else:
         mask = data.draw(st.integers(1, (1 << ways) - 1))
     claims = data.draw(st.lists(st.integers(1, 40), min_size=ways, max_size=ways))
-    assert effective_ways(mask, claims, True) == brute_effective_ways(mask, claims)
+    if is_contiguous(mask):
+        assert effective_ways(mask, claims, True) == brute_effective_ways(mask, claims)
+    else:
+        with raises_fault("is not one run of ways"):
+            effective_ways(mask, claims, True)
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_effective_ways_rejects_a_mask_past_its_claims(reuse):
+    with raises_fault(r"mask 0x4 is not one run of ways below way 2"):
+        effective_ways(0b100, [1, 1], reuse)
 
 
 def test_run_unmixed_sums_full_width_times():
@@ -756,6 +769,10 @@ def test_a_clock_past_the_float_range_ends_the_run(kind):
         run_mix(mix, Policy(kind))
 
 
+def placement_state(place):
+    return place.socket_of, place.pids, place.claims, place.groups, place.claimed, place.moved, place.dirty, place.mask_of
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_placement_claims_follow_every_change(data):
@@ -764,7 +781,8 @@ def test_placement_claims_follow_every_change(data):
     # masks regrouped, none of them empty, each with the exact rule's ways,
     # and every placed pid's last refreshed effective ways equal the exact
     # rule on the current claims.  Masks are windows, as every policy places
-    # them, or any non-empty set of ways, gaps included
+    # them, or any non-empty set of ways: a put with a gap is rejected and
+    # leaves the placement as it was
     ways, sockets = data.draw(st.integers(2, 8)), data.draw(st.integers(1, 3))
     place = simulate._Placement(SystemConfig(sockets=sockets, ways_per_socket=ways))
     window = st.one_of(
@@ -778,7 +796,14 @@ def test_placement_claims_follow_every_change(data):
             pid = data.draw(st.integers(0, 9))
             sid = place.socket_of.get(pid) if pid in placed else data.draw(st.integers(0, sockets - 1))
             reuse.setdefault(pid, data.draw(st.booleans()))
-            place.put(pid, sid, data.draw(window))
+            mask = data.draw(window)
+            if is_contiguous(mask):
+                place.put(pid, sid, mask)
+            else:
+                before = copy.deepcopy(placement_state(place))
+                with raises_fault("is not one run of ways"):
+                    place.put(pid, sid, mask)
+                assert placement_state(place) == before
         elif step == "d" and placed:
             pid = data.draw(st.sampled_from(placed))
             place.drop(pid)
@@ -807,6 +832,21 @@ def test_placement_claims_follow_every_change(data):
                 mask = place.mask_of[pid]
                 exact = brute_effective_ways(mask, place.claims[sid]) if reuse[pid] else bin(mask).count("1")
                 assert known[pid] == exact, (pid, mask, reuse[pid])
+
+
+@pytest.mark.parametrize("mask", [0b10000, 0b11000, 0b101, 0b1001])
+def test_a_put_past_the_socket_or_with_a_gap_changes_nothing(mask):
+    # 0b10000 and 0b11000 reach past a 4-way socket, which the refresh
+    # would read as claims past its last way; 0b101 and 0b1001 have gaps
+    place = simulate._Placement(SystemConfig(sockets=1, ways_per_socket=4))
+    place.put(0, 0, 0b0011)
+    place.refresh(lambda pid: True)
+    before = copy.deepcopy(placement_state(place))
+    for pid in 0, 1:
+        with raises_fault("mask %#x is not one run of ways below way 4" % mask):
+            place.put(pid, 0, mask)
+        assert placement_state(place) == before
+    assert place.refresh(lambda pid: True) == {}
 
 
 @pytest.mark.parametrize("neighbour", [False, True])
