@@ -3,8 +3,10 @@
 Processes are admitted to sockets, grouped into Class-of-Service (CLOS)
 partitions, and granted contiguous runs of cache ways sized by their share,
 never stored, of the socket's integer footprint masses.  Initial placement
-(ipca) runs once per process; phase changes re-apportion (pcca) with
-hysteresis; releases recycle ways toward the most unsatisfied CLOS.
+(ipca) runs once per process; a phase change re-apportions (pcca) when its
+demand differs from its CLOS's width; releases recycle ways toward the most
+unsatisfied CLOS.  These rules, the grouping and the socket steering are
+fixed by design: none is a SystemConfig field.
 
 A CLOS's demand is the largest req_ways among its members, derived at each
 read.  An admission seats a process by the first of five outcomes that
@@ -29,8 +31,13 @@ from .errors import CacheWaysError, SchemaError
 # the defaults of the SystemConfig fields that functions also take alone
 LINE_SIZE = 64
 DM_PENALTY = 1.25
+# the stream/reuse threshold on a loop's reuse distance, and the relative
+# time gain below which one more way counts as saturated
 SRD_DELTA = 1000.0
 SATURATION_EPSILON = 0.05
+# a stream's footprint weighs the float 0.1 of a reuse footprint's, exactly:
+# masses are integers, nbytes x den for reuse and nbytes x num for a stream
+STREAM_NUM, STREAM_DEN = (0.1).as_integer_ratio()
 
 
 @dataclass(frozen=True)
@@ -41,37 +48,19 @@ class SystemConfig:
     ways_per_socket: int = 11
     line_size: int = LINE_SIZE
     gfactor: int = 4
-    scaling_factor_stream: float = 0.1
-    clos_occupancy_threshold: float = 0.75
-    hysteresis_ways: int = 1
-    alpha_socket_threshold: float = 1.0
     dm_penalty: float = DM_PENALTY
-    srd_delta: float = SRD_DELTA
-    saturation_epsilon: float = SATURATION_EPSILON
 
     def __post_init__(self):
         if self.ways_per_socket < 2:
             raise SchemaError("ways_per_socket must be >= 2")
         if self.gfactor < 1:
             raise SchemaError("gfactor must be >= 1")
-        if not 0 < self.scaling_factor_stream < 1:
-            raise SchemaError("scaling_factor_stream must be in (0, 1)")
-        if not 0 < self.clos_occupancy_threshold < 1:
-            raise SchemaError("clos_occupancy_threshold must be in (0, 1)")
         if self.sockets < 1 or self.cores_per_socket < 1 or self.clos_per_socket < 1:
             raise SchemaError("socket geometry must be positive")
         if self.line_size < 1:
             raise SchemaError("line_size must be >= 1")
-        if self.hysteresis_ways < 0:
-            raise SchemaError("hysteresis_ways must be >= 0")
-        if self.alpha_socket_threshold < 0:
-            raise SchemaError("alpha_socket_threshold must be >= 0")
         if self.dm_penalty < 1:
             raise SchemaError("dm_penalty must be >= 1: one way is never faster than two")
-        if self.srd_delta <= 0:
-            raise SchemaError("srd_delta must be positive")
-        if self.saturation_epsilon <= 0:
-            raise SchemaError("saturation_epsilon must be positive")
 
 
 class ReuseClass(Enum):
@@ -98,11 +87,10 @@ _REUSE = ReuseClass.REUSE
 _FULL_DISJOINT, _OVERLAPPING, _UNDERUTILIZED = Scenario.FULL_DISJOINT, Scenario.OVERLAPPING, Scenario.UNDERUTILIZED
 
 
-def adjusted_footprint(nbytes: int, reuse: ReuseClass, config: SystemConfig) -> int:
-    """Footprint mass, an integer: with num/den the exact scaling_factor_stream,
-    reuse weighs nbytes x den and a stream nbytes x num."""
-    num, den = config.scaling_factor_stream.as_integer_ratio()
-    return nbytes * (den if reuse is _REUSE else num)
+def adjusted_footprint(nbytes: int, reuse: ReuseClass) -> int:
+    """Footprint mass, an integer: reuse weighs nbytes x STREAM_DEN and a
+    stream nbytes x STREAM_NUM."""
+    return nbytes * (STREAM_DEN if reuse is _REUSE else STREAM_NUM)
 
 
 def required_ways(mass: int, total: int, config: SystemConfig, max_ways: int) -> int:
@@ -381,18 +369,17 @@ class Apportioner:
         5. else a fresh CLOS (the admission room left one empty).
 
         Uncrowded means that the empty CLOS, clos_per_socket less the
-        occupied ones, are more than clos_occupancy_threshold of
-        clos_per_socket.  A fresh CLOS is the lowest-id empty one, appended
-        to the socket's list when every listed CLOS has members; the
-        admission room leaves an id for it.  It takes p's req_ways, or every
-        free way if fewer.
+        occupied ones, are more than three quarters of clos_per_socket.  A
+        fresh CLOS is the lowest-id empty one, appended to the socket's list
+        when every listed CLOS has members; the admission room leaves an id
+        for it.  It takes p's req_ways, or every free way if fewer.
 
         Returns the CLOS and whether the seat moved a mask: a fresh CLOS
         always does, an overflow only when it grew in place.
         """
         cfg = self.config
         empty = cfg.clos_per_socket - len(sock.occupied)  # listed or not yet built
-        uncrowded = empty > cfg.clos_occupancy_threshold * cfg.clos_per_socket
+        uncrowded = empty > 0.75 * cfg.clos_per_socket
         # an uncrowded socket seats a reuse arrival in a fresh CLOS unasked
         seated = [] if uncrowded and p.reuse is _REUSE else [
             c for c in sock.occupied if len(c.members) < cfg.gfactor
@@ -451,11 +438,7 @@ class Apportioner:
         prov_cores = {s.sid: s.free_cores for s in self.sockets}
         chosen: list[ProcessState] = []
         for pid, alpha, max_ways, nbytes, reuse, predicted_ns in arrivals:
-            if (
-                alpha > self.config.alpha_socket_threshold
-                and free0 > max_ways
-                and prov_cores[0] > 0
-            ):
+            if alpha > 1.0 and free0 > max_ways and prov_cores[0] > 0:  # a sensitive arrival fits on socket 0
                 sid = 0
             else:
                 sid = max(prov_cores, key=lambda s: (prov_cores[s], -s))
@@ -468,7 +451,7 @@ class Apportioner:
                 pid=pid,
                 alpha=alpha,
                 max_ways=max_ways,
-                mass=adjusted_footprint(nbytes, reuse, self.config),
+                mass=adjusted_footprint(nbytes, reuse),
                 reuse=reuse,
                 socket_id=sid,
                 predicted_end=time_ns + predicted_ns,
@@ -500,14 +483,14 @@ class Apportioner:
         """Re-apportion one process after a phase change, reading its own
         share only: the socket's running mass moves by the difference of p's
         masses, so no other resident's mass is read, and the CLOS's demand is
-        read once.  Demand moves of less than hysteresis_ways are ignored;
-        growth extends the CLOS run in place; shrink frees ways from the right
-        end and hands them to the most unsatisfied CLOS.  `moved` holds each
+        read once.  A demand equal to the CLOS's width moves nothing; growth
+        extends the CLOS run in place; shrink frees ways from the right end
+        and hands them to the most unsatisfied CLOS.  `moved` holds each
         CLOS whose mask changed."""
         self.moved = moved = []
         p = self.procs.get(pid) or self._unplaced(pid)
         sock = self.sockets[p.socket_id]
-        mass = adjusted_footprint(nbytes, reuse, self.config)
+        mass = adjusted_footprint(nbytes, reuse)
         sock.mass += mass - p.mass
         p.mass, p.reuse = mass, reuse
         p.predicted_end = time_ns + predicted_ns
@@ -517,7 +500,7 @@ class Apportioner:
         cur = before.bit_count()
         demand = self._demand(clos)
         changed = False
-        if abs(req - cur) >= self.config.hysteresis_ways:
+        if req != cur:
             if req > cur:
                 self._extend_in_place(sock, clos, demand - cur)
             else:

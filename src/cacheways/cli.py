@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import formats
-from .apportion import SystemConfig
+from .apportion import SATURATION_EPSILON, SystemConfig
 from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
 from .metrics import (
     SLA_FACTOR,
@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--nests", required=True, help="loop nest description file")
     a.add_argument("--curves", required=True, help="way-time curve file, one curve per nest")
     a.add_argument("--out", required=True, help="mix file to write; simulate, compare and sweep run it")
-    a.add_argument("--config", help="system config file; analyze reads line_size, srd_delta and saturation_epsilon")
+    a.add_argument("--config", help="system config file; analyze reads its line_size")
 
     f = sub.add_parser("fit-timing", help="fit the linear phase-timing model")
     f.add_argument("--samples", required=True, help="training sample file")
@@ -141,9 +141,9 @@ def _cmd_analyze(args) -> int:
         except FootprintUnanalyzable:
             fp = indirect_default_footprint(nest, cfg.line_size)
         srd = compute_srd(nest)
-        reuse = classify_reuse(srd, cfg.srd_delta)
+        reuse = classify_reuse(srd)
         curve = curves[nest.name]
-        alpha, max_ways = assemble_attributes(curve, cfg.saturation_epsilon)
+        alpha, max_ways = assemble_attributes(curve, SATURATION_EPSILON)
         full = curve.points[-1][1]
         phases.append(PhaseSpec(nest.name, full, reuse, fp.bytes, curve, full))
         print(

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field, replace
 from .apportion import (
     _REUSE,
     DM_PENALTY,
+    SATURATION_EPSILON,
     AllocationRecord,
     Apportioner,
     ReuseClass,
@@ -177,7 +178,7 @@ def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float,
     check_times(points)
     mw = proc.max_ways
     if mw is None:
-        mw = saturation_ways(points, config.saturation_epsilon)
+        mw = saturation_ways(points, SATURATION_EPSILON)
     alpha = proc.alpha
     if alpha is None:
         alpha = alpha_sum(points, min(max(mw, 2), ways))
@@ -197,8 +198,9 @@ def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = DM_PENALTY) -> 
 
 
 def _check_run(mask: int, ways: int) -> None:
-    """A way mask is one run of the ways below `ways`, or 0."""
-    if mask & mask + (mask & -mask) or mask >> ways:
+    """A way mask is one run of the ways below `ways`: CAT takes no empty
+    mask and none with a gap."""
+    if not mask or mask & mask + (mask & -mask) or mask >> ways:
         raise CacheWaysError("mask %#x is not one run of ways below way %d" % (mask, ways))
 
 
@@ -232,8 +234,8 @@ def run_unmixed(proc: ProcessSpec, config: SystemConfig | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 class _Placement:
-    """Which socket and which way mask, one run of ways or 0 (see `put`),
-    each admitted pid holds, each socket's pids in ascending order, and
+    """Which socket and which way mask, one run of ways (see `put`), each
+    admitted pid holds, each socket's pids in ascending order, and
     each socket's reuse claim count per way.  The `dirty` pids are those
     whose mask, phase or presence changed since the last `refresh`, which
     settles their claims.  Each socket's reuse holders are grouped by the
@@ -257,8 +259,8 @@ class _Placement:
         self.memo: dict[tuple, int] = {}  # (mask, claims on its span) -> a reuse phase's ways
 
     def put(self, pid: int, sid: int, mask: int) -> None:
-        """Give `pid` `mask`, 0 or one run of ways (else a CacheWaysError
-        that changes nothing), on socket `sid`, dirtying the pid if that
+        """Give `pid` `mask`, one run of ways (else a CacheWaysError that
+        changes nothing), on socket `sid`, dirtying the pid if that
         changes anything.  No policy moves a placed pid to another socket."""
         _check_run(mask, self.config.ways_per_socket)
         if pid not in self.socket_of:
@@ -389,8 +391,9 @@ class _Policy:
     def release(self, t, run, sid):
         """`run` has already left the placement; `sid` was its socket."""
 
-    def tick(self, t):
-        """Called at `next_tick`, after the phase events of that instant."""
+    def tick(self, t, runs):
+        """Called at `next_tick`, after the phase events of that instant;
+        `runs` is the engine's pid -> `_Run` table."""
 
     def row(self, run):
         """The width-timeline entry of an admitted run."""
@@ -452,7 +455,6 @@ class _Reactive(_Policy):
         self.interval_ns = policy.interval_ns
         self.tick_no = None  # grid points passed; None while the clock is stopped
         self.started = 0.0  # the time of the last restart
-        self.runs: dict[int, _Run] = {}
 
     @property
     def next_tick(self):
@@ -461,7 +463,7 @@ class _Reactive(_Policy):
     def _restart(self, t):
         """After an admission or release at `t`: stop the clock if nothing
         runs, else restart a stopped one at the first grid point after `t`."""
-        if not self.runs:
+        if not self.place.socket_of:
             self.tick_no = None
         elif self.tick_no is None:
             self.tick_no, self.started = int(t // self.interval_ns), t
@@ -469,12 +471,10 @@ class _Reactive(_Policy):
                 self.tick_no += 1
 
     def mask(self, sid, run):
-        return 0  # admit re-splits the socket
+        return 1  # a placeholder: admit re-splits the socket before any refresh
 
     def admit(self, t, runs):
         super().admit(t, runs)
-        for r in runs:
-            self.runs[r.pid] = r
         for sid in sorted({self.place.socket_of[r.pid] for r in runs}):
             n = len(self.place.pids[sid])
             base, rem = divmod(self.ways, n)
@@ -497,21 +497,20 @@ class _Reactive(_Policy):
             start += w
 
     def release(self, t, run, sid):
-        del self.runs[run.pid]
         self._repack(sid, self._widths(sid))
         self._restart(t)
 
-    def tick(self, t):
+    def tick(self, t, runs):
         moved = False
         for sid in range(self.place.config.sockets):
-            runs = [self.runs[pid] for pid in self.place.pids[sid]]
+            here = [runs[pid] for pid in self.place.pids[sid]]
             widths = self._widths(sid)
-            need = [r.alpha * max(0, r.max_ways - w) for r, w in zip(runs, widths)]
+            need = [r.alpha * max(0, r.max_ways - w) for r, w in zip(here, widths)]
             if max(need, default=0) <= 0:
                 continue
             if sum(widths) >= self.ways:  # no free way: a donor gives one
                 donors = [
-                    i for i, (r, w) in enumerate(zip(runs, widths))
+                    i for i, (r, w) in enumerate(zip(here, widths))
                     if w >= 2 and (r.alpha == 0 or w > r.max_ways)
                 ]
                 if not donors:
@@ -683,7 +682,7 @@ def run_mix(
 
         # a tick settles after the phase events of its instant
         if ctl.next_tick == t:
-            ctl.tick(now)
+            ctl.tick(now, runs)
 
         # admissions due now, plus deferred ones once a slot opened
         due, admitted = [], False

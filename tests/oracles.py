@@ -10,7 +10,7 @@ so that its floats compare with ==.
 import math
 from fractions import Fraction
 
-from cacheways.apportion import ReuseClass, Scenario
+from cacheways.apportion import SATURATION_EPSILON, STREAM_DEN, STREAM_NUM, ReuseClass, Scenario
 from cacheways.errors import CacheWaysError
 from cacheways.loops import (
     Affine,
@@ -119,7 +119,7 @@ def process_sensitivity_reference(proc, config):
     curve = WayTimeCurve(points)
     mw = proc.max_ways
     if mw is None:
-        mw = saturation_ways(curve.points, config.saturation_epsilon)
+        mw = saturation_ways(curve.points, SATURATION_EPSILON)
     alpha = proc.alpha
     if alpha is None:
         alpha = alpha_sum(curve.points, min(max(mw, 2), config.ways_per_socket))
@@ -155,11 +155,11 @@ def brute_refresh(place, is_reuse):
     }
 
 
-def cache_fractions(active, config):
+def cache_fractions(active):
     """{pid: exact share of the socket} over (pid, bytes, reuse class)
-    triples: each footprint, a stream's scaled by the exact value of
-    scaling_factor_stream, over their sum."""
-    scale = Fraction(config.scaling_factor_stream)
+    triples: each footprint, a stream's scaled by STREAM_NUM / STREAM_DEN,
+    over their sum."""
+    scale = Fraction(STREAM_NUM, STREAM_DEN)
     return exact_shares({
         pid: nbytes * (1 if reuse is ReuseClass.REUSE else scale)
         for pid, nbytes, reuse in active

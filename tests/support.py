@@ -13,6 +13,10 @@ from cacheways.formats import _config_lines, _non_default, _Reader, _render, _wr
 from cacheways.sensitivity import WayTimeCurve
 from cacheways.timing import TimingModel
 
+# the names of rules fixed by design, which a config line may not set
+FIXED_RULES = ("scaling_factor_stream", "clos_occupancy_threshold", "hysteresis_ways",
+               "alpha_socket_threshold", "srd_delta", "saturation_epsilon")
+
 
 def child_env():
     """Environment for a child interpreter that imports the package under

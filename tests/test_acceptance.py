@@ -259,7 +259,7 @@ def drive_stream(seed, n_events):
                 for sock in ap.sockets:
                     if sock.processes:
                         s = sum(cache_fractions(
-                            [(a[0], a[3], a[4]) for a in batch if a[0] in sock.processes], cfg
+                            [(a[0], a[3], a[4]) for a in batch if a[0] in sock.processes]
                         ).values())
                         assert s == 1, "t=0 shares sum to %r" % s
                 share_sum_checked = True

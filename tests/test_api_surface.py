@@ -1,14 +1,17 @@
 """Every public function, class and method of `src/cacheways` has a caller
 outside the tests: in `src/` outside its own body, in `demos/`, or in
 `perfbench/` (its `test_*.py` excluded); every exception class is caught
-there by name; and each subcommand takes exactly the options listed in
-`OPTIONS`."""
+there by name; each subcommand takes exactly the options listed in
+`OPTIONS`; and `SystemConfig` has exactly the fields listed in
+`SETTINGS`."""
 
 import argparse
 import ast
+import dataclasses
 import glob
 import os
 
+from cacheways.apportion import SystemConfig
 from cacheways.cli import _build_parser
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,3 +74,12 @@ def test_each_command_takes_exactly_its_options():
     (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     found = {name: {s for a in sub._actions for s in a.option_strings} for name, sub in commands.choices.items()}
     assert found == OPTIONS
+
+
+# the SystemConfig fields, each set by a mix or driving the geometry; a new
+# setting is a deliberate change to this table
+SETTINGS = {"sockets", "cores_per_socket", "clos_per_socket", "ways_per_socket", "line_size", "gfactor", "dm_penalty"}
+
+
+def test_system_config_has_exactly_its_settings():
+    assert {f.name for f in dataclasses.fields(SystemConfig)} == SETTINGS

@@ -19,6 +19,8 @@ from cacheways.apportion import (
     SystemConfig,
     ClosState,
     SocketState,
+    STREAM_DEN,
+    STREAM_NUM,
     adjusted_footprint,
     best_window,
     free_window,
@@ -51,11 +53,10 @@ def one_socket(**kw):
 # -- pure helpers -------------------------------------------------------------
 
 def test_adjusted_footprint_discounts_streams():
-    cfg = SystemConfig()
-    reuse, stream = adjusted_footprint(1000, REUSE, cfg), adjusted_footprint(1000, STREAM, cfg)
+    reuse, stream = adjusted_footprint(1000, REUSE), adjusted_footprint(1000, STREAM)
     assert type(reuse) is int and type(stream) is int
     # a stream weighs exactly the float 0.1 of a reuse phase of its size
-    assert Fraction(stream, reuse) == Fraction(cfg.scaling_factor_stream)
+    assert Fraction(stream, reuse) == Fraction(STREAM_NUM, STREAM_DEN) == Fraction(0.1)
 
 
 def admitted_req_ways(phases):
@@ -68,7 +69,7 @@ def admitted_req_ways(phases):
 
 def test_cache_fractions_sum_to_one():
     phases = [(0, 3 * MIB, REUSE), (1, MIB, REUSE), (2, 4 * MIB, STREAM)]
-    fr = cache_fractions(phases, one_socket())
+    fr = cache_fractions(phases)
     assert sum(fr.values()) == 1
     assert admitted_req_ways(phases) == {pid: half_up_ways(fr[pid], 11, 11) for pid in fr}
     # the float 0.1 is a little above 1/10, so the stream weighs a little
@@ -80,7 +81,7 @@ def test_cache_fractions_sum_to_one():
 
 def test_cache_fractions_zero_mass_splits_evenly():
     phases = [(0, 0, REUSE), (1, 0, REUSE)]
-    fr = cache_fractions(phases, one_socket())
+    fr = cache_fractions(phases)
     assert fr == {0: Fraction(1, 2), 1: Fraction(1, 2)}
     # 5.5 of 11 ways rounds half-up to 6
     assert admitted_req_ways(phases) == {0: 6, 1: 6}
@@ -288,7 +289,6 @@ def test_bitmask_matches_the_unshortened_rule_over_op_streams(monkeypatch):
             clos_per_socket=rng.randint(2, 4) if crowded else rng.randint(1, 16),
             ways_per_socket=rng.randint(2, 4) if crowded else rng.choice([4, 11]),
             gfactor=1 if crowded else rng.randint(1, 3),
-            hysteresis_ways=rng.randint(0, 2),
         )), rng)
     assert 0 < blocked.count(True) < len(blocked), "both branches ran"
 
@@ -402,7 +402,6 @@ def test_batch_fraction_sum_is_exactly_one_per_socket():
         fr = cache_fractions(
             [(pid, nbytes, reuse) for pid, _, _, nbytes, reuse, _ in arrivals
              if pid in sock.processes],
-            ap.config,
         )
         assert sum(fr.values()) == 1
         for pid in sock.processes:
@@ -418,15 +417,15 @@ def test_pcca_computes_only_the_changing_fraction(monkeypatch):
     calls = []
     real = apportion.adjusted_footprint
 
-    def counting(nbytes, reuse, config):
+    def counting(nbytes, reuse):
         calls.append(nbytes)
-        return real(nbytes, reuse, config)
+        return real(nbytes, reuse)
 
     monkeypatch.setattr(apportion, "adjusted_footprint", counting)
     ap.pcca(1.0, 2, 5 * MIB, STREAM, 1.0)
     assert calls == [5 * MIB]
     now = [(0, MIB, REUSE), (1, 2 * MIB, REUSE), (2, 5 * MIB, STREAM), (3, 4 * MIB, REUSE)]
-    assert ap.procs[2].req_ways == half_up_ways(cache_fractions(now, ap.config)[2], 11, 4)
+    assert ap.procs[2].req_ways == half_up_ways(cache_fractions(now)[2], 11, 4)
 
 
 def test_pcca_reads_no_other_residents_mass():
@@ -661,7 +660,7 @@ def test_engine_invariants_random_walk(rng):
     for sock in ap.sockets:
         if sock.processes:
             fr = cache_fractions(
-                [(a[0], a[3], a[4]) for a in arrivals if a[0] in sock.processes], cfg
+                [(a[0], a[3], a[4]) for a in arrivals if a[0] in sock.processes]
             )
             assert sum(fr.values()) == 1
 
@@ -712,7 +711,6 @@ def test_moved_names_each_clos_an_operation_changed(rng):
         clos_per_socket=rng.randint(1, 4),
         ways_per_socket=rng.choice([4, 11]),
         gfactor=rng.randint(1, 3),
-        hysteresis_ways=rng.randint(0, 2),
     )
     op_stream(Apportioner(cfg), rng, checking_moved)
 

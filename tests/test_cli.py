@@ -26,7 +26,7 @@ from cacheways.loops import (
 from cacheways.simulate import MixSpec, PhaseSpec, Policy, ProcessSpec, mix_config, run_mix
 from cacheways.timing import TrainingSample
 
-from support import child_env, read_model, way_time_curve
+from support import FIXED_RULES, child_env, read_model, way_time_curve
 from support import write_config, write_curves, write_nests, write_samples
 
 MIX_TEXT = """format-version 1
@@ -230,9 +230,9 @@ def test_simulate_negative_duration_or_alpha_is_exit_2(tmp_path, capsys, edit, m
 
 def test_simulate_bad_config_value_names_config_line(tmp_path, capsys):
     mix = tmp_path / "eps.mix"
-    mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config saturation_epsilon 0\n"), encoding="utf-8")
+    mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config dm_penalty 0.5\n"), encoding="utf-8")
     assert main(["simulate", "--mix", str(mix)]) == 2
-    assert "eps.mix:3: config saturation_epsilon" in capsys.readouterr().err
+    assert "eps.mix:3: config dm_penalty" in capsys.readouterr().err
 
 
 def test_fit_timing_recovers_exact_model(tmp_path, capsys):
@@ -684,9 +684,7 @@ end
 # a non-default value for every SystemConfig field
 NON_DEFAULT = {
     "sockets": 1, "cores_per_socket": 1, "clos_per_socket": 1, "ways_per_socket": 16,
-    "line_size": 128, "gfactor": 1, "scaling_factor_stream": 0.5,
-    "clos_occupancy_threshold": 0.99, "hysteresis_ways": 3, "alpha_socket_threshold": 1e9,
-    "dm_penalty": 4.0, "srd_delta": 10.0, "saturation_epsilon": 0.3,
+    "line_size": 128, "gfactor": 1, "dm_penalty": 4.0,
 }
 
 
@@ -831,6 +829,18 @@ def test_mix_config_line_outranks_config_file(tmp_path, capsys, key):
     alone = sweep_outputs(capsys, root, out)
     assert alone[0] == 0
     assert sweep_outputs(capsys, root, out, "--config", str(cfg)) == alone
+
+
+@pytest.mark.parametrize("key", FIXED_RULES)
+def test_a_fixed_rule_is_an_unknown_config_key(tmp_path, capsys, key):
+    # neither a --config file nor a mix can set it: each exits 2 at its line
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("format-version 1\nconfig %s 1\n" % key, encoding="utf-8")
+    assert main(["simulate", "--mix", mix_file(tmp_path), "--config", str(cfg)]) == 2
+    assert "sys.cfg:2: unknown config key %r" % key in capsys.readouterr().err
+    mix = mix_file(tmp_path, MIX_TEXT.replace("config sockets 1\n", "config %s 1\n" % key))
+    assert main(["simulate", "--mix", mix]) == 2
+    assert "tiny.mix:3: unknown config key %r" % key in capsys.readouterr().err
 
 
 # Runs `python -m cacheways.cli <args>` (or, with no args, only imports the

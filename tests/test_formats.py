@@ -53,7 +53,7 @@ from cacheways.simulate import (
 from cacheways.timing import TimingModel, TrainingSample
 
 from oracles import random_affine_nest
-from support import read_model, way_time_curve
+from support import FIXED_RULES, read_model, way_time_curve
 from support import write_config, write_curves, write_nests, write_samples
 
 
@@ -559,14 +559,13 @@ MALFORMED = {
     "samples-square-past-float-range": (read_samples, V + "sample 1 2 10\n>sample 1e200 1e100 10"),
     "samples-square-past-float-range-single": (read_samples, V + ">sample 1e160 10"),
 }
-# a SystemConfig value out of range is pinned to its config line
+# a SystemConfig value out of range, or a key no field has, is pinned to its
+# config line; a rule fixed by design is no key, in a mix or a config file
 MALFORMED.update(
     ("mix-config-" + key, (read_mix, V + "mix m light\n>config %s %s\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend" % (key, val)))
-    for key, val in (
-        ("dm_penalty", "0.5"), ("hysteresis_ways", "-3"), ("cache_bytes", "0"),
-        ("srd_delta", "-1"), ("alpha_socket_threshold", "-5"), ("saturation_epsilon", "0"),
-    )
+    for key, val in (("dm_penalty", "0.5"), ("cache_bytes", "0"), *((key, "1") for key in FIXED_RULES))
 )
+MALFORMED.update(("config-file-" + key, (read_config, V + ">config %s 1" % key)) for key in FIXED_RULES)
 
 # an allocation log's record with one field replaced
 LOG_RECORD = "record 0 0 ipca 0 0 0x3 overlapping 1 2 2 0.5 1".split()
@@ -616,6 +615,9 @@ MESSAGES = {
     "samples-square-past-float-range": "sample: a product of its trip counts leaves the float range when squared",
     "samples-square-past-float-range-single": "sample: a product of its trip counts leaves the float range when squared",
 }
+MESSAGES.update(
+    (kind + key, "unknown config key %r" % key) for key in FIXED_RULES for kind in ("mix-config-", "config-file-")
+)
 
 
 @pytest.mark.parametrize("name", MALFORMED, ids=MALFORMED.keys())

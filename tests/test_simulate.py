@@ -228,7 +228,7 @@ def test_process_sensitivity_matches_reference(rnd):
         alpha=rnd.choice((None, rnd.uniform(0.0, 10.0))),
         max_ways=rnd.choice((None, rnd.randint(1, ways + 3))),
     )
-    cfg = SystemConfig(ways_per_socket=ways, saturation_epsilon=rnd.choice((0.01, 0.05, 0.2)))
+    cfg = SystemConfig(ways_per_socket=ways)
     assert process_sensitivity(p, cfg) == process_sensitivity_reference(p, cfg)
 
 
@@ -834,10 +834,11 @@ def test_placement_claims_follow_every_change(data):
                 assert known[pid] == exact, (pid, mask, reuse[pid])
 
 
-@pytest.mark.parametrize("mask", [0b10000, 0b11000, 0b101, 0b1001])
+@pytest.mark.parametrize("mask", [0b10000, 0b11000, 0b101, 0b1001, 0])
 def test_a_put_past_the_socket_or_with_a_gap_changes_nothing(mask):
     # 0b10000 and 0b11000 reach past a 4-way socket, which the refresh
-    # would read as claims past its last way; 0b101 and 0b1001 have gaps
+    # would read as claims past its last way; 0b101 and 0b1001 have gaps;
+    # 0 is empty, which CAT does not take and no group could hold
     place = simulate._Placement(SystemConfig(sockets=1, ways_per_socket=4))
     place.put(0, 0, 0b0011)
     place.refresh(lambda pid: True)
