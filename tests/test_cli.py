@@ -688,9 +688,14 @@ NON_DEFAULT = {
 }
 
 
-@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SystemConfig)])
+# every SystemConfig field, then the fixed rules that were once fields
+CONFIG_KEYS = [f.name for f in dataclasses.fields(SystemConfig)] + list(FIXED_RULES)
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_no_setting_is_dead(tmp_path, capsys, key):
-    # A setting nothing reads would leave both commands' bytes unchanged.
+    # A setting nothing reads would leave both commands' bytes unchanged;
+    # a fixed rule is no setting, so a line naming it is refused, not ignored.
     nest = LoopNest(
         name="rows",
         loops=(LoopLevel("i", Bound(4)), LoopLevel("j", Bound(100))),
@@ -713,6 +718,11 @@ def test_no_setting_is_dead(tmp_path, capsys, key):
 
     default = outputs("")
     assert [run[0] for run in default] == [0, 0]
+    if key in FIXED_RULES:
+        for run in outputs("config %s 1\n" % key):
+            assert run[0] == 2
+            assert "sys.cfg:2: unknown config key %r" % key in run[2]
+        return
     changed = outputs("config %s %r\n" % (key, NON_DEFAULT[key]))
     assert changed != default, "config %s changes nothing" % key
     assert all(run[0] in (0, 2) for run in changed)
@@ -811,10 +821,19 @@ def test_sweep_config_file_reaches_every_mix(tmp_path, capsys):
         assert rows_of(via_file, name) != rows_of(default, name), name
 
 
-@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(SystemConfig)])
+@pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_mix_config_line_outranks_config_file(tmp_path, capsys, key):
-    # the mix pins the default; a --config file naming the same key moves nothing
+    # the mix pins the default; a --config file naming the same key moves
+    # nothing. Neither can name a fixed rule: each exits 2 at its line.
     cfg = tmp_path / "sys.cfg"
+    if key in FIXED_RULES:
+        cfg.write_text("format-version 1\nconfig %s 1\n" % key, encoding="utf-8")
+        assert main(["simulate", "--mix", mix_file(tmp_path), "--config", str(cfg)]) == 2
+        assert "sys.cfg:2: unknown config key %r" % key in capsys.readouterr().err
+        mix = mix_file(tmp_path, MIX_TEXT.replace("config sockets 1\n", "config %s 1\n" % key))
+        assert main(["simulate", "--mix", mix]) == 2
+        assert "tiny.mix:3: unknown config key %r" % key in capsys.readouterr().err
+        return
     cfg.write_text("format-version 1\nconfig %s %r\n" % (key, NON_DEFAULT[key]), encoding="utf-8")
     root = tmp_path / "mixes"
     root.mkdir()
@@ -829,18 +848,6 @@ def test_mix_config_line_outranks_config_file(tmp_path, capsys, key):
     alone = sweep_outputs(capsys, root, out)
     assert alone[0] == 0
     assert sweep_outputs(capsys, root, out, "--config", str(cfg)) == alone
-
-
-@pytest.mark.parametrize("key", FIXED_RULES)
-def test_a_fixed_rule_is_an_unknown_config_key(tmp_path, capsys, key):
-    # neither a --config file nor a mix can set it: each exits 2 at its line
-    cfg = tmp_path / "sys.cfg"
-    cfg.write_text("format-version 1\nconfig %s 1\n" % key, encoding="utf-8")
-    assert main(["simulate", "--mix", mix_file(tmp_path), "--config", str(cfg)]) == 2
-    assert "sys.cfg:2: unknown config key %r" % key in capsys.readouterr().err
-    mix = mix_file(tmp_path, MIX_TEXT.replace("config sockets 1\n", "config %s 1\n" % key))
-    assert main(["simulate", "--mix", mix]) == 2
-    assert "tiny.mix:3: unknown config key %r" % key in capsys.readouterr().err
 
 
 # Runs `python -m cacheways.cli <args>` (or, with no args, only imports the
