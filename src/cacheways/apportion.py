@@ -28,9 +28,6 @@ from typing import NamedTuple
 
 from .errors import CacheWaysError, SchemaError
 
-# the defaults of the SystemConfig fields that functions also take alone
-LINE_SIZE = 64
-DM_PENALTY = 1.25
 # the stream/reuse threshold on a loop's reuse distance, and the relative
 # time gain below which one more way counts as saturated
 SRD_DELTA = 1000.0
@@ -46,9 +43,7 @@ class SystemConfig:
     cores_per_socket: int = 14
     clos_per_socket: int = 16
     ways_per_socket: int = 11
-    line_size: int = LINE_SIZE
     gfactor: int = 4
-    dm_penalty: float = DM_PENALTY
 
     def __post_init__(self):
         if self.ways_per_socket < 2:
@@ -57,10 +52,6 @@ class SystemConfig:
             raise SchemaError("gfactor must be >= 1")
         if self.sockets < 1 or self.cores_per_socket < 1 or self.clos_per_socket < 1:
             raise SchemaError("socket geometry must be positive")
-        if self.line_size < 1:
-            raise SchemaError("line_size must be >= 1")
-        if self.dm_penalty < 1:
-            raise SchemaError("dm_penalty must be >= 1: one way is never faster than two")
 
 
 class ReuseClass(Enum):

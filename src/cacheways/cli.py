@@ -17,6 +17,9 @@ only the first, `fit-timing` only the second, and `simulate`, `compare` and
 `sweep` neither.  Their functions become globals of this module on first use
 (see `__getattr__`), so a caller may still patch `cli.compute_srd` and the
 like on the module, and the commands call the patched function.
+
+`analyze` reads no system config: it sizes footprints in CAT's 64-byte
+lines (`loops.LINE_SIZE`).
 """
 
 from __future__ import annotations
@@ -95,7 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--nests", required=True, help="loop nest description file")
     a.add_argument("--curves", required=True, help="way-time curve file, one curve per nest")
     a.add_argument("--out", required=True, help="mix file to write; simulate, compare and sweep run it")
-    a.add_argument("--config", help="system config file; analyze reads its line_size")
 
     f = sub.add_parser("fit-timing", help="fit the linear phase-timing model")
     f.add_argument("--samples", required=True, help="training sample file")
@@ -129,17 +131,16 @@ def _read_config(path) -> SystemConfig:
 
 def _cmd_analyze(args) -> int:
     _load("loops")
-    cfg = _read_config(args.config)
-    nests = formats.read_nests(args.nests, cfg.line_size)
+    nests = formats.read_nests(args.nests)
     curves = formats.read_curves(args.curves)
     phases = []
     for nest in nests:
         if nest.name not in curves:
             raise SchemaError("%s: no way-time curve named %r" % (args.curves, nest.name))
         try:
-            fp = footprint_closed_form(nest, cfg.line_size)
+            fp = footprint_closed_form(nest)
         except FootprintUnanalyzable:
-            fp = indirect_default_footprint(nest, cfg.line_size)
+            fp = indirect_default_footprint(nest)
         srd = compute_srd(nest)
         reuse = classify_reuse(srd)
         curve = curves[nest.name]
@@ -166,15 +167,17 @@ def _cmd_analyze(args) -> int:
 def _cmd_fit_timing(args) -> int:
     _load("timing")
     samples = formats.read_samples(args.samples)
-    # the held-out file is read, at the training depth, before anything is written
+    # the held-out file is read, at the training depth, and scored before
+    # anything is printed or written
     test = formats.read_samples(args.test, len(samples[0].bounds)) if args.test else None
     model = fit_timing(samples)
+    accuracy = timing_accuracy(model, test) if test else None
     formats.write_model(model, args.out)
     coefs = " ".join("%.6g" % c for c in model.coefficients)
     print("coefficients: %s" % coefs)
     print("fit residual: %.6g" % model.fit_residual)
-    if args.test:
-        print("held-out accuracy: %.2f%%" % timing_accuracy(model, test))
+    if test:
+        print("held-out accuracy: %.2f%%" % accuracy)
     print("wrote model to %s" % args.out)
     return 0
 

@@ -41,7 +41,7 @@ from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING
 
-from .apportion import LINE_SIZE, AllocationRecord, ReuseClass, Scenario, SystemConfig
+from .apportion import AllocationRecord, ReuseClass, Scenario, SystemConfig
 from .errors import SchemaError
 from .sensitivity import WayTimeCurve
 from .simulate import CATEGORIES, MixSpec, PhaseSpec, ProcessSpec
@@ -327,8 +327,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 # loop nests
 # ---------------------------------------------------------------------------
 
-def read_nests(path: str, line_size: int = LINE_SIZE) -> list[LoopNest]:
-    """The nests, each access's element size dividing `line_size`."""
+def read_nests(path: str) -> list[LoopNest]:
+    """The nests, each one `validate_nest` admits."""
     # imported here, not at the top, so that a command that reads no nest
     # never loads the loop analysis
     from .loops import Affine, ArrayDecl, Bound, LoopLevel, LoopNest, MemoryAccess, Statement, validate_nest
@@ -336,7 +336,7 @@ def read_nests(path: str, line_size: int = LINE_SIZE) -> list[LoopNest]:
     rd = _Reader(path, {"nest", "array", "loop", "stmt", "access", "access-indirect", "end"})
     nests: list[LoopNest] = []
     for name, opener, body, end in _blocks(rd, "nest"):
-        loops, stmts, arrays, sizes = [], [], [], []
+        loops, stmts, arrays = [], [], []
         for no, kw, args in body:
             if kw == "array":
                 arrays.append(ArrayDecl(*args))
@@ -352,16 +352,11 @@ def read_nests(path: str, line_size: int = LINE_SIZE) -> list[LoopNest]:
                 array, kind, size, *sub = args
                 sub = Affine(sub[0], tuple(zip(sub[1::2], sub[2::2]))) if sub else None
                 stmts[-1][0].append(MemoryAccess(array, size, sub, kind))
-                sizes.append((no, size))
         if not loops:
             rd.fail(end, "nest %r has no loops" % name)
         statements = tuple(Statement(tuple(accs), depth) for accs, depth in stmts)
         nest = LoopNest(name, tuple(loops), statements, tuple(arrays))
         rd.build(opener, "", validate_nest, nest)
-        # after validate_nest, so a size it rejects, 0 included, keeps its message
-        for no, size in sizes:
-            if line_size % size:
-                rd.fail(no, "line size %d not a multiple of element size %d" % (line_size, size))
         nests.append(nest)
     if not nests:
         rd.fail(rd.last, "no nest in the file")

@@ -26,9 +26,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .apportion import LINE_SIZE, SRD_DELTA, ReuseClass
+from .apportion import SRD_DELTA, ReuseClass
 from .errors import CacheWaysError, FootprintUnanalyzable, SchemaError
 
+# the cache line size in bytes: Intel CAT, which the paper partitions, fixes 64
+LINE_SIZE = 64
 VALID_ELEMENT_SIZES = (1, 2, 4, 8, 16)
 
 

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field, replace
 
 from .apportion import (
     _REUSE,
-    DM_PENALTY,
     SATURATION_EPSILON,
     AllocationRecord,
     Apportioner,
@@ -69,6 +68,7 @@ from .errors import CacheWaysError
 from .sensitivity import WayTimeCurve, alpha_sum, check_times, saturation_ways
 
 CATEGORIES = ("light", "medium", "heavy")
+DM_PENALTY = 1.25  # one way acts as a directly-mapped cache: it takes t(2) times this
 INTERVAL_NS = 5e8  # the reactive controller period, unless a run names one
 
 
@@ -185,13 +185,13 @@ def process_sensitivity(proc: ProcessSpec, config: SystemConfig) -> tuple[float,
     return alpha, mw
 
 
-def phase_speed(phase: PhaseSpec, ways: int, dm_penalty: float = DM_PENALTY) -> float:
+def phase_speed(phase: PhaseSpec, ways: int) -> float:
     """Execution speed (work units per ns) at a way count.  One way behaves
-    like a directly-mapped cache: t(2) stretched by the penalty factor."""
+    like a directly-mapped cache: t(2) stretched by DM_PENALTY."""
     if ways < 1:
         raise CacheWaysError("phase %r: ways must be >= 1" % phase.phase_id)
     if ways == 1:
-        t = phase.curve.time_at(2) * dm_penalty
+        t = phase.curve.time_at(2) * DM_PENALTY
     else:
         t = phase.curve.time_at(ways)
     return phase.work / t
@@ -466,7 +466,10 @@ class _Reactive(_Policy):
         if not self.place.socket_of:
             self.tick_no = None
         elif self.tick_no is None:
-            self.tick_no, self.started = int(t // self.interval_ns), t
+            # past the float range the interval is finer than the float spacing
+            # at `t`: grid point 0 stands in, so the clock ticks at `t` itself
+            q = t // self.interval_ns
+            self.tick_no, self.started = int(q) if q < math.inf else 0, t
             if (self.tick_no + 1) * self.interval_ns <= t:  # the float quotient fell short
                 self.tick_no += 1
 
@@ -624,9 +627,9 @@ def run_mix(
     runs: dict[int, _Run] = {}
     for proc in mix.processes:
         # once per phase, not in phase_speed: its slowest speed, on one way,
-        # is work / (t(2) * dm_penalty), and a curve's first point is t(2)
+        # is work / (t(2) * DM_PENALTY), and a curve's first point is t(2)
         for ph in proc.phases:
-            if not 0 < ph.work / (ph.curve.points[0][1] * cfg.dm_penalty) < inf:
+            if not 0 < ph.work / (ph.curve.points[0][1] * DM_PENALTY) < inf:
                 raise CacheWaysError("mix %r: pid %d phase %r: its speed on one way leaves the float range"
                                      % (mix.name, proc.pid, ph.phase_id))
         alpha, maxw = ctl.sensitivity(proc)
@@ -710,7 +713,7 @@ def run_mix(
             # speeds and rows of the dirty pids and of those whose effective ways moved
             for pid, eff in place.refresh(lambda pid: runs[pid].reuse).items():
                 r = runs[pid]
-                r.speed = phase_speed(r.phase, eff, cfg.dm_penalty)
+                r.speed = phase_speed(r.phase, eff)
                 row = ctl.row(r)
                 if rows.get(pid) != row:
                     rows[pid] = row

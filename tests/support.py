@@ -15,7 +15,7 @@ from cacheways.timing import TimingModel
 
 # the names of rules fixed by design, which a config line may not set
 FIXED_RULES = ("scaling_factor_stream", "clos_occupancy_threshold", "hysteresis_ways",
-               "alpha_socket_threshold", "srd_delta", "saturation_epsilon")
+               "alpha_socket_threshold", "srd_delta", "saturation_epsilon", "line_size", "dm_penalty")
 
 
 def child_env():

@@ -62,7 +62,7 @@ def test_every_error_class_is_caught_outside_the_tests():
 
 # each command's option strings; a new flag is a deliberate change to this table
 OPTIONS = {
-    "analyze": {"-h", "--help", "--nests", "--curves", "--out", "--config"},
+    "analyze": {"-h", "--help", "--nests", "--curves", "--out"},
     "fit-timing": {"-h", "--help", "--samples", "--out", "--test"},
     "simulate": {"-h", "--help", "--mix", "--policy", "--log", "--out", "--config", "--interval-ms"},
     "compare": {"-h", "--help", "--mix", "--policies", "--out", "--config", "--interval-ms"},
@@ -76,9 +76,9 @@ def test_each_command_takes_exactly_its_options():
     assert found == OPTIONS
 
 
-# the SystemConfig fields, each set by a mix or driving the geometry; a new
-# setting is a deliberate change to this table
-SETTINGS = {"sockets", "cores_per_socket", "clos_per_socket", "ways_per_socket", "line_size", "gfactor", "dm_penalty"}
+# the SystemConfig fields, the machine's geometry; a new setting is a
+# deliberate change to this table
+SETTINGS = {"sockets", "cores_per_socket", "clos_per_socket", "ways_per_socket", "gfactor"}
 
 
 def test_system_config_has_exactly_its_settings():

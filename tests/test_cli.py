@@ -159,23 +159,6 @@ def test_analyze_pins_nest_faults_to_their_line(tmp_path, analyze_inputs, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("access", ["access A read 16 0 i 1", "access-indirect A read 16"],
-                         ids=["access", "access-indirect"])
-def test_analyze_pins_an_element_size_the_config_line_size_rejects(tmp_path, analyze_inputs, capsys, access):
-    _, cpath = analyze_inputs
-    npath = tmp_path / "nests.txt"
-    npath.write_text("format-version 1\n# one loop\nnest a\narray A 64 16\nloop i 8\nstmt 1\n%s\nend\n" % access,
-                     encoding="utf-8")
-    config = str(tmp_path / "line24.txt")
-    write_config(SystemConfig(line_size=24), config)
-    out = tmp_path / "app.mix"
-    argv = ["analyze", "--nests", str(npath), "--curves", cpath, "--out", str(out), "--config", config]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: %s:7: line size 24 not a multiple of element size 16" % npath), err
-    assert not out.exists()
-
-
 def test_missing_input_file_is_exit_2(tmp_path, capsys):
     code = main(
         [
@@ -230,9 +213,9 @@ def test_simulate_negative_duration_or_alpha_is_exit_2(tmp_path, capsys, edit, m
 
 def test_simulate_bad_config_value_names_config_line(tmp_path, capsys):
     mix = tmp_path / "eps.mix"
-    mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config dm_penalty 0.5\n"), encoding="utf-8")
+    mix.write_text(MIX_TEXT.replace("config sockets 1\n", "config gfactor 0\n"), encoding="utf-8")
     assert main(["simulate", "--mix", str(mix)]) == 2
-    assert "eps.mix:3: config dm_penalty" in capsys.readouterr().err
+    assert "eps.mix:3: config gfactor" in capsys.readouterr().err
 
 
 def test_fit_timing_recovers_exact_model(tmp_path, capsys):
@@ -273,6 +256,18 @@ def test_fit_timing_rejects_a_bad_test_file_before_writing(tmp_path, capsys, tex
     assert main(["fit-timing", "--samples", train, "--out", str(out), "--test", str(test)]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_fit_timing_rejects_a_test_file_it_cannot_score_before_any_output(tmp_path, capsys):
+    train, test = str(tmp_path / "train.txt"), tmp_path / "test.txt"
+    write_samples([TrainingSample((u1, u2), 1.0 + u1 + u1 * u2) for u1, u2 in ((1, 2), (3, 1), (2, 5), (4, 4))], train)
+    test.write_text("format-version 1\nsample 10 20 0\nsample 3 4 0\n", encoding="utf-8")
+    out = tmp_path / "model.txt"
+    assert main(["fit-timing", "--samples", train, "--out", str(out), "--test", str(test)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: every observed time is zero\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -397,8 +392,8 @@ def far_mix(*lines, config=(), procs=1):
      "far.mix:4: phase 'a': work 1e-320 over 1e+300 ns at 2 ways is not a positive finite speed"),
     (far_mix("phase a 1e308 reuse 1000", "point 2 1e-300"), 2,
      "far.mix:4: phase 'a': work 1e+308 over 1e-300 ns at 2 ways is not a positive finite speed"),
-    (far_mix("phase a 1 reuse 1000", "point 2 100",
-             config=("config dm_penalty 1e308", "config ways_per_socket 2", "config sockets 1"), procs=3), 3,
+    (far_mix("phase a 1 reuse 1000", "point 2 1.5e308",
+             config=("config ways_per_socket 2", "config sockets 1"), procs=3), 3,
      "error: mix 'far': pid 0 phase 'a': its speed on one way leaves the float range"),
     (far_mix("phase x 1 reuse 1000", "point 2 1e308", "phase x 1 reuse 1000", "point 2 1e308"), 2,
      "far.mix:3: process 0: its start plus its phases' shortest times leaves the float range"),
@@ -654,6 +649,15 @@ def test_interval_must_be_finite_and_positive(tmp_path, capsys, value):
     assert "--interval-ms" in capsys.readouterr().err
 
 
+def test_reactive_restarts_late_at_an_interval_past_the_float_range(tmp_path, capsys):
+    # 1e20 ns over 1e-294 ns leaves the float range: the clock ticks at 1e20
+    mix = mix_file(tmp_path, far_mix("start 1e20", "phase a 1 reuse 1000", "point 2 1e10",
+                                     config=("config sockets 1",)), "late.mix")
+    for argv in (["simulate", "--policy", "reactive"], ["compare"]):
+        assert main([*argv, "--mix", mix, "--interval-ms", "1e-300"]) == 0, argv
+        assert "error" not in capsys.readouterr().err
+
+
 KNOBS_MIX = """format-version 1
 mix knobs heavy
 process 0
@@ -682,10 +686,7 @@ end
 """
 
 # a non-default value for every SystemConfig field
-NON_DEFAULT = {
-    "sockets": 1, "cores_per_socket": 1, "clos_per_socket": 1, "ways_per_socket": 16,
-    "line_size": 128, "gfactor": 1, "dm_penalty": 4.0,
-}
+NON_DEFAULT = {"sockets": 1, "cores_per_socket": 1, "clos_per_socket": 1, "ways_per_socket": 16, "gfactor": 1}
 
 
 # every SystemConfig field, then the fixed rules that were once fields
@@ -694,38 +695,27 @@ CONFIG_KEYS = [f.name for f in dataclasses.fields(SystemConfig)] + list(FIXED_RU
 
 @pytest.mark.parametrize("key", CONFIG_KEYS)
 def test_no_setting_is_dead(tmp_path, capsys, key):
-    # A setting nothing reads would leave both commands' bytes unchanged;
-    # a fixed rule is no setting, so a line naming it is refused, not ignored.
-    nest = LoopNest(
-        name="rows",
-        loops=(LoopLevel("i", Bound(4)), LoopLevel("j", Bound(100))),
-        statements=(Statement((MemoryAccess("A", 8, Affine(0, (("j", 1),)), "read"),), 2),),
-    )
-    nests, curves = str(tmp_path / "nests.txt"), str(tmp_path / "curves.txt")
-    write_nests([nest], nests)
-    write_curves({"rows": way_time_curve({2: 400.0, 3: 300.0, 4: 250.0, 11: 240.0})}, curves)
+    # A setting nothing reads would leave the run's bytes unchanged; a
+    # fixed rule is no setting, so a line naming it is refused, not ignored.
     mix = mix_file(tmp_path, KNOBS_MIX)
     cfg = tmp_path / "sys.cfg"
-    files = [tmp_path / "app.mix", tmp_path / "alloc.log", tmp_path / "rep.csv"]
-    commands = (
-        ["analyze", "--nests", nests, "--curves", curves, "--out", str(files[0])],
-        ["simulate", "--mix", mix, "--policy", "comcas", "--log", str(files[1]), "--out", str(files[2])],
-    )
+    files = [tmp_path / "alloc.log", tmp_path / "rep.csv"]
+    simulate = ["simulate", "--mix", mix, "--policy", "comcas", "--log", str(files[0]), "--out", str(files[1])]
 
     def outputs(setting):
         cfg.write_text("format-version 1\n" + setting, encoding="utf-8")
-        return [run_outputs(capsys, argv + ["--config", str(cfg)], files) for argv in commands]
+        return run_outputs(capsys, simulate + ["--config", str(cfg)], files)
 
     default = outputs("")
-    assert [run[0] for run in default] == [0, 0]
+    assert default[0] == 0
     if key in FIXED_RULES:
-        for run in outputs("config %s 1\n" % key):
-            assert run[0] == 2
-            assert "sys.cfg:2: unknown config key %r" % key in run[2]
+        changed = outputs("config %s 1\n" % key)
+        assert changed[0] == 2
+        assert "sys.cfg:2: unknown config key %r" % key in changed[2]
         return
     changed = outputs("config %s %r\n" % (key, NON_DEFAULT[key]))
     assert changed != default, "config %s changes nothing" % key
-    assert all(run[0] in (0, 2) for run in changed)
+    assert changed[0] in (0, 2)
 
 
 def test_config_file_reaches_engine(tmp_path, capsys):

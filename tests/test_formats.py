@@ -262,7 +262,7 @@ def test_support_read_model_requires_both_lines(tmp_path):
 # -- config ---------------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
-    cfg = SystemConfig(ways_per_socket=12, dm_penalty=1.5, sockets=1)
+    cfg = SystemConfig(ways_per_socket=12, clos_per_socket=8, sockets=1)
     path = str(tmp_path / "cfg.txt")
     write_config(cfg, path)
     assert read_config(path) == cfg
@@ -285,7 +285,7 @@ def test_config_errors(tmp_path):
 MIX_TEXT = """format-version 1
 mix demo medium
 config ways_per_socket 12
-config dm_penalty 1.5
+config clos_per_socket 8
 process 0
 start 250
 alpha 3.5
@@ -316,7 +316,7 @@ def test_mix_read_then_round_trip(tmp_path):
 def test_mix_derives_phase_sensitivity(tmp_path):
     m = read_mix(write_text(tmp_path, "demo.mix", MIX_TEXT))
     assert m.name == "demo" and m.category == "medium"
-    assert m.config_overrides == {"ways_per_socket": 12, "dm_penalty": 1.5}
+    assert m.config_overrides == {"ways_per_socket": 12, "clos_per_socket": 8}
     p0 = m.processes[0]
     assert (p0.start_ns, p0.alpha, p0.max_ways) == (250.0, 3.5, 6)
     warm, cruise = p0.phases
@@ -377,7 +377,7 @@ def test_mix_errors(tmp_path):
 
 FINITE_MIX = """format-version 1
 mix m light
-config dm_penalty 1.25
+config gfactor 4
 process 0
 start 0
 phase hot 100 reuse 1024
@@ -390,7 +390,7 @@ end
     ("start 0", "start nan"),
     ("phase hot 100 reuse 1024", "phase hot inf reuse 1024"),
     ("point 2 100", "point 2 nan"),
-    ("config dm_penalty 1.25", "config dm_penalty nan"),
+    ("config gfactor 4", "config gfactor nan"),
 ], ids=["start", "work", "point", "config"])
 def test_mix_rejects_non_finite_numbers(tmp_path, line, bad):
     lines = FINITE_MIX.splitlines()
@@ -559,11 +559,11 @@ MALFORMED = {
     "samples-square-past-float-range": (read_samples, V + "sample 1 2 10\n>sample 1e200 1e100 10"),
     "samples-square-past-float-range-single": (read_samples, V + ">sample 1e160 10"),
 }
-# a SystemConfig value out of range, or a key no field has, is pinned to its
-# config line; a rule fixed by design is no key, in a mix or a config file
+# a key no field has is pinned to its config line; a rule fixed by design
+# is no key, in a mix or a config file
 MALFORMED.update(
     ("mix-config-" + key, (read_mix, V + "mix m light\n>config %s %s\nprocess 0\nphase p 1 reuse 1\npoint 2 1\nend" % (key, val)))
-    for key, val in (("dm_penalty", "0.5"), ("cache_bytes", "0"), *((key, "1") for key in FIXED_RULES))
+    for key, val in (("cache_bytes", "0"), *((key, "1") for key in FIXED_RULES))
 )
 MALFORMED.update(("config-file-" + key, (read_config, V + ">config %s 1" % key)) for key in FIXED_RULES)
 
@@ -602,6 +602,7 @@ MESSAGES = {
     "log-arity": "record takes t pid event",
     "log-keyword": "unknown keyword 'ipca'",
     "log-config-after-record": "config lines must precede records",
+    "events-line-size": "unknown config key 'line_size'",
     "mix-phase-speed-zero": "phase 'p': work 1e-320 over 1e+300 ns at 2 ways is not a positive finite speed",
     "mix-phase-speed-inf": "phase 'p': work 1e+308 over 1e-300 ns at 2 ways is not a positive finite speed",
     "mix-phase-speed-inf-late-point": "phase 'p': work 1e+300 over 1e-10 ns at 5 ways is not a positive finite speed",

@@ -50,9 +50,9 @@ def mix_of(*procs, name="t", category="light", **overrides):
 
 def test_phase_speed_one_way_pays_dm_penalty():
     ph = phase("p", MIB, {2: 400.0})
+    assert simulate.DM_PENALTY == 1.25
     assert phase_speed(ph, 2) == 1.0 / 400.0
     assert phase_speed(ph, 1) == 1.0 / 500.0
-    assert phase_speed(ph, 1, dm_penalty=2.0) == 1.0 / 800.0
 
 
 def test_phase_speed_rejects_zero_ways():
@@ -333,15 +333,14 @@ def test_unpartitioned_staggered_start():
     assert rep.end_time == 612.0
 
 
-def test_admission_queue_respects_core_capacity():
+@pytest.mark.parametrize("kind", sorted(simulate._POLICIES))
+def test_admission_queue_respects_core_capacity(kind):
     procs = [
         ProcessSpec(pid=i, phases=(phase("p%d" % i, MIB, {2: t}),),
                     alpha=0.0, max_ways=2)
         for i, t in ((0, 256.0), (1, 512.0), (2, 1024.0))
     ]
-    rep = run_mix(
-        mix_of(*procs, sockets=1, cores_per_socket=1), Policy("unpartitioned")
-    )
+    rep = run_mix(mix_of(*procs, sockets=1, cores_per_socket=1), Policy(kind))
     # one core: the three run back to back; completions count from each
     # process's arrival at t=0, so the waits for the core count too
     assert rep.completions == {0: 256.0, 1: 768.0, 2: 1792.0}
@@ -554,15 +553,27 @@ def test_reactive_at_an_interval_finer_than_the_float_spacing_ends(monkeypatch, 
     assert times == sorted(times)
 
 
+def test_reactive_restarts_late_at_an_interval_past_the_float_range():
+    # 1e20 ns holds more than the float range of 1e-294 ns grid points, so
+    # the restart ticks at 1e20 itself, and each tick there moves a way
+    # from the insensitive pid 1 to pid 0 until pid 1 holds one
+    late = [ProcessSpec(pid=pid, phases=(phase("a", MIB, curve),), start_ns=1e20)
+            for pid, curve in enumerate(({2: 4e10, 10: 1e10}, {2: 1e10}))]
+    rep = run_mix(mix_of(*late, sockets=1), Policy("reactive", interval_ns=1e-294))
+    widths = [(rows[0][2], rows[1][2]) for t, rows in rep.width_timeline if t == 1e20]
+    assert widths == [(w, 11 - w) for w in range(5, 11)]
+    assert sorted(rep.completions) == [0, 1]
+
+
 def test_event_cost_follows_the_touched_socket(monkeypatch):
     # pid 1's fifty phase changes touch socket 1 only, so pid 0's one long
     # phase on socket 0 is evaluated once, at its admission
     calls = []
     real = simulate.phase_speed
 
-    def counting(ph, ways, dm_penalty=1.25):
+    def counting(ph, ways):
         calls.append(ph.phase_id)
-        return real(ph, ways, dm_penalty)
+        return real(ph, ways)
 
     monkeypatch.setattr(simulate, "phase_speed", counting)
     long = ProcessSpec(pid=0, phases=(phase("long", MIB, {2: 2.0 ** 20}),))
@@ -612,7 +623,8 @@ def test_a_flip_that_moves_no_group_ways_walks_no_resident(monkeypatch):
     # thirteen reuse holders of the full 11-way mask each get max(1,
     # floor(11/n)) = 1 way, so the group's ways never change: each phase
     # change hands back pid 12 alone, and no refresh walks the socket's
-    # pids.  One way costs no penalty here, so every time is a power of two
+    # pids.  One way takes t(2) x 1.25: pid 12's reuse phases 160 ns, its
+    # stream phases 128, and a resident's work of 1.25 keeps its speed 2^-20
     handed = []
     real_init, real_refresh = simulate._Placement.__init__, simulate._Placement.refresh
 
@@ -634,14 +646,15 @@ def test_a_flip_that_moves_no_group_ways_walks_no_resident(monkeypatch):
 
     monkeypatch.setattr(simulate._Placement, "__init__", init)
     monkeypatch.setattr(simulate._Placement, "refresh", watched)
-    residents = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, MIB, {2: 2.0 ** 20}),)) for pid in range(12)]
+    residents = [ProcessSpec(pid=pid, phases=(phase("long%d" % pid, MIB, {2: 2.0 ** 20}, work=1.25),))
+                 for pid in range(12)]
     flips = tuple(
         phase("f%d" % k, MIB, {2: 128.0}, reuse=(ReuseClass.STREAM, ReuseClass.REUSE)[k % 2])
         for k in range(50)
     )
-    mix = mix_of(*residents, ProcessSpec(pid=12, phases=flips), sockets=1, dm_penalty=1.0)
+    mix = mix_of(*residents, ProcessSpec(pid=12, phases=flips), sockets=1)
     rep = run_mix(mix, Policy("unpartitioned"))
-    assert rep.completions == {12: 50 * 128.0, **{pid: 2.0 ** 20 for pid in range(12)}}
+    assert rep.completions == {12: 25 * 128.0 + 25 * 160.0, **{pid: 1.25 * 2.0 ** 20 for pid in range(12)}}
     assert handed == [list(range(13))] + [[12]] * 49 + [[], []]
     assert Walked.walks == 0
 
@@ -753,9 +766,9 @@ def test_a_loop_iteration_that_moves_nothing_is_a_trace_error(monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(simulate._POLICIES))
 def test_a_one_way_speed_past_the_float_range_names_its_phase(kind):
-    # t(2) * 1e308 is inf, so the third process on two ways would run at speed 0
-    procs = [ProcessSpec(pid=pid, phases=(phase("a", MIB, {2: 100.0}),)) for pid in range(3)]
-    mix = mix_of(*procs, name="far", dm_penalty=1e308, ways_per_socket=2, sockets=1)
+    # t(2) * DM_PENALTY is inf, so the third process on two ways would run at speed 0
+    procs = [ProcessSpec(pid=pid, phases=(phase("a", MIB, {2: 1.5e308}),)) for pid in range(3)]
+    mix = mix_of(*procs, name="far", ways_per_socket=2, sockets=1)
     with raises_fault("mix 'far': pid 0 phase 'a': its speed on one way leaves the float range"):
         run_mix(mix, Policy(kind))
 
