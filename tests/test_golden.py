@@ -1,7 +1,7 @@
 """Golden digests of the simulator's reports and of the CLI's outputs.
 
-One sha256 per (input, policy) over the repr of the whole SimReport, for the
-bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
+One sha256 per part of the view of each (input, policy) SimReport
+(`report_view`), for the bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
 seeded draws of churn_mix and a socket whose one CLOS seat makes arrivals
 wait, under every policy and under reactive at a 50 ns interval as well.  The bundled mixes' phases last ~1e8 ns, so at 50 ns
 their reactive runs end only because a tick that moves no way stops the
@@ -23,8 +23,11 @@ the error a call raised.
 
 A change that claims to keep its outputs must keep every digest of the three
 tables.  A deliberate output change regenerates them, which rewrites all
-three, lists on stderr each entry that moved, is new or is gone, and ends
-with one tally line over all three, such as `44 moved, 0 new, 0 gone`:
+three and lists on stderr each entry that moved, is new or is gone, a moved
+report entry with the parts of its view that moved.  It then counts the
+moved report entries by the parts that moved, one line each, such as
+`113 moved: times only`, and ends with one tally line over all three
+tables, such as `135 moved, 0 new, 0 gone`:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -85,12 +88,37 @@ def inputs():
     yield "grouping-cap", grouping_cap_mix()
 
 
+# the parts of a report view that hold only times
+TIMES = ("completions", "unmixed times", "end time", "record times", "snapshot times")
+
+
+def report_view(rep):
+    """The report split into parts, each of which a change can move alone:
+    the times apart from the rest, the records and the snapshots each
+    apart from their times, and every other field together."""
+    return {
+        "completions": rep.completions,
+        "unmixed times": rep.unmixed,
+        "end time": rep.end_time,
+        "records": [r[1:] for r in rep.records],
+        "record times": [r.time_ns for r in rep.records],
+        "snapshot rows": [rows for _, rows in rep.width_timeline],
+        "snapshot times": [t for t, _ in rep.width_timeline],
+        "the rest": (
+            rep.mix_name, rep.category, rep.policy, rep.interval_ns,
+            rep.apportion_count, rep.max_clos_group_size, rep.warnings,
+        ),
+    }
+
+
 def digest(mix, policy):
+    """{part: sha256 of its repr} of the run's view; a rejected run is an
+    output too, with one part."""
     try:
-        text = repr(run_mix(mix, policy))
-    except CacheWaysError as exc:  # a rejected run is an output too
-        text = "raised " + repr(exc)
-    return hashlib.sha256(text.encode()).hexdigest()
+        view = report_view(run_mix(mix, policy))
+    except CacheWaysError as exc:
+        view = {"raised": exc}
+    return {part: hashlib.sha256(repr(v).encode()).hexdigest() for part, v in view.items()}
 
 
 def table():
@@ -98,6 +126,11 @@ def table():
         name: {label: digest(mix, pol) for label, pol in POLICIES.items()}
         for name, mix in inputs()
     }
+
+
+def moved_parts(was, new):
+    """The parts of a report entry whose digests differ, in view order."""
+    return [part for part in {**new, **was} if was.get(part) != new.get(part)]
 
 
 def cli_runs():
@@ -217,12 +250,14 @@ def moved_entries(path, make):
         golden = json.load(fh)
     now = make()
     assert now.keys() == golden.keys()
-    return [
-        "%s %s" % (name, label)
-        for name in golden
-        for label in golden[name]
-        if now[name].get(label) != golden[name][label]
-    ]
+    out = []
+    for name in golden:
+        for label, want in golden[name].items():
+            got = now[name].get(label)
+            if got != want:
+                parts = moved_parts(want, got or {}) if isinstance(want, dict) else []
+                out.append("%s %s" % (name, label) + (" (%s)" % ", ".join(parts) if parts else ""))
+    return out
 
 
 def test_reports_match_golden_digests():
@@ -242,8 +277,10 @@ def test_loop_analysis_matches_golden_digests():
 
 def regenerate():
     """Rewrite every table; name each entry whose digest changed on stderr,
-    then tally them over all of them."""
+    a report entry with its moved parts, then count the moved report
+    entries by those parts and tally the entries over all tables."""
     tally = {"moved": 0, "new": 0, "gone": 0}
+    by_parts: dict[str, int] = {}  # moved report entries by what moved
     for path, make in TABLES:
         try:
             with open(path) as fh:
@@ -263,10 +300,18 @@ def regenerate():
                 else:
                     continue
                 tally[kind] += 1
-                print("%s %s: %s" % (name, label, kind), file=sys.stderr)
+                note = ""
+                if kind == "moved" and isinstance(was[label], dict):
+                    parts = moved_parts(was[label], new[label])
+                    what = "times only" if set(parts) <= set(TIMES) else ", ".join(parts)
+                    by_parts[what] = by_parts.get(what, 0) + 1
+                    note = " (%s)" % ", ".join(parts)
+                print("%s %s: %s%s" % (name, label, kind, note), file=sys.stderr)
         with open(path, "w") as fh:
             json.dump(now, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    for what, n in sorted(by_parts.items(), key=lambda item: -item[1]):
+        print("%d moved: %s" % (n, what), file=sys.stderr)
     print(", ".join("%d %s" % (n, kind) for kind, n in tally.items()), file=sys.stderr)
 
 
