@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way on purpose: walk every
 iteration, keep explicit sets, count by hand with exact arithmetic.  None of
 it shares code with the package beyond the input dataclasses, except the
 sensitivity reference, which keeps the package's per-point curve arithmetic
-so that its floats compare with ==.
+so that its floats compare with ==, and the engine reference, which drives
+the package's placement and policies so that only the engine loop differs.
 """
 
 import math
@@ -21,6 +22,15 @@ from cacheways.loops import (
     Statement,
 )
 from cacheways.sensitivity import WayTimeCurve, alpha_sum, saturation_ways
+from cacheways.simulate import (
+    _POLICIES,
+    SimReport,
+    _Placement,
+    mix_config,
+    phase_speed,
+    run_unmixed,
+    validate_mix,
+)
 
 
 def iteration_trace(nest):
@@ -153,6 +163,93 @@ def brute_refresh(place, is_reuse):
         else bin(place.mask_of[pid]).count("1")
         for pid, sid in place.socket_of.items()
     }
+
+
+class _SettledRun:
+    """A process as the settle-every-run engine keeps it: its phase, the
+    work left in it and its speed."""
+
+    def __init__(self, spec, alpha, max_ways):
+        self.spec, self.pid, self.alpha, self.max_ways = spec, spec.pid, alpha, max_ways
+        self.phase_idx, self.work_rem, self.speed, self.reuse = 0, 0.0, 0.0, False
+
+    @property
+    def phase(self):
+        return self.spec.phases[self.phase_idx]
+
+    def enter(self, phase_idx):
+        self.phase_idx = phase_idx
+        self.work_rem = self.phase.work
+        self.reuse = self.phase.reuse is ReuseClass.REUSE
+
+
+def settle_every_run_mix(mix, policy, config=None):
+    """`run_mix` as first written, for mixes that run: at every event, take
+    each active run's end from its work left, move to the earliest end,
+    arrival or tick, settle every other run's work to that time, and, after
+    any placement change, recompute every placed run's speed and every
+    active row through `brute_refresh`.  Ends, ticks, admissions and
+    snapshots follow run_mix's order, so the reports differ only where the
+    work settled at every event rounds differently from the work settled
+    at each re-anchor."""
+    validate_mix(mix)
+    cfg = mix_config(mix, config)
+    place = _Placement(cfg)
+    ctl = _POLICIES[policy.kind](place, policy)
+    runs = {p.pid: _SettledRun(p, *ctl.sensitivity(p)) for p in mix.processes}
+    pending = sorted(((p.start_ns, p.pid) for p in mix.processes), reverse=True)
+    waiting, active, completions, timeline, rows = [], [], {}, [], {}
+    now = 0.0
+    while pending or waiting or active:
+        ends = [now + r.work_rem / r.speed for r in active]
+        tick = ctl.next_tick
+        t = min(ends + ([pending[-1][0]] if pending else []) + ([tick] if tick is not None else []))
+        ending = []
+        for r, end in zip(active, ends):
+            if end == t:
+                ending.append(r)
+            else:
+                r.work_rem -= (t - now) * r.speed
+        now, released = t, False
+        for r in ending:
+            if r.phase_idx + 1 < len(r.spec.phases):
+                r.enter(r.phase_idx + 1)
+                place.dirty.add(r.pid)
+                ctl.phase_change(now, r)
+            else:
+                released = True
+                active.remove(r)
+                completions[r.pid] = now - r.spec.start_ns
+                ctl.release(now, r, place.drop(r.pid))
+        if ctl.next_tick == t:
+            ctl.tick(now, runs)
+        due = []
+        while pending and pending[-1][0] <= now:
+            due.append(pending.pop()[1])
+        if due or (released and waiting):
+            pids = sorted(due + waiting)
+            room = sum(ctl.room(s) for s in range(cfg.sockets))
+            batch, waiting = [runs[pid] for pid in pids[:room]], pids[room:]
+            for r in batch:
+                r.enter(0)
+            if batch:
+                ctl.admit(now, batch)
+            active = sorted(active + batch, key=lambda r: r.pid)
+        if place.dirty:
+            for pid, eff in brute_refresh(place, lambda pid: runs[pid].reuse).items():
+                runs[pid].speed = phase_speed(runs[pid].phase, eff)
+            now_rows = {r.pid: ctl.row(r) for r in active}
+            if list(now_rows.items()) != list(rows.items()):
+                rows = now_rows
+                timeline.append((now, dict(rows)))
+    records, apportions, max_group, warnings = ctl.log()
+    return SimReport(
+        mix_name=mix.name, category=mix.category, policy=policy.kind,
+        interval_ns=ctl.interval_ns, completions=completions,
+        unmixed={p.pid: run_unmixed(p, cfg) for p in mix.processes},
+        records=records, width_timeline=timeline, end_time=now,
+        apportion_count=apportions, max_clos_group_size=max_group, warnings=warnings,
+    )
 
 
 def cache_fractions(active):
