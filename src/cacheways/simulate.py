@@ -7,10 +7,15 @@ remaining duration rescales with the new speed.  Simultaneous events settle in
 (time, pid, kind) order.
 
 One engine loop runs every policy and never asks which one it runs.  The
-next event is the earliest phase end, arrival or policy tick; one pass
-settles every active run's work and collects the runs whose phase ends
-then.  A policy with a clock keeps it itself and names its next tick, which
-settles after the phase events of its instant.
+next event is the earliest phase end, arrival or policy tick.  Each run
+keeps an anchor: a time, its work left then and its speed since.  A heap
+holds each active run's phase end from its anchor, and the runs whose
+entries equal the event's time end their phases then, in pid order.  A run
+re-anchors, settling its work to the event's time and pushing its new end,
+only when it enters a phase or its speed changes, so an event costs what it
+changes, not the number of active runs.  A policy with a clock keeps it
+itself and names its next tick, which settles after the phase events of its
+instant.
 
 A policy only chooses which way mask each admitted process holds, on which
 socket; the placement rejects any mask but one run of contiguous ways, as
@@ -54,6 +59,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 
 from .apportion import (
     _REUSE,
@@ -596,8 +602,10 @@ class _Run:
     alpha: float | None  # None: the policy reads no sensitivity
     max_ways: int | None
     phase_idx: int = 0
-    work_rem: float = 0.0
-    speed: float = 0.0
+    anchor: float = 0.0  # the time of the last re-anchor
+    work_rem: float = 0.0  # the phase's work left at `anchor`
+    speed: float = 0.0  # since `anchor`; 0.0 from entering a phase until its first re-anchor
+    version: int = 0  # of the heap entry that is the run's phase end; older entries are stale
     reuse: bool = False  # does the current phase reuse its data? kept by `enter`
 
     @property
@@ -605,10 +613,12 @@ class _Run:
         return self.spec.phases[self.phase_idx]
 
     def enter(self, phase_idx: int) -> None:
-        """Start phase `phase_idx` with all its work left."""
+        """Start phase `phase_idx` with all its work left and no speed, so
+        that the run's next speed re-anchors it (see `run_mix`)."""
         self.phase_idx = phase_idx
         ph = self.spec.phases[phase_idx]
         self.work_rem = ph.work
+        self.speed = 0.0
         self.reuse = ph.reuse is _REUSE
 
 
@@ -638,36 +648,33 @@ def run_mix(
     # due last; nothing is pushed, so popping the end keeps the order
     pending = sorted(((proc.start_ns, proc.pid) for proc in mix.processes), reverse=True)
     waiting: list[int] = []
-    active: list[_Run] = []  # in pid order
     completions: dict[int, float] = {}
     width_timeline: list[tuple[float, dict]] = []
     now = 0.0
     rows: dict[int, tuple] = {}  # active pid -> width-timeline row, in pid order
+    ends: list[tuple[float, int, int]] = []  # heap of (phase end, pid, version)
 
-    while pending or waiting or active:
-        # candidate times for the next event: the phase ends come first
-        cands = [now + r.work_rem / r.speed for r in active]
-        if pending:
-            cands.append(pending[-1][0])
+    while pending or waiting or rows:
+        # the next event: the earliest live phase end, arrival or tick
+        while ends and ends[0][2] != runs[ends[0][1]].version:
+            heappop(ends)
         tick = ctl.next_tick
-        if tick is not None:
-            cands.append(tick)
-        if not cands:
+        if not (ends or pending or tick is not None):
             raise CacheWaysError(
                 "mix %r: waiting processes can never be admitted" % mix.name
             )
-        t = min(cands)
+        t = min(ends[0][0] if ends else inf, pending[-1][0] if pending else inf,
+                inf if tick is None else tick)
         if not t < inf:
             raise CacheWaysError("mix %r: the next event after t=%r ns leaves the float range" % (mix.name, now))
 
-        # elapse work to t; the ending set is exact, not tolerance-based
-        stalled, dt = t <= now, t - now
+        # the ending set is exact, not tolerance-based; equal ends pop in pid order
+        stalled = t <= now
         ending = []
-        for r, end in zip(active, cands):
-            if end == t:
-                ending.append(r)
-            else:
-                r.work_rem -= dt * r.speed
+        while ends and ends[0][0] == t:
+            _, pid, version = heappop(ends)
+            if version == runs[pid].version:
+                ending.append(runs[pid])
         now = t
 
         changed = False  # did the active set or a timeline row change?
@@ -677,7 +684,6 @@ def run_mix(
                 place.dirty.add(r.pid)
                 ctl.phase_change(now, r)
             else:
-                active.remove(r)
                 del rows[r.pid]
                 completions[r.pid] = now - r.spec.start_ns  # a wait for room counts
                 ctl.release(now, r, place.drop(r.pid))
@@ -700,8 +706,6 @@ def run_mix(
                 for r in batch:
                     r.enter(0)
                 ctl.admit(now, batch)
-                for r in batch:  # into pid order
-                    insort(active, r, key=lambda r: r.pid)
                 changed = admitted = True
 
         # each iteration passes time, ends a phase, takes an arrival or moves
@@ -713,13 +717,18 @@ def run_mix(
             # speeds and rows of the dirty pids and of those whose effective ways moved
             for pid, eff in place.refresh(lambda pid: runs[pid].reuse).items():
                 r = runs[pid]
-                r.speed = phase_speed(r.phase, eff)
+                speed = phase_speed(r.phase, eff)
+                if speed != r.speed:  # re-anchor: settle the work done since the anchor
+                    r.work_rem -= (now - r.anchor) * r.speed
+                    r.anchor, r.speed = now, speed
+                    r.version += 1
+                    heappush(ends, (now + r.work_rem / speed, pid, r.version))
                 row = ctl.row(r)
                 if rows.get(pid) != row:
                     rows[pid] = row
                     changed = True
             if admitted:  # the admitted pids' rows went in last
-                rows = {r.pid: rows[r.pid] for r in active}
+                rows = dict(sorted(rows.items()))
             # a new row or a new active set always makes a new snapshot
             if changed:
                 width_timeline.append((now, dict(rows)))
