@@ -184,14 +184,14 @@ class _SettledRun:
 
 
 def settle_every_run_mix(mix, policy, config=None):
-    """`run_mix` as first written, for mixes that run: at every event, take
-    each active run's end from its work left, move to the earliest end,
-    arrival or tick, settle every other run's work to that time, and, after
-    any placement change, recompute every placed run's speed and every
-    active row through `brute_refresh`.  Ends, ticks, admissions and
-    snapshots follow run_mix's order, so the reports differ only where the
-    work settled at every event rounds differently from the work settled
-    at each re-anchor."""
+    """`run_mix` as it ran before runs kept anchors, for mixes that run: at
+    every event, take each active run's end from its work left, move to the
+    earliest end, arrival or tick, settle every other run's work to that
+    time, and, after any placement change, recompute every placed run's
+    speed and every active row through `brute_refresh`.  Ends, ticks,
+    admissions and snapshots follow run_mix's order, so the reports differ
+    only where the work settled at every event rounds differently from the
+    work settled at each re-anchor."""
     validate_mix(mix)
     cfg = mix_config(mix, config)
     place = _Placement(cfg)

@@ -1,11 +1,12 @@
 """Golden digests of the simulator's reports and of the CLI's outputs.
 
 One sha256 per part of the view of each (input, policy) SimReport
-(`report_view`), for the bundled mixes, twenty seeded draws of test_simulate's random_mix and sixteen
-seeded draws of churn_mix and a socket whose one CLOS seat makes arrivals
-wait, under every policy and under reactive at a 50 ns interval as well.  The bundled mixes' phases last ~1e8 ns, so at 50 ns
-their reactive runs end only because a tick that moves no way stops the
-clock and a donor never gives a way it needs.
+(`report_view`), for the bundled mixes, twenty seeded draws of
+test_simulate's random_mix and sixteen seeded draws of churn_mix and a
+socket whose one CLOS seat makes arrivals wait, under every policy and
+under reactive at a 50 ns interval as well.  The bundled mixes' phases
+last ~1e8 ns, so at 50 ns their reactive runs end only because a tick that
+moves no way stops the clock and a donor never gives a way it needs.
 
 A second table holds one sha256 per CLI run, through `cli.main` in process,
 over its exit code, stdout, stderr and each file it wrote (relative name and
@@ -26,7 +27,7 @@ tables.  A deliberate output change regenerates them, which rewrites all
 three and lists on stderr each entry that moved, is new or is gone, a moved
 report entry with the parts of its view that moved.  It then counts the
 moved report entries by the parts that moved, one line each, such as
-`113 moved: times only`, and ends with one tally line over all three
+`112 moved: times only`, and ends with one tally line over all three
 tables, such as `135 moved, 0 new, 0 gone`:
 
     PYTHONPATH=src python tests/test_golden.py
